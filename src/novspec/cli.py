@@ -24,6 +24,7 @@ import csv
 import io
 import json
 import sys
+from fractions import Fraction
 from typing import Callable, Optional
 
 SCHEMA_VERSION = "1"
@@ -224,12 +225,34 @@ def cmd_toric_scan(args) -> int:
     return 0
 
 
+CERTIFICATE_KEYS = ("field", "polytope", "fiber", "order")
+BRANE_KEYS = ("x", "residual_valuation", "central_charge")
+
+
+def _check_certificate_keys(doc: dict, path: str) -> None:
+    """Every key revalidation reads must be present in a certificate."""
+    missing = [k for k in CERTIFICATE_KEYS if k not in doc]
+    if missing:
+        raise SchemaError(f"certificate {path}: missing key(s) {missing}")
+    branes = doc.get("branes", [])
+    if not isinstance(branes, list):
+        raise SchemaError(f"certificate {path}: 'branes' must be a list")
+    for idx, brane in enumerate(branes):
+        if not isinstance(brane, dict):
+            raise SchemaError(f"certificate {path}: brane {idx} must be an object")
+        missing = [k for k in BRANE_KEYS if k not in brane]
+        if missing:
+            raise SchemaError(f"certificate {path}: brane {idx} missing key(s) {missing}")
+
+
 def cmd_toric_revalidate(args) -> int:
     from .critical import revalidate_certificate
 
     doc = _load_json(args.input)
     if not isinstance(doc, dict):
         raise SchemaError("certificate document must be a JSON object")
+    if doc.get("kind") == "heaviness-certificate":
+        _check_certificate_keys(doc, args.input)
     result = revalidate_certificate(doc)
     _emit(args, _document("certificate-revalidation", result))
     return 0 if result["ok"] else 1
@@ -431,6 +454,16 @@ def _add_out(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out", help="write output to this file instead of stdout")
 
 
+def _positive_rational(text: str) -> Fraction:
+    try:
+        value = Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError(f"not a rational: {text!r}") from None
+    if value <= 0:
+        raise argparse.ArgumentTypeError(f"must be positive, got {text!r}")
+    return value
+
+
 def _add_mode(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--mode",
@@ -507,7 +540,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_toric_certify)
     p = g.add_parser("scan", help="certify every interior grid fiber")
     p.add_argument("input")
-    p.add_argument("--grid", required=True, help="grid resolution, e.g. 1/8")
+    p.add_argument(
+        "--grid", required=True, type=_positive_rational, help="grid resolution, e.g. 1/8"
+    )
     p.add_argument("--order", default="-10")
     p.add_argument("--format", choices=("json", "csv"), default="json")
     _add_mode(p)

@@ -22,6 +22,7 @@ smoothness test at each vertex reduces to an integer determinant.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, List, Optional, Sequence, Tuple
@@ -45,16 +46,7 @@ def point_str(point: Sequence[Fraction]) -> str:
 
 
 def _vec_gcd(vec: Iterable[int]) -> int:
-    g = 0
-    for entry in vec:
-        g = gcd_int(g, abs(entry))
-    return g
-
-
-def gcd_int(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
+    return math.gcd(*vec)
 
 
 def _frac_rank(rows: List[List[Fraction]]) -> int:
@@ -316,78 +308,157 @@ class PolytopeReport:
         }
 
 
-def _lp_symbols(n: int):
-    import sympy
+def _pivot(rows: List[list], obj: list, basis: List[int], r: int, col: int) -> None:
+    prow = rows[r]
+    inv = 1 / prow[col]
+    if inv != 1:
+        prow[:] = [x * inv for x in prow]
+    nonzero = [j for j, x in enumerate(prow) if x]
+    for row in itertools.chain(rows, (obj,)):
+        factor = row[col]
+        if factor and row is not prow:
+            for j in nonzero:
+                row[j] -= factor * prow[j]
+    basis[r] = col
 
-    return sympy.symbols(f"m0:{n}", real=True)
+
+def _simplex(rows: List[list], obj: List, basis: List[int], allowed: List[int]) -> bool:
+    """Pivot to optimality with Bland's rule; False when unbounded below.
+
+    ``obj`` holds the reduced costs and, last, minus the objective value.
+    Only the columns in ``allowed`` (ascending) may enter the basis.
+    """
+    while True:
+        enter = next((j for j in allowed if obj[j] < 0), None)
+        if enter is None:
+            return True
+        leave, best = None, None
+        for i, row in enumerate(rows):
+            if row[enter] > 0:
+                ratio = row[-1] / row[enter]
+                if best is None or ratio < best or (ratio == best and basis[i] < basis[leave]):
+                    leave, best = i, ratio
+        if leave is None:
+            return False
+        _pivot(rows, obj, basis, leave, enter)
+
+
+def _reduced_costs(rows: List[list], basis: List[int], cost: List) -> list:
+    obj = list(cost) + [Fraction(0)]
+    for row, b in zip(rows, basis):
+        if cost[b]:
+            obj = [o - cost[b] * x for o, x in zip(obj, row)]
+    return obj
+
+
+def _lp(objectives: Sequence[Sequence], a: Sequence[Sequence], b: Sequence):
+    """Exact LP over free variables: lexicographically minimise the
+    objectives over {x in Q^n : A x >= b}.
+
+    Each later objective is minimised over the optimal set of the earlier
+    ones; one that is unbounded there is skipped.  Returns ``(status, x)``
+    with status "optimal", "infeasible", or "unbounded" (the first
+    objective is unbounded below; x is then None).
+
+    Dense two-phase simplex on a Fraction tableau with Bland's rule, so it
+    terminates on degenerate problems.  Free x_j is split as x+_j - x-_j;
+    row i reads A_i x - s_i = b_i with slack s_i >= 0, and starts from its
+    slack when b_i <= 0, from an artificial variable otherwise.
+    """
+    m = len(a)
+    n = len(a[0]) if m else len(objectives[0])
+    width = 2 * n + m
+    artificials = sum(1 for x in b if x > 0)
+    rows, basis = [], []
+    next_artificial = width
+    for i, (ai, bi) in enumerate(zip(a, b)):
+        sign = 1 if bi > 0 else -1
+        row = [Fraction(0)] * (width + artificials + 1)
+        for j, x in enumerate(ai):
+            row[j] = Fraction(sign * x)
+            row[n + j] = -row[j]
+        row[2 * n + i] = Fraction(-sign)
+        row[-1] = Fraction(sign * bi)
+        if sign > 0:
+            row[next_artificial] = Fraction(1)
+            basis.append(next_artificial)
+            next_artificial += 1
+        else:
+            basis.append(2 * n + i)
+        rows.append(row)
+    if artificials:
+        obj = _reduced_costs(rows, basis, [0] * width + [1] * artificials)
+        _simplex(rows, obj, basis, list(range(width)))
+        if obj[-1] != 0:
+            return "infeasible", None
+        # Basic artificials sit at zero: pivot them out, or drop their
+        # row when it is a combination of the others.
+        for i in reversed(range(len(rows))):
+            if basis[i] >= width:
+                col = next((j for j in range(width) if rows[i][j]), None)
+                if col is None:
+                    del rows[i], basis[i]
+                else:
+                    _pivot(rows, obj, basis, i, col)
+    allowed = list(range(width))
+    for k, c in enumerate(objectives):
+        cost = [Fraction(x) for x in c] + [-Fraction(x) for x in c]
+        cost += [Fraction(0)] * (m + artificials)
+        obj = _reduced_costs(rows, basis, cost)
+        if not _simplex(rows, obj, basis, allowed):
+            if k == 0:
+                return "unbounded", None
+            continue
+        # Columns with a positive reduced cost are zero on the optimal set.
+        allowed = [j for j in allowed if obj[j] == 0]
+    value = [Fraction(0)] * width
+    for row, col in zip(rows, basis):
+        value[col] = row[-1]
+    return "optimal", [value[j] - value[n + j] for j in range(n)]
 
 
 def _bounded_exact(p: MomentPolytope) -> bool:
-    # Bounded iff normals span Q^n and admit a strictly positive dependent
-    # combination: the recession cone {d : <v_i, d> >= 0} is then {0}.
-    rows = [[Fraction(x) for x in f.normal] for f in p.facets]
-    if _frac_rank(rows) < p.dim:
+    # Bounded iff the recession cone {d : <v_i, d> >= 0} is {0}: the normals
+    # span Q^n and sum_i <v_i, d> cannot be raised above 0 on the cone.  The
+    # LP below is always optimal: d = 0 is feasible and its last row caps
+    # the sum at 1.
+    normals = [list(f.normal) for f in p.facets]
+    if _frac_rank([[Fraction(x) for x in row] for row in normals]) < p.dim:
         return False
-    import sympy
-    from sympy.solvers.simplex import InfeasibleLPError, lpmin
-
-    mu = _lp_symbols(len(p.facets))
-    constraints = [m >= 1 for m in mu]
-    for j in range(p.dim):
-        constraints.append(
-            sympy.Eq(sum(sympy.Integer(f.normal[j]) * m for f, m in zip(p.facets, mu)), 0)
-        )
-    try:
-        lpmin(sum(mu), constraints)
-    except InfeasibleLPError:
-        return False
-    return True
+    total = [sum(col) for col in zip(*normals)]
+    _, d = _lp([[-x for x in total]], normals + [[-x for x in total]], [0] * len(normals) + [-1])
+    return sum(x * y for x, y in zip(total, d)) == 0
 
 
 def interior_point(p: MomentPolytope) -> Optional[Point]:
-    """A rational point maximizing the minimal facet value (None when empty)."""
-    import sympy
-    from sympy.solvers.simplex import InfeasibleLPError, UnboundedLPError, lpmax
+    """A rational point maximizing the minimal facet value (None when empty).
 
-    lam = sympy.symbols(f"l0:{p.dim}", real=True)
-    t = sympy.Symbol("t_margin", real=True)
-    constraints = [t <= 1]
-    for f in p.facets:
-        expr = sum(sympy.Integer(v) * x for v, x in zip(f.normal, lam))
-        constraints.append(expr - sympy.Rational(f.offset) >= t)
-    try:
-        best, assignment = lpmax(t, constraints)
-    except (InfeasibleLPError, UnboundedLPError):
+    Maximizes t subject to <lam, v_i> - c_i >= t and t <= 1; when the
+    optimum t* is positive, returns the lexicographically smallest lam with
+    margin t* (minimize lam_0, then lam_1, ... over the optimal set), so the
+    point is canonical and moves with any translation of the polytope.
+    """
+    n = p.dim
+    a = [list(f.normal) + [-1] for f in p.facets] + [[0] * n + [-1]]
+    b = [f.offset for f in p.facets] + [-1]
+    objectives = [[0] * n + [-1]] + [[int(i == j) for i in range(n + 1)] for j in range(n)]
+    _, sol = _lp(objectives, a, b)
+    if sol[n] <= 0:
         return None
-    if best <= 0:
-        return None
-    return tuple(Fraction(str(assignment[x])) for x in lam)
+    return tuple(sol[:n])
 
 
 def _facet_redundant(p: MomentPolytope, idx: int) -> bool:
     # Facet i is redundant when its value stays >= 0 over the polytope cut
-    # out by the other facets alone.
-    import sympy
-    from sympy.solvers.simplex import InfeasibleLPError, UnboundedLPError, lpmin
-
-    lam = sympy.symbols(f"l0:{p.dim}", real=True)
-    constraints = []
-    for j, f in enumerate(p.facets):
-        if j == idx:
-            continue
-        expr = sum(sympy.Integer(v) * x for v, x in zip(f.normal, lam))
-        constraints.append(expr - sympy.Rational(f.offset) >= 0)
-    target = sum(sympy.Integer(v) * x for v, x in zip(p.facets[idx].normal, lam)) - sympy.Rational(
-        p.facets[idx].offset
+    # out by the other facets alone (vacuously so when they are infeasible).
+    others = [f for j, f in enumerate(p.facets) if j != idx]
+    target = p.facets[idx]
+    status, sol = _lp(
+        [target.normal], [f.normal for f in others], [f.offset for f in others]
     )
-    try:
-        best, _ = lpmin(target, constraints)
-    except UnboundedLPError:
-        return False
-    except InfeasibleLPError:
-        # Other facets alone are already infeasible; the facet adds nothing.
-        return True
-    return best >= 0
+    if status != "optimal":
+        return status == "infeasible"
+    return target.value(sol) >= 0
 
 
 def enumerate_vertices(p: MomentPolytope) -> List[Point]:

@@ -3,9 +3,14 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import novspec
 from novspec.cli import main
 
 # facet value at lam is <normal, lam> - offset, so [0, 1] is offsets 0 and -1
@@ -102,6 +107,25 @@ class TestExitCodes:
             main(["toric", "certify", path, "--fiber", "1/2", "--mode", "nope"])
         assert exc.value.code == 2
 
+    def test_nonpositive_grid_raises_systemexit_2(self, tmp_path):
+        path = write(tmp_path, "cp1.json", CP1)
+        for grid in ("0", "1/0", "eighth"):
+            with pytest.raises(SystemExit) as exc:
+                main(["toric", "scan", path, "--grid", grid])
+            assert exc.value.code == 2
+
+    def test_certificate_missing_keys_is_2(self, tmp_path, capsys):
+        path = write(tmp_path, "bare.json", {"kind": "heaviness-certificate"})
+        assert main(["toric", "revalidate", path]) == 2
+        assert "schema error" in capsys.readouterr().err
+
+    def test_brane_missing_keys_is_2(self, tmp_path, cert_path, capsys):
+        doc = json.loads(open(cert_path, encoding="utf-8").read())
+        del doc["branes"][1]["residual_valuation"]
+        path = write(tmp_path, "cut.json", doc)
+        assert main(["toric", "revalidate", path]) == 2
+        assert "brane 1 missing key(s) ['residual_valuation']" in capsys.readouterr().err
+
     def test_unknown_subcommand_raises_systemexit_2(self):
         with pytest.raises(SystemExit) as exc:
             main(["toric", "frobnicate"])
@@ -167,6 +191,24 @@ class TestToricCommands:
         path = write(tmp_path, "strip.json", STRIP)
         code, doc = run_json(tmp_path, ["toric", "validate", path])
         assert code == 1 and not doc["ok"]
+
+    def test_validate_does_not_import_sympy(self, tmp_path):
+        # Polytope validation is sympy-free; only the leading-system solver
+        # imports it.
+        path = write(tmp_path, "cp1.json", CP1)
+        script = (
+            "import sys\n"
+            "from novspec.cli import main\n"
+            f"code = main(['toric', 'validate', {path!r}, '--out', {os.devnull!r}])\n"
+            "print(code, 'sympy' in sys.modules)\n"
+        )
+        src = str(Path(novspec.__file__).resolve().parent.parent)
+        paths = [src, os.environ.get("PYTHONPATH")]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+        out = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, env=env, check=True
+        )
+        assert out.stdout.split() == ["0", "False"]
 
     def test_potential(self, tmp_path):
         path = write(tmp_path, "cp1.json", CP1)

@@ -1,9 +1,13 @@
 """Moment polytopes: exact validation, vertices, transforms, disk records."""
 
+import itertools
+import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from novspec.polytope import (
     Facet,
@@ -14,6 +18,7 @@ from novspec.polytope import (
     facet_values,
     fiber_radii,
     int_det,
+    interior_point,
     parse_fiber,
     point_str,
     polytope_validate,
@@ -24,6 +29,7 @@ from novspec.polytope import (
     transform_point,
     unimodular_inverse_transpose,
 )
+from novspec.polytope import _facet_redundant, _frac_solve
 
 CP1 = segment(Fraction(0), Fraction(1))
 CP2 = simplex(2)
@@ -150,6 +156,51 @@ class TestValidate:
         )
         rep = polytope_validate(tri)
         assert rep.simple and not rep.delzant and not rep.ok
+
+    def test_empty_interior_behind_redundant_facets(self):
+        # {x >= -1, x >= -3, x >= -4, -x >= 1} is the single point -1
+        point = MomentPolytope(
+            1,
+            [
+                Facet((1,), Fraction(-1)),
+                Facet((1,), Fraction(-3)),
+                Facet((1,), Fraction(-4)),
+                Facet((-1,), Fraction(1)),
+            ],
+        )
+        rep = polytope_validate(point)
+        assert rep.bounded and not rep.interior_nonempty
+        assert rep.interior_point is None
+        assert "polytope has empty interior" in rep.violations
+
+    def test_infeasible_parallel_pair_is_unbounded(self):
+        # x + 2y <= 1 and x + 2y <= -1 leave the direction (2, -1) free
+        wedge = MomentPolytope(
+            2,
+            [
+                Facet((2, 1), Fraction(-4)),
+                Facet((-1, -2), Fraction(-1)),
+                Facet((-1, -2), Fraction(1)),
+            ],
+        )
+        rep = polytope_validate(wedge)
+        assert not rep.bounded and not rep.ok
+        assert "polytope is unbounded" in rep.violations
+
+    def test_interior_point_is_lexicographic_minimum(self):
+        # x in [-1, 2], y in [-1, 0]: the max-min margin 1/2 pins y = -1/2
+        # and leaves x in [-1/2, 3/2]; the smallest x is taken
+        rect = MomentPolytope(
+            2,
+            [
+                Facet((1, 0), Fraction(-1)),
+                Facet((0, 1), Fraction(-1)),
+                Facet((-1, 0), Fraction(-2)),
+                Facet((0, -1), Fraction(0)),
+            ],
+        )
+        assert interior_point(rect) == (Fraction(-1, 2), Fraction(-1, 2))
+        assert interior_point(TRAP) == (Fraction(1, 2), Fraction(1, 2))
 
     def test_interior_point_is_interior(self):
         for p in (CP1, CP2, TRAP):
@@ -302,3 +353,90 @@ class TestVertexEnumeration:
     def test_enumerate_matches_report(self):
         rep = polytope_validate(TRAP)
         assert sorted(enumerate_vertices(TRAP)) == sorted(rep.vertices)
+
+
+# ---------------------------------------------------------------------------
+# Exact LP against an independent oracle built on vertex enumeration
+
+
+def _full_rank(normals, n):
+    return any(int_det(rows) != 0 for rows in itertools.combinations(normals, n))
+
+
+def _bounded_oracle(normals, n):
+    """{d : <v_i, d> >= 0} is {0}: the normals span, and no extreme ray
+    (spanned by the cofactor vector of n - 1 rows) lies in the cone."""
+    if not _full_rank(normals, n):
+        return False
+    for rows in itertools.combinations(normals, n - 1):
+        d = [
+            (-1) ** j * int_det([[r[k] for k in range(n) if k != j] for r in rows])
+            for j in range(n)
+        ]
+        for ray in (d, [-x for x in d]):
+            if any(ray) and all(sum(a * b for a, b in zip(v, ray)) >= 0 for v in normals):
+                return False
+    return True
+
+
+def _vertices(rows, rhs):
+    """Vertices of {x : <row, x> >= rhs} by exact square solves."""
+    dim = len(rows[0])
+    out = set()
+    for subset in itertools.combinations(range(len(rows)), dim):
+        sol = _frac_solve(
+            [[Fraction(x) for x in rows[i]] for i in subset], [rhs[i] for i in subset]
+        )
+        if sol is not None and all(
+            sum(a * x for a, x in zip(row, sol)) >= c for row, c in zip(rows, rhs)
+        ):
+            out.add(tuple(sol))
+    return out
+
+
+@st.composite
+def small_polytopes(draw):
+    dim = draw(st.integers(1, 3))
+    normal = st.lists(st.integers(-2, 2), min_size=dim, max_size=dim).filter(
+        lambda v: math.gcd(*v) == 1
+    )
+    offset = st.builds(Fraction, st.integers(-6, 2), st.sampled_from([1, 2]))
+    facets = draw(
+        st.lists(st.builds(Facet, normal.map(tuple), offset), min_size=dim + 1, max_size=7)
+    )
+    return MomentPolytope(dim, tuple(facets))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(small_polytopes())
+def test_exact_lp_matches_vertex_oracle(p):
+    n = p.dim
+    normals = [f.normal for f in p.facets]
+    rep = polytope_validate(p)
+    assert rep.bounded == _bounded_oracle(normals, n)
+    if not rep.bounded:
+        return
+
+    # Max-min margin: vertices of {(lam, t) : <v_i, lam> - c_i >= t, t <= 1}
+    lifted = _vertices(
+        [v + (-1,) for v in normals] + [(0,) * n + (-1,)],
+        [f.offset for f in p.facets] + [Fraction(-1)],
+    )
+    best = max(v[n] for v in lifted)
+    point = interior_point(p)
+    if best <= 0:
+        assert point is None and rep.interior_point is None
+    else:
+        assert point == rep.interior_point
+        assert p.is_interior(point) and min(p.values(point)) == best
+        assert point == min(v[:n] for v in lifted if v[n] == best)
+
+    for i, target in enumerate(p.facets):
+        others = p.facets[:i] + p.facets[i + 1:]
+        if not others or not _bounded_oracle([f.normal for f in others], n):
+            continue
+        corners = _vertices([f.normal for f in others], [f.offset for f in others])
+        expected = all(target.value(v) >= 0 for v in corners)
+        assert _facet_redundant(p, i) == expected
+        if rep.interior_nonempty:
+            assert (i in rep.redundant_facets) == expected

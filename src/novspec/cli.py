@@ -225,24 +225,44 @@ def cmd_toric_scan(args) -> int:
     return 0
 
 
-CERTIFICATE_KEYS = ("field", "polytope", "fiber", "order")
-BRANE_KEYS = ("x", "residual_valuation", "central_charge")
+# key -> (JSON types its value may have, their description)
+CERTIFICATE_KEYS = {
+    "field": ((str, dict), "a string or an object"),
+    "polytope": (dict, "an object"),
+    "fiber": (str, "a string"),
+    "order": (str, "a string"),
+}
+BRANE_KEYS = {
+    "x": (list, "a list of scalar objects"),
+    "residual_valuation": (str, "a string"),
+    "central_charge": (dict, "an object"),
+}
+
+
+def _check_keys(obj: dict, keys: dict, where: str) -> None:
+    missing = [k for k in keys if k not in obj]
+    if missing:
+        raise SchemaError(f"{where} missing key(s) {missing}")
+    for key, (types, what) in keys.items():
+        if not isinstance(obj[key], types):
+            raise SchemaError(f"{where} '{key}' must be {what}")
 
 
 def _check_certificate_keys(doc: dict, path: str) -> None:
-    """Every key revalidation reads must be present in a certificate."""
-    missing = [k for k in CERTIFICATE_KEYS if k not in doc]
-    if missing:
-        raise SchemaError(f"certificate {path}: missing key(s) {missing}")
+    """Every key revalidation reads must be present in a certificate, with
+    a value of the JSON type it is parsed from."""
+    _check_keys(doc, CERTIFICATE_KEYS, f"certificate {path}:")
     branes = doc.get("branes", [])
     if not isinstance(branes, list):
         raise SchemaError(f"certificate {path}: 'branes' must be a list")
     for idx, brane in enumerate(branes):
         if not isinstance(brane, dict):
             raise SchemaError(f"certificate {path}: brane {idx} must be an object")
-        missing = [k for k in BRANE_KEYS if k not in brane]
-        if missing:
-            raise SchemaError(f"certificate {path}: brane {idx} missing key(s) {missing}")
+        _check_keys(brane, BRANE_KEYS, f"certificate {path}: brane {idx}")
+        if not all(isinstance(xj, dict) for xj in brane["x"]):
+            raise SchemaError(
+                f"certificate {path}: brane {idx} 'x' must be a list of scalar objects"
+            )
 
 
 def cmd_toric_revalidate(args) -> int:
@@ -454,13 +474,24 @@ def _add_out(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out", help="write output to this file instead of stdout")
 
 
-def _positive_rational(text: str) -> Fraction:
+def _rational(text: str) -> Fraction:
     try:
-        value = Fraction(text)
+        return Fraction(text)
     except (ValueError, ZeroDivisionError):
         raise argparse.ArgumentTypeError(f"not a rational: {text!r}") from None
+
+
+def _positive_rational(text: str) -> Fraction:
+    value = _rational(text)
     if value <= 0:
         raise argparse.ArgumentTypeError(f"must be positive, got {text!r}")
+    return value
+
+
+def _negative_rational(text: str) -> Fraction:
+    value = _rational(text)
+    if value >= 0:
+        raise argparse.ArgumentTypeError(f"must be negative, got {text!r}")
     return value
 
 
@@ -534,7 +565,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = g.add_parser("certify", help="certify a fiber by lifted critical branes")
     p.add_argument("input")
     p.add_argument("--fiber", required=True)
-    p.add_argument("--order", default="-10", help="truncation order (negative)")
+    p.add_argument(
+        "--order", default="-10", type=_negative_rational, help="truncation order (negative)"
+    )
     _add_mode(p)
     _add_out(p)
     p.set_defaults(func=cmd_toric_certify)
@@ -543,7 +576,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--grid", required=True, type=_positive_rational, help="grid resolution, e.g. 1/8"
     )
-    p.add_argument("--order", default="-10")
+    p.add_argument("--order", default="-10", type=_negative_rational)
     p.add_argument("--format", choices=("json", "csv"), default="json")
     _add_mode(p)
     _add_out(p)

@@ -689,15 +689,15 @@ class ScanReport:
         return out
 
 
-def grid_fibers(p: MomentPolytope, resolution) -> List[Tuple[Fraction, ...]]:
+def grid_fibers(
+    p: MomentPolytope, resolution, vertices: Sequence[Tuple[Fraction, ...]]
+) -> List[Tuple[Fraction, ...]]:
     """Interior points with all coordinates multiples of the resolution,
-    in deterministic lexicographic order."""
-    from .polytope import enumerate_vertices
-
+    in deterministic lexicographic order.  ``vertices`` are the polytope's
+    vertices, as its validation report lists them."""
     res = parse_fraction(resolution)
     if res <= 0:
         raise ValueError("grid resolution must be positive")
-    vertices = enumerate_vertices(p)
     if not vertices:
         raise ValueError("polytope has no vertices; validate it first")
     axes = []
@@ -726,7 +726,7 @@ def scan_fibers(
         raise ValueError(f"polytope failed validation: {'; '.join(rep.violations)}")
     order = parse_floor(order)
     rows = []
-    for fiber in grid_fibers(p, resolution):
+    for fiber in grid_fibers(p, resolution, rep.vertices):
         result = certify_heavy(p, fiber, order, field, check_polytope=False)
         w = potential(p, fiber)
         weights = [s.weight for s in w.leading_strata()]

@@ -77,25 +77,25 @@ class GaussianRational:
         self.im = Fraction(im)
 
     def __add__(self, other: "GaussianRational") -> "GaussianRational":
-        return GaussianRational(self.re + other.re, self.im + other.im)
+        return _gaussian(self.re + other.re, self.im + other.im)
 
     def __sub__(self, other: "GaussianRational") -> "GaussianRational":
-        return GaussianRational(self.re - other.re, self.im - other.im)
+        return _gaussian(self.re - other.re, self.im - other.im)
 
     def __mul__(self, other: "GaussianRational") -> "GaussianRational":
-        return GaussianRational(
+        return _gaussian(
             self.re * other.re - self.im * other.im,
             self.re * other.im + self.im * other.re,
         )
 
     def __neg__(self) -> "GaussianRational":
-        return GaussianRational(-self.re, -self.im)
+        return _gaussian(-self.re, -self.im)
 
     def inverse(self) -> "GaussianRational":
         n = self.re * self.re + self.im * self.im
         if n == 0:
             raise ZeroDivisionError("inverse of zero Gaussian rational")
-        return GaussianRational(self.re / n, -self.im / n)
+        return _gaussian(self.re / n, -self.im / n)
 
     def __eq__(self, other) -> bool:
         return (
@@ -117,6 +117,15 @@ class GaussianRational:
 
     def to_complex(self) -> complex:
         return complex(float(self.re), float(self.im))
+
+
+def _gaussian(re: Fraction, im: Fraction) -> GaussianRational:
+    # Arithmetic on Fraction parts already yields Fractions; skip the
+    # constructor's coercion.
+    out = object.__new__(GaussianRational)
+    out.re = re
+    out.im = im
+    return out
 
 
 Coefficient = Union[Fraction, GaussianRational, complex]

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import cmath
 from fractions import Fraction
+from math import lcm
 from typing import Any, Iterable, Optional, Tuple, Union
 
 from .fields import (
@@ -40,6 +41,15 @@ def _add_floors(a: FloorValue, b: FloorValue) -> FloorValue:
     if a == NEG_INF or b == NEG_INF:
         return NEG_INF
     return a + b
+
+
+def _above(terms, floor: FloorValue) -> tuple:
+    """The terms of a strictly decreasing term list that lie above the floor."""
+    if floor != NEG_INF:
+        for i, (e, _) in enumerate(terms):
+            if e <= floor:
+                return tuple(terms[:i])
+    return tuple(terms)
 
 
 class NovikovScalar:
@@ -81,6 +91,17 @@ class NovikovScalar:
 
     def __setattr__(self, name, value):
         raise AttributeError("NovikovScalar is immutable")
+
+    @classmethod
+    def _make(cls, field: CoefficientField, terms: tuple, floor: FloorValue):
+        """Trusted constructor: ``terms`` are already field coefficients,
+        nonzero, above ``floor`` and sorted by strictly decreasing Fraction
+        exponent; ``floor`` is a Fraction or NEG_INF."""
+        out = object.__new__(cls)
+        object.__setattr__(out, "field", field)
+        object.__setattr__(out, "terms", terms)
+        object.__setattr__(out, "floor", floor)
+        return out
 
     # -- constructors -------------------------------------------------
 
@@ -130,19 +151,37 @@ class NovikovScalar:
 
     def __add__(self, other: "NovikovScalar") -> "NovikovScalar":
         self.field.check_compatible(other.field)
+        field = self.field
         floor = max(self.floor, other.floor)
-        return NovikovScalar(
-            self.field, list(self.terms) + list(other.terms), floor
-        )
+        # Merge the two decreasing term lists down to the floor.
+        a, b = self.terms, other.terms
+        i = j = 0
+        out = []
+        while i < len(a) and j < len(b):
+            ea, eb = a[i][0], b[j][0]
+            if ea > eb:
+                out.append(a[i])
+                i += 1
+            elif eb > ea:
+                out.append(b[j])
+                j += 1
+            else:
+                c = field.add(a[i][1], b[j][1])
+                if not field.is_zero(c):
+                    out.append((ea, c))
+                i += 1
+                j += 1
+        out.extend(a[i:])
+        out.extend(b[j:])
+        return NovikovScalar._make(field, _above(out, floor), floor)
 
     def __sub__(self, other: "NovikovScalar") -> "NovikovScalar":
         return self + (-other)
 
     def __neg__(self) -> "NovikovScalar":
-        return NovikovScalar(
-            self.field,
-            [(e, self.field.neg(c)) for e, c in self.terms],
-            self.floor,
+        neg = self.field.neg
+        return NovikovScalar._make(
+            self.field, tuple((e, neg(c)) for e, c in self.terms), self.floor
         )
 
     def __mul__(self, other: "NovikovScalar") -> "NovikovScalar":
@@ -154,45 +193,65 @@ class NovikovScalar:
             _add_floors(self.floor, other.valuation()),
             _add_floors(other.floor, self.valuation()),
         )
+        if not self.terms or not other.terms:
+            return NovikovScalar._make(field, (), floor)
+        # Work on the integer grid q^{1/D}: exponents become ints, and since
+        # both term lists strictly decrease, a row ends at the first sum at
+        # or below the floor.
+        dens = {e.denominator for e, _ in self.terms}
+        dens.update(e.denominator for e, _ in other.terms)
+        if floor != NEG_INF:
+            dens.add(floor.denominator)
+        grid = lcm(*dens)
+        left = [(e.numerator * (grid // e.denominator), c) for e, c in self.terms]
+        right = [(e.numerator * (grid // e.denominator), c) for e, c in other.terms]
+        if floor == NEG_INF:
+            cut = left[-1][0] + right[-1][0] - 1
+        else:
+            cut = floor.numerator * (grid // floor.denominator)
+        top = right[0][0]
+        mul, add = field.mul, field.add
         acc: dict = {}
-        for e1, c1 in self.terms:
-            for e2, c2 in other.terms:
+        for e1, c1 in left:
+            if e1 + top <= cut:
+                break
+            for e2, c2 in right:
                 e = e1 + e2
-                if e <= floor:
-                    continue
-                prod = field.mul(c1, c2)
+                if e <= cut:
+                    break
+                prod = mul(c1, c2)
                 if e in acc:
-                    acc[e] = field.add(acc[e], prod)
+                    acc[e] = add(acc[e], prod)
                 else:
                     acc[e] = prod
-        return NovikovScalar(field, acc.items(), floor)
+        is_zero = field.is_zero
+        kept = sorted(
+            ((e, c) for e, c in acc.items() if not is_zero(c)),
+            key=lambda t: t[0],
+            reverse=True,
+        )
+        return NovikovScalar._make(
+            field, tuple((Fraction(e, grid), c) for e, c in kept), floor
+        )
 
     def scale(self, coeff) -> "NovikovScalar":
         """Multiply by a bare coefficient of the field."""
         coeff = self.field.coerce(coeff)
         if self.field.is_zero(coeff):
             return NovikovScalar.zero(self.field, NEG_INF if self.is_exact_zero() else self.floor)
-        return NovikovScalar(
-            self.field,
-            [(e, self.field.mul(c, coeff)) for e, c in self.terms],
-            self.floor,
+        mul, is_zero = self.field.mul, self.field.is_zero
+        products = ((e, mul(c, coeff)) for e, c in self.terms)
+        return NovikovScalar._make(
+            self.field, tuple(t for t in products if not is_zero(t[1])), self.floor
         )
 
     def shift(self, exp) -> "NovikovScalar":
         """Multiply by the monomial q^exp (exact in every mode)."""
         exp = Fraction(exp)
         floor = self.floor if self.floor == NEG_INF else self.floor + exp
-        return NovikovScalar(
-            self.field, [(e + exp, c) for e, c in self.terms], floor
+        return NovikovScalar._make(
+            self.field, tuple((e + exp, c) for e, c in self.terms), floor
         )
-
-    def __pow__(self, n: int) -> "NovikovScalar":
-        if not isinstance(n, int) or n < 0:
-            raise ValueError("only nonnegative integer powers")
-        out = NovikovScalar.one(self.field)
-        for _ in range(n):
-            out = out * self
-        return out
 
     def truncate(self, floor: FloorValue) -> "NovikovScalar":
         """Forget everything at or below the given floor."""
@@ -201,7 +260,7 @@ class NovikovScalar:
         else:
             floor = Fraction(floor)
         new_floor = max(self.floor, floor)
-        return NovikovScalar(self.field, self.terms, new_floor)
+        return NovikovScalar._make(self.field, _above(self.terms, new_floor), new_floor)
 
     # -- inversion and exponentials -------------------------------------
 
@@ -238,11 +297,12 @@ class NovikovScalar:
         # u = (self - lead) / lead, valuation strictly negative
         rest = NovikovScalar(field, self.terms[1:], self.floor)
         u = (rest * inv_lead).truncate(out_floor + w0)
+        neg_u = -u
         series = NovikovScalar.one(field)
         power = NovikovScalar.one(field)
         series_floor = out_floor + w0
         while True:
-            power = (power * (-u)).truncate(series_floor)
+            power = (power * neg_u).truncate(series_floor)
             if power.is_zero():
                 break
             series = series + power

@@ -73,6 +73,7 @@ class PotentialFunction:
         self.terms: Tuple[PotentialTerm, ...] = tuple(
             PotentialTerm(i, f.normal, -values[i]) for i, f in enumerate(polytope.facets)
         )
+        self._memo = None  # ((x, floor), monomials) of the last point
 
     # -- scalar evaluation ---------------------------------------------------
 
@@ -84,30 +85,56 @@ class PotentialFunction:
                     f"brane coordinate {j} is not a unit (valuation {xj.valuation()})"
                 )
 
-    def _power(self, xj: NovikovScalar, k: int, floor) -> NovikovScalar:
-        if k >= 0:
-            out = xj ** k
-        else:
-            out = xj.invert(floor if floor != NEG_INF else None) ** (-k)
-        return out if floor == NEG_INF else out.truncate(floor)
+    def _monomials(self, x: Sequence[NovikovScalar], floor) -> Tuple[NovikovScalar, ...]:
+        """x^{v_i} q^{w_i} for every facet term, truncated at the working floor.
 
-    def monomial(self, x: Sequence[NovikovScalar], term: PotentialTerm, floor) -> NovikovScalar:
-        """x^{v_i} q^{w_i} truncated at the working floor."""
+        Each x_j is inverted at most once and each needed power of x_j or
+        x_j^{-1} is built once.  The last point's monomials are kept: the
+        Hessian after a gradient at the same point reuses them.  The memo
+        matches coordinates by identity, since equal floating scalars can
+        still differ in the sign of a zero part.
+        """
+        key = (tuple(x), floor)
+        if self._memo is not None:
+            (last_x, last_floor), monos = self._memo
+            if last_floor == floor and len(last_x) == len(x) and all(
+                a is b for a, b in zip(last_x, x)
+            ):
+                return monos
         field = x[0].field
-        out = NovikovScalar.one(field)
-        for j, k in enumerate(term.exponent):
-            if k:
-                out = out * self._power(x[j], k, floor)
-        out = out.shift(term.weight)
-        return out if floor == NEG_INF else out.truncate(floor)
+        inv_floor = None if floor == NEG_INF else floor
+        powers = {}  # (j, k) -> x_j^k truncated at the floor
+        for j, xj in enumerate(x):
+            needed = {t.exponent[j] for t in self.terms if t.exponent[j]}
+            for sign in (1, -1):
+                top = max((sign * k for k in needed), default=0)
+                if top <= 0:
+                    continue
+                base = xj if sign > 0 else xj.invert(inv_floor)
+                out = NovikovScalar.one(field)
+                for k in range(1, top + 1):
+                    out = out * base
+                    if sign * k in needed:
+                        powers[j, sign * k] = out if floor == NEG_INF else out.truncate(floor)
+        monos = []
+        for term in self.terms:
+            out = NovikovScalar.one(field)
+            for j, k in enumerate(term.exponent):
+                if k:
+                    out = out * powers[j, k]
+            out = out.shift(term.weight)
+            monos.append(out if floor == NEG_INF else out.truncate(floor))
+        monos = tuple(monos)
+        self._memo = (key, monos)
+        return monos
 
     def evaluate(self, x: Sequence[NovikovScalar], floor=NEG_INF) -> NovikovScalar:
         """W(x) = sum of x^{v_i} q^{w_i}; requires unit coordinates."""
         self._check_x(x)
         field = x[0].field
         total = NovikovScalar.zero(field, floor)
-        for term in self.terms:
-            total = total + self.monomial(x, term, floor)
+        for mono in self._monomials(x, floor):
+            total = total + mono
         return total
 
     def gradient(self, x: Sequence[NovikovScalar], floor=NEG_INF) -> List[NovikovScalar]:
@@ -115,8 +142,7 @@ class PotentialFunction:
         self._check_x(x)
         field = x[0].field
         out = [NovikovScalar.zero(field, floor) for _ in range(self.dim)]
-        for term in self.terms:
-            mono = self.monomial(x, term, floor)
+        for term, mono in zip(self.terms, self._monomials(x, floor)):
             for j, vij in enumerate(term.exponent):
                 if vij:
                     out[j] = out[j] + mono.scale(field.coerce(vij))
@@ -127,8 +153,7 @@ class PotentialFunction:
         self._check_x(x)
         field = x[0].field
         mat = [[NovikovScalar.zero(field, floor) for _ in range(self.dim)] for _ in range(self.dim)]
-        for term in self.terms:
-            mono = self.monomial(x, term, floor)
+        for term, mono in zip(self.terms, self._monomials(x, floor)):
             for j, vij in enumerate(term.exponent):
                 if not vij:
                     continue

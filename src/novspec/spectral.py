@@ -433,8 +433,3 @@ def spectral_number(cx: FilteredComplex, chain: Chain) -> SpectralResult:
             break
 
     return SpectralResult(value, witness, spectrality)
-
-
-def image_echelon_audit(cx: FilteredComplex) -> List[dict]:
-    """Pivot audit of the full image echelon (floating mode only)."""
-    return echelon_from_columns(cx).audit

@@ -126,6 +126,44 @@ class TestExitCodes:
         assert main(["toric", "revalidate", path]) == 2
         assert "brane 1 missing key(s) ['residual_valuation']" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "brane, key, value",
+        [
+            (None, "fiber", 7),
+            (None, "order", -6),
+            (None, "field", 5),
+            (None, "polytope", "cp1"),
+            (0, "x", 5),
+            (0, "x", [5]),
+            (0, "residual_valuation", -6),
+            (0, "central_charge", "0"),
+        ],
+    )
+    def test_certificate_mistyped_value_is_2(
+        self, tmp_path, cert_path, capsys, brane, key, value
+    ):
+        doc = json.loads(open(cert_path, encoding="utf-8").read())
+        (doc if brane is None else doc["branes"][brane])[key] = value
+        path = write(tmp_path, "mistyped.json", doc)
+        assert main(["toric", "revalidate", path]) == 2
+        err = capsys.readouterr().err
+        assert "schema error" in err and f"'{key}' must be" in err
+
+    def test_qmap_on_mistyped_brane_is_2(self, tmp_path, cert_path, capsys):
+        doc = json.loads(open(cert_path, encoding="utf-8").read())
+        doc["branes"][0]["x"] = 5
+        path = write(tmp_path, "mistyped.json", doc)
+        assert main(["qmap", "rank", path]) == 2
+        assert "schema error" in capsys.readouterr().err
+
+    def test_nonnegative_order_raises_systemexit_2(self, tmp_path):
+        path = write(tmp_path, "cp1.json", CP1)
+        for command in (["certify", path, "--fiber", "1/2"], ["scan", path, "--grid", "1/4"]):
+            for order in ("3", "0", "-inf", "tenth"):
+                with pytest.raises(SystemExit) as exc:
+                    main(["toric", *command, f"--order={order}"])
+                assert exc.value.code == 2
+
     def test_unknown_subcommand_raises_systemexit_2(self):
         with pytest.raises(SystemExit) as exc:
             main(["toric", "frobnicate"])

@@ -22,6 +22,7 @@ from novspec.polytope import (
     Facet,
     MomentPolytope,
     box,
+    polytope_validate,
     product,
     segment,
     simplex,
@@ -91,6 +92,33 @@ class TestPotential:
         x = brane_from_constants(QQ, [Fraction(1), Fraction(2)])
         m = w.hessian(x)
         assert m[0][1] == m[1][0]
+
+    @pytest.mark.parametrize("field", [QQ, QI, CC], ids=["rational", "gaussian", "complex"])
+    def test_monomial_memo_never_serves_a_stale_point(self, field):
+        # The potential keeps the last point's monomials; every visit, after
+        # another point, another floor or an in-place coordinate swap, must
+        # match a potential that never saw the earlier points.
+        def point(a, b):
+            c = field.coerce
+            return [
+                NovikovScalar(field, [(0, c(a)), (Fraction(-1, 2), c(b))], Fraction(-4)),
+                NovikovScalar(field, [(0, c(b)), (Fraction(-1, 3), c(a))], Fraction(-4)),
+            ]
+
+        x, other = point(1, 2), point(3, -1)
+        w = potential(TRAP, "3/4,1/2")
+
+        def check(pt, floor):
+            fresh = potential(TRAP, "3/4,1/2")
+            assert w.gradient(pt, floor) == fresh.gradient(pt, floor)
+            assert w.hessian(pt, floor) == fresh.hessian(pt, floor)
+            assert w.evaluate(pt, floor) == fresh.evaluate(pt, floor)
+
+        moved = list(x)
+        for pt, floor in [(x, -2), (other, -2), (x, -2), (x, -3), (moved, -3)]:
+            check(pt, floor)
+        moved[1] = other[1]  # the same list, holding another point
+        check(moved, -3)
 
     def test_non_unit_brane_rejected(self):
         w = potential(CP1, "1/2")
@@ -376,17 +404,19 @@ class TestCertificates:
 
 class TestScan:
     def test_grid_interval(self):
-        pts = grid_fibers(CP1, Fraction(1, 8))
+        pts = grid_fibers(CP1, Fraction(1, 8), polytope_validate(CP1).vertices)
         assert pts == [(Fraction(k, 8),) for k in range(1, 8)]
 
     def test_grid_simplex_sixths(self):
-        pts = grid_fibers(CP2, Fraction(1, 6))
+        pts = grid_fibers(CP2, Fraction(1, 6), polytope_validate(CP2).vertices)
         assert len(pts) == 10
         assert all(CP2.is_interior(p) for p in pts)
 
     def test_interval_scan_oracle(self):
         report = scan_fibers(CP1, Fraction(1, 8), Fraction(-8), QQ)
-        assert [r.fiber for r in report.rows] == grid_fibers(CP1, Fraction(1, 8))
+        assert [r.fiber for r in report.rows] == grid_fibers(
+            CP1, Fraction(1, 8), polytope_validate(CP1).vertices
+        )
         statuses = {str(r.fiber[0]): r.status for r in report.rows}
         assert statuses["1/2"] == "certified"
         assert all(v == "none-found" for k, v in statuses.items() if k != "1/2")

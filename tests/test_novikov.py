@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from novspec import NEG_INF, CoefficientField, GaussianRational, NovikovScalar
 from novspec.fields import field_for_mode, rational_gcd
@@ -290,3 +292,84 @@ class TestFieldPlumbing:
         assert rational_gcd(Fraction(1, 2), Fraction(1, 3)) == Fraction(1, 6)
         assert rational_gcd(Fraction(3, 2), Fraction(0)) == Fraction(3, 2)
         assert rational_gcd(Fraction(4), Fraction(6)) == 2
+
+
+# -- properties of truncated products and inverses ----------------------------
+
+MODES = {"rational": QQ, "gaussian": QI, "complex": CC}
+PROPERTY = settings(max_examples=150, deadline=None, derandomize=True, database=None)
+
+exponents = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 6))
+finite_floors = st.builds(Fraction, st.integers(-18, -1), st.integers(1, 6))
+floors = st.one_of(st.just(NEG_INF), finite_floors)
+# Small dyadic parts keep complex products exact, so every mode can be
+# compared with the reference on the nose.
+parts = st.builds(Fraction, st.integers(-4, 4), st.sampled_from([1, 2]))
+
+
+@st.composite
+def coefficients(draw, field):
+    re, im = draw(parts), draw(parts)
+    if field is QQ:
+        return re
+    if field is QI:
+        return GaussianRational(re, im)
+    return complex(float(re), float(im))
+
+
+@st.composite
+def scalars(draw, field, floor=floors):
+    terms = draw(st.lists(st.tuples(exponents, coefficients(field)), max_size=4))
+    return NovikovScalar(field, terms, draw(floor))
+
+
+@st.composite
+def scalar_pairs(draw):
+    field = MODES[draw(st.sampled_from(sorted(MODES)))]
+    return draw(scalars(field)), draw(scalars(field))
+
+
+def _add_floors(a, b):
+    return NEG_INF if NEG_INF in (a, b) else a + b
+
+
+def reference_product(x, y):
+    """Plain double loop over Fraction exponents, truncated at the sharp
+    floor max(floor_x + v(y), floor_y + v(x))."""
+    floor = max(
+        _add_floors(x.floor, y.valuation()), _add_floors(y.floor, x.valuation())
+    )
+    acc = {}
+    for e1, c1 in x.terms:
+        for e2, c2 in y.terms:
+            e = e1 + e2
+            if e > floor:
+                acc[e] = acc[e] + c1 * c2 if e in acc else c1 * c2
+    return NovikovScalar(x.field, acc.items(), floor)
+
+
+class TestArithmeticProperties:
+    @PROPERTY
+    @given(scalar_pairs())
+    def test_product_matches_reference(self, pair):
+        x, y = pair
+        assert x * y == reference_product(x, y)
+
+    @PROPERTY
+    @given(st.data())
+    def test_inverse_times_scalar_is_one_above_floor(self, data):
+        field = MODES[data.draw(st.sampled_from(sorted(MODES)))]
+        x = data.draw(scalars(field))
+        if x.is_zero():
+            return
+        inv = x.invert(data.draw(finite_floors) - x.valuation())
+        prod = inv * x
+        if field.exact:
+            assert prod == NovikovScalar.one(field).truncate(prod.floor)
+            return
+        # Floating mode: 1 up to rounding, measured against the size of
+        # the products summed into each coefficient.
+        scale = sum(abs(c) for _, c in inv.terms) * sum(abs(c) for _, c in x.terms)
+        for e, c in prod.terms:
+            assert abs(c - (1 if e == 0 else 0)) <= 1e-12 * scale
+        assert prod.floor >= 0 or prod.coefficient_at(0) != 0

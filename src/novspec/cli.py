@@ -23,6 +23,7 @@ import argparse
 import csv
 import io
 import json
+import re
 import sys
 from fractions import Fraction
 from typing import Callable, Optional
@@ -250,8 +251,13 @@ def _check_keys(obj: dict, keys: dict, where: str) -> None:
 
 def _check_certificate_keys(doc: dict, path: str) -> None:
     """Every key revalidation reads must be present in a certificate, with
-    a value of the JSON type it is parsed from."""
+    a value of the JSON type it is parsed from, and every brane scalar
+    must parse."""
+    from .fields import CoefficientField
+    from .novikov import NovikovScalar
+
     _check_keys(doc, CERTIFICATE_KEYS, f"certificate {path}:")
+    field = _parse(lambda: CoefficientField.from_json(doc["field"]), f"certificate {path}")
     branes = doc.get("branes", [])
     if not isinstance(branes, list):
         raise SchemaError(f"certificate {path}: 'branes' must be a list")
@@ -263,6 +269,11 @@ def _check_certificate_keys(doc: dict, path: str) -> None:
             raise SchemaError(
                 f"certificate {path}: brane {idx} 'x' must be a list of scalar objects"
             )
+        scalars = [*brane["x"], brane["central_charge"]]
+        _parse(
+            lambda: [NovikovScalar.from_json(field, s) for s in scalars],
+            f"certificate {path}: brane {idx}",
+        )
 
 
 def cmd_toric_revalidate(args) -> int:
@@ -495,6 +506,19 @@ def _negative_rational(text: str) -> Fraction:
     return value
 
 
+# argparse reads an argument that starts with "-" as an option unless it
+# looks like a negative number, and its own pattern admits only integers
+# and decimals; this one admits fractions too, so "--order -1/2" works.
+_NEGATIVE_NUMBER = re.compile(r"^-\d+(/\d+)?$|^-\d*\.\d+$")
+
+
+def _add_order(p: argparse.ArgumentParser) -> None:
+    p._negative_number_matcher = _NEGATIVE_NUMBER
+    p.add_argument(
+        "--order", default="-10", type=_negative_rational, help="truncation order (negative)"
+    )
+
+
 def _add_mode(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--mode",
@@ -565,9 +589,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = g.add_parser("certify", help="certify a fiber by lifted critical branes")
     p.add_argument("input")
     p.add_argument("--fiber", required=True)
-    p.add_argument(
-        "--order", default="-10", type=_negative_rational, help="truncation order (negative)"
-    )
+    _add_order(p)
     _add_mode(p)
     _add_out(p)
     p.set_defaults(func=cmd_toric_certify)
@@ -576,7 +598,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--grid", required=True, type=_positive_rational, help="grid resolution, e.g. 1/8"
     )
-    p.add_argument("--order", default="-10", type=_negative_rational)
+    _add_order(p)
     p.add_argument("--format", choices=("json", "csv"), default="json")
     _add_mode(p)
     _add_out(p)

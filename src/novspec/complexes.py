@@ -241,10 +241,6 @@ class FilteredComplex:
 # -- chains ------------------------------------------------------------
 
 
-def zero_chain() -> Chain:
-    return {}
-
-
 def chain_cleanup(chain: Chain) -> Chain:
     return {gid: c for gid, c in chain.items() if not c.is_zero()}
 

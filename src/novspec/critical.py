@@ -33,8 +33,10 @@ from .fields import (
     NEG_INF,
     CoefficientField,
     GaussianRational,
+    determinant,
     floor_str,
     fraction_str,
+    gauss_jordan,
     parse_floor,
     parse_fraction,
 )
@@ -242,22 +244,8 @@ def _complex_leading_jacobian(w: PotentialFunction, strata, values: Sequence[com
 
 def _complex_det(mat) -> complex:
     n = len(mat)
-    m = [row[:] for row in mat]
-    det = complex(1)
-    for col in range(n):
-        pivot = max(range(col, n), key=lambda r: abs(m[r][col]))
-        if abs(m[pivot][col]) == 0:
-            return complex(0)
-        if pivot != col:
-            m[col], m[pivot] = m[pivot], m[col]
-            det = -det
-        det *= m[col][col]
-        inv = 1 / m[col][col]
-        for r in range(col + 1, n):
-            factor = m[r][col] * inv
-            if factor:
-                m[r] = [a - factor * b for a, b in zip(m[r], m[col])]
-    return det
+    _, pivots, sign = gauss_jordan(mat, n, lambda z: abs(z) or None, lambda z: 1 / z)
+    return determinant(pivots, sign, n)
 
 
 def _anchor(s: NovikovScalar, floor) -> NovikovScalar:
@@ -266,39 +254,27 @@ def _anchor(s: NovikovScalar, floor) -> NovikovScalar:
     return NovikovScalar(s.field, s.terms, floor)
 
 
+def _pivot_key(s: NovikovScalar):
+    # Largest valuation first, then largest leading magnitude.
+    if s.is_zero():
+        return None
+    return (s.valuation(), s.field.magnitude(s.leading_coefficient()))
+
+
+def _invert_pivot(s: NovikovScalar) -> NovikovScalar:
+    return s.invert(s.floor if s.floor != NEG_INF else None)
+
+
 def _solve_linear(
     mat: List[List[NovikovScalar]], rhs: List[NovikovScalar]
 ) -> List[NovikovScalar]:
     """Gaussian elimination over truncated scalars; raises on singular pivots."""
     n = len(rhs)
-    m = [row[:] for row in mat]
-    b = list(rhs)
-    where = list(range(n))
-    for col in range(n):
-        best, best_key = None, None
-        for r in range(col, n):
-            s = m[r][col]
-            if s.is_zero():
-                continue
-            key = (s.valuation(), s.field.magnitude(s.leading_coefficient()))
-            if best is None or key > best_key:
-                best, best_key = r, key
-        if best is None:
-            raise ValueError("degenerate linear system: singular Jacobian in the lift")
-        m[col], m[best] = m[best], m[col]
-        b[col], b[best] = b[best], b[col]
-        inv = m[col][col].invert(m[col][col].floor if m[col][col].floor != NEG_INF else None)
-        m[col] = [inv * s for s in m[col]]
-        b[col] = inv * b[col]
-        for r in range(n):
-            if r != col and not m[r][col].is_zero():
-                factor = m[r][col]
-                m[r] = [a - factor * c for a, c in zip(m[r], m[col])]
-                b[r] = b[r] - factor * b[col]
-    out = [None] * n
-    for col in range(n):
-        out[col] = b[col]
-    return out
+    rows = [[*row, b] for row, b in zip(mat, rhs)]
+    reduced, pivots, _ = gauss_jordan(rows, n, _pivot_key, _invert_pivot)
+    if len(pivots) < n:
+        raise ValueError("degenerate linear system: singular Jacobian in the lift")
+    return [row[n] for row in reduced]
 
 
 @dataclass
@@ -728,15 +704,13 @@ def scan_fibers(
     rows = []
     for fiber in grid_fibers(p, resolution, rep.vertices):
         result = certify_heavy(p, fiber, order, field, check_polytope=False)
-        w = potential(p, fiber)
-        weights = [s.weight for s in w.leading_strata()]
         if result.found:
             rows.append(
                 ScanRow(
                     fiber=fiber,
                     status="certified",
                     branes=len(result.branes),
-                    leading_weights=weights,
+                    leading_weights=result.leading_weights,
                     diagnosis=None,
                     certificate=result,
                 )
@@ -747,7 +721,7 @@ def scan_fibers(
                     fiber=fiber,
                     status="none-found",
                     branes=0,
-                    leading_weights=weights,
+                    leading_weights=[s.weight for s in result.strata],
                     diagnosis=result.diagnosis,
                     certificate=None,
                 )

@@ -14,10 +14,11 @@ so every operation goes through a CoefficientField instance.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Rational
-from typing import Any, Union
+from typing import Any, Callable, List, Optional, Sequence, Tuple, Union
 
 NEG_INF = float("-inf")
 
@@ -194,9 +195,6 @@ class CoefficientField:
     def add(self, a: Coefficient, b: Coefficient) -> Coefficient:
         return a + b
 
-    def sub(self, a: Coefficient, b: Coefficient) -> Coefficient:
-        return a - b
-
     def mul(self, a: Coefficient, b: Coefficient) -> Coefficient:
         return a * b
 
@@ -271,6 +269,63 @@ class CoefficientField:
         if mode == COMPLEX:
             return CoefficientField(COMPLEX, float(obj.get("eps", 1e-12)))
         return CoefficientField(mode)
+
+
+def gauss_jordan(
+    rows: Sequence[Sequence[Any]],
+    width: int,
+    key: Callable[[Any], Optional[Any]],
+    invert: Callable[[Any], Any],
+) -> Tuple[List[list], List[Tuple[int, Any]], int]:
+    """Gauss-Jordan elimination over any entries with ``*`` and ``-``.
+
+    Reduces a copy of ``rows`` over their first ``width`` columns; later
+    columns (right-hand sides, identity blocks) are carried along.  In each
+    column the pivot is the first remaining row whose entry has the largest
+    ``key``; ``key`` is None for an entry that counts as zero, and such an
+    entry is never eliminated.  The pivot row is scaled to ``inv * x`` with
+    ``inv = invert(pivot)``, and every other row becomes ``a - f * c``, where
+    ``f`` is its entry in the pivot column and ``c`` the scaled pivot row.
+    A column without a pivot is skipped.
+
+    Returns ``(rows, pivots, sign)``: the reduced rows, the ``(column,
+    pivot)`` pairs in order (pivots as found, before scaling), and the sign
+    of the row permutation, so a square matrix has determinant ``sign``
+    times the product of the pivots when every column has one, else 0.
+    """
+    rows = [list(row) for row in rows]
+    pivots: List[Tuple[int, Any]] = []
+    sign = 1
+    top = 0
+    for col in range(width):
+        if top == len(rows):
+            break
+        keys = [key(row[col]) for row in rows]
+        best = None
+        for r in range(top, len(rows)):
+            if keys[r] is not None and (best is None or keys[r] > keys[best]):
+                best = r
+        if best is None:
+            continue
+        if best != top:
+            rows[top], rows[best] = rows[best], rows[top]
+            keys[top], keys[best] = keys[best], keys[top]
+            sign = -sign
+        pivot = rows[top][col]
+        inv = invert(pivot)
+        prow = rows[top] = [inv * x for x in rows[top]]
+        for r, row in enumerate(rows):
+            if r != top and keys[r] is not None:
+                f = row[col]
+                rows[r] = [a - f * c for a, c in zip(row, prow)]
+        pivots.append((col, pivot))
+        top += 1
+    return rows, pivots, sign
+
+
+def determinant(pivots: List[Tuple[int, Any]], sign: int, n: int) -> Any:
+    """Determinant of an n x n matrix from its ``gauss_jordan`` reduction."""
+    return sign * math.prod(p for _, p in pivots) if len(pivots) == n else 0
 
 
 def field_for_mode(mode: str, eps: float = 1e-12) -> CoefficientField:

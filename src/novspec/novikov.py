@@ -17,7 +17,6 @@ inside it.
 
 from __future__ import annotations
 
-import cmath
 from fractions import Fraction
 from math import lcm
 from typing import Any, Iterable, Optional, Tuple, Union
@@ -262,7 +261,7 @@ class NovikovScalar:
         new_floor = max(self.floor, floor)
         return NovikovScalar._make(self.field, _above(self.terms, new_floor), new_floor)
 
-    # -- inversion and exponentials -------------------------------------
+    # -- inversion ------------------------------------------------------
 
     def invert(self, floor: Optional[FloorValue] = None) -> "NovikovScalar":
         """Multiplicative inverse.
@@ -307,59 +306,6 @@ class NovikovScalar:
                 break
             series = series + power
         return (inv_lead * series).truncate(out_floor)
-
-    def exp(self, floor: Optional[FloorValue] = None) -> "NovikovScalar":
-        """Exponential of a scalar with non-positive valuation.
-
-        The exponent-0 part is exponentiated in the coefficient field
-        (so it must vanish in exact modes); the strictly negative part
-        feeds the series 1 + sum b^k / k!, finite above the floor.
-        """
-        field = self.field
-        if self.valuation() > 0:
-            raise ValueError("exp requires valuation <= 0")
-        const = self.coefficient_at(0)
-        if field.is_zero(const):
-            const_factor = field.one()
-        elif field.exact:
-            raise ValueError(
-                "nonzero constant term cannot be exponentiated exactly; "
-                "use the floating mode"
-            )
-        else:
-            const_factor = cmath.exp(const)
-        b = NovikovScalar(
-            field, [(e, c) for e, c in self.terms if e < 0], self.floor
-        )
-        out_floor = self.floor if floor is None else max(self.floor, Fraction(floor))
-        if b.is_zero():
-            return NovikovScalar(
-                field, [(Fraction(0), const_factor)], out_floor
-            )
-        if out_floor == NEG_INF:
-            raise ValueError(
-                "exp of an exact scalar has infinite support; pass a floor"
-            )
-        series = NovikovScalar.one(field)
-        power = NovikovScalar.one(field)
-        k = 0
-        kfact = 1
-        while True:
-            k += 1
-            kfact *= k
-            power = (power * b).truncate(out_floor)
-            if power.is_zero():
-                break
-            if field.mode == "rational":
-                coeff = Fraction(1, kfact)
-            elif field.mode == "gaussian":
-                from .fields import GaussianRational
-
-                coeff = GaussianRational(Fraction(1, kfact), 0)
-            else:
-                coeff = complex(1.0 / kfact, 0.0)
-            series = series + power.scale(coeff)
-        return series.scale(const_factor).truncate(out_floor)
 
     # -- comparisons and serialization ----------------------------------
 
@@ -413,6 +359,10 @@ class NovikovScalar:
     def terms_from_json(
         cls, field: CoefficientField, obj: list, floor: FloorValue = NEG_INF
     ) -> "NovikovScalar":
+        if not isinstance(obj, list) or not all(
+            isinstance(t, dict) and "exp" in t and "c" in t for t in obj
+        ):
+            raise ValueError("scalar terms must be a list of {exp, c} objects")
         terms = [
             (parse_fraction(t["exp"]), field.coeff_from_json(t["c"]))
             for t in obj
@@ -421,6 +371,8 @@ class NovikovScalar:
 
     @classmethod
     def from_json(cls, field: CoefficientField, obj: dict) -> "NovikovScalar":
+        if not isinstance(obj, dict):
+            raise ValueError("scalar must be an object with 'terms' and 'floor'")
         return cls.terms_from_json(
             field, obj.get("terms", []), parse_floor(obj.get("floor", "-inf"))
         )

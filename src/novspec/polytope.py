@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, List, Optional, Sequence, Tuple
 
-from .fields import fraction_str, parse_fraction
+from .fields import determinant, fraction_str, gauss_jordan, parse_fraction
 
 Vector = Tuple[int, ...]
 Point = Tuple[Fraction, ...]
@@ -49,90 +49,44 @@ def _vec_gcd(vec: Iterable[int]) -> int:
     return math.gcd(*vec)
 
 
-def _frac_rank(rows: List[List[Fraction]]) -> int:
-    # Plain fraction Gaussian elimination; inputs are tiny.
-    mat = [row[:] for row in rows]
-    rank = 0
-    cols = len(mat[0]) if mat else 0
-    row = 0
-    for col in range(cols):
-        pivot = next((r for r in range(row, len(mat)) if mat[r][col] != 0), None)
-        if pivot is None:
-            continue
-        mat[row], mat[pivot] = mat[pivot], mat[row]
-        inv = 1 / mat[row][col]
-        mat[row] = [x * inv for x in mat[row]]
-        for r in range(len(mat)):
-            if r != row and mat[r][col] != 0:
-                factor = mat[r][col]
-                mat[r] = [x - factor * y for x, y in zip(mat[r], mat[row])]
-        row += 1
-        rank += 1
-        if row == len(mat):
-            break
-    return rank
+def _frac_reduce(rows: List[List[Fraction]], width: int):
+    """``gauss_jordan`` over Fraction rows.  Every nonzero entry is an exact
+    pivot, so the first one in each column is taken."""
+    return gauss_jordan(rows, width, lambda x: True if x else None, lambda x: 1 / x)
 
 
 def _frac_solve(rows: List[List[Fraction]], rhs: List[Fraction]) -> Optional[List[Fraction]]:
     # Solve a square rational system; None when singular.
     n = len(rows)
-    mat = [rows[r][:] + [rhs[r]] for r in range(n)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if mat[r][col] != 0), None)
-        if pivot is None:
-            return None
-        mat[col], mat[pivot] = mat[pivot], mat[col]
-        inv = 1 / mat[col][col]
-        mat[col] = [x * inv for x in mat[col]]
-        for r in range(n):
-            if r != col and mat[r][col] != 0:
-                factor = mat[r][col]
-                mat[r] = [x - factor * y for x, y in zip(mat[r], mat[col])]
-    return [mat[r][n] for r in range(n)]
+    reduced, pivots, _ = _frac_reduce([[*row, b] for row, b in zip(rows, rhs)], n)
+    if len(pivots) < n:
+        return None
+    return [row[n] for row in reduced]
 
 
 def int_det(rows: Sequence[Sequence[int]]) -> int:
-    # Fraction-free expansion is fine at these sizes (n <= 6 or so).
     n = len(rows)
-    if n == 0:
-        return 1
-    if n == 1:
-        return rows[0][0]
-    if n == 2:
-        return rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0]
-    total = 0
-    for j in range(n):
-        if rows[0][j] == 0:
-            continue
-        minor = [[row[k] for k in range(n) if k != j] for row in rows[1:]]
-        sign = -1 if j % 2 else 1
-        total += sign * rows[0][j] * int_det(minor)
-    return total
+    _, pivots, sign = _frac_reduce([[Fraction(x) for x in row] for row in rows], n)
+    return int(determinant(pivots, sign, n))
 
 
 def unimodular_inverse_transpose(a: Sequence[Sequence[int]]) -> Tuple[Vector, ...]:
-    """Exact A^{-T} for an integer matrix with det = +-1."""
+    """Exact A^{-T} for an integer matrix with det = +-1, from one
+    reduction of [A | I]."""
     n = len(a)
-    det = int_det(a)
+    rows = [
+        [Fraction(x) for x in row] + [Fraction(int(r == c)) for c in range(n)]
+        for r, row in enumerate(a)
+    ]
+    reduced, pivots, sign = _frac_reduce(rows, n)
+    det = determinant(pivots, sign, n)
     if det not in (1, -1):
         raise ValueError(f"matrix is not unimodular (det = {det})")
-    rows = [[Fraction(x) for x in row] for row in a]
-    cols = []
-    for j in range(n):
-        rhs = [Fraction(1 if r == j else 0) for r in range(n)]
-        sol = _frac_solve(rows, rhs)
-        assert sol is not None
-        cols.append(sol)
-    # Columns of A^{-1} are rows of A^{-T}; entries are integers here.
-    out = []
-    for j in range(n):
-        row = []
-        for x in cols[j]:
-            if x.denominator != 1:
-                raise ValueError("unimodular inverse produced a non-integer entry")
-            row.append(int(x))
-        out.append(tuple(row))
-    return tuple(out)
+    # Columns of A^{-1} are rows of A^{-T}.
+    out = [[reduced[r][n + j] for r in range(n)] for j in range(n)]
+    if any(x.denominator != 1 for row in out for x in row):
+        raise ValueError("unimodular inverse produced a non-integer entry")
+    return tuple(tuple(int(x) for x in row) for row in out)
 
 
 def apply_matrix(a: Sequence[Sequence[int]], vec: Sequence) -> tuple:
@@ -423,7 +377,8 @@ def _bounded_exact(p: MomentPolytope) -> bool:
     # LP below is always optimal: d = 0 is feasible and its last row caps
     # the sum at 1.
     normals = [list(f.normal) for f in p.facets]
-    if _frac_rank([[Fraction(x) for x in row] for row in normals]) < p.dim:
+    _, pivots, _ = _frac_reduce([[Fraction(x) for x in row] for row in normals], p.dim)
+    if len(pivots) < p.dim:
         return False
     total = [sum(col) for col in zip(*normals)]
     _, d = _lp([[-x for x in total]], normals + [[-x for x in total]], [0] * len(normals) + [-1])

@@ -156,6 +156,28 @@ class TestExitCodes:
         assert main(["qmap", "rank", path]) == 2
         assert "schema error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("x", [{"terms": 5, "floor": "-inf"}]),
+            ("central_charge", {"terms": [5], "floor": "-6"}),
+        ],
+    )
+    def test_certificate_malformed_scalar_is_2(
+        self, tmp_path, cert_path, capsys, key, value
+    ):
+        doc = json.loads(open(cert_path, encoding="utf-8").read())
+        doc["branes"][0][key] = value
+        path = write(tmp_path, "malformed.json", doc)
+        assert main(["toric", "revalidate", path]) == 2
+        err = capsys.readouterr().err
+        assert "schema error" in err and "brane 0" in err
+
+    def test_fractional_order_as_separate_argument(self, tmp_path):
+        path = write(tmp_path, "cp1.json", CP1)
+        for command in (["certify", path, "--fiber", "1/2"], ["scan", path, "--grid", "1/2"]):
+            assert main(["toric", *command, "--order", "-1/2", "--out", os.devnull]) == 0
+
     def test_nonnegative_order_raises_systemexit_2(self, tmp_path):
         path = write(tmp_path, "cp1.json", CP1)
         for command in (["certify", path, "--fiber", "1/2"], ["scan", path, "--grid", "1/4"]):

@@ -11,6 +11,7 @@ from novspec.fields import NEG_INF, GaussianRational, field_for_mode
 from novspec.novikov import NovikovScalar
 from novspec.critical import (
     LeadingRoot,
+    _solve_linear,
     certify_heavy,
     critical_points_leading,
     grid_fibers,
@@ -257,6 +258,19 @@ class TestLift:
         )
         with pytest.raises(ValueError, match="does not solve the leading system"):
             lift_critical(w, bad, Fraction(-6), QQ)
+
+    @pytest.mark.parametrize("field, root", [(QI, GaussianRational(0, 1)), (CC, 1j)])
+    def test_degenerate_leading_root_rejected(self, field, root):
+        # x = i gives x + 1/x = 0: the leading Jacobian of the segment vanishes.
+        w = potential(CP1, "1/2")
+        with pytest.raises(ValueError, match="degenerate leading root"):
+            lift_critical(w, [root], Fraction(-2), field)
+
+    def test_singular_linear_system_rejected(self):
+        a, b = mono(QQ, 1, 0), mono(QQ, 2, -1)
+        rows = [[a, b], [a.scale(3), b.scale(3)]]
+        with pytest.raises(ValueError, match="degenerate linear system"):
+            _solve_linear(rows, [a, b])
 
     def test_order_must_be_negative(self):
         with pytest.raises(ValueError, match="negative rational"):

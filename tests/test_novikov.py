@@ -204,46 +204,6 @@ class TestInvert:
         assert prod == NovikovScalar.one(QI)
 
 
-class TestExp:
-    def test_exp_zero_is_one(self):
-        assert NovikovScalar.zero(QQ).exp() == NovikovScalar.one(QQ)
-
-    def test_exp_series_oracle(self):
-        b = NovikovScalar(QQ, [(Fraction(-1), 1)])
-        e = b.exp(floor=Fraction(-3))
-        expect = NovikovScalar(
-            QQ,
-            [(Fraction(0), 1), (Fraction(-1), 1), (Fraction(-2), Fraction(1, 2))],
-            floor=Fraction(-3),
-        )
-        assert e == expect
-
-    def test_exp_times_exp_of_negation_is_one(self):
-        rng = random.Random(17)
-        for _ in range(30):
-            terms = [
-                (Fraction(rng.randint(-6, -1), rng.choice([1, 2])), Fraction(rng.randint(-3, 3)))
-                for _ in range(rng.randint(1, 3))
-            ]
-            b = NovikovScalar(QQ, terms, floor=Fraction(-9))
-            prod = b.exp() * (-b).exp()
-            assert (prod - NovikovScalar.one(QQ)).is_zero()
-
-    def test_exp_positive_valuation_rejected(self):
-        with pytest.raises(ValueError):
-            mono(1, 1).exp()
-
-    def test_exp_constant_term_needs_floating_mode(self):
-        x = NovikovScalar(QQ, [(Fraction(0), 1), (Fraction(-1), 1)])
-        with pytest.raises(ValueError):
-            x.exp(floor=Fraction(-3))
-        xc = NovikovScalar(CC, [(Fraction(0), 1.0), (Fraction(-1), 1.0)])
-        e = xc.exp(floor=Fraction(-3))
-        import math
-
-        assert abs(e.coefficient_at(0) - math.e) < 1e-12
-
-
 class TestSerialization:
     def test_round_trip_rational(self):
         x = NovikovScalar(

@@ -356,6 +356,77 @@ class TestVertexEnumeration:
 
 
 # ---------------------------------------------------------------------------
+# Exact elimination against cofactor expansion
+
+
+def _cofactor_det(rows):
+    """Reference determinant by Laplace expansion along the first row."""
+    if not rows:
+        return 1
+    return sum(
+        (-1) ** j * x * _cofactor_det([r[:j] + r[j + 1:] for r in rows[1:]])
+        for j, x in enumerate(rows[0])
+    )
+
+
+def _transpose_times(a, b):
+    n = len(a)
+    return [[sum(a[k][i] * b[k][j] for k in range(n)) for j in range(n)] for i in range(n)]
+
+
+def _identity(n):
+    return [[int(i == j) for j in range(n)] for i in range(n)]
+
+
+@st.composite
+def int_systems(draw):
+    n = draw(st.integers(1, 4))
+    entry = st.integers(-3, 3)
+    row = st.lists(entry, min_size=n, max_size=n)
+    return draw(st.lists(row, min_size=n, max_size=n)), draw(row)
+
+
+@st.composite
+def unimodular_matrices(draw):
+    # A signed permutation matrix changed by row additions keeps det = +-1.
+    n = draw(st.integers(1, 4))
+    perm = draw(st.permutations(range(n)))
+    signs = draw(st.lists(st.sampled_from([1, -1]), min_size=n, max_size=n))
+    a = [[signs[i] * int(perm[i] == j) for j in range(n)] for i in range(n)]
+    index = st.integers(0, n - 1)
+    for i, j, k in draw(st.lists(st.tuples(index, index, st.integers(-2, 2)), max_size=8)):
+        if i != j:
+            a[i] = [x + k * y for x, y in zip(a[i], a[j])]
+    return a
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(int_systems())
+def test_elimination_matches_cofactor_reference(system):
+    a, b = system
+    n = len(a)
+    det = _cofactor_det(a)
+    assert int_det(a) == det
+    x = _frac_solve([[Fraction(v) for v in row] for row in a], [Fraction(v) for v in b])
+    if det == 0:
+        assert x is None
+    else:
+        assert [sum(v * xj for v, xj in zip(row, x)) for row in a] == b
+    if det in (1, -1):
+        assert _transpose_times(a, unimodular_inverse_transpose(a)) == _identity(n)
+    else:
+        with pytest.raises(ValueError, match=f"not unimodular \\(det = {det}\\)"):
+            unimodular_inverse_transpose(a)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(unimodular_matrices())
+def test_unimodular_inverse_transpose_inverts(a):
+    assert int_det(a) == _cofactor_det(a) in (1, -1)
+    assert _transpose_times(a, unimodular_inverse_transpose(a)) == _identity(len(a))
+
+
+# ---------------------------------------------------------------------------
 # Exact LP against an independent oracle built on vertex enumeration
 
 

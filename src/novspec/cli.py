@@ -232,6 +232,7 @@ CERTIFICATE_KEYS = {
     "polytope": (dict, "an object"),
     "fiber": (str, "a string"),
     "order": (str, "a string"),
+    "branes": (list, "a list of brane objects"),
 }
 BRANE_KEYS = {
     "x": (list, "a list of scalar objects"),
@@ -249,31 +250,44 @@ def _check_keys(obj: dict, keys: dict, where: str) -> None:
             raise SchemaError(f"{where} '{key}' must be {what}")
 
 
-def _check_certificate_keys(doc: dict, path: str) -> None:
-    """Every key revalidation reads must be present in a certificate, with
-    a value of the JSON type it is parsed from, and every brane scalar
-    must parse."""
-    from .fields import CoefficientField
-    from .novikov import NovikovScalar
+def _read_certificate(doc: dict, path: str):
+    """Parse a heaviness certificate: every key that revalidation or a
+    quasimap command reads must be present, of its JSON type, and parse.
 
-    _check_keys(doc, CERTIFICATE_KEYS, f"certificate {path}:")
-    field = _parse(lambda: CoefficientField.from_json(doc["field"]), f"certificate {path}")
-    branes = doc.get("branes", [])
-    if not isinstance(branes, list):
-        raise SchemaError(f"certificate {path}: 'branes' must be a list")
-    for idx, brane in enumerate(branes):
+    Returns the field, polytope, fiber, order and, per brane, its
+    coordinates, claimed residual valuation and central charge.
+    """
+    from .fields import CoefficientField, parse_floor
+    from .novikov import NovikovScalar
+    from .polytope import MomentPolytope, parse_fiber
+
+    where = f"certificate {path}"
+    _check_keys(doc, CERTIFICATE_KEYS, f"{where}:")
+    field = _parse(lambda: CoefficientField.from_json(doc["field"]), f"{where}: 'field'")
+    p = _parse(lambda: MomentPolytope.from_json(doc["polytope"]), f"{where}: 'polytope'")
+    fiber = _parse(lambda: parse_fiber(doc["fiber"]), f"{where}: 'fiber'")
+    order = _parse(lambda: parse_floor(doc["order"]), f"{where}: 'order'")
+    branes = []
+    for idx, brane in enumerate(doc["branes"]):
+        at = f"{where}: brane {idx}"
         if not isinstance(brane, dict):
-            raise SchemaError(f"certificate {path}: brane {idx} must be an object")
-        _check_keys(brane, BRANE_KEYS, f"certificate {path}: brane {idx}")
+            raise SchemaError(f"{at} must be an object")
+        _check_keys(brane, BRANE_KEYS, at)
         if not all(isinstance(xj, dict) for xj in brane["x"]):
-            raise SchemaError(
-                f"certificate {path}: brane {idx} 'x' must be a list of scalar objects"
+            raise SchemaError(f"{at} 'x' must be a list of scalar objects")
+        if len(brane["x"]) != p.dim:
+            raise SchemaError(f"{at} 'x' needs one scalar per dimension ({p.dim})")
+        branes.append(
+            _parse(
+                lambda: (
+                    [NovikovScalar.from_json(field, xj) for xj in brane["x"]],
+                    parse_floor(brane["residual_valuation"]),
+                    NovikovScalar.from_json(field, brane["central_charge"]),
+                ),
+                at,
             )
-        scalars = [*brane["x"], brane["central_charge"]]
-        _parse(
-            lambda: [NovikovScalar.from_json(field, s) for s in scalars],
-            f"certificate {path}: brane {idx}",
         )
+    return field, p, fiber, order, branes
 
 
 def cmd_toric_revalidate(args) -> int:
@@ -283,7 +297,7 @@ def cmd_toric_revalidate(args) -> int:
     if not isinstance(doc, dict):
         raise SchemaError("certificate document must be a JSON object")
     if doc.get("kind") == "heaviness-certificate":
-        _check_certificate_keys(doc, args.input)
+        _read_certificate(doc, args.input)
     result = revalidate_certificate(doc)
     _emit(args, _document("certificate-revalidation", result))
     return 0 if result["ok"] else 1
@@ -295,10 +309,7 @@ def cmd_toric_revalidate(args) -> int:
 
 def _certificate_context(args):
     """Potential, field, branes, and working floor from a certificate file."""
-    from .critical import parse_fiber
-    from .fields import CoefficientField, parse_floor
-    from .novikov import NovikovScalar
-    from .polytope import MomentPolytope
+    from .fields import parse_floor
     from .potential import potential
 
     doc = _load_json(args.input)
@@ -307,19 +318,8 @@ def _certificate_context(args):
             f"{args.input}: expected kind 'heaviness-certificate', "
             f"got {doc.get('kind') if isinstance(doc, dict) else type(doc).__name__!r}"
         )
-
-    def build():
-        field = CoefficientField.from_json(doc["field"])
-        p = MomentPolytope.from_json(doc["polytope"])
-        fiber = parse_fiber(doc["fiber"])
-        order = parse_floor(doc["order"])
-        branes = [
-            [NovikovScalar.from_json(field, xj) for xj in b["x"]]
-            for b in doc["branes"]
-        ]
-        return field, p, fiber, order, branes
-
-    field, p, fiber, order, branes = _parse(build, f"certificate {args.input}")
+    field, p, fiber, order, parsed = _read_certificate(doc, args.input)
+    branes = [x for x, _, _ in parsed]
     w = potential(p, fiber)
     floor = parse_floor(args.floor) if args.floor is not None else order
     if args.brane is not None:
@@ -335,7 +335,7 @@ def _certificate_context(args):
 
         c = field.coerce(parse_fraction(scale))
         branes = [[xj.scale(c) for xj in x] for x in branes]
-    return doc, field, w, fiber, order, floor, branes
+    return w, fiber, floor, branes
 
 
 def cmd_qmap_rank(args) -> int:
@@ -343,7 +343,7 @@ def cmd_qmap_rank(args) -> int:
     from .koszul import build_cqf, hqf_report
     from .polytope import point_str
 
-    _, _, w, fiber, _, floor, branes = _certificate_context(args)
+    w, fiber, floor, branes = _certificate_context(args)
     rows = []
     for idx, x in enumerate(branes):
         c = build_cqf(w, x, floor)
@@ -365,7 +365,7 @@ def cmd_qmap_unit(args) -> int:
     from .koszul import build_cqf, unit_in_homology
     from .polytope import point_str
 
-    _, _, w, fiber, _, floor, branes = _certificate_context(args)
+    w, fiber, floor, branes = _certificate_context(args)
     rows = []
     for idx, x in enumerate(branes):
         c = build_cqf(w, x, floor)
@@ -390,7 +390,7 @@ def cmd_qmap_charge(args) -> int:
     from .koszul import central_charge
     from .polytope import point_str
 
-    _, _, w, fiber, _, floor, branes = _certificate_context(args)
+    w, fiber, floor, branes = _certificate_context(args)
     rows = []
     for idx, x in enumerate(branes):
         charge = central_charge(w, x, floor)

@@ -6,10 +6,14 @@ The pipeline at a fixed interior fiber is:
 1. ``critical_points_leading`` solves the leading-stratum system: for each
    torus coordinate j, keep only the facets whose weight attains the
    componentwise maximum and solve sum_{i in I_j} v_ij x^{v_i} = 0 in units
-   (coordinate tori), via an exact polynomial system with a saturation
-   variable excluding coordinate hyperplanes.  A component whose stratum is
-   a single facet has a dominating monomial and admits no unit zero: the
-   fiber carries no critical brane and the report says which facet blocks it.
+   (coordinate tori).  When every stratum has two facets the system is
+   binomial, x^{d_j} = c_j; if the exponent matrix D is nonsingular its
+   |det D| roots come in closed form from the cosets of Z^n / D Z^n and
+   exact angles and radii.  Only a non-binomial or singular system goes to
+   sympy, as an exact polynomial system with a saturation variable excluding
+   coordinate hyperplanes.  A component whose stratum is a single facet has
+   a dominating monomial and admits no unit zero: the fiber carries no
+   critical brane and the report says which facet blocks it.
 2. ``lift_critical`` refines a leading root to a brane x with gradient zero
    to a requested q-order, by a multiplicative Newton iteration
    x <- x*(1+Delta) over truncated Novikov scalars.  Exact coefficient modes
@@ -41,7 +45,14 @@ from .fields import (
     parse_fraction,
 )
 from .novikov import NovikovScalar
-from .polytope import MomentPolytope, point_str, parse_fiber, polytope_validate
+from .polytope import (
+    MomentPolytope,
+    coset_representatives,
+    parse_fiber,
+    point_str,
+    polytope_validate,
+    rational_inverse,
+)
 from .potential import ComponentStratum, PotentialFunction, brane_from_constants, potential
 
 SNAP_TOL = 1e-9
@@ -130,7 +141,9 @@ def critical_points_leading(w: PotentialFunction) -> LeadingReport:
 
     Roots are numeric complex vectors, deduplicated and sorted by
     (real, imaginary) parts componentwise; roots within 1e-9 of the unit
-    points +-1, +-i are additionally recorded exactly.
+    points +-1, +-i are additionally recorded exactly.  A binomial system
+    with a nonsingular exponent matrix is solved in closed form; any other
+    goes to sympy.
     """
     strata = w.leading_strata()
     for s in strata:
@@ -152,21 +165,126 @@ def critical_points_leading(w: PotentialFunction) -> LeadingReport:
                 },
             )
 
+    terms_by_facet = {t.facet: t for t in w.terms}
+    system = [
+        [
+            (terms_by_facet[i].exponent[s.component], terms_by_facet[i].exponent)
+            for i in s.facets
+        ]
+        for s in strata
+    ]
+    values = _binomial_values(system)
+    if values is None:
+        values, diagnosis = _sympy_values(system, w.dim)
+        if diagnosis is not None:
+            return LeadingReport(strata=strata, roots=[], diagnosis=diagnosis)
+    roots = _leading_roots(values)
+    if not roots:
+        return LeadingReport(
+            strata=strata,
+            roots=[],
+            diagnosis={
+                "reason": "no-unit-solutions",
+                "note": "the leading-stratum system has no solutions with all coordinates nonzero",
+            },
+        )
+    return LeadingReport(strata=strata, roots=roots)
+
+
+def _leading_roots(values: Sequence[Tuple[complex, ...]]) -> List[LeadingRoot]:
+    """Deduplicate numeric roots, sort them and snap them to unit points."""
+    seen = {}
+    for vals in values:
+        key = tuple((round(z.real, 9), round(z.imag, 9)) for z in vals)
+        if key not in seen:
+            seen[key] = vals
+    return [_snap_root(seen[k]) for k in sorted(seen.keys())]
+
+
+# A polynomial system in (C^*)^n: one list of (coefficient, exponent) pairs
+# per equation sum_i a_i x^{u_i} = 0.
+System = Sequence[Sequence[Tuple[int, Sequence[int]]]]
+
+# Working precision of the closed-form roots; each part is rounded to a
+# float once, at the end.
+_ROOT_PREC = 200
+
+# e^{2 pi i theta} at the angles where it is exact; the zero part of a root
+# on an axis is then exactly +0.0.
+_AXES = {
+    Fraction(0): (1, 0),
+    Fraction(1, 4): (0, 1),
+    Fraction(1, 2): (-1, 0),
+    Fraction(3, 4): (0, -1),
+}
+
+
+def _binomial_values(system: System) -> Optional[List[Tuple[complex, ...]]]:
+    """All unit roots of a binomial system, or None if it is not one.
+
+    Equation j, a_j x^{u_j} + b_j x^{w_j} = 0, is x^{d_j} = c_j with
+    d_j = u_j - w_j and c_j = -b_j / a_j.  When the matrix D with rows d_j
+    is nonsingular, x_k = exp(z_k) solves it iff D z = log c + 2 pi i m for
+    some integer vector m, and m gives the same root as m' iff m - m' lies
+    in D Z^n.  So the |det D| roots are x_k = rho_k e^{2 pi i theta_k} with
+    rho_k = prod_j |c_j|^{(D^-1)_kj} and theta = D^-1 (m + [c < 0] / 2)
+    mod 1, one per coset m of Z^n / D Z^n.  Returns None for an equation
+    without exactly two terms or a singular D.
+    """
+    if any(len(eq) != 2 for eq in system):
+        return None
+    d = [[p - q for p, q in zip(u, v)] for (_, u), (_, v) in system]
+    det, inv = rational_inverse(d)
+    if not det:
+        return None
+    c = [Fraction(-b, a) for (a, _), (b, _) in system]
+    half = [Fraction(int(cj < 0), 2) for cj in c]
+
+    import mpmath
+
+    def real(q: Fraction):
+        return mpmath.mpf(q.numerator) / q.denominator
+
+    out = []
+    with mpmath.workprec(_ROOT_PREC):
+        radii = [
+            mpmath.exp(mpmath.fsum(real(e) * mpmath.log(real(abs(cj))) for e, cj in zip(row, c)))
+            for row in inv
+        ]
+        for m in coset_representatives(d):
+            shifted = [mj + hj for mj, hj in zip(m, half)]
+            root = []
+            for r, row in zip(radii, inv):
+                theta = sum(e * s for e, s in zip(row, shifted)) % 1
+                axis = _AXES.get(theta)
+                if axis is not None:
+                    root.append(complex(axis[0] * float(r), axis[1] * float(r)))
+                else:
+                    turn = 2 * real(theta)
+                    root.append(
+                        complex(float(r * mpmath.cospi(turn)), float(r * mpmath.sinpi(turn)))
+                    )
+            out.append(tuple(root))
+    return out
+
+
+def _sympy_values(system: System, n: int):
+    """Unit roots of any polynomial system by ``sympy.solve_poly_system``,
+    with a saturation variable excluding the coordinate hyperplanes.
+    Returns ``(values, None)``, or ``(None, diagnosis)`` when the system is
+    not finite or sympy gives up."""
     import sympy
 
-    n = w.dim
     gens = list(sympy.symbols(f"x1:{n + 1}")) if n else []
     sat = sympy.Symbol("t_sat")
-    terms_by_facet = {t.facet: t for t in w.terms}
     polys = []
-    for s in strata:
-        stratum_terms = [terms_by_facet[i] for i in s.facets]
-        shift = [max(0, -min(t.exponent[k] for t in stratum_terms)) for k in range(n)]
+    for eq in system:
+        shift = [max(0, -min(u[k] for _, u in eq)) for k in range(n)]
         expr = sympy.Integer(0)
-        for t in stratum_terms:
-            mono = sympy.Integer(t.exponent[s.component])
+        for a, u in eq:
+            mono = sympy.Integer(a)
             for k in range(n):
-                mono *= gens[k] ** (t.exponent[k] + shift[k])
+                mono *= gens[k] ** (u[k] + shift[k])
             expr += mono
         polys.append(sympy.expand(expr))
     product_all = sympy.Integer(1)
@@ -180,46 +298,20 @@ def critical_points_leading(w: PotentialFunction) -> LeadingReport:
         # positive-dimensional leading variety (the per-component strata can
         # collapse onto a shared binomial, e.g. after a shear): this method
         # cannot isolate branes, which is a diagnosis, not a proof of absence
-        return LeadingReport(
-            strata=strata,
-            roots=[],
-            diagnosis={
-                "reason": "leading-system-not-finite",
-                "note": (
-                    "the leading-stratum system does not cut out finitely many "
-                    f"points ({exc}); critical branes, if any, sit on a "
-                    "positive-dimensional leading variety this solver cannot lift"
-                ),
-            },
-        )
+        return None, {
+            "reason": "leading-system-not-finite",
+            "note": (
+                "the leading-stratum system does not cut out finitely many "
+                f"points ({exc}); critical branes, if any, sit on a "
+                "positive-dimensional leading variety this solver cannot lift"
+            ),
+        }
     if solutions is None:
-        return LeadingReport(
-            strata=strata,
-            roots=[],
-            diagnosis={
-                "reason": "leading-system-unsolved",
-                "note": "the polynomial solver returned no solution set",
-            },
-        )
-
-    seen = {}
-    for sol in solutions:
-        vals = tuple(complex(sympy.N(expr, 20)) for expr in sol[:n])
-        key = tuple((round(z.real, 9), round(z.imag, 9)) for z in vals)
-        if key not in seen:
-            seen[key] = vals
-    ordered = [seen[k] for k in sorted(seen.keys())]
-    roots = [_snap_root(vals) for vals in ordered]
-    if not roots:
-        return LeadingReport(
-            strata=strata,
-            roots=[],
-            diagnosis={
-                "reason": "no-unit-solutions",
-                "note": "the leading-stratum system has no solutions with all coordinates nonzero",
-            },
-        )
-    return LeadingReport(strata=strata, roots=roots)
+        return None, {
+            "reason": "leading-system-unsolved",
+            "note": "the polynomial solver returned no solution set",
+        }
+    return [tuple(complex(sympy.N(expr, 20)) for expr in sol[:n]) for sol in solutions], None
 
 
 # ---------------------------------------------------------------------------

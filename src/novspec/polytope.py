@@ -70,9 +70,9 @@ def int_det(rows: Sequence[Sequence[int]]) -> int:
     return int(determinant(pivots, sign, n))
 
 
-def unimodular_inverse_transpose(a: Sequence[Sequence[int]]) -> Tuple[Vector, ...]:
-    """Exact A^{-T} for an integer matrix with det = +-1, from one
-    reduction of [A | I]."""
+def rational_inverse(a: Sequence[Sequence[int]]):
+    """``(det A, A^{-1})`` exactly, from one reduction of [A | I]; the
+    inverse is None when det A = 0."""
     n = len(a)
     rows = [
         [Fraction(x) for x in row] + [Fraction(int(r == c)) for c in range(n)]
@@ -80,13 +80,50 @@ def unimodular_inverse_transpose(a: Sequence[Sequence[int]]) -> Tuple[Vector, ..
     ]
     reduced, pivots, sign = _frac_reduce(rows, n)
     det = determinant(pivots, sign, n)
+    return det, ([row[n:] for row in reduced] if det else None)
+
+
+def unimodular_inverse_transpose(a: Sequence[Sequence[int]]) -> Tuple[Vector, ...]:
+    """Exact A^{-T} for an integer matrix with det = +-1."""
+    det, inv = rational_inverse(a)
     if det not in (1, -1):
         raise ValueError(f"matrix is not unimodular (det = {det})")
-    # Columns of A^{-1} are rows of A^{-T}.
-    out = [[reduced[r][n + j] for r in range(n)] for j in range(n)]
+    out = list(zip(*inv))  # columns of A^{-1} are rows of A^{-T}
     if any(x.denominator != 1 for row in out for x in row):
         raise ValueError("unimodular inverse produced a non-integer entry")
     return tuple(tuple(int(x) for x in row) for row in out)
+
+
+def coset_representatives(a: Sequence[Sequence[int]]) -> List[Vector]:
+    """One vector from each coset of Z^n / A Z^n, |det A| of them, for a
+    nonsingular integer matrix A.
+
+    Integer column operations bring A to a lower-triangular basis H of the
+    same lattice A Z^n with H_ii > 0 (a Hermite normal form, left without
+    reducing the entries below the diagonal).  Column i of H is zero above
+    row i, so subtracting multiples of the columns in order reduces any m
+    to 0 <= m_i < H_ii, and two vectors of that box differ by a lattice
+    vector only when they are equal: the box is a set of representatives.
+    """
+    n = len(a)
+    cols = [[a[r][c] for r in range(n)] for c in range(n)]
+    for i in range(n):
+        while True:
+            live = [c for c in range(i, n) if cols[c][i]]
+            if not live:
+                raise ValueError("matrix is singular")
+            best = min(live, key=lambda c: abs(cols[c][i]))
+            cols[i], cols[best] = cols[best], cols[i]
+            if len(live) == 1:
+                break
+            # Euclid on row i: every other entry drops below the pivot.
+            for c in range(i + 1, n):
+                f = cols[c][i] // cols[i][i]
+                if f:
+                    cols[c] = [x - f * y for x, y in zip(cols[c], cols[i])]
+        if cols[i][i] < 0:
+            cols[i] = [-x for x in cols[i]]
+    return list(itertools.product(*(range(cols[i][i]) for i in range(n))))
 
 
 def apply_matrix(a: Sequence[Sequence[int]], vec: Sequence) -> tuple:
@@ -161,6 +198,8 @@ class MomentPolytope:
         dim = obj["dim"]
         if isinstance(dim, bool) or not isinstance(dim, int):
             raise ValueError("polytope dim must be an integer")
+        if not isinstance(obj["facets"], list):
+            raise ValueError("polytope facets must be a list")
         facets = tuple(Facet.from_json(f) for f in obj["facets"])
         return MomentPolytope(dim, facets)
 

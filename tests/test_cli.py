@@ -22,6 +22,26 @@ CP1 = {
     ],
 }
 
+CP2 = {
+    "dim": 2,
+    "facets": [
+        {"normal": [1, 0], "offset": "0"},
+        {"normal": [0, 1], "offset": "0"},
+        {"normal": [-1, -1], "offset": "-1"},
+    ],
+}
+
+# {x >= 0, y >= 0, y <= 1, x + y <= 2}
+TRAP = {
+    "dim": 2,
+    "facets": [
+        {"normal": [1, 0], "offset": "0"},
+        {"normal": [0, 1], "offset": "0"},
+        {"normal": [0, -1], "offset": "-1"},
+        {"normal": [-1, -1], "offset": "-2"},
+    ],
+}
+
 STRIP = {
     "dim": 2,
     "facets": [
@@ -173,6 +193,33 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "schema error" in err and "brane 0" in err
 
+    @pytest.mark.parametrize(
+        "brane, key, value, message",
+        [
+            (None, "fiber", "a,b", "'fiber'"),
+            (None, "order", "x", "'order'"),
+            (0, "residual_valuation", "abc", "brane 0"),
+            (None, "polytope", {"dim": 1, "facets": 5}, "'polytope'"),
+        ],
+    )
+    @pytest.mark.parametrize("command", ["toric revalidate", "qmap rank"])
+    def test_certificate_unparsable_value_is_2(
+        self, tmp_path, cert_path, capsys, brane, key, value, message, command
+    ):
+        doc = json.loads(open(cert_path, encoding="utf-8").read())
+        (doc if brane is None else doc["branes"][brane])[key] = value
+        path = write(tmp_path, "unparsable.json", doc)
+        assert main([*command.split(), path]) == 2
+        err = capsys.readouterr().err
+        assert "schema error" in err and message in err
+
+    def test_certificate_brane_of_wrong_length_is_2(self, tmp_path, cert_path, capsys):
+        doc = json.loads(open(cert_path, encoding="utf-8").read())
+        doc["branes"][0]["x"] *= 2
+        path = write(tmp_path, "long.json", doc)
+        assert main(["toric", "revalidate", path]) == 2
+        assert "'x' needs one scalar per dimension (1)" in capsys.readouterr().err
+
     def test_fractional_order_as_separate_argument(self, tmp_path):
         path = write(tmp_path, "cp1.json", CP1)
         for command in (["certify", path, "--fiber", "1/2"], ["scan", path, "--grid", "1/2"]):
@@ -252,14 +299,14 @@ class TestToricCommands:
         code, doc = run_json(tmp_path, ["toric", "validate", path])
         assert code == 1 and not doc["ok"]
 
-    def test_validate_does_not_import_sympy(self, tmp_path):
-        # Polytope validation is sympy-free; only the leading-system solver
-        # imports it.
-        path = write(tmp_path, "cp1.json", CP1)
+    @staticmethod
+    def sympy_loaded(argv):
+        """Exit code of one CLI run in a fresh interpreter, and whether it
+        imported sympy."""
         script = (
             "import sys\n"
             "from novspec.cli import main\n"
-            f"code = main(['toric', 'validate', {path!r}, '--out', {os.devnull!r}])\n"
+            f"code = main({[*argv, '--out', os.devnull]!r})\n"
             "print(code, 'sympy' in sys.modules)\n"
         )
         src = str(Path(novspec.__file__).resolve().parent.parent)
@@ -268,7 +315,42 @@ class TestToricCommands:
         out = subprocess.run(
             [sys.executable, "-c", script], capture_output=True, text=True, env=env, check=True
         )
-        assert out.stdout.split() == ["0", "False"]
+        code, loaded = out.stdout.split()
+        return int(code), loaded == "True"
+
+    def test_validate_does_not_import_sympy(self, tmp_path):
+        # Polytope validation is sympy-free; only the leading-system solver
+        # imports it.
+        path = write(tmp_path, "cp1.json", CP1)
+        assert self.sympy_loaded(["toric", "validate", path]) == (0, False)
+
+    def test_binomial_leading_systems_do_not_import_sympy(self, tmp_path):
+        # Two facets per leading stratum and a nonsingular exponent matrix:
+        # the leading roots come in closed form.
+        cp1 = write(tmp_path, "cp1.json", CP1)
+        cp2 = write(tmp_path, "cp2.json", CP2)
+        trap = write(tmp_path, "trap.json", TRAP)
+        for argv in (
+            ["toric", "scan", cp1, "--grid", "1/4", "--order", "-2"],
+            ["toric", "scan", cp2, "--grid", "1/3", "--order", "-2"],
+            ["toric", "certify", trap, "--fiber", "3/4,1/2", "--order", "-1"],
+        ):
+            assert self.sympy_loaded(argv) == (0, False), argv
+
+    def test_singular_leading_system_imports_sympy(self, tmp_path):
+        # The trapezoid sheared by A = ((1, 1), (0, 1)): both leading
+        # binomials share one exponent difference, so sympy diagnoses it.
+        sheared = dict(TRAP, facets=[
+            {"normal": [1, 0], "offset": "0"},
+            {"normal": [1, 1], "offset": "0"},
+            {"normal": [-1, -1], "offset": "-1"},
+            {"normal": [-2, -1], "offset": "-2"},
+        ])
+        path = write(tmp_path, "sheared.json", sheared)
+        argv = ["toric", "critical", path, "--fiber", "3/4,-1/4"]
+        assert self.sympy_loaded(argv) == (0, True)
+        code, doc = run_json(tmp_path, argv)
+        assert code == 0 and doc["diagnosis"]["reason"] == "leading-system-not-finite"
 
     def test_potential(self, tmp_path):
         path = write(tmp_path, "cp1.json", CP1)

@@ -1,17 +1,24 @@
 """Potentials, leading critical points, Newton lifts, certificates, scans."""
 
+import cmath
 import functools
 import json
+import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from novspec.fields import NEG_INF, GaussianRational, field_for_mode
 from novspec.novikov import NovikovScalar
 from novspec.critical import (
     LeadingRoot,
+    _binomial_values,
+    _leading_roots,
     _solve_linear,
+    _sympy_values,
     certify_heavy,
     critical_points_leading,
     grid_fibers,
@@ -23,6 +30,7 @@ from novspec.polytope import (
     Facet,
     MomentPolytope,
     box,
+    int_det,
     polytope_validate,
     product,
     segment,
@@ -195,6 +203,116 @@ class TestLeadingRoots:
         ]
         assert rep.roots[1].exact_gaussian[0] == GaussianRational(0, -1)
         assert rep.roots[1].exact_rational is None
+
+
+class TestBinomialLeadingSystems:
+    # 3 x^(-1,1) + x^(-2,-2) = 0, -x^(0,2) + x^(-2,2) = 0: sympy's radicals
+    # leave an imaginary residue of about 2.4e-29 on x1 = +-1
+    RESIDUE_SYSTEM = [[(3, (-1, 1)), (1, (-2, -2))], [(-1, (0, 2)), (1, (-2, 2))]]
+
+    def test_axis_parts_are_exactly_zero(self):
+        roots = _leading_roots(_binomial_values(self.RESIDUE_SYSTEM))
+        assert len(roots) == 6
+        firsts = [r.values[0] for r in roots]
+        assert sorted(z.real for z in firsts) == [-1.0] * 3 + [1.0] * 3
+        assert all(z.imag == 0.0 and math.copysign(1.0, z.imag) == 1.0 for z in firsts)
+
+    def test_non_binomial_or_singular_systems_are_declined(self):
+        three_terms = [[(1, (1,)), (1, (0,)), (1, (-1,))]]
+        singular = [[(1, (1, 1)), (-1, (0, 0))], [(2, (2, 2)), (-2, (0, 0))]]
+        assert _binomial_values(three_terms) is None
+        assert _binomial_values(singular) is None
+
+
+def _cofactor_det(rows):
+    if not rows:
+        return 1
+    return sum(
+        (-1) ** j * x * _cofactor_det([r[:j] + r[j + 1:] for r in rows[1:]])
+        for j, x in enumerate(rows[0])
+    )
+
+
+@st.composite
+def binomial_systems(draw, max_dim=3):
+    """a x^u + b x^(u - d_j) = 0 per equation, with det D != 0."""
+    n = draw(st.integers(1, max_dim))
+    small = st.lists(st.integers(-2, 2), min_size=n, max_size=n)
+    coeff = st.sampled_from([-3, -2, -1, 1, 2, 3])
+    d = [draw(small) for _ in range(n)]
+    assume(int_det(d) != 0)
+    system = []
+    for dj in d:
+        u = draw(small)
+        v = tuple(p - q for p, q in zip(u, dj))
+        system.append([(draw(coeff), tuple(u)), (draw(coeff), v)])
+    return system, d
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(binomial_systems())
+def test_binomial_roots_match_exact_oracle(case):
+    system, d = case
+    n = len(d)
+    det = _cofactor_det(d)
+    c = [Fraction(-b, a) for (a, _), (b, _) in system]
+    values = _binomial_values(system)
+    roots = _leading_roots(values)
+    # |det D| roots, none merged by the deduplication, no two equal
+    assert len(values) == len(roots) == abs(det)
+    assert len({r.values for r in roots}) == len(roots)
+    # rho_k^det = prod_j |c_j|^adj(D)_kj, so rho_k = 1 iff that product is 1
+    adj = [
+        [
+            (-1) ** (j + k)
+            * _cofactor_det([row[:k] + row[k + 1:] for i, row in enumerate(d) if i != j])
+            for j in range(n)
+        ]
+        for k in range(n)
+    ]
+    unit_radius = [math.prod(abs(cj) ** e for cj, e in zip(c, row)) == 1 for row in adj]
+    grid = 2 * abs(det)  # every angle theta lies in (1 / 2|det|) Z
+    for root in roots:
+        for dj, cj in zip(d, c):
+            lhs = math.prod(xk ** e for xk, e in zip(root.values, dj))
+            assert abs(lhs - cj) <= 1e-12 * abs(cj)
+        thetas = [
+            Fraction(round(cmath.phase(xk) / (2 * math.pi) * grid) % grid, grid)
+            for xk in root.values
+        ]
+        on_axis = [(4 * t).denominator == 1 for t in thetas]
+        for xk, axis in zip(root.values, on_axis):
+            if axis:
+                zero = xk.imag if xk.real else xk.real
+                assert zero == 0.0 and math.copysign(1.0, zero) == 1.0
+        exact = all(on_axis) and all(unit_radius)
+        assert (root.exact_gaussian is not None) == exact
+        real = exact and all(t.denominator <= 2 for t in thetas)
+        assert (root.exact_rational is not None) == real
+        if exact:
+            unit_points = {
+                Fraction(0): GaussianRational(1, 0),
+                Fraction(1, 4): GaussianRational(0, 1),
+                Fraction(1, 2): GaussianRational(-1, 0),
+                Fraction(3, 4): GaussianRational(0, -1),
+            }
+            assert root.exact_gaussian == tuple(unit_points[t] for t in thetas)
+
+
+@settings(max_examples=15, deadline=None, derandomize=True, database=None)
+@given(binomial_systems(max_dim=2))
+def test_binomial_roots_agree_with_sympy(case):
+    system, _ = case
+    values, diagnosis = _sympy_values(system, len(system))
+    assert diagnosis is None
+    reference = _leading_roots(values)
+    roots = _leading_roots(_binomial_values(system))
+    assert len(roots) == len(reference)
+    for root, ref in zip(roots, reference):
+        assert root.exact_rational == ref.exact_rational
+        assert root.exact_gaussian == ref.exact_gaussian
+        for z, y in zip(root.values, ref.values):
+            assert abs(z - y) <= 1e-12 * max(1.0, abs(y))
 
 
 class TestLift:

@@ -14,6 +14,7 @@ from novspec.polytope import (
     MomentPolytope,
     blaschke_disk,
     box,
+    coset_representatives,
     enumerate_vertices,
     facet_values,
     fiber_radii,
@@ -23,6 +24,7 @@ from novspec.polytope import (
     point_str,
     polytope_validate,
     product,
+    rational_inverse,
     segment,
     simplex,
     transform,
@@ -417,6 +419,28 @@ def test_elimination_matches_cofactor_reference(system):
     else:
         with pytest.raises(ValueError, match=f"not unimodular \\(det = {det}\\)"):
             unimodular_inverse_transpose(a)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(int_systems())
+def test_coset_representatives_cover_each_coset_once(system):
+    a, _ = system
+    n = len(a)
+    det = _cofactor_det(a)
+    det_back, inv = rational_inverse(a)
+    assert det_back == det
+    if det == 0:
+        assert inv is None
+        with pytest.raises(ValueError, match="singular"):
+            coset_representatives(a)
+        return
+    assert [[sum(x * y for x, y in zip(row, col)) for col in zip(*inv)] for row in a] == _identity(n)
+    reps = coset_representatives(a)
+    # m and m' share a coset of Z^n / A Z^n iff A^{-1} (m - m') is integral,
+    # so the fractional parts of A^{-1} m tell the cosets apart; there are
+    # |det A| cosets.
+    classes = {tuple(sum(x * m for x, m in zip(row, rep)) % 1 for row in inv) for rep in reps}
+    assert len(reps) == len(classes) == abs(det)
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)

@@ -26,26 +26,17 @@ import json
 import re
 import sys
 from fractions import Fraction
-from typing import Callable, Optional
+from typing import Optional
+
+from .fields import SchemaError
+from .fields import parse_or_schema_error as _parse
 
 SCHEMA_VERSION = "1"
-
-
-class SchemaError(Exception):
-    """Malformed input document (wrong shape, missing keys, bad kinds)."""
 
 
 def _load_json(path: str):
     with open(path, "r", encoding="utf-8") as fh:
         return json.load(fh)
-
-
-def _parse(fn: Callable, what: str):
-    """Run a document-parsing callable; translate failures to schema errors."""
-    try:
-        return fn()
-    except (ValueError, KeyError, TypeError, IndexError) as exc:
-        raise SchemaError(f"{what}: {exc}") from exc
 
 
 def _document(kind: str, payload: dict) -> dict:
@@ -226,79 +217,13 @@ def cmd_toric_scan(args) -> int:
     return 0
 
 
-# key -> (JSON types its value may have, their description)
-CERTIFICATE_KEYS = {
-    "field": ((str, dict), "a string or an object"),
-    "polytope": (dict, "an object"),
-    "fiber": (str, "a string"),
-    "order": (str, "a string"),
-    "branes": (list, "a list of brane objects"),
-}
-BRANE_KEYS = {
-    "x": (list, "a list of scalar objects"),
-    "residual_valuation": (str, "a string"),
-    "central_charge": (dict, "an object"),
-}
-
-
-def _check_keys(obj: dict, keys: dict, where: str) -> None:
-    missing = [k for k in keys if k not in obj]
-    if missing:
-        raise SchemaError(f"{where} missing key(s) {missing}")
-    for key, (types, what) in keys.items():
-        if not isinstance(obj[key], types):
-            raise SchemaError(f"{where} '{key}' must be {what}")
-
-
-def _read_certificate(doc: dict, path: str):
-    """Parse a heaviness certificate: every key that revalidation or a
-    quasimap command reads must be present, of its JSON type, and parse.
-
-    Returns the field, polytope, fiber, order and, per brane, its
-    coordinates, claimed residual valuation and central charge.
-    """
-    from .fields import CoefficientField, parse_floor
-    from .novikov import NovikovScalar
-    from .polytope import MomentPolytope, parse_fiber
-
-    where = f"certificate {path}"
-    _check_keys(doc, CERTIFICATE_KEYS, f"{where}:")
-    field = _parse(lambda: CoefficientField.from_json(doc["field"]), f"{where}: 'field'")
-    p = _parse(lambda: MomentPolytope.from_json(doc["polytope"]), f"{where}: 'polytope'")
-    fiber = _parse(lambda: parse_fiber(doc["fiber"]), f"{where}: 'fiber'")
-    order = _parse(lambda: parse_floor(doc["order"]), f"{where}: 'order'")
-    branes = []
-    for idx, brane in enumerate(doc["branes"]):
-        at = f"{where}: brane {idx}"
-        if not isinstance(brane, dict):
-            raise SchemaError(f"{at} must be an object")
-        _check_keys(brane, BRANE_KEYS, at)
-        if not all(isinstance(xj, dict) for xj in brane["x"]):
-            raise SchemaError(f"{at} 'x' must be a list of scalar objects")
-        if len(brane["x"]) != p.dim:
-            raise SchemaError(f"{at} 'x' needs one scalar per dimension ({p.dim})")
-        branes.append(
-            _parse(
-                lambda: (
-                    [NovikovScalar.from_json(field, xj) for xj in brane["x"]],
-                    parse_floor(brane["residual_valuation"]),
-                    NovikovScalar.from_json(field, brane["central_charge"]),
-                ),
-                at,
-            )
-        )
-    return field, p, fiber, order, branes
-
-
 def cmd_toric_revalidate(args) -> int:
     from .critical import revalidate_certificate
 
     doc = _load_json(args.input)
     if not isinstance(doc, dict):
         raise SchemaError("certificate document must be a JSON object")
-    if doc.get("kind") == "heaviness-certificate":
-        _read_certificate(doc, args.input)
-    result = revalidate_certificate(doc)
+    result = revalidate_certificate(doc, f"certificate {args.input}")
     _emit(args, _document("certificate-revalidation", result))
     return 0 if result["ok"] else 1
 
@@ -309,6 +234,7 @@ def cmd_toric_revalidate(args) -> int:
 
 def _certificate_context(args):
     """Potential, field, branes, and working floor from a certificate file."""
+    from .critical import read_certificate
     from .fields import parse_floor
     from .potential import potential
 
@@ -318,7 +244,7 @@ def _certificate_context(args):
             f"{args.input}: expected kind 'heaviness-certificate', "
             f"got {doc.get('kind') if isinstance(doc, dict) else type(doc).__name__!r}"
         )
-    field, p, fiber, order, parsed = _read_certificate(doc, args.input)
+    field, p, fiber, order, parsed = read_certificate(doc, f"certificate {args.input}")
     branes = [x for x, _, _ in parsed]
     w = potential(p, fiber)
     floor = parse_floor(args.floor) if args.floor is not None else order

@@ -37,12 +37,14 @@ from .fields import (
     NEG_INF,
     CoefficientField,
     GaussianRational,
+    SchemaError,
     determinant,
     floor_str,
     fraction_str,
     gauss_jordan,
     parse_floor,
     parse_fraction,
+    parse_or_schema_error as _parse,
 )
 from .novikov import NovikovScalar
 from .polytope import (
@@ -209,16 +211,6 @@ System = Sequence[Sequence[Tuple[int, Sequence[int]]]]
 # float once, at the end.
 _ROOT_PREC = 200
 
-# e^{2 pi i theta} at the angles where it is exact; the zero part of a root
-# on an axis is then exactly +0.0.
-_AXES = {
-    Fraction(0): (1, 0),
-    Fraction(1, 4): (0, 1),
-    Fraction(1, 2): (-1, 0),
-    Fraction(3, 4): (0, -1),
-}
-
-
 def _binomial_values(system: System) -> Optional[List[Tuple[complex, ...]]]:
     """All unit roots of a binomial system, or None if it is not one.
 
@@ -256,14 +248,10 @@ def _binomial_values(system: System) -> Optional[List[Tuple[complex, ...]]]:
             root = []
             for r, row in zip(radii, inv):
                 theta = sum(e * s for e, s in zip(row, shifted)) % 1
-                axis = _AXES.get(theta)
-                if axis is not None:
-                    root.append(complex(axis[0] * float(r), axis[1] * float(r)))
-                else:
-                    turn = 2 * real(theta)
-                    root.append(
-                        complex(float(r * mpmath.cospi(turn)), float(r * mpmath.sinpi(turn)))
-                    )
+                # cospi and sinpi are exact at half-integer turns, so a root
+                # on an axis (4 theta integral) gets an exact +0.0 zero part
+                turn = 2 * real(theta)
+                root.append(complex(float(r * mpmath.cospi(turn)), float(r * mpmath.sinpi(turn))))
             out.append(tuple(root))
     return out
 
@@ -632,12 +620,73 @@ def certify_heavy(
     )
 
 
-def revalidate_certificate(doc: dict) -> dict:
+# key -> (JSON types its value may have, their description)
+CERTIFICATE_KEYS = {
+    "field": ((str, dict), "a string or an object"),
+    "polytope": (dict, "an object"),
+    "fiber": (str, "a string"),
+    "order": (str, "a string"),
+    "branes": (list, "a list of brane objects"),
+}
+BRANE_KEYS = {
+    "x": (list, "a list of scalar objects"),
+    "residual_valuation": (str, "a string"),
+    "central_charge": (dict, "an object"),
+}
+
+
+def _check_keys(obj: dict, keys: dict, where: str) -> None:
+    missing = [k for k in keys if k not in obj]
+    if missing:
+        raise SchemaError(f"{where} missing key(s) {missing}")
+    for key, (types, what) in keys.items():
+        if not isinstance(obj[key], types):
+            raise SchemaError(f"{where} '{key}' must be {what}")
+
+
+def read_certificate(doc: dict, where: str = "certificate"):
+    """Parse a heaviness certificate: every key that revalidation or a
+    quasimap command reads must be present, of its JSON type, and parse;
+    otherwise raise a ``SchemaError`` that starts with ``where``.
+
+    Returns the field, polytope, fiber, order and, per brane, its
+    coordinates, claimed residual valuation and central charge.
+    """
+    _check_keys(doc, CERTIFICATE_KEYS, f"{where}:")
+    field = _parse(lambda: CoefficientField.from_json(doc["field"]), f"{where}: 'field'")
+    p = _parse(lambda: MomentPolytope.from_json(doc["polytope"]), f"{where}: 'polytope'")
+    fiber = _parse(lambda: parse_fiber(doc["fiber"]), f"{where}: 'fiber'")
+    order = _parse(lambda: parse_floor(doc["order"]), f"{where}: 'order'")
+    branes = []
+    for idx, brane in enumerate(doc["branes"]):
+        at = f"{where}: brane {idx}"
+        if not isinstance(brane, dict):
+            raise SchemaError(f"{at} must be an object")
+        _check_keys(brane, BRANE_KEYS, at)
+        if not all(isinstance(xj, dict) for xj in brane["x"]):
+            raise SchemaError(f"{at} 'x' must be a list of scalar objects")
+        if len(brane["x"]) != p.dim:
+            raise SchemaError(f"{at} 'x' needs one scalar per dimension ({p.dim})")
+        branes.append(
+            _parse(
+                lambda: (
+                    [NovikovScalar.from_json(field, xj) for xj in brane["x"]],
+                    parse_floor(brane["residual_valuation"]),
+                    NovikovScalar.from_json(field, brane["central_charge"]),
+                ),
+                at,
+            )
+        )
+    return field, p, fiber, order, branes
+
+
+def revalidate_certificate(doc: dict, where: str = "certificate") -> dict:
     """Re-check a serialized heaviness certificate from its JSON alone.
 
-    Re-parses the polytope, fiber and branes, revalidates the polytope,
-    and re-evaluates the potential gradient at every brane at the stated
-    order.  Returns {"ok": bool, "checks": [...], "failures": [...]}.
+    Re-parses the polytope, fiber and branes (``read_certificate``; a
+    malformed certificate raises its ``SchemaError``), revalidates the
+    polytope, and re-evaluates the potential gradient at every brane at the
+    stated order.  Returns {"ok": bool, "checks": [...], "failures": [...]}.
     """
     checks: List[str] = []
     failures: List[str] = []
@@ -650,15 +699,12 @@ def revalidate_certificate(doc: dict) -> dict:
         return {"ok": False, "checks": checks, "failures": failures}
     if doc.get("theorem") != THEOREM_TAG:
         fail(f"unexpected theorem tag {doc.get('theorem')!r}")
-    field = CoefficientField.from_json(doc["field"])
-    p = MomentPolytope.from_json(doc["polytope"])
+    field, p, fiber, order, branes = read_certificate(doc, where)
     rep = polytope_validate(p)
     if rep.ok:
         checks.append("polytope validates")
     else:
         fail("polytope fails validation: " + "; ".join(rep.violations))
-    fiber = parse_fiber(doc["fiber"])
-    order = parse_floor(doc["order"])
     try:
         w = potential(p, fiber)
         checks.append("fiber is interior")
@@ -666,15 +712,12 @@ def revalidate_certificate(doc: dict) -> dict:
         fail(str(exc))
         return {"ok": False, "checks": checks, "failures": failures}
 
-    branes = doc.get("branes", [])
     if not branes:
         fail("certificate carries no branes")
-    for idx, brane in enumerate(branes):
-        x = [NovikovScalar.from_json(field, xj) for xj in brane["x"]]
+    for idx, (x, claimed, stated_charge) in enumerate(branes):
         if any(xj.valuation() != 0 for xj in x):
             fail(f"brane {idx}: coordinates are not units")
             continue
-        claimed = parse_floor(brane["residual_valuation"])
         if claimed == NEG_INF:
             grad = w.gradient(x, NEG_INF)
             if all(y.is_exact_zero() for y in grad):
@@ -691,7 +734,6 @@ def revalidate_certificate(doc: dict) -> dict:
             else:
                 fail(f"brane {idx}: gradient has residual above {floor_str(claimed)}")
                 continue
-        stated_charge = NovikovScalar.from_json(field, brane["central_charge"])
         fresh = w.evaluate(x, claimed)
         same = fresh == stated_charge if field.exact else fresh.isclose(stated_charge)
         if same:

@@ -28,6 +28,18 @@ COMPLEX = "complex"
 MODES = (RATIONAL, GAUSSIAN, COMPLEX)
 
 
+class SchemaError(Exception):
+    """Malformed input document (wrong shape, missing keys, bad kinds)."""
+
+
+def parse_or_schema_error(fn: Callable, what: str):
+    """Run a document-parsing callable; translate failures to schema errors."""
+    try:
+        return fn()
+    except (ValueError, KeyError, TypeError, IndexError) as exc:
+        raise SchemaError(f"{what}: {exc}") from exc
+
+
 def parse_fraction(value: Any) -> Fraction:
     """Parse a rational from JSON form: "3/2", "-1", or an integer."""
     if isinstance(value, bool):

@@ -8,8 +8,9 @@ homogenization and axiom checks), and ``selftest``.
 Exit codes: 0 on success (a none-found certification and a valid
 revalidation both count as success), 1 when a mathematical validation
 fails (invalid complex or polytope, off-interior fiber, degenerate
-lift, axiom violation), 2 on I/O, JSON, or schema errors (argparse
-reports bad arguments with 2 as well).
+lift, axiom violation), 2 on I/O, JSON, or schema errors and on bad
+arguments, which argparse reports: a bad ``--fiber``, ``--floor``,
+``--scale``, ``--volume``, ``--order`` or ``--grid`` value among them.
 
 All JSON documents carry ``schema_version`` at the top level, encode
 rationals as strings, and are emitted with sorted keys so identical
@@ -26,9 +27,9 @@ import json
 import re
 import sys
 from fractions import Fraction
-from typing import Optional
+from typing import Optional, Sequence
 
-from .fields import SchemaError
+from .fields import NEG_INF, SchemaError
 from .fields import parse_or_schema_error as _parse
 
 SCHEMA_VERSION = "1"
@@ -235,7 +236,6 @@ def cmd_toric_revalidate(args) -> int:
 def _certificate_context(args):
     """Potential, field, branes, and working floor from a certificate file."""
     from .critical import read_certificate
-    from .fields import parse_floor
     from .potential import potential
 
     doc = _load_json(args.input)
@@ -247,7 +247,7 @@ def _certificate_context(args):
     field, p, fiber, order, parsed = read_certificate(doc, f"certificate {args.input}")
     branes = [x for x, _, _ in parsed]
     w = potential(p, fiber)
-    floor = parse_floor(args.floor) if args.floor is not None else order
+    floor = order if args.floor is None else args.floor
     if args.brane is not None:
         if not 0 <= args.brane < len(branes):
             raise ValueError(
@@ -255,11 +255,8 @@ def _certificate_context(args):
                 f"(certificate has {len(branes)} branes)"
             )
         branes = [branes[args.brane]]
-    scale = getattr(args, "scale", None)
-    if scale is not None:
-        from .fields import parse_fraction
-
-        c = field.coerce(parse_fraction(scale))
+    if getattr(args, "scale", None) is not None:
+        c = field.coerce(args.scale)
         branes = [[xj.scale(c) for xj in x] for x in branes]
     return w, fiber, floor, branes
 
@@ -407,8 +404,17 @@ def cmd_selftest(args) -> int:
 # parser
 
 
-def _add_out(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--out", help="write output to this file instead of stdout")
+def _add_out(*parsers: argparse.ArgumentParser) -> None:
+    for p in parsers:
+        p.add_argument("--out", help="write output to this file instead of stdout")
+
+
+def _command(sub, name: str, help_text: str, func, *positionals: str):
+    p = sub.add_parser(name, help=help_text)
+    for dest in positionals:
+        p.add_argument(dest)
+    p.set_defaults(func=func)
+    return p
 
 
 def _rational(text: str) -> Fraction:
@@ -418,24 +424,34 @@ def _rational(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"not a rational: {text!r}") from None
 
 
-def _positive_rational(text: str) -> Fraction:
-    value = _rational(text)
-    if value <= 0:
-        raise argparse.ArgumentTypeError(f"must be positive, got {text!r}")
-    return value
+def _checked_rational(need: str, ok):
+    def parse(text: str) -> Fraction:
+        value = _rational(text)
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"must be {need}, got {text!r}")
+        return value
+
+    return parse
 
 
-def _negative_rational(text: str) -> Fraction:
-    value = _rational(text)
-    if value >= 0:
-        raise argparse.ArgumentTypeError(f"must be negative, got {text!r}")
-    return value
+_positive_rational = _checked_rational("positive", lambda v: v > 0)
+_negative_rational = _checked_rational("negative", lambda v: v < 0)
+_nonzero_rational = _checked_rational("nonzero", lambda v: v != 0)
+
+
+def _fiber(text: str) -> tuple:
+    return tuple(_rational(part) for part in text.split(",") if part.strip())
+
+
+def _floor(text: str):
+    return NEG_INF if text == "-inf" else _rational(text)
 
 
 # argparse reads an argument that starts with "-" as an option unless it
 # looks like a negative number, and its own pattern admits only integers
-# and decimals; this one admits fractions too, so "--order -1/2" works.
-_NEGATIVE_NUMBER = re.compile(r"^-\d+(/\d+)?$|^-\d*\.\d+$")
+# and decimals; this one admits fractions and -inf too, so "--order -1/2"
+# and "--floor -inf" work.
+_NEGATIVE_NUMBER = re.compile(r"^-\d+(/\d+)?$|^-\d*\.\d+$|^-inf$")
 
 
 def _add_order(p: argparse.ArgumentParser) -> None:
@@ -460,147 +476,129 @@ def _add_mode(p: argparse.ArgumentParser) -> None:
     )
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="novspec",
-        description="Exact spectral invariants over Novikov fields.",
+def _build_complex(group: argparse.ArgumentParser) -> None:
+    sub = group.add_subparsers(dest="command", required=True)
+    _command(sub, "validate", "structural and filtration checks", cmd_complex_validate, "input")
+    _command(
+        sub, "homology", "homology ranks over the Novikov field", cmd_complex_homology, "input"
     )
-    top = parser.add_subparsers(dest="group", required=True)
-
-    # complex
-    g = top.add_parser("complex", help="filtered complexes").add_subparsers(
-        dest="command", required=True
-    )
-    p = g.add_parser("validate", help="structural and filtration checks")
-    p.add_argument("input")
-    _add_out(p)
-    p.set_defaults(func=cmd_complex_validate)
-    p = g.add_parser("homology", help="homology ranks over the Novikov field")
-    p.add_argument("input")
-    _add_out(p)
-    p.set_defaults(func=cmd_complex_homology)
-    p = g.add_parser("spectral", help="spectral number of a cycle")
-    p.add_argument("input")
+    p = _command(sub, "spectral", "spectral number of a cycle", cmd_complex_spectral, "input")
     p.add_argument("--chain", required=True, help="JSON file with the cycle")
-    _add_out(p)
-    p.set_defaults(func=cmd_complex_spectral)
-    p = g.add_parser("spectrum", help="action spectrum")
-    p.add_argument("input")
-    _add_out(p)
-    p.set_defaults(func=cmd_complex_spectrum)
-    p = g.add_parser("tensor", help="tensor product of two complexes")
-    p.add_argument("left")
-    p.add_argument("right")
-    _add_out(p)
-    p.set_defaults(func=cmd_complex_tensor)
-
-    # toric
-    g = top.add_parser("toric", help="moment polytopes and certificates").add_subparsers(
-        dest="command", required=True
+    _command(sub, "spectrum", "action spectrum", cmd_complex_spectrum, "input")
+    _command(
+        sub, "tensor", "tensor product of two complexes", cmd_complex_tensor, "left", "right"
     )
-    p = g.add_parser("validate", help="boundedness, vertices, Delzant checks")
-    p.add_argument("input")
-    _add_out(p)
-    p.set_defaults(func=cmd_toric_validate)
-    p = g.add_parser("potential", help="disk potential at a fiber")
-    p.add_argument("input")
-    p.add_argument("--fiber", required=True, help="interior point, e.g. 1/2,1/3")
-    _add_out(p)
-    p.set_defaults(func=cmd_toric_potential)
-    p = g.add_parser("critical", help="leading-order critical points")
-    p.add_argument("input")
-    p.add_argument("--fiber", required=True)
-    _add_out(p)
-    p.set_defaults(func=cmd_toric_critical)
-    p = g.add_parser("certify", help="certify a fiber by lifted critical branes")
-    p.add_argument("input")
-    p.add_argument("--fiber", required=True)
+    _add_out(*sub.choices.values())
+
+
+def _build_toric(group: argparse.ArgumentParser) -> None:
+    sub = group.add_subparsers(dest="command", required=True)
+    _command(
+        sub, "validate", "boundedness, vertices, Delzant checks", cmd_toric_validate, "input"
+    )
+    p = _command(sub, "potential", "disk potential at a fiber", cmd_toric_potential, "input")
+    p.add_argument("--fiber", required=True, type=_fiber, help="interior point, e.g. 1/2,1/3")
+    p = _command(sub, "critical", "leading-order critical points", cmd_toric_critical, "input")
+    p.add_argument("--fiber", required=True, type=_fiber)
+    p = _command(
+        sub, "certify", "certify a fiber by lifted critical branes", cmd_toric_certify, "input"
+    )
+    p.add_argument("--fiber", required=True, type=_fiber)
     _add_order(p)
     _add_mode(p)
-    _add_out(p)
-    p.set_defaults(func=cmd_toric_certify)
-    p = g.add_parser("scan", help="certify every interior grid fiber")
-    p.add_argument("input")
+    p = _command(sub, "scan", "certify every interior grid fiber", cmd_toric_scan, "input")
     p.add_argument(
         "--grid", required=True, type=_positive_rational, help="grid resolution, e.g. 1/8"
     )
     _add_order(p)
     p.add_argument("--format", choices=("json", "csv"), default="json")
     _add_mode(p)
-    _add_out(p)
-    p.set_defaults(func=cmd_toric_scan)
-    p = g.add_parser("revalidate", help="re-check a serialized certificate")
-    p.add_argument("input")
-    _add_out(p)
-    p.set_defaults(func=cmd_toric_revalidate)
+    _command(sub, "revalidate", "re-check a serialized certificate", cmd_toric_revalidate, "input")
+    _add_out(*sub.choices.values())
 
-    # qmap
-    g = top.add_parser("qmap", help="quasimap complexes on certified branes").add_subparsers(
-        dest="command", required=True
-    )
-    for name, fn, extra in (
-        ("rank", cmd_qmap_rank, True),
-        ("unit", cmd_qmap_unit, True),
-        ("charge", cmd_qmap_charge, False),
+
+def _build_qmap(group: argparse.ArgumentParser) -> None:
+    sub = group.add_subparsers(dest="command", required=True)
+    for name, help_text, func in (
+        ("rank", "quasimap homology rank (dichotomy check)", cmd_qmap_rank),
+        ("unit", "does the unit class survive in homology", cmd_qmap_unit),
+        ("charge", "central charge of the brane", cmd_qmap_charge),
     ):
-        p = g.add_parser(
-            name,
-            help={
-                "rank": "quasimap homology rank (dichotomy check)",
-                "unit": "does the unit class survive in homology",
-                "charge": "central charge of the brane",
-            }[name],
-        )
+        p = _command(sub, name, help_text, func)
+        p._negative_number_matcher = _NEGATIVE_NUMBER
         p.add_argument("input", help="heaviness certificate JSON")
         p.add_argument("--brane", type=int, help="restrict to one brane index")
-        p.add_argument("--floor", help="working floor (default: certificate order)")
-        if extra:
+        p.add_argument("--floor", type=_floor, help="working floor (default: certificate order)")
+        if func is not cmd_qmap_charge:
             p.add_argument(
                 "--scale",
+                type=_nonzero_rational,
                 help="multiply brane coordinates by this rational (for dichotomy tests)",
             )
-        _add_out(p)
-        p.set_defaults(func=fn)
+    _add_out(*sub.choices.values())
 
-    # qstate
-    g = top.add_parser("qstate", help="oracle homogenization and axiom checks").add_subparsers(
-        dest="command", required=True
+
+def _build_qstate(group: argparse.ArgumentParser) -> None:
+    sub = group.add_subparsers(dest="command", required=True)
+    p = _command(
+        sub, "homogenize", "quasi-state value from a spectral oracle", cmd_qstate_homogenize,
+        "input",
     )
-    p = g.add_parser("homogenize", help="quasi-state value from a spectral oracle")
-    p.add_argument("input")
-    p.add_argument("--volume", help="also report mu = vol * slope for this volume")
-    _add_out(p)
-    p.set_defaults(func=cmd_qstate_homogenize)
-    p = g.add_parser("check", help="axiom checks on a declared family")
-    p.add_argument("input")
-    _add_out(p)
-    p.set_defaults(func=cmd_qstate_check)
-    p = g.add_parser("heavy", help="zeta(H) <= sup_Y H on declared functions")
-    p.add_argument("input")
-    _add_out(p)
-    p.set_defaults(func=cmd_qstate_heavy)
-    p = g.add_parser("product", help="product quasi-state additivity tables")
-    p.add_argument("input")
-    _add_out(p)
-    p.set_defaults(func=cmd_qstate_product)
-
-    # selftest
-    p = top.add_parser("selftest", help="seeded property suites; deterministic output")
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument(
+        "--volume", type=_positive_rational, help="also report mu = vol * slope for this volume"
+    )
+    _command(sub, "check", "axiom checks on a declared family", cmd_qstate_check, "input")
+    _command(sub, "heavy", "zeta(H) <= sup_Y H on declared functions", cmd_qstate_heavy, "input")
+    _command(sub, "product", "product quasi-state additivity tables", cmd_qstate_product, "input")
+    _add_out(*sub.choices.values())
+
+
+def _build_selftest(group: argparse.ArgumentParser) -> None:
+    group.add_argument("--seed", type=int, default=0)
+    group.add_argument(
         "--mutate",
         action="store_true",
         help="corrupt a differential and report whether validation catches it",
     )
-    _add_out(p)
-    p.set_defaults(func=cmd_selftest)
+    _add_out(group)
+    group.set_defaults(func=cmd_selftest)
 
+
+# Every command group as (name, help, builder of its arguments).
+_GROUPS = (
+    ("complex", "filtered complexes", _build_complex),
+    ("toric", "moment polytopes and certificates", _build_toric),
+    ("qmap", "quasimap complexes on certified branes", _build_qmap),
+    ("qstate", "oracle homogenization and axiom checks", _build_qstate),
+    ("selftest", "seeded property suites; deterministic output", _build_selftest),
+)
+
+
+def build_parser(argv: Sequence[str]) -> argparse.ArgumentParser:
+    """The parser for ``argv``: every group is listed, but only the groups
+    whose name is a token of ``argv`` get their commands.
+
+    argparse enters a group only on an exact token of its name, so this
+    parses ``argv`` as a parser with every group filled in would, and the
+    top-level help and errors, which list only group names, are the same.
+    """
+    parser = argparse.ArgumentParser(
+        prog="novspec",
+        description="Exact spectral invariants over Novikov fields.",
+    )
+    top = parser.add_subparsers(dest="group", required=True)
+    named = set(argv)
+    for name, help_text, build in _GROUPS:
+        group = top.add_parser(name, help=help_text)
+        if name in named:
+            build(group)
     return parser
 
 
-def main(argv: Optional[list] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+def main(argv: Optional[Sequence[str]] = None) -> int:
+    if argv is None:
+        argv = sys.argv[1:]
+    args = build_parser(argv).parse_args(argv)
     try:
         return args.func(args)
     except SchemaError as exc:

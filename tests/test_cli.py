@@ -1,6 +1,9 @@
 """End-to-end CLI contract: exit codes, JSON round trips, determinism."""
 
+import argparse
+import contextlib
 import csv
+import hashlib
 import io
 import json
 import os
@@ -9,9 +12,11 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import novspec
-from novspec.cli import main
+from novspec.cli import build_parser, main
 
 # facet value at lam is <normal, lam> - offset, so [0, 1] is offsets 0 and -1
 CP1 = {
@@ -77,6 +82,12 @@ BAD_COMPLEX = {
         {"from": "a", "to": "b", "coeff": [{"exp": "2", "c": "1"}]}
     ],
     "floor": "-inf",
+}
+
+ORACLE = {
+    "samples": [{"n": n, "c": str(n * 3 // 2) if n % 2 == 0 else f"{3 * n}/2"}
+                for n in range(1, 9)],
+    "tag": "synthetic",
 }
 
 
@@ -237,6 +248,136 @@ class TestExitCodes:
         with pytest.raises(SystemExit) as exc:
             main(["toric", "frobnicate"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize(
+        "command, option, value",
+        [
+            (["toric", "potential", "{cp1}"], "--fiber", "a"),
+            (["toric", "critical", "{cp1}"], "--fiber", "1/2,x"),
+            (["toric", "certify", "{cp1}"], "--fiber", "1/0,1"),
+            (["qmap", "rank", "{cert}"], "--floor", "abc"),
+            (["qmap", "unit", "{cert}"], "--floor", "1/0"),
+            (["qmap", "charge", "{cert}"], "--floor", "inf"),
+            (["qmap", "rank", "{cert}"], "--scale", "abc"),
+            (["qmap", "rank", "{cert}"], "--scale", "0"),
+            (["qmap", "unit", "{cert}"], "--scale", "1/0"),
+            (["qstate", "homogenize", "{oracle}"], "--volume", "abc"),
+            (["qstate", "homogenize", "{oracle}"], "--volume", "1/0"),
+            (["qstate", "homogenize", "{oracle}"], "--volume", "0"),
+            (["qstate", "homogenize", "{oracle}"], "--volume", "-2"),
+        ],
+    )
+    def test_bad_option_value_raises_systemexit_2(
+        self, tmp_path, cert_path, capsys, command, option, value
+    ):
+        paths = {
+            "{cp1}": write(tmp_path, "cp1.json", CP1),
+            "{cert}": cert_path,
+            "{oracle}": write(tmp_path, "oracle.json", ORACLE),
+        }
+        argv = [paths.get(token, token) for token in command] + [f"{option}={value}"]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert f"error: argument {option}: " in capsys.readouterr().err
+
+    @pytest.mark.parametrize("floor", ["-1/2", "-inf"])
+    def test_negative_floor_as_separate_argument(self, cert_path, floor):
+        argv = ["qmap", "rank", cert_path, "--floor", floor, "--out", os.devnull]
+        assert main(argv) == 0
+
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+GROUPS = ("complex", "toric", "qmap", "qstate", "selftest")
+
+
+def _subcommands(parser):
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            return action.choices
+    return {}
+
+
+def _outcome(parser, argv):
+    """What parsing ``argv`` gives: a Namespace or an exit code, with the
+    bytes written to stdout and to stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            result = parser.parse_args(argv)
+        except SystemExit as exc:
+            result = ("exit", exc.code)
+    return result, out.getvalue(), err.getvalue()
+
+
+# every group's parser and every command's parser, all filled in
+GROUP_PARSERS = _subcommands(build_parser(GROUPS))
+COMMAND_PARSERS = {
+    (g, c): p for g, gp in GROUP_PARSERS.items() for c, p in _subcommands(gp).items()
+}
+COMMANDS = set(COMMAND_PARSERS)
+TOKENS = sorted(
+    set(GROUPS)
+    | {c for _, c in COMMANDS}
+    | {
+        option
+        for p in [*COMMAND_PARSERS.values(), GROUP_PARSERS["selftest"]]
+        for action in p._actions
+        for option in action.option_strings
+    }
+    | {"1/2", "-1/2", "3", "0", "-2", "1/0", "-inf", "0.25", "1/2,1/3", "x.json"}
+    | {"", "-", "--", "bogus", "--bogus", "-x", "a,b", "--floor=-1/2", "--fiber=1/0,1"}
+)
+
+
+class TestParser:
+    def test_usage_corpus_replays_byte_identical(self, monkeypatch, capsys):
+        monkeypatch.setenv("COLUMNS", "80")
+        corpus = json.loads((GOLDEN / "cli_usage.json").read_text(encoding="utf-8"))
+        helps = {tuple(e["argv"][:-1]) for e in corpus if e["argv"][-1:] == ["--help"]}
+        assert helps == {()} | {(g,) for g in GROUPS} | COMMANDS
+        for entry in corpus:
+            try:
+                code = main(entry["argv"])
+            except SystemExit as exc:
+                code = exc.code
+            out, err = capsys.readouterr()
+            got = [hashlib.sha256(s.encode("utf-8")).hexdigest() for s in (out, err)]
+            assert [code, *got] == [
+                entry["code"], entry["stdout_sha256"], entry["stderr_sha256"]
+            ], entry["argv"]
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(st.sampled_from(TOKENS), max_size=2),
+        st.sampled_from([[]] + [[g] for g in GROUPS] + sorted(map(list, COMMANDS))),
+        st.lists(st.sampled_from(TOKENS), max_size=6),
+    )
+    def test_lazy_parser_parses_as_the_full_one(self, head, command, rest):
+        argv = head + command + rest
+        assert _outcome(build_parser(argv), argv) == _outcome(build_parser(GROUPS), argv)
+
+    def test_complex_command_builds_only_its_group(self, tmp_path, monkeypatch):
+        path = write(tmp_path, "cx.json", GOOD_COMPLEX)
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+        assert main(["complex", "homology", path, "--out", os.devnull]) == 0
+        # the top level, the five group stubs and the five complex commands
+        assert len(built) <= 11
+
+    def test_main_reads_sys_argv(self, tmp_path, monkeypatch):
+        path = write(tmp_path, "cx.json", GOOD_COMPLEX)
+        out = tmp_path / "out.json"
+        argv = ["novspec", "complex", "validate", path, "--out", str(out)]
+        monkeypatch.setattr(sys, "argv", argv)
+        assert main() == 0
+        assert json.loads(out.read_text(encoding="utf-8"))["kind"] == "complex-validation"
 
 
 class TestComplexCommands:
@@ -470,21 +611,14 @@ class TestQmapCommands:
 
 
 class TestQstateCommands:
-    def oracle(self):
-        return {
-            "samples": [{"n": n, "c": str(n * 3 // 2) if n % 2 == 0 else f"{3 * n}/2"}
-                        for n in range(1, 9)],
-            "tag": "synthetic",
-        }
-
     def test_homogenize(self, tmp_path):
-        path = write(tmp_path, "oracle.json", self.oracle())
+        path = write(tmp_path, "oracle.json", ORACLE)
         code, doc = run_json(tmp_path, ["qstate", "homogenize", path])
         assert code == 0 and doc["kind"] == "quasistate-estimate"
         assert doc["zeta"]["value"] == "-3/2" and doc["mu"] is None
 
     def test_homogenize_with_volume(self, tmp_path):
-        path = write(tmp_path, "oracle.json", self.oracle())
+        path = write(tmp_path, "oracle.json", ORACLE)
         code, doc = run_json(
             tmp_path, ["qstate", "homogenize", path, "--volume", "2"]
         )

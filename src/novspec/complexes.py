@@ -101,6 +101,8 @@ class PeriodLattice:
     def from_json(obj: Any) -> "PeriodLattice":
         if obj is None:
             return PeriodLattice()
+        if not isinstance(obj, dict):
+            raise ValueError("lattice must be an object")
         periods = tuple(parse_fraction(p) for p in obj.get("periods", []))
         rank = obj.get("rank", len(periods))
         if rank != len(periods):

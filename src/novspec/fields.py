@@ -45,7 +45,10 @@ def parse_fraction(value: Any) -> Fraction:
     if isinstance(value, bool):
         raise ValueError("boolean is not a rational")
     if isinstance(value, (int, str)):
-        return Fraction(value)
+        try:
+            return Fraction(value)
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in {value!r}") from None
     if isinstance(value, Rational):
         return Fraction(value)
     raise ValueError(f"cannot parse rational from {value!r}")
@@ -277,6 +280,8 @@ class CoefficientField:
             if obj == COMPLEX:
                 return CoefficientField(COMPLEX, 1e-12)
             return CoefficientField(obj)
+        if not isinstance(obj, dict):
+            raise ValueError("field must be a mode name or an object")
         mode = obj.get("mode", RATIONAL)
         if mode == COMPLEX:
             return CoefficientField(COMPLEX, float(obj.get("eps", 1e-12)))

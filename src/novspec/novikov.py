@@ -13,6 +13,17 @@ modes, and v_q(x+y) <= max(v_q(x), v_q(y)).
 The subring {v_q(x) <= 0} (boundary included) plays the role of the
 ring of integers; the convention here is that valuation exactly 0 lies
 inside it.
+
+In the exact modes, products and inverses run on plain Python ints.
+Exponents map to the integer grid q^{1/D}, and the coefficients of each
+factor to (real, imaginary) integer numerators over one common
+denominator, the imaginary one 0 in rational mode.  A product then
+accumulates with int ``*`` and ``+``, the geometric series of an inverse
+keeps its powers in that form, and each result term becomes a Fraction
+or GaussianRational once, at the end.  The complex mode keeps its loop
+over float coefficients: they have no integer form, and doing the same
+float operations in another order would change the last bits of its
+results.
 """
 
 from __future__ import annotations
@@ -22,9 +33,11 @@ from math import lcm
 from typing import Any, Iterable, Optional, Tuple, Union
 
 from .fields import (
+    GAUSSIAN,
     NEG_INF,
     Coefficient,
     CoefficientField,
+    GaussianRational,
     floor_str,
     fraction_str,
     parse_floor,
@@ -49,6 +62,101 @@ def _above(terms, floor: FloorValue) -> tuple:
             if e <= floor:
                 return tuple(terms[:i])
     return tuple(terms)
+
+
+def _on_grid(value: Fraction, grid: int) -> int:
+    """The numerator of ``value`` over ``grid``, a multiple of its denominator."""
+    return value.numerator * (grid // value.denominator)
+
+
+def _to_ints(field: CoefficientField, terms, grid: int) -> tuple:
+    """Integer form of exact-mode terms: rows (exponent on the grid, real
+    numerator, imaginary numerator) over one common denominator, returned
+    with the rows.  Rational coefficients have imaginary numerator 0."""
+    if field.mode == GAUSSIAN:
+        den = lcm(*[x.denominator for _, c in terms for x in (c.re, c.im)])
+        return [
+            (_on_grid(e, grid), _on_grid(c.re, den), _on_grid(c.im, den)) for e, c in terms
+        ], den
+    den = lcm(*[c.denominator for _, c in terms])
+    return [(_on_grid(e, grid), _on_grid(c, den), 0) for e, c in terms], den
+
+
+def _from_ints(field: CoefficientField, rows, grid: int, den: int) -> tuple:
+    """Terms of the integer rows over the denominator ``den``."""
+    if field.mode == GAUSSIAN:
+        return tuple(
+            (Fraction(e, grid), GaussianRational(Fraction(re, den), Fraction(im, den)))
+            for e, re, im in rows
+        )
+    return tuple((Fraction(e, grid), Fraction(re, den)) for e, re, _ in rows)
+
+
+def _int_product(left: list, right: list, cut: int) -> list:
+    """Product of two integer term lists above the grid exponent ``cut``.
+
+    Both lists are rows (exponent, re, im) with strictly decreasing
+    exponents; so is the result, which drops the rows that sum to zero.
+    Its denominator is the product of the factors' denominators.
+    """
+    if not right:
+        return []
+    top = right[0][0]
+    acc: dict = {}
+    for e1, a1, b1 in left:
+        if e1 + top <= cut:
+            break
+        for e2, a2, b2 in right:
+            e = e1 + e2
+            if e <= cut:
+                break
+            if e in acc:
+                s = acc[e]
+                s[0] += a1 * a2 - b1 * b2
+                s[1] += a1 * b2 + b1 * a2
+            else:
+                acc[e] = [a1 * a2 - b1 * b2, a1 * b2 + b1 * a2]
+    return [(e, re, im) for e, (re, im) in sorted(acc.items(), reverse=True) if re or im]
+
+
+def _exact_inverse(field: CoefficientField, terms: tuple, floor: Fraction) -> "NovikovScalar":
+    """Inverse above ``floor`` of the exact-mode scalar with these terms (at
+    least two), as a0^{-1} q^{-w0} sum_k (-u)^k with u = (x - lead) / lead.
+
+    Runs in integer form on one grid: the k-th power of -u stays over the
+    k-th power of u's denominator, and the running series is rescaled to
+    that denominator before the power is added.
+    """
+    w0, a0 = terms[0]
+    grid = lcm(*(e.denominator for e, _ in terms), floor.denominator)
+    inv_lead, lead_den = _to_ints(field, ((-w0, field.invert(a0)),), grid)
+    rest, rest_den = _to_ints(field, terms[1:], grid)
+    cut = _on_grid(floor + w0, grid)
+    neg_u = [(e, -re, -im) for e, re, im in _int_product(rest, inv_lead, cut)]
+    den = rest_den * lead_den
+    power = [(0, 1, 0)]
+    series = {0: [1, 0]}
+    series_den = 1
+    while True:
+        power = _int_product(power, neg_u, cut)
+        if not power:
+            break
+        series_den *= den
+        for s in series.values():
+            s[0] *= den
+            s[1] *= den
+        for e, re, im in power:
+            if e in series:
+                s = series[e]
+                s[0] += re
+                s[1] += im
+            else:
+                series[e] = [re, im]
+    rows = [(e, re, im) for e, (re, im) in sorted(series.items(), reverse=True)]
+    rows = _int_product(rows, inv_lead, _on_grid(floor, grid))
+    return NovikovScalar._make(
+        field, _from_ints(field, rows, grid, series_den * lead_den), floor
+    )
 
 
 class NovikovScalar:
@@ -131,6 +239,11 @@ class NovikovScalar:
             return NEG_INF
         return self.terms[0][0]
 
+    def _bound(self) -> FloorValue:
+        """Exponent that every term of the true element lies at or below:
+        the valuation, or the floor when nothing is known above it."""
+        return self.terms[0][0] if self.terms else self.floor
+
     def leading_coefficient(self) -> Coefficient:
         if not self.terms:
             raise ValueError("zero scalar has no leading coefficient")
@@ -138,13 +251,6 @@ class NovikovScalar:
 
     def is_monomial(self) -> bool:
         return len(self.terms) == 1 and self.floor == NEG_INF
-
-    def coefficient_at(self, exp) -> Coefficient:
-        exp = Fraction(exp)
-        for e, c in self.terms:
-            if e == exp:
-                return c
-        return self.field.zero()
 
     # -- ring operations -----------------------------------------------
 
@@ -187,10 +293,11 @@ class NovikovScalar:
         self.field.check_compatible(other.field)
         field = self.field
         # Unknown tails below either floor smear the product; the sharp
-        # bound is max(floor_x + val(y), floor_y + val(x)).
+        # bound is max(floor_x + val(y), floor_y + val(x)), where a factor
+        # that is zero down to its floor may still carry anything below it.
         floor = max(
-            _add_floors(self.floor, other.valuation()),
-            _add_floors(other.floor, self.valuation()),
+            _add_floors(self.floor, other._bound()),
+            _add_floors(other.floor, self._bound()),
         )
         if not self.terms or not other.terms:
             return NovikovScalar._make(field, (), floor)
@@ -202,12 +309,19 @@ class NovikovScalar:
         if floor != NEG_INF:
             dens.add(floor.denominator)
         grid = lcm(*dens)
-        left = [(e.numerator * (grid // e.denominator), c) for e, c in self.terms]
-        right = [(e.numerator * (grid // e.denominator), c) for e, c in other.terms]
         if floor == NEG_INF:
-            cut = left[-1][0] + right[-1][0] - 1
+            cut = _on_grid(self.terms[-1][0], grid) + _on_grid(other.terms[-1][0], grid) - 1
         else:
-            cut = floor.numerator * (grid // floor.denominator)
+            cut = _on_grid(floor, grid)
+        if field.exact:
+            left, left_den = _to_ints(field, self.terms, grid)
+            right, right_den = _to_ints(field, other.terms, grid)
+            rows = _int_product(left, right, cut)
+            return NovikovScalar._make(
+                field, _from_ints(field, rows, grid, left_den * right_den), floor
+            )
+        left = [(_on_grid(e, grid), c) for e, c in self.terms]
+        right = [(_on_grid(e, grid), c) for e, c in other.terms]
         top = right[0][0]
         mul, add = field.mul, field.add
         acc: dict = {}
@@ -293,6 +407,8 @@ class NovikovScalar:
                 "inverse of a multi-term exact scalar has infinite support; "
                 "pass an explicit floor"
             )
+        if field.exact:
+            return _exact_inverse(field, self.terms, out_floor)
         # u = (self - lead) / lead, valuation strictly negative
         rest = NovikovScalar(field, self.terms[1:], self.floor)
         u = (rest * inv_lead).truncate(out_floor + w0)

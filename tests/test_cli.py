@@ -224,6 +224,47 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "schema error" in err and message in err
 
+    @pytest.mark.parametrize(
+        "brane, key, value, message",
+        [
+            (None, "order", "-1/0", "'order'"),
+            (None, "fiber", "1/0", "'fiber'"),
+            (0, "residual_valuation", "-1/0", "brane 0"),
+            (0, "x", [{"terms": [{"exp": "1/0", "c": "1"}], "floor": "-inf"}], "brane 0"),
+            (None, "polytope", {"dim": 1, "facets": [
+                {"normal": [1], "offset": "0"}, {"normal": [-1], "offset": "1/0"}]},
+             "'polytope'"),
+        ],
+    )
+    @pytest.mark.parametrize("command", ["toric revalidate", "qmap rank"])
+    def test_certificate_zero_denominator_is_2(
+        self, tmp_path, cert_path, capsys, brane, key, value, message, command
+    ):
+        doc = json.loads(open(cert_path, encoding="utf-8").read())
+        (doc if brane is None else doc["branes"][brane])[key] = value
+        path = write(tmp_path, "zero.json", doc)
+        assert main([*command.split(), path]) == 2
+        err = capsys.readouterr().err
+        assert "schema error" in err and message in err and "zero denominator" in err
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda doc: doc["generators"][0].update(action="1/0"),
+            lambda doc: doc.update(floor="1/0"),
+            lambda doc: doc.update(field=[1]),
+            lambda doc: doc.update(lattice="x"),
+        ],
+        ids=["action", "floor", "field", "lattice"],
+    )
+    @pytest.mark.parametrize("command", ["validate", "homology"])
+    def test_complex_unparsable_value_is_2(self, tmp_path, capsys, edit, command):
+        doc = json.loads(json.dumps(GOOD_COMPLEX))
+        edit(doc)
+        path = write(tmp_path, "cx.json", doc)
+        assert main(["complex", command, path]) == 2
+        assert "schema error" in capsys.readouterr().err
+
     def test_certificate_brane_of_wrong_length_is_2(self, tmp_path, cert_path, capsys):
         doc = json.loads(open(cert_path, encoding="utf-8").read())
         doc["branes"][0]["x"] *= 2
@@ -439,6 +480,18 @@ class TestToricCommands:
         path = write(tmp_path, "strip.json", STRIP)
         code, doc = run_json(tmp_path, ["toric", "validate", path])
         assert code == 1 and not doc["ok"]
+
+    def test_deep_output_corpus_replays_byte_identical(self, tmp_path, capsys):
+        # Certificates at orders -6 to -10, recorded by
+        # tests/golden/pin_deep_output.py: long series in every mode.
+        corpus = json.loads((GOLDEN / "deep_output.json").read_text(encoding="utf-8"))
+        modes = {e["options"][e["options"].index("--mode") + 1] for e in corpus}
+        assert modes == {"rational", "gaussian", "complex"}
+        for entry in corpus:
+            path = write(tmp_path, "polytope.json", entry["polytope"])
+            code = main(["toric", "certify", path, *entry["options"]])
+            digest = hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest()
+            assert [code, digest] == [entry["code"], entry["stdout_sha256"]], entry["name"]
 
     @staticmethod
     def sympy_loaded(argv):

@@ -42,7 +42,7 @@ class TestConstruction:
         x = NovikovScalar(QQ, [(Fraction(1), 2), (Fraction(3), 1), (Fraction(1), 1)])
         exps = [e for e, _ in x.terms]
         assert exps == [Fraction(3), Fraction(1)]
-        assert x.coefficient_at(1) == 3
+        assert dict(x.terms).get(1, 0) == 3
 
     def test_sub_floor_terms_dropped_at_construction(self):
         # q^{-5} with floor -3 normalizes to the zero-to-floor scalar.
@@ -82,8 +82,8 @@ class TestAddMul:
         s = x + y
         assert s.floor == Fraction(-2)
         # the q^{-3} term of y drowns below the coarser floor
-        assert s.coefficient_at(-3) == 0
-        assert s.coefficient_at(-1) == 1
+        assert dict(s.terms).get(-3, 0) == 0
+        assert dict(s.terms).get(-1, 0) == 1
 
     def test_mul_square(self):
         x = NovikovScalar(QQ, [(Fraction(0), 1), (Fraction(-1), 1)])
@@ -99,12 +99,19 @@ class TestAddMul:
         y = NovikovScalar(QQ, [(Fraction(1), 1), (Fraction(-4), 1)])
         p = x * y
         assert p.floor == Fraction(-1)
-        assert p.coefficient_at(1) == 1
+        assert dict(p.terms).get(1, 0) == 1
 
     def test_mul_by_exact_zero_is_exact_zero(self):
         x = NovikovScalar(QQ, [(Fraction(0), 1)], floor=Fraction(-2))
         z = NovikovScalar.zero(QQ)
         assert (x * z).is_exact_zero()
+
+    def test_mul_of_zeros_to_floor_keeps_a_floor(self):
+        # Each factor may hide terms below -1, so the product may hide terms
+        # below -2: it is zero to that floor, not exactly zero.
+        x = NovikovScalar.zero(QQ, Fraction(-1))
+        assert (x * x).floor == Fraction(-2)
+        assert (x * NovikovScalar.zero(QQ)).is_exact_zero()
 
     def test_truncate_then_multiply_matches(self):
         rng = random.Random(11)
@@ -293,12 +300,17 @@ def _add_floors(a, b):
     return NEG_INF if NEG_INF in (a, b) else a + b
 
 
+def _bound(x):
+    """Largest exponent x may carry: its valuation, or its floor when it
+    is zero down to the floor."""
+    return x.terms[0][0] if x.terms else x.floor
+
+
 def reference_product(x, y):
     """Plain double loop over Fraction exponents, truncated at the sharp
-    floor max(floor_x + v(y), floor_y + v(x))."""
-    floor = max(
-        _add_floors(x.floor, y.valuation()), _add_floors(y.floor, x.valuation())
-    )
+    floor max(floor_x + v(y), floor_y + v(x)), a factor that is zero down
+    to its floor counting its floor as v."""
+    floor = max(_add_floors(x.floor, _bound(y)), _add_floors(y.floor, _bound(x)))
     acc = {}
     for e1, c1 in x.terms:
         for e2, c2 in y.terms:
@@ -306,6 +318,59 @@ def reference_product(x, y):
             if e > floor:
                 acc[e] = acc[e] + c1 * c2 if e in acc else c1 * c2
     return NovikovScalar(x.field, acc.items(), floor)
+
+
+def reference_inverse(x, floor):
+    """Geometric series a0^{-1} q^{-w0} sum (-u)^k with u = (x - lead) / lead,
+    one truncated power at a time, every product by ``reference_product``."""
+    field = x.field
+    w0, a0 = x.terms[0]
+    out_floor = max(_add_floors(x.floor, -2 * w0), floor)
+    inv_lead = NovikovScalar.monomial(field, field.invert(a0), -w0)
+    if len(x.terms) == 1:
+        return NovikovScalar(field, inv_lead.terms, out_floor)
+    rest = NovikovScalar(field, x.terms[1:], x.floor)
+    neg_u = -reference_product(rest, inv_lead).truncate(out_floor + w0)
+    series = power = NovikovScalar.one(field)
+    while True:
+        power = reference_product(power, neg_u).truncate(out_floor + w0)
+        if power.is_zero():
+            break
+        series = series + power
+    return reference_product(inv_lead, series).truncate(out_floor)
+
+
+# Exact-mode scalars for the integer kernel: numerators up to 2^64 over
+# pairwise coprime denominators, up to 12 terms, some of them cancelled to
+# exact zero at construction.
+big_parts = st.builds(
+    Fraction,
+    st.integers(-(2**64), 2**64),
+    st.sampled_from([1, 2, 3, 5, 7, 11, 13, 2**61 - 1]),
+)
+
+
+@st.composite
+def big_coefficients(draw, field):
+    re = draw(big_parts)
+    return GaussianRational(re, draw(big_parts)) if field is QI else re
+
+
+@st.composite
+def exact_scalars(draw, field, floor=floors):
+    terms = draw(st.lists(st.tuples(exponents, big_coefficients(field)), max_size=12))
+    cancelled = [(e, -c) for e, c in terms if draw(st.booleans())]
+    return NovikovScalar(field, terms + cancelled, draw(floor))
+
+
+@st.composite
+def exact_pairs(draw):
+    field = draw(st.sampled_from([QQ, QI]))
+    x, y = draw(exact_scalars(field)), draw(exact_scalars(field))
+    if draw(st.booleans()):
+        # (x + y)(x - y): the cross terms cancel to exact zero in the sum.
+        return x + y, x - y
+    return x, y
 
 
 class TestArithmeticProperties:
@@ -332,4 +397,46 @@ class TestArithmeticProperties:
         scale = sum(abs(c) for _, c in inv.terms) * sum(abs(c) for _, c in x.terms)
         for e, c in prod.terms:
             assert abs(c - (1 if e == 0 else 0)) <= 1e-12 * scale
-        assert prod.floor >= 0 or prod.coefficient_at(0) != 0
+        assert prod.floor >= 0 or dict(prod.terms).get(0, 0) != 0
+
+    @PROPERTY
+    @given(exact_pairs())
+    def test_exact_product_matches_reference(self, pair):
+        x, y = pair
+        assert x * y == reference_product(x, y)
+
+    @PROPERTY
+    @given(st.data())
+    def test_exact_inverse_matches_reference(self, data):
+        field = data.draw(st.sampled_from([QQ, QI]))
+        x = data.draw(exact_scalars(field))
+        if x.is_zero():
+            return
+        # Stop k powers of u deep, on or next to a grid exponent, so the
+        # series stays short while the cut meets terms.
+        w0 = x.terms[0][0]
+        gap = w0 - x.terms[1][0] if len(x.terms) > 1 else Fraction(1)
+        k = data.draw(st.integers(1, 5))
+        nudge = data.draw(st.sampled_from([Fraction(0), Fraction(1, 7), Fraction(-1, 7)]))
+        floor = -w0 - k * gap + nudge
+        assert x.invert(floor) == reference_inverse(x, floor)
+
+    @PROPERTY
+    @given(st.data())
+    def test_floors_are_honest(self, data):
+        # Cutting exact operands at their floors changes nothing above the
+        # floor of the result, and that floor is the sharp one.
+        field = data.draw(st.sampled_from([QQ, QI]))
+        big_x, big_y = (data.draw(exact_scalars(field, st.just(NEG_INF))) for _ in "xy")
+        fx, fy, f = (data.draw(floors) for _ in "xyf")
+        s = data.draw(exponents)
+        x, y = big_x.truncate(fx), big_y.truncate(fy)
+        cases = [
+            (x + y, big_x + big_y, max(fx, fy)),
+            (x * y, big_x * big_y, reference_product(x, y).floor),
+            (x.truncate(f), big_x.truncate(f), max(fx, f)),
+            (x.shift(s), big_x.shift(s), _add_floors(fx, s)),
+        ]
+        for got, true, floor in cases:
+            assert got.floor == floor
+            assert got == true.truncate(floor)

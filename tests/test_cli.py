@@ -469,6 +469,23 @@ class TestComplexCommands:
         code, rep = run_json(tmp_path, ["complex", "validate", prod])
         assert code == 0 and rep["valid"]
 
+    def test_output_corpus_replays_byte_identical(self, tmp_path, capsys):
+        # Seeded complexes in every mode plus one document of decimal,
+        # padded and signed-zero rationals, recorded by
+        # tests/golden/pin_complex_output.py.
+        corpus = json.loads((GOLDEN / "complex_output.json").read_text(encoding="utf-8"))
+        docs = corpus["documents"]
+        modes = {doc["field"]["mode"] for doc in docs.values() if "field" in doc}
+        assert modes == {"rational", "gaussian", "complex"}
+        assert {e["argv"][1] for e in corpus["runs"]} == {c for g, c in COMMANDS if g == "complex"}
+        for name, doc in docs.items():
+            write(tmp_path, name, doc)
+        for entry in corpus["runs"]:
+            argv = [str(tmp_path / t) if t in docs else t for t in entry["argv"]]
+            code = main(argv)
+            digest = hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest()
+            assert [code, digest] == [entry["code"], entry["stdout_sha256"]], entry["argv"]
+
 
 class TestToricCommands:
     def test_validate(self, tmp_path):

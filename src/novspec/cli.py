@@ -404,19 +404,6 @@ def cmd_selftest(args) -> int:
 # parser
 
 
-def _add_out(*parsers: argparse.ArgumentParser) -> None:
-    for p in parsers:
-        p.add_argument("--out", help="write output to this file instead of stdout")
-
-
-def _command(sub, name: str, help_text: str, func, *positionals: str):
-    p = sub.add_parser(name, help=help_text)
-    for dest in positionals:
-        p.add_argument(dest)
-    p.set_defaults(func=func)
-    return p
-
-
 def _rational(text: str) -> Fraction:
     try:
         return Fraction(text)
@@ -476,129 +463,171 @@ def _add_mode(p: argparse.ArgumentParser) -> None:
     )
 
 
-def _build_complex(group: argparse.ArgumentParser) -> None:
-    sub = group.add_subparsers(dest="command", required=True)
-    _command(sub, "validate", "structural and filtration checks", cmd_complex_validate, "input")
-    _command(
-        sub, "homology", "homology ranks over the Novikov field", cmd_complex_homology, "input"
-    )
-    p = _command(sub, "spectral", "spectral number of a cycle", cmd_complex_spectral, "input")
+def _input(p: argparse.ArgumentParser) -> None:
+    p.add_argument("input")
+
+
+def _spectral_args(p: argparse.ArgumentParser) -> None:
+    _input(p)
     p.add_argument("--chain", required=True, help="JSON file with the cycle")
-    _command(sub, "spectrum", "action spectrum", cmd_complex_spectrum, "input")
-    _command(
-        sub, "tensor", "tensor product of two complexes", cmd_complex_tensor, "left", "right"
-    )
-    _add_out(*sub.choices.values())
 
 
-def _build_toric(group: argparse.ArgumentParser) -> None:
-    sub = group.add_subparsers(dest="command", required=True)
-    _command(
-        sub, "validate", "boundedness, vertices, Delzant checks", cmd_toric_validate, "input"
-    )
-    p = _command(sub, "potential", "disk potential at a fiber", cmd_toric_potential, "input")
+def _tensor_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument("left")
+    p.add_argument("right")
+
+
+def _potential_args(p: argparse.ArgumentParser) -> None:
+    _input(p)
     p.add_argument("--fiber", required=True, type=_fiber, help="interior point, e.g. 1/2,1/3")
-    p = _command(sub, "critical", "leading-order critical points", cmd_toric_critical, "input")
+
+
+def _critical_args(p: argparse.ArgumentParser) -> None:
+    _input(p)
     p.add_argument("--fiber", required=True, type=_fiber)
-    p = _command(
-        sub, "certify", "certify a fiber by lifted critical branes", cmd_toric_certify, "input"
-    )
-    p.add_argument("--fiber", required=True, type=_fiber)
+
+
+def _certify_args(p: argparse.ArgumentParser) -> None:
+    _critical_args(p)
     _add_order(p)
     _add_mode(p)
-    p = _command(sub, "scan", "certify every interior grid fiber", cmd_toric_scan, "input")
+
+
+def _scan_args(p: argparse.ArgumentParser) -> None:
+    _input(p)
     p.add_argument(
         "--grid", required=True, type=_positive_rational, help="grid resolution, e.g. 1/8"
     )
     _add_order(p)
     p.add_argument("--format", choices=("json", "csv"), default="json")
     _add_mode(p)
-    _command(sub, "revalidate", "re-check a serialized certificate", cmd_toric_revalidate, "input")
-    _add_out(*sub.choices.values())
 
 
-def _build_qmap(group: argparse.ArgumentParser) -> None:
-    sub = group.add_subparsers(dest="command", required=True)
-    for name, help_text, func in (
-        ("rank", "quasimap homology rank (dichotomy check)", cmd_qmap_rank),
-        ("unit", "does the unit class survive in homology", cmd_qmap_unit),
-        ("charge", "central charge of the brane", cmd_qmap_charge),
-    ):
-        p = _command(sub, name, help_text, func)
-        p._negative_number_matcher = _NEGATIVE_NUMBER
-        p.add_argument("input", help="heaviness certificate JSON")
-        p.add_argument("--brane", type=int, help="restrict to one brane index")
-        p.add_argument("--floor", type=_floor, help="working floor (default: certificate order)")
-        if func is not cmd_qmap_charge:
-            p.add_argument(
-                "--scale",
-                type=_nonzero_rational,
-                help="multiply brane coordinates by this rational (for dichotomy tests)",
-            )
-    _add_out(*sub.choices.values())
+def _charge_args(p: argparse.ArgumentParser) -> None:
+    p._negative_number_matcher = _NEGATIVE_NUMBER
+    p.add_argument("input", help="heaviness certificate JSON")
+    p.add_argument("--brane", type=int, help="restrict to one brane index")
+    p.add_argument("--floor", type=_floor, help="working floor (default: certificate order)")
 
 
-def _build_qstate(group: argparse.ArgumentParser) -> None:
-    sub = group.add_subparsers(dest="command", required=True)
-    p = _command(
-        sub, "homogenize", "quasi-state value from a spectral oracle", cmd_qstate_homogenize,
-        "input",
+def _qmap_args(p: argparse.ArgumentParser) -> None:
+    _charge_args(p)
+    p.add_argument(
+        "--scale",
+        type=_nonzero_rational,
+        help="multiply brane coordinates by this rational (for dichotomy tests)",
     )
+
+
+def _homogenize_args(p: argparse.ArgumentParser) -> None:
+    _input(p)
     p.add_argument(
         "--volume", type=_positive_rational, help="also report mu = vol * slope for this volume"
     )
-    _command(sub, "check", "axiom checks on a declared family", cmd_qstate_check, "input")
-    _command(sub, "heavy", "zeta(H) <= sup_Y H on declared functions", cmd_qstate_heavy, "input")
-    _command(sub, "product", "product quasi-state additivity tables", cmd_qstate_product, "input")
-    _add_out(*sub.choices.values())
 
 
-def _build_selftest(group: argparse.ArgumentParser) -> None:
-    group.add_argument("--seed", type=int, default=0)
-    group.add_argument(
+def _selftest_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument(
         "--mutate",
         action="store_true",
         help="corrupt a differential and report whether validation catches it",
     )
-    _add_out(group)
-    group.set_defaults(func=cmd_selftest)
 
 
-# Every command group as (name, help, builder of its arguments).
+# Every command group as (name, help), in the order the top-level help
+# lists them.
 _GROUPS = (
-    ("complex", "filtered complexes", _build_complex),
-    ("toric", "moment polytopes and certificates", _build_toric),
-    ("qmap", "quasimap complexes on certified branes", _build_qmap),
-    ("qstate", "oracle homogenization and axiom checks", _build_qstate),
-    ("selftest", "seeded property suites; deterministic output", _build_selftest),
+    ("complex", "filtered complexes"),
+    ("toric", "moment polytopes and certificates"),
+    ("qmap", "quasimap complexes on certified branes"),
+    ("qstate", "oracle homogenization and axiom checks"),
+    ("selftest", "seeded property suites; deterministic output"),
+)
+
+# Every command once, as (group, name, help, handler, adder of its
+# arguments), in the order its group's help lists them.  ``selftest`` is a
+# group that takes its arguments itself: its name and help are None.
+_COMMANDS = (
+    ("complex", "validate", "structural and filtration checks", cmd_complex_validate, _input),
+    ("complex", "homology", "homology ranks over the Novikov field", cmd_complex_homology,
+     _input),
+    ("complex", "spectral", "spectral number of a cycle", cmd_complex_spectral, _spectral_args),
+    ("complex", "spectrum", "action spectrum", cmd_complex_spectrum, _input),
+    ("complex", "tensor", "tensor product of two complexes", cmd_complex_tensor, _tensor_args),
+    ("toric", "validate", "boundedness, vertices, Delzant checks", cmd_toric_validate, _input),
+    ("toric", "potential", "disk potential at a fiber", cmd_toric_potential, _potential_args),
+    ("toric", "critical", "leading-order critical points", cmd_toric_critical, _critical_args),
+    ("toric", "certify", "certify a fiber by lifted critical branes", cmd_toric_certify,
+     _certify_args),
+    ("toric", "scan", "certify every interior grid fiber", cmd_toric_scan, _scan_args),
+    ("toric", "revalidate", "re-check a serialized certificate", cmd_toric_revalidate, _input),
+    ("qmap", "rank", "quasimap homology rank (dichotomy check)", cmd_qmap_rank, _qmap_args),
+    ("qmap", "unit", "does the unit class survive in homology", cmd_qmap_unit, _qmap_args),
+    ("qmap", "charge", "central charge of the brane", cmd_qmap_charge, _charge_args),
+    ("qstate", "homogenize", "quasi-state value from a spectral oracle", cmd_qstate_homogenize,
+     _homogenize_args),
+    ("qstate", "check", "axiom checks on a declared family", cmd_qstate_check, _input),
+    ("qstate", "heavy", "zeta(H) <= sup_Y H on declared functions", cmd_qstate_heavy, _input),
+    ("qstate", "product", "product quasi-state additivity tables", cmd_qstate_product, _input),
+    ("selftest", None, None, cmd_selftest, _selftest_args),
 )
 
 
-def build_parser(argv: Sequence[str]) -> argparse.ArgumentParser:
-    """The parser for ``argv``: every group is listed, but only the groups
-    whose name is a token of ``argv`` get their commands.
+def _fill(p: argparse.ArgumentParser, func, add_arguments) -> argparse.ArgumentParser:
+    add_arguments(p)
+    p.add_argument("--out", help="write output to this file instead of stdout")
+    p.set_defaults(func=func)
+    return p
 
-    argparse enters a group only on an exact token of its name, so this
-    parses ``argv`` as a parser with every group filled in would, and the
-    top-level help and errors, which list only group names, are the same.
-    """
+
+def build_parser() -> argparse.ArgumentParser:
+    """The parser with every group and every command of ``_COMMANDS``."""
     parser = argparse.ArgumentParser(
         prog="novspec",
         description="Exact spectral invariants over Novikov fields.",
     )
     top = parser.add_subparsers(dest="group", required=True)
-    named = set(argv)
-    for name, help_text, build in _GROUPS:
-        group = top.add_parser(name, help=help_text)
-        if name in named:
-            build(group)
+    groups = {name: top.add_parser(name, help=help_text) for name, help_text in _GROUPS}
+    subs = {}
+    for group, name, help_text, func, add_arguments in _COMMANDS:
+        if name is None:
+            _fill(groups[group], func, add_arguments)
+            continue
+        if group not in subs:
+            subs[group] = groups[group].add_subparsers(dest="command", required=True)
+        _fill(subs[group].add_parser(name, help=help_text), func, add_arguments)
     return parser
+
+
+def parse_args(argv: Sequence[str]) -> argparse.Namespace:
+    """Parse ``argv`` as ``build_parser().parse_args`` does.
+
+    An ``argv`` that starts with a group and one of its commands is parsed
+    by that command's parser alone, built under the ``prog`` argparse gives
+    it as a subparser; anything else, and a command line that leaves
+    arguments over, goes to the full parser, whose usage and errors name
+    the top level.
+    """
+    argv = list(argv)
+    for group, name, _, func, add_arguments in _COMMANDS:
+        head = [group] if name is None else [group, name]
+        if argv[: len(head)] == head:
+            parser = argparse.ArgumentParser(prog=" ".join(["novspec", *head]))
+            args, rest = _fill(parser, func, add_arguments).parse_known_args(argv[len(head) :])
+            if rest:
+                break
+            args.group = group
+            if name is not None:
+                args.command = name
+            return args
+    return build_parser().parse_args(argv)
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    args = build_parser(argv).parse_args(argv)
+    args = parse_args(argv)
     try:
         return args.func(args)
     except SchemaError as exc:

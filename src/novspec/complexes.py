@@ -136,8 +136,15 @@ class OrbitGenerator:
     @staticmethod
     def from_json(obj: dict) -> "OrbitGenerator":
         return OrbitGenerator(
-            str(obj["id"]), parse_fraction(obj["action"]), int(obj["degree"])
+            str(obj["id"]), parse_fraction(obj["action"]), _parse_degree(obj["degree"])
         )
+
+
+def _parse_degree(value: Any) -> int:
+    """A JSON integer, an integral float or a string ``int()`` reads."""
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise ValueError(f"degree must be an integer, got {value!r}")
+    return int(value)
 
 
 class FilteredComplex:
@@ -235,8 +242,10 @@ class FilteredComplex:
         floor = parse_floor(obj.get("floor", "-inf"))
         differential = {}
         for ent in obj.get("differential", []):
-            scalar = NovikovScalar.terms_from_json(field, ent["coeff"], floor)
-            differential[(str(ent["from"]), str(ent["to"]))] = scalar
+            key = (str(ent["from"]), str(ent["to"]))
+            if key in differential:
+                raise ValueError(f"duplicate differential entry {key[0]!r}->{key[1]!r}")
+            differential[key] = NovikovScalar.terms_from_json(field, ent["coeff"], floor)
         return FilteredComplex(field, lattice, generators, differential, floor)
 
 

@@ -15,6 +15,7 @@ so every operation goes through a CoefficientField instance.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Rational
@@ -40,8 +41,30 @@ def parse_or_schema_error(fn: Callable, what: str):
         raise SchemaError(f"{what}: {exc}") from exc
 
 
+# The rationals documents write: an optional minus sign, ASCII digits, and
+# an optional slash and ASCII digits.
+_PLAIN_RATIONAL = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
+
+
 def parse_fraction(value: Any) -> Fraction:
-    """Parse a rational from JSON form: "3/2", "-1", or an integer."""
+    """Parse a rational from JSON form: "3/2", "-1", or an integer.
+
+    A string of the form ``-?digits(/digits)?`` in ASCII digits with a
+    nonzero denominator, the form every document novspec writes uses, is
+    read with ``int()``.  Anything else (decimals such as "0.5", a "+"
+    sign, "_" separators, surrounding whitespace, non-ASCII digits, a zero
+    denominator, ints and other rationals) goes through ``Fraction``, so
+    the accepted inputs, the values and the error messages are those of
+    ``Fraction(value)``, except that a zero denominator raises
+    ``ValueError``.
+    """
+    if isinstance(value, str):
+        plain = _PLAIN_RATIONAL.fullmatch(value)
+        if plain:
+            num, den = plain.groups()
+            n, d = int(num), int(den or 1)
+            if d:
+                return Fraction(n, d)
     if isinstance(value, bool):
         raise ValueError("boolean is not a rational")
     if isinstance(value, (int, str)):

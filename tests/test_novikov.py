@@ -4,11 +4,11 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from novspec import NEG_INF, CoefficientField, GaussianRational, NovikovScalar
-from novspec.fields import field_for_mode, rational_gcd
+from novspec.fields import field_for_mode, parse_fraction, rational_gcd
 
 QQ = CoefficientField("rational")
 QI = CoefficientField("gaussian")
@@ -259,6 +259,68 @@ class TestFieldPlumbing:
         assert rational_gcd(Fraction(1, 2), Fraction(1, 3)) == Fraction(1, 6)
         assert rational_gcd(Fraction(3, 2), Fraction(0)) == Fraction(3, 2)
         assert rational_gcd(Fraction(4), Fraction(6)) == 2
+
+
+def reference_parse_fraction(value):
+    """``parse_fraction`` on a string before it read plain forms with
+    ``int()``: ``Fraction``, with a zero denominator raised as ValueError."""
+    try:
+        return Fraction(value)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {value!r}") from None
+
+
+# digit runs: short ones, zeros, and runs at and past the 4,300-digit limit
+# of int() on strings
+digit_runs = st.one_of(
+    st.text("0123456789", min_size=1, max_size=8),
+    st.sampled_from(["0", "00"]),
+    st.integers(4295, 4305).map(lambda n: "7" * n),
+)
+plain_rationals = st.builds(
+    lambda sign, num, den: sign + num + ("" if den is None else "/" + den),
+    st.sampled_from(["", "-"]),
+    digit_runs,
+    st.one_of(st.none(), digit_runs),
+)
+rational_texts = st.one_of(
+    plain_rationals,
+    st.text("0123456789-+/.e_ \u0663", max_size=10),
+    st.lists(st.one_of(plain_rationals, st.sampled_from(list("-+/.e_ \u0663"))), max_size=4)
+    .map("".join),
+)
+
+
+class TestParseFraction:
+    @settings(max_examples=500, deadline=None, derandomize=True, database=None)
+    @given(rational_texts)
+    @example("7" * 4301 + "/" + "7" * 4302)
+    @example("-" + "7" * 4301 + "/0")
+    @example("1/" + "0" * 4301)
+    def test_matches_the_fraction_constructor(self, text):
+        try:
+            expected = reference_parse_fraction(text)
+        except ValueError as exc:
+            with pytest.raises(ValueError) as got:
+                parse_fraction(text)
+            assert str(got.value) == str(exc)
+        else:
+            got = parse_fraction(text)
+            assert type(got) is Fraction and got == expected
+            assert (got.numerator, got.denominator) == (expected.numerator, expected.denominator)
+
+    @pytest.mark.parametrize(
+        "text, value",
+        [("3/2", Fraction(3, 2)), ("-6/4", Fraction(-3, 2)), ("-0", 0), ("0/5", 0),
+         ("0.5", Fraction(1, 2)), (" 3/2 ", Fraction(3, 2)), ("+2", 2), ("1e2", 100)],
+    )
+    def test_reads_plain_and_generic_forms(self, text, value):
+        assert parse_fraction(text) == value
+
+    @pytest.mark.parametrize("text", ["1/0", "-3/00", "1/-2", "\u0663/0", "", "/2", "2/"])
+    def test_rejects_with_value_error(self, text):
+        with pytest.raises(ValueError):
+            parse_fraction(text)
 
 
 # -- properties of truncated products and inverses ----------------------------

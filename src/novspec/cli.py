@@ -12,6 +12,17 @@ lift, axiom violation), 2 on I/O, JSON, or schema errors and on bad
 arguments, which argparse reports: a bad ``--fiber``, ``--floor``,
 ``--scale``, ``--volume``, ``--order`` or ``--grid`` value among them.
 
+Every command is described once, in ``_COMMANDS``, and parsed on one of
+two paths.  A command line that starts with a group and one of its
+commands (or with ``selftest``) is parsed by that command's parser
+alone, built under the ``prog`` argparse gives it as a subparser, so such
+a call builds one ``ArgumentParser``, not the full parser's 24.
+Everything else (top-level and group-level ``--help``, an unknown name,
+an option before the group, and a command line that leaves arguments
+over) goes to the full parser built from the same table.  The full path
+stays because those cases print usage and errors that name the top level
+or the group, and only the full parser prints them byte for byte.
+
 All JSON documents carry ``schema_version`` at the top level, encode
 rationals as strings, and are emitted with sorted keys so identical
 inputs produce identical bytes.  CSV output exists only for ``toric

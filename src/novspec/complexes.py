@@ -150,9 +150,10 @@ def _parse_degree(value: Any) -> int:
 class FilteredComplex:
     """Finite filtered complex; construction enforces structural sanity.
 
-    Duplicate or unknown generator ids raise immediately (schema
-    errors); mathematical defects (action drop, degree drop, delta
-    squared) are reported by validate_complex.
+    Duplicate or unknown generator ids raise immediately, and so do, in
+    from_json, a differential entry given twice and a degree that is not
+    an integer (schema errors); mathematical defects (action drop, degree
+    drop, delta squared) are reported by validate_complex.
     """
 
     def __init__(

@@ -5,11 +5,11 @@
 Draws one seeded complex per coefficient mode (with a second complex for
 ``tensor``, a cycle and a boundary for ``spectral``), adds one hand-written
 document whose rationals are spelled ``"0.5"``, ``" 3/2 "`` and ``"-0"``
-(forms that ``fields.parse_fraction`` hands to the generic ``Fraction``
-parser), runs ``complex validate|homology|spectrum|spectral|tensor`` on
-each through ``novspec.cli.main`` in process, and writes the documents,
-the argv, the exit code and the sha256 of stdout to
-``complex_output.json``.  ``tests/test_cli.py`` replays the file from the
+(the first two are forms ``fields.parse_fraction`` leaves to the generic
+``Fraction`` parser), runs ``complex
+validate|homology|spectrum|spectral|tensor`` on each through
+``novspec.cli.main`` in process, and writes the documents, the argv, the
+exit code and the sha256 of stdout to ``complex_output.json``.  ``tests/test_cli.py`` replays the file from the
 stored documents, so it does not depend on the random generator.  Re-pin
 only when an output change is intended, and name the change in CHANGES.md.
 """
@@ -29,7 +29,7 @@ CORPUS = Path(__file__).resolve().parent / "complex_output.json"
 SEED = 2015
 MODES = ("rational", "gaussian", "complex")
 
-# Rationals in the forms the fast path of parse_fraction does not read.
+# Rationals spelled as decimals, padded with spaces and as a signed zero.
 FORMS = {
     "schema_version": "1",
     "kind": "filtered-complex",
@@ -102,12 +102,10 @@ def argvs() -> list:
 
 
 def run(workdir: Path, docs: dict, argv: list) -> tuple:
-    """Exit code and stdout sha256 of ``argv``, its file names resolved in
-    ``workdir``, where ``docs`` are written first."""
+    """Exit code and stdout sha256 of ``argv``, the names of ``docs`` in it
+    resolved in ``workdir``."""
     from novspec.cli import main
 
-    for name, doc in docs.items():
-        (workdir / name).write_text(json.dumps(doc), encoding="utf-8")
     resolved = [str(workdir / token) if token in docs else token for token in argv]
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
@@ -119,6 +117,8 @@ def main() -> int:
     docs = documents()
     runs = []
     with tempfile.TemporaryDirectory() as tmp:
+        for name, doc in docs.items():
+            (Path(tmp) / name).write_text(json.dumps(doc), encoding="utf-8")
         for argv in argvs():
             code, digest = run(Path(tmp), docs, argv)
             runs.append({"argv": argv, "code": code, "stdout_sha256": digest})

@@ -266,7 +266,7 @@ class TestExitCodes:
         assert "schema error" in capsys.readouterr().err
 
     def test_complex_duplicate_differential_entry_is_2(self, tmp_path, capsys):
-        # a->b given as 1 and then as 5 used to be read as 5
+        # a second a->b entry must not silently replace the first
         doc = json.loads(json.dumps(GOOD_COMPLEX))
         doc["differential"].append({"from": "a", "to": "b", "coeff": [{"exp": "-1", "c": "5"}]})
         path = write(tmp_path, "cx.json", doc)
@@ -275,8 +275,8 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("degree", [1.5, 1.25, True, float("inf")])
     def test_complex_nonintegral_degree_is_2(self, tmp_path, capsys, degree):
-        # generator a has degree 1; these used to be truncated to 1 (or, for
-        # Infinity, raised OverflowError)
+        # generator a has degree 1: none of these may be truncated to it, and
+        # Infinity must not raise OverflowError
         doc = json.loads(json.dumps(GOOD_COMPLEX))
         doc["generators"][0]["degree"] = degree
         path = write(tmp_path, "cx.json", doc)

@@ -14,16 +14,16 @@ The subring {v_q(x) <= 0} (boundary included) plays the role of the
 ring of integers; the convention here is that valuation exactly 0 lies
 inside it.
 
-In the exact modes, products and inverses run on plain Python ints.
-Exponents map to the integer grid q^{1/D}, and the coefficients of each
-factor to (real, imaginary) integer numerators over one common
-denominator, the imaginary one 0 in rational mode.  A product then
-accumulates with int ``*`` and ``+``, the geometric series of an inverse
-keeps its powers in that form, and each result term becomes a Fraction
-or GaussianRational once, at the end.  The complex mode keeps its loop
-over float coefficients: they have no integer form, and doing the same
-float operations in another order would change the last bits of its
-results.
+Products and inverses run on one row kernel in every mode.  Exponents
+map to the integer grid q^{1/D}, and each coefficient to its (real,
+imaginary) parts: in the exact modes integer numerators over one common
+denominator, the imaginary one 0 in rational mode, and in complex mode
+the float parts over denominator 1.  A product accumulates
+``re += a1*a2 - b1*b2`` and ``im += a1*b2 + b1*a2``, the geometric
+series of an inverse keeps its powers in that form, and each result term
+becomes a Fraction, GaussianRational or complex once, at the end.  On
+floats these are the IEEE operations, in the same order, that complex
+``*`` and ``+`` perform, so complex results keep their last bits.
 """
 
 from __future__ import annotations
@@ -33,6 +33,7 @@ from math import lcm
 from typing import Any, Iterable, Optional, Tuple, Union
 
 from .fields import (
+    COMPLEX,
     GAUSSIAN,
     NEG_INF,
     Coefficient,
@@ -69,35 +70,48 @@ def _on_grid(value: Fraction, grid: int) -> int:
     return value.numerator * (grid // value.denominator)
 
 
-def _to_ints(field: CoefficientField, terms, grid: int) -> tuple:
-    """Integer form of exact-mode terms: rows (exponent on the grid, real
-    numerator, imaginary numerator) over one common denominator, returned
-    with the rows.  Rational coefficients have imaginary numerator 0."""
+def _to_rows(field: CoefficientField, terms, grid: int) -> tuple:
+    """Rows (exponent on the grid, real part, imaginary part) of the terms,
+    returned with the denominator they share.  Exact coefficients become
+    integer numerators over one common denominator, the imaginary one 0 in
+    rational mode; complex ones keep their float parts over 1."""
     if field.mode == GAUSSIAN:
         den = lcm(*[x.denominator for _, c in terms for x in (c.re, c.im)])
         return [
             (_on_grid(e, grid), _on_grid(c.re, den), _on_grid(c.im, den)) for e, c in terms
         ], den
+    if field.mode == COMPLEX:
+        return [(_on_grid(e, grid), c.real, c.imag) for e, c in terms], 1
     den = lcm(*[c.denominator for _, c in terms])
     return [(_on_grid(e, grid), _on_grid(c, den), 0) for e, c in terms], den
 
 
-def _from_ints(field: CoefficientField, rows, grid: int, den: int) -> tuple:
-    """Terms of the integer rows over the denominator ``den``."""
+def _from_rows(field: CoefficientField, rows, grid: int, den: int) -> tuple:
+    """Terms of the rows over the denominator ``den``."""
     if field.mode == GAUSSIAN:
         return tuple(
             (Fraction(e, grid), GaussianRational(Fraction(re, den), Fraction(im, den)))
             for e, re, im in rows
         )
+    if field.mode == COMPLEX:
+        return tuple((Fraction(e, grid), complex(re, im)) for e, re, im in rows)
     return tuple((Fraction(e, grid), Fraction(re, den)) for e, re, _ in rows)
 
 
-def _int_product(left: list, right: list, cut: int) -> list:
-    """Product of two integer term lists above the grid exponent ``cut``.
+def _nonzero(field: CoefficientField):
+    """The field's nonzero test on the parts of a row."""
+    if field.exact:
+        return lambda re, im: re or im
+    is_zero = field.is_zero
+    return lambda re, im: not is_zero(complex(re, im))
+
+
+def _row_product(left: list, right: list, cut: int, nonzero) -> list:
+    """Product of two row lists above the grid exponent ``cut``.
 
     Both lists are rows (exponent, re, im) with strictly decreasing
-    exponents; so is the result, which drops the rows that sum to zero.
-    Its denominator is the product of the factors' denominators.
+    exponents; so is the result, which keeps the rows that pass
+    ``nonzero``.  Its denominator is the product of the factors'.
     """
     if not right:
         return []
@@ -116,29 +130,34 @@ def _int_product(left: list, right: list, cut: int) -> list:
                 s[1] += a1 * b2 + b1 * a2
             else:
                 acc[e] = [a1 * a2 - b1 * b2, a1 * b2 + b1 * a2]
-    return [(e, re, im) for e, (re, im) in sorted(acc.items(), reverse=True) if re or im]
+    return [(e, re, im) for e, (re, im) in sorted(acc.items(), reverse=True) if nonzero(re, im)]
 
 
-def _exact_inverse(field: CoefficientField, terms: tuple, floor: Fraction) -> "NovikovScalar":
-    """Inverse above ``floor`` of the exact-mode scalar with these terms (at
-    least two), as a0^{-1} q^{-w0} sum_k (-u)^k with u = (x - lead) / lead.
+def _series_inverse(
+    field: CoefficientField, terms: tuple, inv_lead: tuple, floor: Fraction
+) -> "NovikovScalar":
+    """Inverse above ``floor`` of the scalar with these terms (at least
+    two), as a0^{-1} q^{-w0} sum_k (-u)^k with u = (x - lead) / lead;
+    ``inv_lead`` holds the term of a0^{-1} q^{-w0}, or none if it is zero.
 
-    Runs in integer form on one grid: the k-th power of -u stays over the
+    Runs in row form on one grid: the k-th power of -u stays over the
     k-th power of u's denominator, and the running series is rescaled to
-    that denominator before the power is added.
+    that denominator before the power is added.  A series entry that sums
+    to zero is dropped, so a later power starts it afresh.
     """
-    w0, a0 = terms[0]
+    w0 = terms[0][0]
     grid = lcm(*(e.denominator for e, _ in terms), floor.denominator)
-    inv_lead, lead_den = _to_ints(field, ((-w0, field.invert(a0)),), grid)
-    rest, rest_den = _to_ints(field, terms[1:], grid)
+    nonzero = _nonzero(field)
+    inv_rows, lead_den = _to_rows(field, inv_lead, grid)
+    rest, rest_den = _to_rows(field, terms[1:], grid)
     cut = _on_grid(floor + w0, grid)
-    neg_u = [(e, -re, -im) for e, re, im in _int_product(rest, inv_lead, cut)]
+    neg_u = [(e, -re, -im) for e, re, im in _row_product(rest, inv_rows, cut, nonzero)]
     den = rest_den * lead_den
     power = [(0, 1, 0)]
     series = {0: [1, 0]}
     series_den = 1
     while True:
-        power = _int_product(power, neg_u, cut)
+        power = _row_product(power, neg_u, cut, nonzero)
         if not power:
             break
         series_den *= den
@@ -150,12 +169,14 @@ def _exact_inverse(field: CoefficientField, terms: tuple, floor: Fraction) -> "N
                 s = series[e]
                 s[0] += re
                 s[1] += im
+                if not nonzero(s[0], s[1]):
+                    del series[e]
             else:
                 series[e] = [re, im]
     rows = [(e, re, im) for e, (re, im) in sorted(series.items(), reverse=True)]
-    rows = _int_product(rows, inv_lead, _on_grid(floor, grid))
+    rows = _row_product(rows, inv_rows, _on_grid(floor, grid), nonzero)
     return NovikovScalar._make(
-        field, _from_ints(field, rows, grid, series_den * lead_den), floor
+        field, _from_rows(field, rows, grid, series_den * lead_den), floor
     )
 
 
@@ -313,38 +334,11 @@ class NovikovScalar:
             cut = _on_grid(self.terms[-1][0], grid) + _on_grid(other.terms[-1][0], grid) - 1
         else:
             cut = _on_grid(floor, grid)
-        if field.exact:
-            left, left_den = _to_ints(field, self.terms, grid)
-            right, right_den = _to_ints(field, other.terms, grid)
-            rows = _int_product(left, right, cut)
-            return NovikovScalar._make(
-                field, _from_ints(field, rows, grid, left_den * right_den), floor
-            )
-        left = [(_on_grid(e, grid), c) for e, c in self.terms]
-        right = [(_on_grid(e, grid), c) for e, c in other.terms]
-        top = right[0][0]
-        mul, add = field.mul, field.add
-        acc: dict = {}
-        for e1, c1 in left:
-            if e1 + top <= cut:
-                break
-            for e2, c2 in right:
-                e = e1 + e2
-                if e <= cut:
-                    break
-                prod = mul(c1, c2)
-                if e in acc:
-                    acc[e] = add(acc[e], prod)
-                else:
-                    acc[e] = prod
-        is_zero = field.is_zero
-        kept = sorted(
-            ((e, c) for e, c in acc.items() if not is_zero(c)),
-            key=lambda t: t[0],
-            reverse=True,
-        )
+        left, left_den = _to_rows(field, self.terms, grid)
+        right, right_den = _to_rows(field, other.terms, grid)
+        rows = _row_product(left, right, cut, _nonzero(field))
         return NovikovScalar._make(
-            field, tuple((Fraction(e, grid), c) for e, c in kept), floor
+            field, _from_rows(field, rows, grid, left_den * right_den), floor
         )
 
     def scale(self, coeff) -> "NovikovScalar":
@@ -407,21 +401,7 @@ class NovikovScalar:
                 "inverse of a multi-term exact scalar has infinite support; "
                 "pass an explicit floor"
             )
-        if field.exact:
-            return _exact_inverse(field, self.terms, out_floor)
-        # u = (self - lead) / lead, valuation strictly negative
-        rest = NovikovScalar(field, self.terms[1:], self.floor)
-        u = (rest * inv_lead).truncate(out_floor + w0)
-        neg_u = -u
-        series = NovikovScalar.one(field)
-        power = NovikovScalar.one(field)
-        series_floor = out_floor + w0
-        while True:
-            power = (power * neg_u).truncate(series_floor)
-            if power.is_zero():
-                break
-            series = series + power
-        return (inv_lead * series).truncate(out_floor)
+        return _series_inverse(field, self.terms, inv_lead.terms, out_floor)
 
     # -- comparisons and serialization ----------------------------------
 

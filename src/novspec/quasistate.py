@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Sequence, Tuple, Union
 
 from .fields import fraction_str, parse_fraction
 
@@ -412,7 +412,7 @@ class HeavinessReport:
         }
 
 
-def heaviness_check(family: dict, tol: Optional[float] = None) -> HeavinessReport:
+def heaviness_check(family: dict) -> HeavinessReport:
     """Test zeta(H) <= sup_Y H for every declared function.
 
     ``family`` carries a subset tag and functions with their zeta values and
@@ -425,8 +425,7 @@ def heaviness_check(family: dict, tol: Optional[float] = None) -> HeavinessRepor
     for f in functions:
         values.append(_parse_value(f["zeta"]))
         values.append(_parse_value(f["sup"]))
-    if tol is None:
-        tol = _tolerance(values)
+    tol = _tolerance(values)
     checked, violations = [], []
     for f in functions:
         name = f["name"]

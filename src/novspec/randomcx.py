@@ -44,15 +44,14 @@ def random_scalar(
     rng: random.Random,
     field: CoefficientField,
     lattice: PeriodLattice,
-    max_terms: int = 2,
-    max_steps: int = 6,
 ) -> NovikovScalar:
-    """Nonzero scalar whose exponents lie in the period group."""
+    """Nonzero scalar of one or two terms whose exponents lie in the period
+    group, at most six steps of its generator from 0."""
     g = lattice.group_generator()
     terms = []
     seen = set()
-    for _ in range(rng.randint(1, max_terms)):
-        k = rng.randint(-max_steps, max_steps)
+    for _ in range(rng.randint(1, 2)):
+        k = rng.randint(-6, 6)
         exp = g * k if g else Fraction(0)
         if exp in seen:
             continue
@@ -131,7 +130,6 @@ def random_complex(
     max_generators: int = 8,
     max_lattice_rank: int = 2,
     conjugate: bool = True,
-    degree_span: Tuple[int, int] = (0, 2),
 ) -> RandomComplexData:
     field = field or CoefficientField("rational")
     rank = rng.randint(0, max_lattice_rank)
@@ -148,7 +146,7 @@ def random_complex(
             OrbitGenerator(
                 f"x{i}",
                 Fraction(rng.randint(-8, 8), rng.choice([1, 2, 4])),
-                rng.randint(*degree_span),
+                rng.randint(0, 2),
             )
         )
 

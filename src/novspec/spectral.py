@@ -417,13 +417,9 @@ def spectral_number(cx: FilteredComplex, chain: Chain) -> SpectralResult:
     mult_val = multiplier.valuation()
     value = raw_level - mult_val
 
-    if multiplier.is_monomial():
-        inv = multiplier.invert()
-        witness_vec = {i: c * inv for i, c in v.items()}
-    else:
-        inv = multiplier.invert(floor=-mult_val - WITNESS_DEPTH)
-        witness_vec = {i: c * inv for i, c in v.items()}
-    witness = _to_chain(cx, witness_vec)
+    floor = None if multiplier.is_monomial() else -mult_val - WITNESS_DEPTH
+    inv = multiplier.invert(floor)
+    witness = _to_chain(cx, {i: c * inv for i, c in v.items()})
 
     spectrality = None
     for g in cx.generators:

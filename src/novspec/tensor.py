@@ -78,9 +78,9 @@ def verify_spectral_axioms(
     classes0: Iterable[Chain],
     classes1: Iterable[Chain],
     shifts: Iterable[NovikovScalar] = (),
-    check_kunneth: bool = True,
 ) -> dict:
-    """Spectrality, shift, and tensor additivity checks on given cycles.
+    """Spectrality, shift, tensor additivity and Kunneth rank checks on
+    given cycles.
 
     Returns a report dict with one entry per check and an ``all_pass``
     flag.  Cycles whose class vanishes are exercised through the
@@ -156,23 +156,22 @@ def verify_spectral_axioms(
             )
             ok = ok and good
 
-    if check_kunneth:
-        r0 = homology_rank(c0)
-        r1 = homology_rank(c1)
-        if all(isinstance(k, int) for k in r0) and all(
-            isinstance(k, int) for k in r1
-        ):
-            expected_ranks = kunneth_ranks(r0, r1)
-            got = {k: v for k, v in homology_rank(product).items() if v}
-            good = got == expected_ranks
-            report["kunneth"] = {
-                "expected": {str(k): v for k, v in sorted(expected_ranks.items())},
-                "got": {str(k): v for k, v in sorted(got.items())},
-                "holds": good,
-            }
-            ok = ok and good
-        else:
-            report["kunneth"] = {"skipped": "complex is not integer graded"}
+    r0 = homology_rank(c0)
+    r1 = homology_rank(c1)
+    if all(isinstance(k, int) for k in r0) and all(
+        isinstance(k, int) for k in r1
+    ):
+        expected_ranks = kunneth_ranks(r0, r1)
+        got = {k: v for k, v in homology_rank(product).items() if v}
+        good = got == expected_ranks
+        report["kunneth"] = {
+            "expected": {str(k): v for k, v in sorted(expected_ranks.items())},
+            "got": {str(k): v for k, v in sorted(got.items())},
+            "holds": good,
+        }
+        ok = ok and good
+    else:
+        report["kunneth"] = {"skipped": "complex is not integer graded"}
 
     report["all_pass"] = ok
     return report

@@ -1,5 +1,6 @@
 """Novikov scalar arithmetic: frozen oracles and ring-axiom sweeps."""
 
+import json
 import random
 from fractions import Fraction
 
@@ -210,6 +211,18 @@ class TestInvert:
         prod = x * inv
         assert prod == NovikovScalar.one(QI)
 
+    def test_near_cancelling_complex_inverse(self):
+        # The q^-2 entry of the series sums to 1 - (1 + 5e-13), below eps:
+        # it is dropped, as a sum of scalars drops it, and the inverse has
+        # no q^-2 term (keeping the sum would print -5.0004e-10 there).
+        x = NovikovScalar(CC, [(0, 1e-3), (-1, 1e-3), (-2, 1e-3 * (1 + 5e-13))])
+        assert json.dumps(x.invert(-4).to_json()) == (
+            '{"terms": [{"c": {"re": 1000.0, "im": 0.0}, "exp": "0"}, '
+            '{"c": {"re": -1000.0, "im": -0.0}, "exp": "-1"}, '
+            '{"c": {"re": 1000.0000000010001, "im": 0.0}, "exp": "-3"}], '
+            '"floor": "-4"}'
+        )
+
 
 class TestSerialization:
     def test_round_trip_rational(self):
@@ -402,6 +415,37 @@ def reference_inverse(x, floor):
     return reference_product(inv_lead, series).truncate(out_floor)
 
 
+# Complex scalars with generic float parts: non-dyadic values whose
+# products round, signed zeros, and magnitudes next to eps = 1e-12.
+float_parts = st.one_of(
+    st.floats(-4, 4),
+    st.sampled_from([0.0, -0.0]),
+    st.floats(-3e-12, 3e-12),
+)
+
+
+@st.composite
+def float_scalars(draw, floor=floors):
+    coeffs = st.builds(complex, float_parts, float_parts)
+    terms = draw(st.lists(st.tuples(exponents, coeffs), max_size=6))
+    return NovikovScalar(CC, terms, draw(floor))
+
+
+def _series_floor(data, x):
+    """A floor k powers of u deep, on or next to a grid exponent, so the
+    series of x's inverse stays short while the cut meets terms."""
+    w0 = x.terms[0][0]
+    gap = w0 - x.terms[1][0] if len(x.terms) > 1 else Fraction(1)
+    k = data.draw(st.integers(1, 5))
+    nudge = data.draw(st.sampled_from([Fraction(0), Fraction(1, 7), Fraction(-1, 7)]))
+    return -w0 - k * gap + nudge
+
+
+def _bits(x):
+    """JSON text of a scalar; unlike ==, it tells -0.0 from 0.0."""
+    return json.dumps(x.to_json())
+
+
 # Exact-mode scalars for the integer kernel: numerators up to 2^64 over
 # pairwise coprime denominators, up to 12 terms, some of them cancelled to
 # exact zero at construction.
@@ -474,14 +518,20 @@ class TestArithmeticProperties:
         x = data.draw(exact_scalars(field))
         if x.is_zero():
             return
-        # Stop k powers of u deep, on or next to a grid exponent, so the
-        # series stays short while the cut meets terms.
-        w0 = x.terms[0][0]
-        gap = w0 - x.terms[1][0] if len(x.terms) > 1 else Fraction(1)
-        k = data.draw(st.integers(1, 5))
-        nudge = data.draw(st.sampled_from([Fraction(0), Fraction(1, 7), Fraction(-1, 7)]))
-        floor = -w0 - k * gap + nudge
+        floor = _series_floor(data, x)
         assert x.invert(floor) == reference_inverse(x, floor)
+
+    @PROPERTY
+    @given(st.data())
+    def test_complex_bits_match_reference(self, data):
+        x, y = data.draw(float_scalars()), data.draw(float_scalars())
+        if data.draw(st.booleans()):
+            x, y = x + y, x - y
+        assert _bits(x * y) == _bits(reference_product(x, y))
+        if x.is_zero():
+            return
+        floor = _series_floor(data, x)
+        assert _bits(x.invert(floor)) == _bits(reference_inverse(x, floor))
 
     @PROPERTY
     @given(st.data())

@@ -8,8 +8,9 @@ sha256 of stdout to ``deep_output.json``.  ``tests/test_cli.py``
 replays the file.  The benchmark's pinned digests lift only to order -1,
 where every series is a few terms long; these runs go to orders -6 to -10,
 where series inversion and long products decide every coefficient, in all
-three coefficient modes.  Re-pin only when an output change is intended,
-and name the change in CHANGES.md.
+three coefficient modes; the Hirzebruch F2 runs lift off-centre, so the
+rational mode takes Newton steps too.  Re-pin only when an output change
+is intended, and name the change in CHANGES.md.
 """
 
 from __future__ import annotations
@@ -37,6 +38,7 @@ POLYTOPES = {
     "cp2": _polytope([(1, 0), (0, 1), (-1, -1)], [0, 0, -1]),
     "cp1xcp1": _polytope([(1, 0), (0, 1), (-1, 0), (0, -1)], [0, 0, -1, -1]),
     "trapezoid": _polytope([(1, 0), (0, 1), (0, -1), (-1, -1)], [0, 0, -1, -2]),
+    "hirzebruch_f2": _polytope([(1, 0), (0, 1), (0, -1), (-1, -2)], [0, 0, -1, -3]),
 }
 
 # (polytope, fiber, mode, order)
@@ -46,6 +48,9 @@ RUNS = [
     ("cp1xcp1", "1/2,1/2", "rational", "-8"),
     ("segment", "1/2", "rational", "-6"),
     ("cp2", "1/3,1/3", "complex", "-10"),
+    ("hirzebruch_f2", "1,1/2", "rational", "-6"),
+    ("hirzebruch_f2", "1,1/2", "gaussian", "-6"),
+    ("hirzebruch_f2", "1,1/2", "complex", "-6"),
 ]
 
 

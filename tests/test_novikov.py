@@ -552,3 +552,136 @@ class TestArithmeticProperties:
         for got, true, floor in cases:
             assert got.floor == floor
             assert got == true.truncate(floor)
+
+
+# -- sums, scalings, shifts, truncations and JSON against Fraction terms -------
+#
+# The reference keeps a scalar as a sorted list of (Fraction exponent,
+# coefficient) pairs and does plain Fraction, GaussianRational or complex
+# arithmetic on them; every result is compared through its JSON text, which
+# tells reduced from unreduced strings and -0.0 from 0.0.
+
+term_exponents = st.builds(Fraction, st.integers(-12, 12), st.sampled_from([1, 2, 3, 4, 6]))
+exact_parts = st.builds(Fraction, st.integers(-6, 6), st.sampled_from([1, 2, 3, 4, 6]))
+
+
+@st.composite
+def field_coefficients(draw, field):
+    if field is QQ:
+        return draw(exact_parts)
+    if field is QI:
+        return GaussianRational(draw(exact_parts), draw(exact_parts))
+    return complex(draw(float_parts), draw(float_parts))
+
+
+@st.composite
+def term_lists(draw, field):
+    """Terms with repeated exponents, some of them cancelling exactly."""
+    terms = draw(st.lists(st.tuples(term_exponents, field_coefficients(field)), max_size=6))
+    return terms + [(e, -c) for e, c in terms if draw(st.booleans())]
+
+
+def ref_normal(field, terms, floor):
+    """Sum the terms of each exponent in order, then drop the sums that are
+    zero in the field's sense and the exponents at or below the floor."""
+    merged = {}
+    for e, c in terms:
+        merged[e] = merged[e] + c if e in merged else c
+    kept = [(e, c) for e, c in merged.items() if e > floor and not field.is_zero(c)]
+    return sorted(kept, key=lambda t: t[0], reverse=True), floor
+
+
+def ref_json(field, terms, floor):
+    return {
+        "terms": [{"c": field.coeff_to_json(c), "exp": str(e)} for e, c in terms],
+        "floor": "-inf" if floor == NEG_INF else str(floor),
+    }
+
+
+def assert_matches(field, got, ref):
+    """``got`` has the reference's JSON bits, and equals and hashes like the
+    scalar the constructor builds from the reference terms."""
+    terms, floor = ref
+    assert _bits(got) == json.dumps(ref_json(field, terms, floor))
+    again = NovikovScalar(field, terms, floor)
+    assert got == again and hash(got) == hash(again)
+
+
+@st.composite
+def field_scalars(draw):
+    field = MODES[draw(st.sampled_from(sorted(MODES)))]
+    terms, floor = draw(term_lists(field)), draw(floors)
+    x = NovikovScalar(field, terms, floor)
+    assert_matches(field, x, ref_normal(field, terms, floor))
+    return x
+
+
+def _text(value: Fraction, scale: int) -> str:
+    """``value`` as an unreduced "p/q" string, numerator and denominator
+    multiplied by ``scale``; a zero keeps its sign ("-0/3")."""
+    sign = "-" if value < 0 or (value == 0 and scale % 2) else ""
+    num, den = abs(value.numerator) * scale, value.denominator * scale
+    return f"{sign}{num}" if den == 1 else f"{sign}{num}/{den}"
+
+
+class TestRowOperationProperties:
+    @PROPERTY
+    @given(st.data())
+    def test_sum_and_difference_match_reference(self, data):
+        x = data.draw(field_scalars())
+        y = NovikovScalar(x.field, data.draw(term_lists(x.field)), data.draw(floors))
+        field, floor = x.field, max(x.floor, y.floor)
+        a, b = dict(x.terms), dict(y.terms)
+        both = [(e, a[e] + b[e]) for e in a.keys() & b.keys()]
+        alone = [(e, c) for e, c in [*x.terms, *y.terms] if (e in a) != (e in b)]
+        assert_matches(field, x + y, ref_normal(field, both + alone, floor))
+        assert_matches(field, -x, ([(e, -c) for e, c in x.terms], x.floor))
+        assert x - y == x + (-y)
+
+    @PROPERTY
+    @given(st.data())
+    def test_scale_matches_reference(self, data):
+        x = data.draw(field_scalars())
+        field = x.field
+        c = data.draw(st.one_of(field_coefficients(field), st.sampled_from([0, 1, -1])))
+        coeff = field.coerce(c)
+        if field.is_zero(coeff):
+            ref = [], NEG_INF if x.is_exact_zero() else x.floor
+        else:
+            # the term's coefficient is the left operand, as in the product
+            products = [(e, t * coeff) for e, t in x.terms]
+            ref = [(e, p) for e, p in products if not field.is_zero(p)], x.floor
+        assert_matches(field, x.scale(c), ref)
+
+    @PROPERTY
+    @given(st.data())
+    def test_shift_and_truncate_match_reference(self, data):
+        x = data.draw(field_scalars())
+        s, f = data.draw(term_exponents), data.draw(floors)
+        shifted = NEG_INF if x.floor == NEG_INF else x.floor + s
+        assert_matches(x.field, x.shift(s), ([(e + s, c) for e, c in x.terms], shifted))
+        cut = max(x.floor, f)
+        assert_matches(x.field, x.truncate(f), ([(e, c) for e, c in x.terms if e > cut], cut))
+        assert x.shift(s).shift(-s) == x
+
+    @PROPERTY
+    @given(st.data())
+    def test_json_round_trip_and_unreduced_strings(self, data):
+        x = data.draw(field_scalars())
+        field = x.field
+        assert_matches(field, NovikovScalar.from_json(field, x.to_json()), (x.terms, x.floor))
+        # Unreduced and signed-zero strings, and equal exponents written
+        # differently, parse to the reference's values.
+        terms = data.draw(term_lists(field))
+        scales = [data.draw(st.sampled_from([1, 2, 3])) for _ in terms]
+        if field is QQ:
+            coeffs = [_text(c, k) for (_, c), k in zip(terms, scales)]
+        elif field is QI:
+            coeffs = [{"re": _text(c.re, k), "im": _text(c.im, k)} for (_, c), k in zip(terms, scales)]
+        else:
+            coeffs = [{"re": c.real, "im": c.imag} for _, c in terms]
+        doc = [{"exp": _text(e, k), "c": c} for (e, _), k, c in zip(terms, scales, coeffs)]
+        floor = data.draw(floors)
+        assert_matches(
+            field, NovikovScalar.terms_from_json(field, doc, floor), ref_normal(field, terms, floor)
+        )

@@ -349,15 +349,17 @@ def validate_complex(cx: FilteredComplex) -> ValidationReport:
             )
 
     in_lattice = True
+    g = cx.lattice.group_generator()
     for (src, dst), coeff in cx.entries.items():
-        for exp, _ in coeff.terms:
-            if not cx.lattice.contains(exp):
-                in_lattice = False
-                warnings.append(
-                    f"exponent {exp} on {src}->{dst} lies outside the period group"
-                )
-                break
-        if not in_lattice:
+        # q^{e/grid} lies in the period group g*Z iff grid * g divides e.
+        step = coeff.grid * g.numerator
+        outside = [e for e, _, _ in coeff.rows if (e * g.denominator % step if step else e)]
+        if outside:
+            in_lattice = False
+            warnings.append(
+                f"exponent {Fraction(outside[0], coeff.grid)} on {src}->{dst} "
+                "lies outside the period group"
+            )
             break
 
     for gen in cx.generators:

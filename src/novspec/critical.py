@@ -331,7 +331,7 @@ def _complex_det(mat) -> complex:
 def _anchor(s: NovikovScalar, floor) -> NovikovScalar:
     # Deliberate floor assertion; callers use it only where Newton
     # contraction guarantees the deeper coefficients are final.
-    return NovikovScalar(s.field, s.terms, floor)
+    return s.with_floor(floor)
 
 
 def _pivot_key(s: NovikovScalar):
@@ -384,8 +384,8 @@ class BraneCertificate:
 def _residual_norm(grad: Sequence[NovikovScalar]) -> float:
     total = 0.0
     for y in grad:
-        for _, c in y.terms:
-            total += y.field.magnitude(c)
+        for m in y.magnitudes():
+            total += m
     return total
 
 

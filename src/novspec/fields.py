@@ -46,15 +46,17 @@ def parse_or_schema_error(fn: Callable, what: str):
 _PLAIN_RATIONAL = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
 
 
-def parse_fraction(value: Any) -> Fraction:
-    """Parse a rational from JSON form: "3/2", "-1", or an integer.
+def parse_ratio(value: Any) -> Tuple[int, int]:
+    """Parse a rational from JSON form: "3/2", "-1", or an integer, into a
+    numerator and a positive denominator.
 
     A string of the form ``-?digits(/digits)?`` in ASCII digits with a
     nonzero denominator, the form every document novspec writes uses, is
-    read with ``int()``.  Anything else (decimals such as "0.5", a "+"
-    sign, "_" separators, surrounding whitespace, non-ASCII digits, a zero
-    denominator, ints and other rationals) goes through ``Fraction``, so
-    the accepted inputs, the values and the error messages are those of
+    read with ``int()`` as written, so "2/4" gives (2, 4).  Anything else
+    (decimals such as "0.5", a "+" sign, "_" separators, surrounding
+    whitespace, non-ASCII digits, a zero denominator, ints and other
+    rationals) goes through ``Fraction`` and comes back reduced, so the
+    accepted inputs, the values and the error messages are those of
     ``Fraction(value)``, except that a zero denominator raises
     ``ValueError``.
     """
@@ -64,21 +66,34 @@ def parse_fraction(value: Any) -> Fraction:
             num, den = plain.groups()
             n, d = int(num), int(den or 1)
             if d:
-                return Fraction(n, d)
+                return n, d
     if isinstance(value, bool):
         raise ValueError("boolean is not a rational")
     if isinstance(value, (int, str)):
         try:
-            return Fraction(value)
+            value = Fraction(value)
         except ZeroDivisionError:
             raise ValueError(f"zero denominator in {value!r}") from None
-    if isinstance(value, Rational):
-        return Fraction(value)
-    raise ValueError(f"cannot parse rational from {value!r}")
+    elif isinstance(value, Rational):
+        value = Fraction(value)
+    else:
+        raise ValueError(f"cannot parse rational from {value!r}")
+    return value.numerator, value.denominator
+
+
+def parse_fraction(value: Any) -> Fraction:
+    """The Fraction ``parse_ratio`` reads."""
+    return Fraction(*parse_ratio(value))
 
 
 def fraction_str(value: Fraction) -> str:
     return str(Fraction(value))
+
+
+def ratio_str(num: int, den: int) -> str:
+    """``str(Fraction(num, den))`` for ints, ``den`` positive."""
+    g = math.gcd(num, den)
+    return f"{num // g}" if g == den else f"{num // g}/{den // g}"
 
 
 def parse_floor(value: Any) -> Union[Fraction, float]:
@@ -275,19 +290,48 @@ class CoefficientField:
             return {"re": fraction_str(a.re), "im": fraction_str(a.im)}
         return {"re": a.real, "im": a.imag}
 
-    def coeff_from_json(self, obj: Any) -> Coefficient:
+    def to_parts(self, a: Coefficient) -> tuple:
+        """``(re, im, den)`` with ``a == (re + i*im) / den``: integer
+        numerators over their least positive denominator in the exact modes
+        (im is 0 in rational mode), the float parts over 1 in complex mode."""
         if self.mode == RATIONAL:
-            return parse_fraction(obj)
+            return a.numerator, 0, a.denominator
         if self.mode == GAUSSIAN:
+            re, im = a.re, a.im
+            den = math.lcm(re.denominator, im.denominator)
+            return (re.numerator * (den // re.denominator),
+                    im.numerator * (den // im.denominator), den)
+        return a.real, a.imag, 1
+
+    def from_parts(self, re, im, den: int) -> Coefficient:
+        """The coefficient ``(re + i*im) / den`` of ``to_parts`` form."""
+        if self.mode == RATIONAL:
+            return Fraction(re, den)
+        if self.mode == GAUSSIAN:
+            return _gaussian(Fraction(re, den), Fraction(im, den))
+        return complex(re, im)
+
+    def parts_to_json(self, re, im, den: int) -> Any:
+        """``coeff_to_json`` of the coefficient ``(re + i*im) / den``."""
+        if self.mode == RATIONAL:
+            return ratio_str(re, den)
+        if self.mode == GAUSSIAN:
+            return {"re": ratio_str(re, den), "im": ratio_str(im, den)}
+        return {"re": re, "im": im}
+
+    def parts_from_json(self, obj: Any) -> tuple:
+        """``(re, im, den)`` of a coefficient in JSON form, as ``to_parts``
+        gives them except that ``den`` need not be least."""
+        if self.mode == COMPLEX:
             if isinstance(obj, dict):
-                return GaussianRational(
-                    parse_fraction(obj.get("re", 0)),
-                    parse_fraction(obj.get("im", 0)),
-                )
-            return GaussianRational(parse_fraction(obj), 0)
-        if isinstance(obj, dict):
-            return complex(float(obj.get("re", 0.0)), float(obj.get("im", 0.0)))
-        return complex(float(obj), 0.0)
+                return float(obj.get("re", 0.0)), float(obj.get("im", 0.0)), 1
+            return float(obj), 0.0, 1
+        if self.mode == GAUSSIAN and isinstance(obj, dict):
+            a, b = parse_ratio(obj.get("re", 0))
+            c, d = parse_ratio(obj.get("im", 0))
+            return a * d, c * b, b * d
+        num, den = parse_ratio(obj)
+        return num, 0, den
 
     def to_json(self) -> dict:
         out = {"mode": self.mode}

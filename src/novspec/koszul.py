@@ -88,7 +88,8 @@ class QuasimapComplex:
         action 0 and degree |S|, and periods are the exponents of y."""
         periods = []
         for yj in self.y:
-            for exp, _ in yj.terms:
+            for e, _, _ in yj.rows:
+                exp = Fraction(e, yj.grid)
                 if exp != 0 and exp not in periods:
                     periods.append(exp)
         lattice = PeriodLattice(tuple(sorted(periods)))

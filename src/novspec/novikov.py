@@ -14,96 +14,146 @@ The subring {v_q(x) <= 0} (boundary included) plays the role of the
 ring of integers; the convention here is that valuation exactly 0 lies
 inside it.
 
-Products and inverses run on one row kernel in every mode.  Exponents
-map to the integer grid q^{1/D}, and each coefficient to its (real,
-imaginary) parts: in the exact modes integer numerators over one common
-denominator, the imaginary one 0 in rational mode, and in complex mode
-the float parts over denominator 1.  A product accumulates
-``re += a1*a2 - b1*b2`` and ``im += a1*b2 + b1*a2``, the geometric
-series of an inverse keeps its powers in that form, and each result term
-becomes a Fraction, GaussianRational or complex once, at the end.  On
-floats these are the IEEE operations, in the same order, that complex
-``*`` and ``+`` perform, so complex results keep their last bits.
+Stored form.  A scalar keeps its terms as rows ``(e, re, im)`` on the
+exponent grid q^{1/grid}, over one denominator ``den``: the row stands
+for the term ((re + i*im) / den) q^{e/grid}, and the int exponents e
+strictly decrease.  In the exact modes re and im are integer numerators
+(im is 0 in rational mode); in complex mode they are the float parts of
+the coefficient and den is 1.  The form is canonical: gcd(grid, every e)
+is 1, in the exact modes gcd(den, every re, every im) is 1 as well, and
+the zero scalar has grid = den = 1.  So one element has one stored form,
+and ``__eq__`` and ``__hash__`` compare rows.  ``terms`` builds the
+(Fraction exponent, coefficient) pairs on access, for JSON and tests.
+
+Every operation runs on the rows.  Sums merge them over the lcm of the
+grids and of the denominators; products and inverses run one row kernel
+that accumulates ``re += a1*a2 - b1*b2`` and ``im += a1*b2 + b1*a2``.
+On floats these are the IEEE operations, in the same order, that complex
+``*`` and ``+`` perform (a scaling puts the term's coefficient on the
+left), and a float coefficient is zero when ``abs(complex(re, im)) <
+eps``, as the field says; so complex results keep their last bits,
+signed zeros included.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from typing import Any, Iterable, Optional, Tuple, Union
 
 from .fields import (
-    COMPLEX,
-    GAUSSIAN,
     NEG_INF,
     Coefficient,
     CoefficientField,
-    GaussianRational,
     floor_str,
-    fraction_str,
     parse_floor,
-    parse_fraction,
+    parse_ratio,
+    ratio_str,
 )
 
-Exponent = Fraction
 FloorValue = Union[Fraction, float]
+_set = object.__setattr__
 
 
-def _add_floors(a: FloorValue, b: FloorValue) -> FloorValue:
-    # NEG_INF absorbs; used for floor propagation under products.
-    if a == NEG_INF or b == NEG_INF:
+def _floor(value) -> FloorValue:
+    """A floor as stored: NEG_INF itself or a Fraction, so that stored
+    floors test for -inf by identity."""
+    if value is NEG_INF or type(value) is Fraction:
+        return value
+    return NEG_INF if value == NEG_INF else Fraction(value)
+
+
+def _smear(floor: FloorValue, other: "NovikovScalar") -> FloorValue:
+    """The floor a factor's unknown tail below ``floor`` puts on its
+    product with ``other``: floor + v(other); NEG_INF absorbs."""
+    if floor is NEG_INF:
         return NEG_INF
-    return a + b
+    bound = other._bound()
+    return NEG_INF if bound is NEG_INF else floor + bound
 
 
-def _above(terms, floor: FloorValue) -> tuple:
-    """The terms of a strictly decreasing term list that lie above the floor."""
-    if floor != NEG_INF:
-        for i, (e, _) in enumerate(terms):
-            if e <= floor:
-                return tuple(terms[:i])
-    return tuple(terms)
+def _cut(floor: FloorValue, grid: int) -> Optional[int]:
+    """The largest grid exponent at or below ``floor``, None for -inf: a
+    row lies above the floor iff its exponent exceeds the cut."""
+    if floor is NEG_INF:
+        return None
+    return floor.numerator * grid // floor.denominator
 
 
-def _on_grid(value: Fraction, grid: int) -> int:
-    """The numerator of ``value`` over ``grid``, a multiple of its denominator."""
-    return value.numerator * (grid // value.denominator)
-
-
-def _to_rows(field: CoefficientField, terms, grid: int) -> tuple:
-    """Rows (exponent on the grid, real part, imaginary part) of the terms,
-    returned with the denominator they share.  Exact coefficients become
-    integer numerators over one common denominator, the imaginary one 0 in
-    rational mode; complex ones keep their float parts over 1."""
-    if field.mode == GAUSSIAN:
-        den = lcm(*[x.denominator for _, c in terms for x in (c.re, c.im)])
-        return [
-            (_on_grid(e, grid), _on_grid(c.re, den), _on_grid(c.im, den)) for e, c in terms
-        ], den
-    if field.mode == COMPLEX:
-        return [(_on_grid(e, grid), c.real, c.imag) for e, c in terms], 1
-    den = lcm(*[c.denominator for _, c in terms])
-    return [(_on_grid(e, grid), _on_grid(c, den), 0) for e, c in terms], den
-
-
-def _from_rows(field: CoefficientField, rows, grid: int, den: int) -> tuple:
-    """Terms of the rows over the denominator ``den``."""
-    if field.mode == GAUSSIAN:
-        return tuple(
-            (Fraction(e, grid), GaussianRational(Fraction(re, den), Fraction(im, den)))
-            for e, re, im in rows
-        )
-    if field.mode == COMPLEX:
-        return tuple((Fraction(e, grid), complex(re, im)) for e, re, im in rows)
-    return tuple((Fraction(e, grid), Fraction(re, den)) for e, re, _ in rows)
+def _above(rows, cut: Optional[int]):
+    """The rows, strictly decreasing, whose exponents exceed ``cut``."""
+    if cut is not None:
+        for i, row in enumerate(rows):
+            if row[0] <= cut:
+                return rows[:i]
+    return rows
 
 
 def _nonzero(field: CoefficientField):
     """The field's nonzero test on the parts of a row."""
     if field.exact:
         return lambda re, im: re or im
-    is_zero = field.is_zero
-    return lambda re, im: not is_zero(complex(re, im))
+    eps = field.eps
+    return lambda re, im: not abs(complex(re, im)) < eps
+
+
+def _content(rows: list, den: int) -> tuple:
+    """The rows over ``den`` with their common factor divided out; complex
+    rows, over 1, stay as they are."""
+    if den > 1:
+        g = gcd(den, *[x for _, re, im in rows for x in (re, im)])
+        if g > 1:
+            return [(e, re // g, im // g) for e, re, im in rows], den // g
+    return rows, den
+
+
+def _scalar(field, floor, grid: int, den: int, rows, out=None) -> "NovikovScalar":
+    """The scalar of ``rows`` over ``grid`` and ``den``, brought to canonical
+    form; the rows are nonzero, above ``floor`` and strictly decreasing."""
+    if rows:
+        if grid > 1:
+            g = gcd(grid, *[e for e, _, _ in rows])
+            if g > 1:
+                grid //= g
+                rows = [(e // g, re, im) for e, re, im in rows]
+        rows, den = _content(rows, den)
+    else:
+        grid = den = 1
+    return _new(field, floor, grid, den, tuple(rows), out)
+
+
+def _new(field, floor, grid: int, den: int, rows: tuple, out=None) -> "NovikovScalar":
+    """The scalar of rows already in canonical form."""
+    out = object.__new__(NovikovScalar) if out is None else out
+    _set(out, "field", field)
+    _set(out, "floor", floor)
+    _set(out, "grid", grid)
+    _set(out, "den", den)
+    _set(out, "rows", rows)
+    return out
+
+
+def _merged(field: CoefficientField, parts: list, floor: FloorValue) -> tuple:
+    """Floor, grid, denominator and rows of terms given as (exponent
+    numerator, exponent denominator, re, im, den): equal exponents sum in
+    order, and sums that are zero or at or below the floor drop."""
+    floor = _floor(floor)
+    grid = lcm(*[p[1] for p in parts])
+    den = lcm(*[p[4] for p in parts])
+    merged: dict = {}
+    for num, exp_den, re, im, coeff_den in parts:
+        e = num * (grid // exp_den)
+        if coeff_den != den:
+            re, im = re * (den // coeff_den), im * (den // coeff_den)
+        if e in merged:
+            s = merged[e]
+            s[0] += re
+            s[1] += im
+        else:
+            merged[e] = [re, im]
+    nonzero = _nonzero(field)
+    rows = sorted(((e, re, im) for e, (re, im) in merged.items() if nonzero(re, im)), reverse=True)
+    return floor, grid, den, _above(rows, _cut(floor, grid))
 
 
 def _row_product(left: list, right: list, cut: int, nonzero) -> list:
@@ -133,38 +183,39 @@ def _row_product(left: list, right: list, cut: int, nonzero) -> list:
     return [(e, re, im) for e, (re, im) in sorted(acc.items(), reverse=True) if nonzero(re, im)]
 
 
-def _series_inverse(
-    field: CoefficientField, terms: tuple, inv_lead: tuple, floor: Fraction
-) -> "NovikovScalar":
-    """Inverse above ``floor`` of the scalar with these terms (at least
-    two), as a0^{-1} q^{-w0} sum_k (-u)^k with u = (x - lead) / lead;
-    ``inv_lead`` holds the term of a0^{-1} q^{-w0}, or none if it is zero.
+def _series_inverse(field, rows: tuple, den: int, inv: tuple, inv_den: int, cut: int) -> tuple:
+    """Rows and denominator of the inverse above the grid exponent ``cut``
+    of the scalar with these rows (at least two) over ``den``, as
+    a0^{-1} q^{-w0} sum_k (-u)^k with u = (x - lead) / lead; ``inv`` is the
+    row of a0^{-1} q^{-w0}, over ``inv_den``.
 
-    Runs in row form on one grid: the k-th power of -u stays over the
-    k-th power of u's denominator, and the running series is rescaled to
-    that denominator before the power is added.  A series entry that sums
-    to zero is dropped, so a later power starts it afresh.
+    -u and each of its powers keep their content divided out, and the
+    running series stays over the lcm of the powers' denominators.  A
+    series entry that sums to zero is dropped, so a later power starts it
+    afresh.
     """
-    w0 = terms[0][0]
-    grid = lcm(*(e.denominator for e, _ in terms), floor.denominator)
     nonzero = _nonzero(field)
-    inv_rows, lead_den = _to_rows(field, inv_lead, grid)
-    rest, rest_den = _to_rows(field, terms[1:], grid)
-    cut = _on_grid(floor + w0, grid)
-    neg_u = [(e, -re, -im) for e, re, im in _row_product(rest, inv_rows, cut, nonzero)]
-    den = rest_den * lead_den
-    power = [(0, 1, 0)]
+    u_cut = cut + rows[0][0]
+    neg_u = [(e, -re, -im) for e, re, im in _row_product(rows[1:], [inv], u_cut, nonzero)]
+    neg_u, u_den = _content(neg_u, den * inv_den)
+    power, power_den = [(0, 1, 0)], 1
     series = {0: [1, 0]}
     series_den = 1
     while True:
-        power = _row_product(power, neg_u, cut, nonzero)
+        power = _row_product(power, neg_u, u_cut, nonzero)
         if not power:
             break
-        series_den *= den
-        for s in series.values():
-            s[0] *= den
-            s[1] *= den
+        power, power_den = _content(power, power_den * u_den)
+        if power_den != series_den:
+            grow = lcm(series_den, power_den) // series_den
+            for s in series.values():
+                s[0] *= grow
+                s[1] *= grow
+            series_den *= grow
+        m = series_den // power_den
         for e, re, im in power:
+            if m != 1:
+                re, im = re * m, im * m
             if e in series:
                 s = series[e]
                 s[0] += re
@@ -174,22 +225,19 @@ def _series_inverse(
             else:
                 series[e] = [re, im]
     rows = [(e, re, im) for e, (re, im) in sorted(series.items(), reverse=True)]
-    rows = _row_product(rows, inv_rows, _on_grid(floor, grid), nonzero)
-    return NovikovScalar._make(
-        field, _from_rows(field, rows, grid, series_den * lead_den), floor
-    )
+    return _row_product(rows, [inv], cut, nonzero), series_den * inv_den
 
 
 class NovikovScalar:
     """Finite truncated element of the Novikov field.
 
-    Instances are treated as immutable.  ``terms`` is a tuple of
-    (exponent, coefficient) pairs with exponents strictly decreasing
-    and strictly above ``floor``; coefficients are nonzero in the sense
-    of the field (exact zero, or magnitude below eps in floating mode).
+    Instances are immutable.  ``grid``, ``den`` and ``rows`` are the
+    stored form described in the module docstring; ``floor`` is a Fraction
+    or NEG_INF.  Coefficients are nonzero in the sense of the field (exact
+    zero, or magnitude below eps in floating mode).
     """
 
-    __slots__ = ("field", "terms", "floor")
+    __slots__ = ("field", "floor", "grid", "den", "rows")
 
     def __init__(
         self,
@@ -197,39 +245,14 @@ class NovikovScalar:
         terms: Iterable[Tuple[Any, Any]] = (),
         floor: FloorValue = NEG_INF,
     ):
-        merged: dict = {}
+        parts = []
         for exp, coeff in terms:
             exp = Fraction(exp)
-            coeff = field.coerce(coeff)
-            if exp in merged:
-                merged[exp] = field.add(merged[exp], coeff)
-            else:
-                merged[exp] = coeff
-        if floor != NEG_INF:
-            floor = Fraction(floor)
-        kept = [
-            (exp, coeff)
-            for exp, coeff in merged.items()
-            if exp > floor and not field.is_zero(coeff)
-        ]
-        kept.sort(key=lambda t: t[0], reverse=True)
-        object.__setattr__(self, "field", field)
-        object.__setattr__(self, "terms", tuple(kept))
-        object.__setattr__(self, "floor", floor)
+            parts.append((exp.numerator, exp.denominator, *field.to_parts(field.coerce(coeff))))
+        _scalar(field, *_merged(field, parts, floor), out=self)
 
     def __setattr__(self, name, value):
         raise AttributeError("NovikovScalar is immutable")
-
-    @classmethod
-    def _make(cls, field: CoefficientField, terms: tuple, floor: FloorValue):
-        """Trusted constructor: ``terms`` are already field coefficients,
-        nonzero, above ``floor`` and sorted by strictly decreasing Fraction
-        exponent; ``floor`` is a Fraction or NEG_INF."""
-        out = object.__new__(cls)
-        object.__setattr__(out, "field", field)
-        object.__setattr__(out, "terms", terms)
-        object.__setattr__(out, "floor", floor)
-        return out
 
     # -- constructors -------------------------------------------------
 
@@ -239,48 +262,70 @@ class NovikovScalar:
 
     @classmethod
     def one(cls, field: CoefficientField):
-        return cls(field, [(Fraction(0), field.one())])
+        return cls(field, [(0, field.one())])
 
     @classmethod
     def monomial(cls, field: CoefficientField, coeff, exp) -> "NovikovScalar":
-        return cls(field, [(Fraction(exp), coeff)])
+        return cls(field, [(exp, coeff)])
 
     # -- basic queries -------------------------------------------------
 
+    @property
+    def terms(self) -> tuple:
+        """(Fraction exponent, coefficient) pairs, exponents decreasing."""
+        from_parts, grid, den = self.field.from_parts, self.grid, self.den
+        return tuple((Fraction(e, grid), from_parts(re, im, den)) for e, re, im in self.rows)
+
     def is_zero(self) -> bool:
         """Zero as far as known, i.e. no terms above the floor."""
-        return not self.terms
+        return not self.rows
 
     def is_exact_zero(self) -> bool:
-        return not self.terms and self.floor == NEG_INF
+        return not self.rows and self.floor is NEG_INF
 
     def valuation(self) -> FloorValue:
         """Largest exponent carrying a nonzero coefficient; -inf for 0."""
-        if not self.terms:
+        if not self.rows:
             return NEG_INF
-        return self.terms[0][0]
+        return Fraction(self.rows[0][0], self.grid)
 
     def _bound(self) -> FloorValue:
         """Exponent that every term of the true element lies at or below:
         the valuation, or the floor when nothing is known above it."""
-        return self.terms[0][0] if self.terms else self.floor
+        return self.valuation() if self.rows else self.floor
 
     def leading_coefficient(self) -> Coefficient:
-        if not self.terms:
+        if not self.rows:
             raise ValueError("zero scalar has no leading coefficient")
-        return self.terms[0][1]
+        _, re, im = self.rows[0]
+        return self.field.from_parts(re, im, self.den)
+
+    def magnitudes(self) -> list:
+        """Float magnitude of each coefficient, as ``field.magnitude``."""
+        den = self.den
+        return [abs(complex(re / den, im / den)) for _, re, im in self.rows]
 
     def is_monomial(self) -> bool:
-        return len(self.terms) == 1 and self.floor == NEG_INF
+        return len(self.rows) == 1 and self.floor is NEG_INF
 
     # -- ring operations -----------------------------------------------
 
+    def _rows_on(self, grid: int, den: int) -> tuple:
+        """The rows rescaled to a multiple of the grid and of the denominator."""
+        g, d = grid // self.grid, den // self.den
+        if g == 1 and d == 1:
+            return self.rows
+        return tuple((e * g, re * d, im * d) for e, re, im in self.rows)
+
     def __add__(self, other: "NovikovScalar") -> "NovikovScalar":
-        self.field.check_compatible(other.field)
+        if other.field is not self.field:
+            self.field.check_compatible(other.field)
         field = self.field
         floor = max(self.floor, other.floor)
-        # Merge the two decreasing term lists down to the floor.
-        a, b = self.terms, other.terms
+        grid, den = lcm(self.grid, other.grid), lcm(self.den, other.den)
+        a, b = self._rows_on(grid, den), other._rows_on(grid, den)
+        nonzero = _nonzero(field)
+        # Merge the two decreasing row lists.
         i = j = 0
         out = []
         while i < len(a) and j < len(b):
@@ -292,82 +337,77 @@ class NovikovScalar:
                 out.append(b[j])
                 j += 1
             else:
-                c = field.add(a[i][1], b[j][1])
-                if not field.is_zero(c):
-                    out.append((ea, c))
+                re, im = a[i][1] + b[j][1], a[i][2] + b[j][2]
+                if nonzero(re, im):
+                    out.append((ea, re, im))
                 i += 1
                 j += 1
         out.extend(a[i:])
         out.extend(b[j:])
-        return NovikovScalar._make(field, _above(out, floor), floor)
+        return _scalar(field, floor, grid, den, _above(out, _cut(floor, grid)))
 
     def __sub__(self, other: "NovikovScalar") -> "NovikovScalar":
         return self + (-other)
 
     def __neg__(self) -> "NovikovScalar":
-        neg = self.field.neg
-        return NovikovScalar._make(
-            self.field, tuple((e, neg(c)) for e, c in self.terms), self.floor
-        )
+        rows = tuple((e, -re, -im) for e, re, im in self.rows)
+        return _new(self.field, self.floor, self.grid, self.den, rows)
 
     def __mul__(self, other: "NovikovScalar") -> "NovikovScalar":
-        self.field.check_compatible(other.field)
+        if other.field is not self.field:
+            self.field.check_compatible(other.field)
         field = self.field
         # Unknown tails below either floor smear the product; the sharp
         # bound is max(floor_x + val(y), floor_y + val(x)), where a factor
         # that is zero down to its floor may still carry anything below it.
-        floor = max(
-            _add_floors(self.floor, other._bound()),
-            _add_floors(other.floor, self._bound()),
-        )
-        if not self.terms or not other.terms:
-            return NovikovScalar._make(field, (), floor)
-        # Work on the integer grid q^{1/D}: exponents become ints, and since
-        # both term lists strictly decrease, a row ends at the first sum at
-        # or below the floor.
-        dens = {e.denominator for e, _ in self.terms}
-        dens.update(e.denominator for e, _ in other.terms)
-        if floor != NEG_INF:
-            dens.add(floor.denominator)
-        grid = lcm(*dens)
-        if floor == NEG_INF:
-            cut = _on_grid(self.terms[-1][0], grid) + _on_grid(other.terms[-1][0], grid) - 1
-        else:
-            cut = _on_grid(floor, grid)
-        left, left_den = _to_rows(field, self.terms, grid)
-        right, right_den = _to_rows(field, other.terms, grid)
+        floor = max(_smear(self.floor, other), _smear(other.floor, self))
+        if not self.rows or not other.rows:
+            return _scalar(field, floor, 1, 1, ())
+        # Both row lists strictly decrease, so a row of the product ends at
+        # the first sum at or below the floor.
+        grid = lcm(self.grid, other.grid)
+        left, right = self._rows_on(grid, self.den), other._rows_on(grid, other.den)
+        cut = _cut(floor, grid)
+        if cut is None:
+            cut = left[-1][0] + right[-1][0] - 1
         rows = _row_product(left, right, cut, _nonzero(field))
-        return NovikovScalar._make(
-            field, _from_rows(field, rows, grid, left_den * right_den), floor
-        )
+        return _scalar(field, floor, grid, self.den * other.den, rows)
 
     def scale(self, coeff) -> "NovikovScalar":
         """Multiply by a bare coefficient of the field."""
-        coeff = self.field.coerce(coeff)
-        if self.field.is_zero(coeff):
-            return NovikovScalar.zero(self.field, NEG_INF if self.is_exact_zero() else self.floor)
-        mul, is_zero = self.field.mul, self.field.is_zero
-        products = ((e, mul(c, coeff)) for e, c in self.terms)
-        return NovikovScalar._make(
-            self.field, tuple(t for t in products if not is_zero(t[1])), self.floor
-        )
+        field = self.field
+        coeff = field.coerce(coeff)
+        if field.is_zero(coeff):
+            return NovikovScalar.zero(field, NEG_INF if self.is_exact_zero() else self.floor)
+        c, d, cden = field.to_parts(coeff)
+        rows = [(e, a * c - b * d, a * d + b * c) for e, a, b in self.rows]
+        if not field.exact:
+            nonzero = _nonzero(field)
+            rows = [row for row in rows if nonzero(row[1], row[2])]
+        return _scalar(field, self.floor, self.grid, self.den * cden, rows)
 
     def shift(self, exp) -> "NovikovScalar":
         """Multiply by the monomial q^exp (exact in every mode)."""
         exp = Fraction(exp)
-        floor = self.floor if self.floor == NEG_INF else self.floor + exp
-        return NovikovScalar._make(
-            self.field, tuple((e + exp, c) for e, c in self.terms), floor
-        )
+        floor = self.floor if self.floor is NEG_INF else self.floor + exp
+        grid = lcm(self.grid, exp.denominator)
+        s = exp.numerator * (grid // exp.denominator)
+        rows = [(e + s, re, im) for e, re, im in self._rows_on(grid, self.den)]
+        return _scalar(self.field, floor, grid, self.den, rows)
 
     def truncate(self, floor: FloorValue) -> "NovikovScalar":
         """Forget everything at or below the given floor."""
-        if floor == NEG_INF:
-            floor = NEG_INF
-        else:
-            floor = Fraction(floor)
-        new_floor = max(self.floor, floor)
-        return NovikovScalar._make(self.field, _above(self.terms, new_floor), new_floor)
+        return self.with_floor(max(self.floor, _floor(floor)))
+
+    def with_floor(self, floor: FloorValue) -> "NovikovScalar":
+        """The terms above ``floor``, with ``floor`` stated as the floor.
+        Unlike ``truncate`` this may lower the floor: the caller asserts
+        that nothing down to it is missing."""
+        floor = _floor(floor)
+        rows = _above(self.rows, _cut(floor, self.grid))
+        if len(rows) == len(self.rows):
+            return _new(self.field, floor, self.grid, self.den, rows)
+        return _scalar(self.field, floor, self.grid, self.den, rows)
 
     # -- inversion ------------------------------------------------------
 
@@ -379,29 +419,34 @@ class NovikovScalar:
         finite floor.  If the scalar is an exact sum with more than one
         term the caller must supply the output floor; an exact monomial
         inverts exactly.  With the scalar's own floor f finite, nothing
-        below f - 2*w0 can be known about the inverse.
+        below f - 2*w0 can be known about the inverse.  In complex mode an
+        inverse lead below eps raises rather than vanish.
         """
         if self.is_zero():
             raise ZeroDivisionError("inverse of a scalar that is zero to its floor")
-        field = self.field
-        w0, a0 = self.terms[0]
+        field, grid = self.field, self.grid
+        e0, a0, b0 = self.rows[0]
         # Nothing below f - 2*w0 is knowable: the tail enters at
         # relative order f - w0 and the inverse is scaled by q^{-w0}.
-        if self.floor == NEG_INF:
+        if self.floor is NEG_INF:
             implied = NEG_INF
         else:
-            implied = self.floor - 2 * w0
-        requested = NEG_INF if floor is None else Fraction(floor)
+            implied = self.floor - 2 * Fraction(e0, grid)
+        requested = NEG_INF if floor is None else _floor(floor)
         out_floor = max(implied, requested)
-        inv_lead = NovikovScalar.monomial(field, field.invert(a0), -w0)
-        if len(self.terms) == 1:
-            return NovikovScalar(field, inv_lead.terms, out_floor)
-        if out_floor == NEG_INF:
+        re, im, inv_den = field.to_parts(field.invert(field.from_parts(a0, b0, self.den)))
+        if not _nonzero(field)(re, im):
+            raise ValueError(f"inverse lead below eps {field.eps}")
+        inv = (-e0, re, im)
+        if len(self.rows) == 1:
+            return _scalar(field, out_floor, grid, inv_den, _above([inv], _cut(out_floor, grid)))
+        if out_floor is NEG_INF:
             raise ValueError(
                 "inverse of a multi-term exact scalar has infinite support; "
                 "pass an explicit floor"
             )
-        return _series_inverse(field, self.terms, inv_lead.terms, out_floor)
+        rows, den = _series_inverse(field, self.rows, self.den, inv, inv_den, _cut(out_floor, grid))
+        return _scalar(field, out_floor, grid, den, rows)
 
     # -- comparisons and serialization ----------------------------------
 
@@ -410,17 +455,19 @@ class NovikovScalar:
             isinstance(other, NovikovScalar)
             and self.field == other.field
             and self.floor == other.floor
-            and self.terms == other.terms
+            and self.grid == other.grid
+            and self.den == other.den
+            and self.rows == other.rows
         )
 
     def __hash__(self):
-        return hash((self.field, self.floor, self.terms))
+        return hash((self.field, self.floor, self.grid, self.den, self.rows))
 
     def isclose(self, other: "NovikovScalar", tol: float = 1e-9) -> bool:
         """Termwise closeness; exact modes compare exactly."""
         if self.field.exact:
             return self == other
-        if self.floor != other.floor or len(self.terms) != len(other.terms):
+        if self.floor != other.floor or len(self.rows) != len(other.rows):
             return False
         for (e1, c1), (e2, c2) in zip(self.terms, other.terms):
             if e1 != e2 or abs(c1 - c2) > tol:
@@ -428,7 +475,7 @@ class NovikovScalar:
         return True
 
     def __repr__(self) -> str:
-        if not self.terms:
+        if not self.rows:
             body = "0"
         else:
             parts = []
@@ -443,10 +490,8 @@ class NovikovScalar:
         return f"{body} [floor {self.floor}]"
 
     def terms_to_json(self) -> list:
-        return [
-            {"c": self.field.coeff_to_json(c), "exp": fraction_str(e)}
-            for e, c in self.terms
-        ]
+        to_json, grid, den = self.field.parts_to_json, self.grid, self.den
+        return [{"c": to_json(re, im, den), "exp": ratio_str(e, grid)} for e, re, im in self.rows]
 
     def to_json(self) -> dict:
         return {"terms": self.terms_to_json(), "floor": floor_str(self.floor)}
@@ -459,11 +504,8 @@ class NovikovScalar:
             isinstance(t, dict) and "exp" in t and "c" in t for t in obj
         ):
             raise ValueError("scalar terms must be a list of {exp, c} objects")
-        terms = [
-            (parse_fraction(t["exp"]), field.coeff_from_json(t["c"]))
-            for t in obj
-        ]
-        return cls(field, terms, floor)
+        parts = [(*parse_ratio(t["exp"]), *field.parts_from_json(t["c"])) for t in obj]
+        return _scalar(field, *_merged(field, parts, floor))
 
     @classmethod
     def from_json(cls, field: CoefficientField, obj: dict) -> "NovikovScalar":

@@ -27,14 +27,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
-from math import gcd as int_gcd
+from math import gcd, lcm
 from typing import Dict, List, Optional, Tuple
 
 from .complexes import Chain, FilteredComplex, chain_to_json, level
 from .fields import (
     NEG_INF,
     CoefficientField,
-    GaussianRational,
     floor_str,
     fraction_str,
 )
@@ -91,39 +90,17 @@ def _vec_cross(v: Vec, b: Vec, coord: int) -> Vec:
     return {i: c for i, c in out.items() if not c.is_zero()}
 
 
-def _rational_content(values: List[Fraction]) -> Fraction:
-    num = 0
-    den = 1
-    for f in values:
-        num = int_gcd(num, f.numerator)
-        den = den * f.denominator // int_gcd(den, f.denominator)
-    if num == 0:
-        return Fraction(1)
-    return Fraction(num, den)
-
-
 def _vec_normalize(v: Vec, field: CoefficientField) -> Vec:
     """Divide by a unit (content times a monomial); spans are unchanged."""
     if not v:
         return v
     shift = max(c.valuation() for c in v.values())
-    if field.mode == "rational":
-        fracs = [coeff for s in v.values() for _, coeff in s.terms]
-        content = _rational_content(fracs)
-        factor = 1 / content
-    elif field.mode == "gaussian":
-        fracs = [
-            part
-            for s in v.values()
-            for _, coeff in s.terms
-            for part in (coeff.re, coeff.im)
-            if part != 0
-        ]
-        content = _rational_content(fracs)
-        factor = GaussianRational(1 / content, 0)
+    if field.exact:
+        # The content of a canonical scalar is gcd(numerators) / den.
+        num = gcd(*[x for s in v.values() for _, re, im in s.rows for x in (re, im)])
+        factor = Fraction(lcm(*[s.den for s in v.values()]), num) if num else 1
     else:
-        mags = [field.magnitude(coeff) for s in v.values() for _, coeff in s.terms]
-        top = max(mags) if mags else 1.0
+        top = max([m for s in v.values() for m in s.magnitudes()], default=1.0)
         factor = complex(1.0 / top, 0.0) if top > 0 else complex(1.0, 0.0)
     return {i: s.scale(factor).shift(-shift) for i, s in v.items()}
 
@@ -161,11 +138,7 @@ class Echelon:
         p = min(v)
         if self.field.mode == "complex":
             mag = self.field.magnitude(v[p].leading_coefficient())
-            scale = max(
-                self.field.magnitude(c)
-                for s in v.values()
-                for _, c in s.terms
-            )
+            scale = max(m for s in v.values() for m in s.magnitudes())
             if mag < 10 * self.field.eps * scale:
                 self.audit.append(
                     {

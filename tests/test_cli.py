@@ -698,6 +698,18 @@ class TestQmapCommands:
         (term,) = doc["branes"][0]["charge"]["terms"]
         assert term["exp"] == "-1/2" and term["c"] in {"-2", "2"}
 
+    def test_complex_brane_past_one_over_eps_exits_1(self, tmp_path, capsys):
+        # Scaled by 3e12, a brane coordinate's inverse lead falls below
+        # eps = 1e-12; the potential needs that inverse, so the command
+        # fails instead of reading it as zero.
+        poly = write(tmp_path, "cp1.json", CP1)
+        cert = str(tmp_path / "cert.json")
+        argv = ["toric", "certify", poly, "--fiber", "1/2", "--mode", "complex", "--order=-1"]
+        assert main(argv + ["--out", cert]) == 0
+        assert main(["qmap", "rank", cert, "--scale", "3000000000000"]) == 1
+        err = capsys.readouterr().err
+        assert "inverse lead below eps" in err and "Traceback" not in err
+
     def test_brane_out_of_range_exits_1(self, cert_path, capsys):
         assert main(["qmap", "rank", cert_path, "--brane", "5"]) == 1
         assert "out of range" in capsys.readouterr().err

@@ -3,6 +3,7 @@
 import json
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import example, given, settings
@@ -222,6 +223,16 @@ class TestInvert:
             '{"c": {"re": 1000.0000000010001, "im": 0.0}, "exp": "-3"}], '
             '"floor": "-4"}'
         )
+
+
+    def test_complex_inverse_lead_below_eps_raises(self):
+        # 1/3e12 is below eps = 1e-12: the inverse would read as an exact
+        # zero, and x * x.invert() as 0, so inverting raises instead.
+        with pytest.raises(ValueError, match="inverse lead below eps"):
+            NovikovScalar.monomial(CC, 3e12, 0).invert()
+        x = NovikovScalar(CC, [(0, 3e12 + 1j), (-1, 1.0)])
+        with pytest.raises(ValueError, match="inverse lead below eps"):
+            x.invert(Fraction(-5))
 
 
 class TestSerialization:
@@ -485,6 +496,7 @@ class TestArithmeticProperties:
     def test_product_matches_reference(self, pair):
         x, y = pair
         assert x * y == reference_product(x, y)
+        assert_canonical(x * y)
 
     @PROPERTY
     @given(st.data())
@@ -520,6 +532,7 @@ class TestArithmeticProperties:
             return
         floor = _series_floor(data, x)
         assert x.invert(floor) == reference_inverse(x, floor)
+        assert_canonical(x.invert(floor))
 
     @PROPERTY
     @given(st.data())
@@ -598,11 +611,29 @@ def ref_json(field, terms, floor):
     }
 
 
+def assert_canonical(x):
+    """The stored form is the canonical one: decreasing nonzero rows above
+    the floor, no common factor of the grid and the exponents, nor (exact
+    modes) of the denominator and the numerators; complex rows are over 1."""
+    exps = [e for e, _, _ in x.rows]
+    assert exps == sorted(set(exps), reverse=True)
+    assert all(Fraction(e, x.grid) > x.floor for e in exps)
+    assert gcd(x.grid, *exps) == 1 and x.grid > 0
+    if x.field.exact:
+        assert all(re or im for _, re, im in x.rows)
+        assert gcd(x.den, *[p for _, re, im in x.rows for p in (re, im)]) == 1 and x.den > 0
+    else:
+        assert x.den == 1
+        assert all(not x.field.is_zero(complex(re, im)) for _, re, im in x.rows)
+
+
 def assert_matches(field, got, ref):
-    """``got`` has the reference's JSON bits, and equals and hashes like the
-    scalar the constructor builds from the reference terms."""
+    """``got`` has the reference's JSON bits, is in canonical form, and
+    equals and hashes like the scalar the constructor builds from the
+    reference terms."""
     terms, floor = ref
     assert _bits(got) == json.dumps(ref_json(field, terms, floor))
+    assert_canonical(got)
     again = NovikovScalar(field, terms, floor)
     assert got == again and hash(got) == hash(again)
 

@@ -14,31 +14,32 @@ The subring {v_q(x) <= 0} (boundary included) plays the role of the
 ring of integers; the convention here is that valuation exactly 0 lies
 inside it.
 
-Stored form.  A scalar keeps its terms as rows ``(e, re, im)`` on the
-exponent grid q^{1/grid}, over one denominator ``den``: the row stands
-for the term ((re + i*im) / den) q^{e/grid}, and the int exponents e
-strictly decrease.  In the exact modes re and im are integer numerators
-(im is 0 in rational mode); in complex mode they are the float parts of
-the coefficient and den is 1.  The form is canonical: gcd(grid, every e)
-is 1, in the exact modes gcd(den, every re, every im) is 1 as well, and
-the zero scalar has grid = den = 1.  So one element has one stored form,
-and ``__eq__`` and ``__hash__`` compare rows.  ``terms`` builds the
-(Fraction exponent, coefficient) pairs on access, for JSON and tests.
+Stored form.  A scalar keeps rows ``(e, re, im)`` on the exponent grid
+q^{1/grid} over one denominator ``den``: the row is the term
+((re + i*im) / den) q^{e/grid}, with int exponents e strictly
+decreasing.  In the exact modes re and im are integer numerators (im is
+0 in rational mode); in complex mode they are the coefficient's float
+parts and den is 1.  The form is canonical: gcd(grid, every e) = 1, in
+the exact modes also gcd(den, every re, every im) = 1, and zero has
+grid = den = 1.  So an element has one stored form, which ``__eq__`` and
+``__hash__`` compare; ``terms`` builds (Fraction exponent, coefficient)
+pairs from it on access, for JSON and tests.
 
-Every operation runs on the rows.  Sums merge them over the lcm of the
-grids and of the denominators; products and inverses run one row kernel
-that accumulates ``re += a1*a2 - b1*b2`` and ``im += a1*b2 + b1*a2``.
-On floats these are the IEEE operations, in the same order, that complex
+Every operation runs on the rows: sums merge them over the lcms of the
+grids and denominators, and products and inverses run one row kernel
+accumulating ``re += a1*a2 - b1*b2`` and ``im += a1*b2 + b1*a2``.  On
+floats these are the IEEE operations, in the same order, that complex
 ``*`` and ``+`` perform (a scaling puts the term's coefficient on the
 left), and a float coefficient is zero when ``abs(complex(re, im)) <
-eps``, as the field says; so complex results keep their last bits,
-signed zeros included.
+eps``, as in the field; so complex results keep their last bits, signed
+zeros included.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
+from operator import or_
 from typing import Any, Iterable, Optional, Tuple, Union
 
 from .fields import (
@@ -63,15 +64,6 @@ def _floor(value) -> FloorValue:
     return NEG_INF if value == NEG_INF else Fraction(value)
 
 
-def _smear(floor: FloorValue, other: "NovikovScalar") -> FloorValue:
-    """The floor a factor's unknown tail below ``floor`` puts on its
-    product with ``other``: floor + v(other); NEG_INF absorbs."""
-    if floor is NEG_INF:
-        return NEG_INF
-    bound = other._bound()
-    return NEG_INF if bound is NEG_INF else floor + bound
-
-
 def _cut(floor: FloorValue, grid: int) -> Optional[int]:
     """The largest grid exponent at or below ``floor``, None for -inf: a
     row lies above the floor iff its exponent exceeds the cut."""
@@ -89,10 +81,15 @@ def _above(rows, cut: Optional[int]):
     return rows
 
 
+def _regrid(rows, factor: int):
+    """The rows with their exponents on a grid ``factor`` times finer."""
+    return rows if factor == 1 else [(e * factor, re, im) for e, re, im in rows]
+
+
 def _nonzero(field: CoefficientField):
     """The field's nonzero test on the parts of a row."""
     if field.exact:
-        return lambda re, im: re or im
+        return or_  # re | im is nonzero iff re or im is
     eps = field.eps
     return lambda re, im: not abs(complex(re, im)) < eps
 
@@ -100,36 +97,38 @@ def _nonzero(field: CoefficientField):
 def _content(rows: list, den: int) -> tuple:
     """The rows over ``den`` with their common factor divided out; complex
     rows, over 1, stay as they are."""
-    if den > 1:
-        g = gcd(den, *[x for _, re, im in rows for x in (re, im)])
-        if g > 1:
-            return [(e, re // g, im // g) for e, re, im in rows], den // g
-    return rows, den
+    if den == 1:
+        return rows, den
+    g = den
+    for _, re, im in rows:
+        g = gcd(g, re, im)
+        if g == 1:
+            return rows, den
+    return [(e, re // g, im // g) for e, re, im in rows], den // g
 
 
-def _scalar(field, floor, grid: int, den: int, rows, out=None) -> "NovikovScalar":
+def _scalar(field, floor, grid: int, den: int, rows, out=None, reduced=False) -> "NovikovScalar":
     """The scalar of ``rows`` over ``grid`` and ``den``, brought to canonical
-    form; the rows are nonzero, above ``floor`` and strictly decreasing."""
-    if rows:
-        if grid > 1:
-            g = gcd(grid, *[e for e, _, _ in rows])
-            if g > 1:
-                grid //= g
-                rows = [(e // g, re, im) for e, re, im in rows]
-        rows, den = _content(rows, den)
-    else:
+    form unless ``reduced`` says it is; the rows are nonzero, above
+    ``floor`` and strictly decreasing."""
+    if not rows:
         grid = den = 1
-    return _new(field, floor, grid, den, tuple(rows), out)
-
-
-def _new(field, floor, grid: int, den: int, rows: tuple, out=None) -> "NovikovScalar":
-    """The scalar of rows already in canonical form."""
+    elif not reduced:
+        g = grid
+        for e, _, _ in rows:
+            g = gcd(g, e)
+            if g == 1:
+                break
+        else:
+            grid //= g
+            rows = [(e // g, re, im) for e, re, im in rows]
+        rows, den = _content(rows, den)
     out = object.__new__(NovikovScalar) if out is None else out
     _set(out, "field", field)
     _set(out, "floor", floor)
     _set(out, "grid", grid)
     _set(out, "den", den)
-    _set(out, "rows", rows)
+    _set(out, "rows", tuple(rows))
     return out
 
 
@@ -152,7 +151,8 @@ def _merged(field: CoefficientField, parts: list, floor: FloorValue) -> tuple:
         else:
             merged[e] = [re, im]
     nonzero = _nonzero(field)
-    rows = sorted(((e, re, im) for e, (re, im) in merged.items() if nonzero(re, im)), reverse=True)
+    rows = [(e, re, im) for e, (re, im) in merged.items() if nonzero(re, im)]
+    rows.sort(reverse=True)
     return floor, grid, den, _above(rows, _cut(floor, grid))
 
 
@@ -199,8 +199,7 @@ def _series_inverse(field, rows: tuple, den: int, inv: tuple, inv_den: int, cut:
     neg_u = [(e, -re, -im) for e, re, im in _row_product(rows[1:], [inv], u_cut, nonzero)]
     neg_u, u_den = _content(neg_u, den * inv_den)
     power, power_den = [(0, 1, 0)], 1
-    series = {0: [1, 0]}
-    series_den = 1
+    series, series_den = {0: [1, 0]}, 1
     while True:
         power = _row_product(power, neg_u, u_cut, nonzero)
         if not power:
@@ -214,16 +213,14 @@ def _series_inverse(field, rows: tuple, den: int, inv: tuple, inv_den: int, cut:
             series_den *= grow
         m = series_den // power_den
         for e, re, im in power:
-            if m != 1:
-                re, im = re * m, im * m
             if e in series:
                 s = series[e]
-                s[0] += re
-                s[1] += im
+                s[0] += re * m
+                s[1] += im * m
                 if not nonzero(s[0], s[1]):
                     del series[e]
             else:
-                series[e] = [re, im]
+                series[e] = [re * m, im * m]
     rows = [(e, re, im) for e, (re, im) in sorted(series.items(), reverse=True)]
     return _row_product(rows, [inv], cut, nonzero), series_den * inv_den
 
@@ -239,16 +236,10 @@ class NovikovScalar:
 
     __slots__ = ("field", "floor", "grid", "den", "rows")
 
-    def __init__(
-        self,
-        field: CoefficientField,
-        terms: Iterable[Tuple[Any, Any]] = (),
-        floor: FloorValue = NEG_INF,
-    ):
-        parts = []
-        for exp, coeff in terms:
-            exp = Fraction(exp)
-            parts.append((exp.numerator, exp.denominator, *field.to_parts(field.coerce(coeff))))
+    def __init__(self, field: CoefficientField, terms: Iterable[Tuple[Any, Any]] = (),
+                 floor: FloorValue = NEG_INF):
+        pairs = [(Fraction(exp), field.to_parts(field.coerce(coeff))) for exp, coeff in terms]
+        parts = [(exp.numerator, exp.denominator, *c) for exp, c in pairs]
         _scalar(field, *_merged(field, parts, floor), out=self)
 
     def __setattr__(self, name, value):
@@ -310,48 +301,19 @@ class NovikovScalar:
 
     # -- ring operations -----------------------------------------------
 
-    def _rows_on(self, grid: int, den: int) -> tuple:
-        """The rows rescaled to a multiple of the grid and of the denominator."""
-        g, d = grid // self.grid, den // self.den
-        if g == 1 and d == 1:
-            return self.rows
-        return tuple((e * g, re * d, im * d) for e, re, im in self.rows)
-
     def __add__(self, other: "NovikovScalar") -> "NovikovScalar":
         if other.field is not self.field:
             self.field.check_compatible(other.field)
-        field = self.field
-        floor = max(self.floor, other.floor)
-        grid, den = lcm(self.grid, other.grid), lcm(self.den, other.den)
-        a, b = self._rows_on(grid, den), other._rows_on(grid, den)
-        nonzero = _nonzero(field)
-        # Merge the two decreasing row lists.
-        i = j = 0
-        out = []
-        while i < len(a) and j < len(b):
-            ea, eb = a[i][0], b[j][0]
-            if ea > eb:
-                out.append(a[i])
-                i += 1
-            elif eb > ea:
-                out.append(b[j])
-                j += 1
-            else:
-                re, im = a[i][1] + b[j][1], a[i][2] + b[j][2]
-                if nonzero(re, im):
-                    out.append((ea, re, im))
-                i += 1
-                j += 1
-        out.extend(a[i:])
-        out.extend(b[j:])
-        return _scalar(field, floor, grid, den, _above(out, _cut(floor, grid)))
+        parts = [(e, self.grid, re, im, self.den) for e, re, im in self.rows]
+        parts += [(e, other.grid, re, im, other.den) for e, re, im in other.rows]
+        return _scalar(self.field, *_merged(self.field, parts, max(self.floor, other.floor)))
 
     def __sub__(self, other: "NovikovScalar") -> "NovikovScalar":
         return self + (-other)
 
     def __neg__(self) -> "NovikovScalar":
         rows = tuple((e, -re, -im) for e, re, im in self.rows)
-        return _new(self.field, self.floor, self.grid, self.den, rows)
+        return _scalar(self.field, self.floor, self.grid, self.den, rows, reduced=True)
 
     def __mul__(self, other: "NovikovScalar") -> "NovikovScalar":
         if other.field is not self.field:
@@ -360,13 +322,17 @@ class NovikovScalar:
         # Unknown tails below either floor smear the product; the sharp
         # bound is max(floor_x + val(y), floor_y + val(x)), where a factor
         # that is zero down to its floor may still carry anything below it.
-        floor = max(_smear(self.floor, other), _smear(other.floor, self))
+        floor = NEG_INF
+        for x, y in ((self, other), (other, self)):
+            if x.floor is not NEG_INF and (bound := y._bound()) is not NEG_INF:
+                floor = max(floor, x.floor + bound)
         if not self.rows or not other.rows:
             return _scalar(field, floor, 1, 1, ())
         # Both row lists strictly decrease, so a row of the product ends at
         # the first sum at or below the floor.
         grid = lcm(self.grid, other.grid)
-        left, right = self._rows_on(grid, self.den), other._rows_on(grid, other.den)
+        left = _regrid(self.rows, grid // self.grid)
+        right = _regrid(other.rows, grid // other.grid)
         cut = _cut(floor, grid)
         if cut is None:
             cut = left[-1][0] + right[-1][0] - 1
@@ -392,7 +358,7 @@ class NovikovScalar:
         floor = self.floor if self.floor is NEG_INF else self.floor + exp
         grid = lcm(self.grid, exp.denominator)
         s = exp.numerator * (grid // exp.denominator)
-        rows = [(e + s, re, im) for e, re, im in self._rows_on(grid, self.den)]
+        rows = [(e + s, re, im) for e, re, im in _regrid(self.rows, grid // self.grid)]
         return _scalar(self.field, floor, grid, self.den, rows)
 
     def truncate(self, floor: FloorValue) -> "NovikovScalar":
@@ -405,9 +371,8 @@ class NovikovScalar:
         that nothing down to it is missing."""
         floor = _floor(floor)
         rows = _above(self.rows, _cut(floor, self.grid))
-        if len(rows) == len(self.rows):
-            return _new(self.field, floor, self.grid, self.den, rows)
-        return _scalar(self.field, floor, self.grid, self.den, rows)
+        kept = len(rows) == len(self.rows)  # still canonical
+        return _scalar(self.field, floor, self.grid, self.den, rows, reduced=kept)
 
     # -- inversion ------------------------------------------------------
 
@@ -428,40 +393,33 @@ class NovikovScalar:
         e0, a0, b0 = self.rows[0]
         # Nothing below f - 2*w0 is knowable: the tail enters at
         # relative order f - w0 and the inverse is scaled by q^{-w0}.
-        if self.floor is NEG_INF:
-            implied = NEG_INF
-        else:
-            implied = self.floor - 2 * Fraction(e0, grid)
+        implied = NEG_INF if self.floor is NEG_INF else self.floor - 2 * Fraction(e0, grid)
         requested = NEG_INF if floor is None else _floor(floor)
         out_floor = max(implied, requested)
         re, im, inv_den = field.to_parts(field.invert(field.from_parts(a0, b0, self.den)))
         if not _nonzero(field)(re, im):
             raise ValueError(f"inverse lead below eps {field.eps}")
-        inv = (-e0, re, im)
+        inv, cut = (-e0, re, im), _cut(out_floor, grid)
         if len(self.rows) == 1:
-            return _scalar(field, out_floor, grid, inv_den, _above([inv], _cut(out_floor, grid)))
+            return _scalar(field, out_floor, grid, inv_den, _above([inv], cut))
         if out_floor is NEG_INF:
             raise ValueError(
                 "inverse of a multi-term exact scalar has infinite support; "
                 "pass an explicit floor"
             )
-        rows, den = _series_inverse(field, self.rows, self.den, inv, inv_den, _cut(out_floor, grid))
+        rows, den = _series_inverse(field, self.rows, self.den, inv, inv_den, cut)
         return _scalar(field, out_floor, grid, den, rows)
 
     # -- comparisons and serialization ----------------------------------
 
+    def _key(self) -> tuple:
+        return self.field, self.floor, self.grid, self.den, self.rows
+
     def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, NovikovScalar)
-            and self.field == other.field
-            and self.floor == other.floor
-            and self.grid == other.grid
-            and self.den == other.den
-            and self.rows == other.rows
-        )
+        return isinstance(other, NovikovScalar) and self._key() == other._key()
 
     def __hash__(self):
-        return hash((self.field, self.floor, self.grid, self.den, self.rows))
+        return hash(self._key())
 
     def isclose(self, other: "NovikovScalar", tol: float = 1e-9) -> bool:
         """Termwise closeness; exact modes compare exactly."""
@@ -469,10 +427,8 @@ class NovikovScalar:
             return self == other
         if self.floor != other.floor or len(self.rows) != len(other.rows):
             return False
-        for (e1, c1), (e2, c2) in zip(self.terms, other.terms):
-            if e1 != e2 or abs(c1 - c2) > tol:
-                return False
-        return True
+        pairs = zip(self.terms, other.terms)
+        return all(e1 == e2 and not abs(c1 - c2) > tol for (e1, c1), (e2, c2) in pairs)
 
     def __repr__(self) -> str:
         if not self.rows:

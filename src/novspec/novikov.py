@@ -57,8 +57,7 @@ _set = object.__setattr__
 
 
 def _floor(value) -> FloorValue:
-    """A floor as stored: NEG_INF itself or a Fraction, so that stored
-    floors test for -inf by identity."""
+    """A floor as stored: NEG_INF itself, tested by identity, or a Fraction."""
     if value is NEG_INF or type(value) is Fraction:
         return value
     return NEG_INF if value == NEG_INF else Fraction(value)
@@ -95,8 +94,7 @@ def _nonzero(field: CoefficientField):
 
 
 def _content(rows: list, den: int) -> tuple:
-    """The rows over ``den`` with their common factor divided out; complex
-    rows, over 1, stay as they are."""
+    """The rows over ``den`` with their common factor divided out."""
     if den == 1:
         return rows, den
     g = den
@@ -137,6 +135,10 @@ def _merged(field: CoefficientField, parts: list, floor: FloorValue) -> tuple:
     numerator, exponent denominator, re, im, den): equal exponents sum in
     order, and sums that are zero or at or below the floor drop."""
     floor = _floor(floor)
+    if len(parts) == 1:  # a monomial, the common case in documents
+        num, grid, re, im, den = parts[0]
+        rows = [(num, re, im)] if _nonzero(field)(re, im) else []
+        return floor, grid, den, _above(rows, _cut(floor, grid))
     grid = lcm(*[p[1] for p in parts])
     den = lcm(*[p[4] for p in parts])
     merged: dict = {}
@@ -346,10 +348,9 @@ class NovikovScalar:
         if field.is_zero(coeff):
             return NovikovScalar.zero(field, NEG_INF if self.is_exact_zero() else self.floor)
         c, d, cden = field.to_parts(coeff)
+        nonzero = _nonzero(field)
         rows = [(e, a * c - b * d, a * d + b * c) for e, a, b in self.rows]
-        if not field.exact:
-            nonzero = _nonzero(field)
-            rows = [row for row in rows if nonzero(row[1], row[2])]
+        rows = [row for row in rows if nonzero(row[1], row[2])]
         return _scalar(field, self.floor, self.grid, self.den * cden, rows)
 
     def shift(self, exp) -> "NovikovScalar":
@@ -363,7 +364,8 @@ class NovikovScalar:
 
     def truncate(self, floor: FloorValue) -> "NovikovScalar":
         """Forget everything at or below the given floor."""
-        return self.with_floor(max(self.floor, _floor(floor)))
+        floor = max(self.floor, _floor(floor))
+        return self if floor is self.floor else self.with_floor(floor)
 
     def with_floor(self, floor: FloorValue) -> "NovikovScalar":
         """The terms above ``floor``, with ``floor`` stated as the floor.

@@ -245,14 +245,8 @@ class CoefficientField:
             return value
         raise ValueError(f"{value!r} is not a complex coefficient")
 
-    def add(self, a: Coefficient, b: Coefficient) -> Coefficient:
-        return a + b
-
     def mul(self, a: Coefficient, b: Coefficient) -> Coefficient:
         return a * b
-
-    def neg(self, a: Coefficient) -> Coefficient:
-        return -a
 
     def invert(self, a: Coefficient) -> Coefficient:
         if self.is_zero(a):

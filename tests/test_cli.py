@@ -538,6 +538,19 @@ class TestToricCommands:
             digest = hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest()
             assert [code, digest] == [entry["code"], entry["stdout_sha256"]], entry["name"]
 
+    def test_toric_output_corpus_replays_byte_identical(self, tmp_path, capsys):
+        # Validation reports, grid scans and a potential, recorded by
+        # tests/golden/pin_toric_output.py: every exact LP outcome and the
+        # facet values at each grid point.
+        corpus = json.loads((GOLDEN / "toric_output.json").read_text(encoding="utf-8"))
+        assert {e["code"] for e in corpus if e["command"] == "validate"} == {0, 1}
+        for entry in corpus:
+            path = write(tmp_path, "polytope.json", entry["polytope"])
+            code = main(["toric", entry["command"], path, *entry["options"]])
+            digest = hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest()
+            assert [code, digest] == [entry["code"], entry["stdout_sha256"]], (
+                entry["name"], entry["command"], entry["options"])
+
     @staticmethod
     def sympy_loaded(argv):
         """Exit code of one CLI run in a fresh interpreter, and whether it

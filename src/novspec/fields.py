@@ -361,15 +361,22 @@ def gauss_jordan(
     columns (right-hand sides, identity blocks) are carried along.  In each
     column the pivot is the first remaining row whose entry has the largest
     ``key``; ``key`` is None for an entry that counts as zero, and such an
-    entry is never eliminated.  The pivot row is scaled to ``inv * x`` with
-    ``inv = invert(pivot)``, and every other row becomes ``a - f * c``, where
-    ``f`` is its entry in the pivot column and ``c`` the scaled pivot row.
-    A column without a pivot is skipped.
+    entry is never eliminated.  Right of the pivot column, the pivot row is
+    scaled to ``inv * x`` with ``inv = invert(pivot)``, and every other row
+    becomes ``a - f * c``, where ``f`` is its entry in the pivot column and
+    ``c`` the scaled pivot row.  A column without a pivot is skipped.
 
-    Returns ``(rows, pivots, sign)``: the reduced rows, the ``(column,
-    pivot)`` pairs in order (pivots as found, before scaling), and the sign
-    of the row permutation, so a square matrix has determinant ``sign``
-    times the product of the pivots when every column has one, else 0.
+    Only the columns right of each pivot are updated, since each column's
+    update reads only that column and the pivot column: the pivot column
+    and the columns left of it keep their entries, so the first ``width``
+    columns of the returned rows are left unreduced, while the pivots and
+    every later column come out as a full reduction gives them, to the bit.
+
+    Returns ``(rows, pivots, sign)``: the rows, reduced right of their
+    pivots, the ``(column, pivot)`` pairs in order (pivots as found, before
+    scaling), and the sign of the row permutation, so a square matrix has
+    determinant ``sign`` times the product of the pivots when every column
+    has one, else 0.
     """
     rows = [list(row) for row in rows]
     pivots: List[Tuple[int, Any]] = []
@@ -391,11 +398,11 @@ def gauss_jordan(
             sign = -sign
         pivot = rows[top][col]
         inv = invert(pivot)
-        prow = rows[top] = [inv * x for x in rows[top]]
+        tail = rows[top][col + 1:] = [inv * x for x in rows[top][col + 1:]]
         for r, row in enumerate(rows):
             if r != top and keys[r] is not None:
                 f = row[col]
-                rows[r] = [a - f * c for a, c in zip(row, prow)]
+                row[col + 1:] = [a - f * c for a, c in zip(row[col + 1:], tail)]
         pivots.append((col, pivot))
         top += 1
     return rows, pivots, sign

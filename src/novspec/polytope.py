@@ -25,7 +25,7 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .fields import determinant, fraction_str, gauss_jordan, parse_fraction
 
@@ -38,7 +38,7 @@ def _parse_point(text_or_seq) -> Point:
     if isinstance(text_or_seq, str):
         parts = [p for p in text_or_seq.split(",") if p.strip()]
         return tuple(parse_fraction(p.strip()) for p in parts)
-    return tuple(parse_fraction(p) for p in text_or_seq)
+    return tuple(p if isinstance(p, Fraction) else parse_fraction(p) for p in text_or_seq)
 
 
 def point_str(point: Sequence[Fraction]) -> str:
@@ -47,6 +47,13 @@ def point_str(point: Sequence[Fraction]) -> str:
 
 def _vec_gcd(vec: Iterable[int]) -> int:
     return math.gcd(*vec)
+
+
+def _over_lcm(point: Sequence[Fraction]) -> Tuple[List[int], int]:
+    """The integer numerators of a rational point over the lcm ``den`` of
+    its denominators, and ``den``."""
+    den = math.lcm(*(x.denominator for x in point))
+    return [x.numerator * (den // x.denominator) for x in point], den
 
 
 def _frac_reduce(rows: List[List[Fraction]], width: int):
@@ -138,7 +145,14 @@ class Facet:
     def value(self, point: Sequence[Fraction]) -> Fraction:
         if len(point) != len(self.normal):
             raise ValueError("point dimension does not match facet normal")
-        return sum((Fraction(p) * v for p, v in zip(point, self.normal)), -self.offset)
+        return Fraction(*self._ratio(*_over_lcm(point)))
+
+    def _ratio(self, nums: Sequence[int], den: int) -> Tuple[int, int]:
+        """``(num, d)``, ``d > 0``, with ``num / d`` the value at the point
+        ``nums / den`` (``_over_lcm`` form)."""
+        c = self.offset
+        dot = sum(x * v for x, v in zip(nums, self.normal))
+        return dot * c.denominator - c.numerator * den, den * c.denominator
 
     def to_json(self) -> dict:
         return {"normal": list(self.normal), "offset": fraction_str(self.offset)}
@@ -170,21 +184,32 @@ class MomentPolytope:
             if len(f.normal) != self.dim:
                 raise ValueError("facet normal length does not match dimension")
 
-    def values(self, point: Sequence[Fraction]) -> List[Fraction]:
+    def _point(self, point) -> Point:
         pt = _parse_point(point)
         if len(pt) != self.dim:
             raise ValueError(f"point has dimension {len(pt)}, polytope has {self.dim}")
-        return [f.value(pt) for f in self.facets]
+        return pt
+
+    def values(self, point: Sequence[Fraction]) -> List[Fraction]:
+        nums, den = _over_lcm(self._point(point))
+        return [Fraction(*f._ratio(nums, den)) for f in self.facets]
+
+    def _value_numerators(self, pt: Point) -> Iterator[int]:
+        """Numerators of the facet values at ``pt`` over positive
+        denominators, in facet order: the signs of the values, without
+        building them."""
+        nums, den = _over_lcm(pt)
+        return (f._ratio(nums, den)[0] for f in self.facets)
 
     def is_interior(self, point) -> bool:
         try:
-            vals = self.values(point)
+            pt = self._point(point)
         except ValueError:
             return False
-        return all(v > 0 for v in vals)
+        return all(x > 0 for x in self._value_numerators(pt))
 
     def contains(self, point) -> bool:
-        return all(v >= 0 for v in self.values(point))
+        return all(x >= 0 for x in self._value_numerators(self._point(point)))
 
     def to_json(self) -> dict:
         return {"dim": self.dim, "facets": [f.to_json() for f in self.facets]}
@@ -301,21 +326,28 @@ class PolytopeReport:
         }
 
 
-def _pivot(rows: List[list], obj: list, basis: List[int], r: int, col: int) -> None:
+def _eliminate(row: List[int], prow: List[int], col: int) -> List[int]:
+    """``p*row - row[col]*prow`` with ``p = prow[col] > 0``, divided by its
+    gcd: a positive multiple of the row with its ``col`` entry cleared."""
+    p, f = prow[col], row[col]
+    out = [p * x - f * y for x, y in zip(row, prow)]
+    g = math.gcd(*out)
+    return [x // g for x in out] if g > 1 else out
+
+
+def _pivot(rows: List[List[int]], obj: List[int], basis: List[int], r: int, col: int) -> None:
+    if rows[r][col] < 0:
+        rows[r] = [-x for x in rows[r]]
     prow = rows[r]
-    inv = 1 / prow[col]
-    if inv != 1:
-        prow[:] = [x * inv for x in prow]
-    nonzero = [j for j, x in enumerate(prow) if x]
-    for row in itertools.chain(rows, (obj,)):
-        factor = row[col]
-        if factor and row is not prow:
-            for j in nonzero:
-                row[j] -= factor * prow[j]
+    for i, row in enumerate(rows):
+        if row[col] and i != r:
+            rows[i] = _eliminate(row, prow, col)
+    if obj[col]:
+        obj[:] = _eliminate(obj, prow, col)
     basis[r] = col
 
 
-def _simplex(rows: List[list], obj: List, basis: List[int], allowed: List[int]) -> bool:
+def _simplex(rows: List[List[int]], obj: List[int], basis: List[int], allowed: List[int]) -> bool:
     """Pivot to optimality with Bland's rule; False when unbounded below.
 
     ``obj`` holds the reduced costs and, last, minus the objective value.
@@ -325,38 +357,57 @@ def _simplex(rows: List[list], obj: List, basis: List[int], allowed: List[int]) 
         enter = next((j for j in allowed if obj[j] < 0), None)
         if enter is None:
             return True
-        leave, best = None, None
+        leave = None
         for i, row in enumerate(rows):
             if row[enter] > 0:
-                ratio = row[-1] / row[enter]
-                if best is None or ratio < best or (ratio == best and basis[i] < basis[leave]):
-                    leave, best = i, ratio
+                if leave is None:
+                    leave = i
+                    continue
+                # row[-1] / row[enter] against the best ratio, cross-multiplied
+                best = rows[leave]
+                lhs, rhs = row[-1] * best[enter], best[-1] * row[enter]
+                if lhs < rhs or (lhs == rhs and basis[i] < basis[leave]):
+                    leave = i
         if leave is None:
             return False
         _pivot(rows, obj, basis, leave, enter)
 
 
-def _reduced_costs(rows: List[list], basis: List[int], cost: List) -> list:
-    obj = list(cost) + [Fraction(0)]
+def _reduced_costs(rows: List[List[int]], basis: List[int], cost: List[int]) -> List[int]:
+    obj = list(cost) + [0]
     for row, b in zip(rows, basis):
-        if cost[b]:
-            obj = [o - cost[b] * x for o, x in zip(obj, row)]
+        if obj[b]:
+            obj = _eliminate(obj, row, b)
     return obj
 
 
-def _lp(objectives: Sequence[Sequence], a: Sequence[Sequence], b: Sequence):
-    """Exact LP over free variables: lexicographically minimise the
-    objectives over {x in Q^n : A x >= b}.
+def _lp(objectives: Sequence[Sequence[int]], a: Sequence[Sequence[int]], b: Sequence):
+    """Exact LP over free variables: lexicographically minimise the integer
+    objectives over {x in Q^n : A x >= b}, for integer A and rational b.
 
     Each later objective is minimised over the optimal set of the earlier
     ones; one that is unbounded there is skipped.  Returns ``(status, x)``
     with status "optimal", "infeasible", or "unbounded" (the first
     objective is unbounded below; x is then None).
 
-    Dense two-phase simplex on a Fraction tableau with Bland's rule, so it
-    terminates on degenerate problems.  Free x_j is split as x+_j - x-_j;
-    row i reads A_i x - s_i = b_i with slack s_i >= 0, and starts from its
-    slack when b_i <= 0, from an artificial variable otherwise.
+    Dense two-phase simplex with Bland's rule, so it terminates on
+    degenerate problems.  Free x_j is split as x+_j - x-_j; row i reads
+    A_i x - s_i = b_i with slack s_i >= 0, and starts from its slack when
+    b_i <= 0, from an artificial variable otherwise.
+
+    The tableau is fraction-free (Edmonds; Bareiss 1968).  Each row, and
+    the reduced-cost row, is an integer row that is a positive multiple of
+    the row a rational tableau would hold: an input row is scaled by the
+    denominator of b_i, a pivot replaces each other row by ``p*row -
+    row[col]*prow`` with the pivot entry p > 0 (the pivot row is negated
+    first when p < 0) and divides it by its gcd.  A basic column then holds
+    the row's positive scale instead of 1, and a basic value is read once,
+    at the end, as the right-hand side over that scale.  Positive scaling
+    keeps every sign and zero test, and the ratio test compares
+    ``row[-1] / row[enter]`` by cross-multiplying positive denominators, so
+    every ratio order and tie is that of the rational tableau: Bland's rule
+    takes the same entering and leaving columns, reaches the same final
+    basis, and returns the same point.
     """
     m = len(a)
     n = len(a[0]) if m else len(objectives[0])
@@ -365,15 +416,16 @@ def _lp(objectives: Sequence[Sequence], a: Sequence[Sequence], b: Sequence):
     rows, basis = [], []
     next_artificial = width
     for i, (ai, bi) in enumerate(zip(a, b)):
-        sign = 1 if bi > 0 else -1
-        row = [Fraction(0)] * (width + artificials + 1)
+        num, den = bi.numerator, bi.denominator
+        scale = den if num > 0 else -den
+        row = [0] * (width + artificials + 1)
         for j, x in enumerate(ai):
-            row[j] = Fraction(sign * x)
+            row[j] = scale * x
             row[n + j] = -row[j]
-        row[2 * n + i] = Fraction(-sign)
-        row[-1] = Fraction(sign * bi)
-        if sign > 0:
-            row[next_artificial] = Fraction(1)
+        row[2 * n + i] = -scale
+        row[-1] = abs(num)
+        if num > 0:
+            row[next_artificial] = den
             basis.append(next_artificial)
             next_artificial += 1
         else:
@@ -395,19 +447,16 @@ def _lp(objectives: Sequence[Sequence], a: Sequence[Sequence], b: Sequence):
                     _pivot(rows, obj, basis, i, col)
     allowed = list(range(width))
     for k, c in enumerate(objectives):
-        cost = [Fraction(x) for x in c] + [-Fraction(x) for x in c]
-        cost += [Fraction(0)] * (m + artificials)
-        obj = _reduced_costs(rows, basis, cost)
+        obj = _reduced_costs(rows, basis, [*c, *(-x for x in c)] + [0] * (m + artificials))
         if not _simplex(rows, obj, basis, allowed):
             if k == 0:
                 return "unbounded", None
             continue
         # Columns with a positive reduced cost are zero on the optimal set.
         allowed = [j for j in allowed if obj[j] == 0]
-    value = [Fraction(0)] * width
-    for row, col in zip(rows, basis):
-        value[col] = row[-1]
-    return "optimal", [value[j] - value[n + j] for j in range(n)]
+    value = {col: Fraction(row[-1], row[col]) for row, col in zip(rows, basis) if col < 2 * n}
+    zero = Fraction(0)
+    return "optimal", [value.get(j, zero) - value.get(n + j, zero) for j in range(n)]
 
 
 def _bounded_exact(p: MomentPolytope) -> bool:
@@ -467,13 +516,13 @@ def enumerate_vertices(p: MomentPolytope) -> List[Point]:
         if sol is None:
             continue
         pt = tuple(sol)
-        if all(f.value(pt) >= 0 for f in p.facets):
+        if all(x >= 0 for x in p._value_numerators(pt)):
             seen[pt] = True
     return sorted(seen.keys())
 
 
 def active_facets(p: MomentPolytope, vertex: Point) -> List[int]:
-    return [i for i, f in enumerate(p.facets) if f.value(vertex) == 0]
+    return [i for i, x in enumerate(p._value_numerators(vertex)) if x == 0]
 
 
 def polytope_validate(p: MomentPolytope) -> PolytopeReport:

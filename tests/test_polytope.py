@@ -31,7 +31,7 @@ from novspec.polytope import (
     transform_point,
     unimodular_inverse_transpose,
 )
-from novspec.polytope import _facet_redundant, _frac_solve
+from novspec.polytope import _facet_redundant, _frac_solve, _lp, _pivot, _simplex
 
 CP1 = segment(Fraction(0), Fraction(1))
 CP2 = simplex(2)
@@ -495,16 +495,14 @@ def small_polytopes(draw):
     normal = st.lists(st.integers(-2, 2), min_size=dim, max_size=dim).filter(
         lambda v: math.gcd(*v) == 1
     )
-    offset = st.builds(Fraction, st.integers(-6, 2), st.sampled_from([1, 2]))
+    offset = st.builds(Fraction, st.integers(-6, 2), st.sampled_from([1, 2, 3]))
     facets = draw(
         st.lists(st.builds(Facet, normal.map(tuple), offset), min_size=dim + 1, max_size=7)
     )
     return MomentPolytope(dim, tuple(facets))
 
 
-@settings(max_examples=200, deadline=None, derandomize=True, database=None)
-@given(small_polytopes())
-def test_exact_lp_matches_vertex_oracle(p):
+def _assert_matches_vertex_oracle(p):
     n = p.dim
     normals = [f.normal for f in p.facets]
     rep = polytope_validate(p)
@@ -535,3 +533,72 @@ def test_exact_lp_matches_vertex_oracle(p):
         assert _facet_redundant(p, i) == expected
         if rep.interior_nonempty:
             assert (i in rep.redundant_facets) == expected
+
+    if rep.interior_nonempty and not rep.redundant_facets:
+        assert rep.vertices == sorted(_vertices(normals, [f.offset for f in p.facets]))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(small_polytopes())
+def test_exact_lp_matches_vertex_oracle(p):
+    _assert_matches_vertex_oracle(p)
+
+
+def test_exact_lp_matches_vertex_oracle_on_30_digit_offsets():
+    # Offsets whose numerators and denominators have 30 digits: the tableau
+    # rows scale by unlike large denominators, and every pivot multiplies
+    # them together before the gcd divides them out.
+    rng = random.Random(30)
+
+    def big():
+        return Fraction(rng.randrange(10**29, 10**30), rng.randrange(10**29, 10**30))
+
+    lo = [big() for _ in range(3)]
+    hi = [x + 1 + big() for x in lo]
+    units = [tuple(int(i == j) for j in range(3)) for i in range(3)]
+    facets = [Facet(u, x) for u, x in zip(units, lo)]
+    facets += [Facet(tuple(-c for c in u), -x) for u, x in zip(units, hi)]
+    cut = Facet((-1, -1, -1), -(sum(lo) + sum(hi)) / 2)
+    p = MomentPolytope(3, tuple(facets) + (cut,))
+    padded = MomentPolytope(3, p.facets + (Facet((-1, -1, -1), cut.offset - big()),))
+    assert polytope_validate(p).vertices
+    assert polytope_validate(padded).redundant_facets == [7]
+    for q in (p, padded):
+        _assert_matches_vertex_oracle(q)
+
+
+def _beale_tableau():
+    """Beale's LP, min -3/4 x4 + 20 x5 - 1/2 x6 + 6 x7 subject to
+    1/4 x4 - 8 x5 - x6 + 9 x7 <= 0, 1/2 x4 - 12 x5 - 1/2 x6 + 3 x7 <= 0,
+    x6 <= 1 and x >= 0, as an integer tableau on slacks s1..s3 (columns
+    4-6), with the first two rows and the costs scaled by 4, 2 and 4."""
+    rows = [
+        [1, -32, -4, 36, 4, 0, 0, 0],
+        [1, -24, -1, 6, 0, 2, 0, 0],
+        [0, 0, 1, 0, 0, 0, 1, 1],
+    ]
+    return rows, [-3, 80, -2, 24, 0, 0, 0, 0], [4, 5, 6]
+
+
+def test_beale_cycling_lp_terminates_at_optimum():
+    # Dantzig's rule (most negative reduced cost, ties to the lowest basic
+    # index) cycles back to the slack basis after six degenerate pivots.
+    rows, obj, basis = _beale_tableau()
+    for _ in range(6):
+        enter = min((j for j in range(7) if obj[j] < 0), key=lambda j: obj[j])
+        live = [i for i, row in enumerate(rows) if row[enter] > 0]
+        leave = min(live, key=lambda i: (Fraction(rows[i][-1], rows[i][enter]), basis[i]))
+        _pivot(rows, obj, basis, leave, enter)
+    assert basis == [4, 5, 6]
+
+    # Bland's rule stops at x4 = x6 = 1 with the optimum -5/4.
+    rows, obj, basis = _beale_tableau()
+    assert _simplex(rows, obj, basis, list(range(7)))
+    assert Fraction(-obj[-1], 4) == Fraction(-5, 4)
+    values = {b: Fraction(row[-1], row[b]) for row, b in zip(rows, basis)}
+    assert [values.get(j, 0) for j in range(4)] == [1, 0, 1, 0]
+
+    # The same LP over free variables, with x >= 0 as rows.
+    a = [[-1, 32, 4, -36], [-1, 24, 1, -6], [0, 0, -1, 0]]
+    a += [[int(i == j) for j in range(4)] for i in range(4)]
+    assert _lp([[-3, 80, -2, 24]], a, [0, 0, -1, 0, 0, 0, 0]) == ("optimal", [1, 0, 1, 0])

@@ -365,18 +365,15 @@ def gauss_jordan(
     scaled to ``inv * x`` with ``inv = invert(pivot)``, and every other row
     becomes ``a - f * c``, where ``f`` is its entry in the pivot column and
     ``c`` the scaled pivot row.  A column without a pivot is skipped.
+    Each column's update reads only that column and the pivot column, so
+    the first ``width`` columns are left unreduced, while the pivots and
+    the carried columns come out as a full reduction gives them, to the
+    bit.
 
-    Only the columns right of each pivot are updated, since each column's
-    update reads only that column and the pivot column: the pivot column
-    and the columns left of it keep their entries, so the first ``width``
-    columns of the returned rows are left unreduced, while the pivots and
-    every later column come out as a full reduction gives them, to the bit.
-
-    Returns ``(rows, pivots, sign)``: the rows, reduced right of their
-    pivots, the ``(column, pivot)`` pairs in order (pivots as found, before
-    scaling), and the sign of the row permutation, so a square matrix has
-    determinant ``sign`` times the product of the pivots when every column
-    has one, else 0.
+    Returns ``(rows, pivots, sign)``: the rows, the ``(column, pivot)``
+    pairs in order (pivots as found, before scaling), and the sign of the
+    row permutation, so a square matrix has determinant ``sign`` times the
+    product of the pivots when every column has one, else 0.
     """
     rows = [list(row) for row in rows]
     pivots: List[Tuple[int, Any]] = []

@@ -818,3 +818,20 @@ class TestSelftest:
         assert code == 0
         assert doc["mutation"]["detected"]
         assert doc["mutation"]["violations"]
+
+    def test_command_output_corpus_replays_byte_identical(self, tmp_path, capsys):
+        # qmap on gaussian and complex trapezoid certificates, qstate on
+        # rational and float documents of every relation type, and selftest
+        # at seeds 0-3, recorded by tests/golden/pin_command_output.py.
+        corpus = json.loads((GOLDEN / "command_output.json").read_text(encoding="utf-8"))
+        assert {tuple(e["argv"][:2]) for e in corpus["runs"]} == {
+            (g, c) for g, c in COMMANDS if g in ("qmap", "qstate")
+        } | {("selftest", "--seed")}
+        docs = corpus["documents"]
+        for name, doc in docs.items():
+            write(tmp_path, name, doc)
+        for entry in corpus["runs"]:
+            argv = [str(tmp_path / t) if t in docs else t for t in entry["argv"]]
+            code = main(argv)
+            digest = hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest()
+            assert [code, digest] == [entry["code"], entry["stdout_sha256"]], entry["argv"]

@@ -362,7 +362,6 @@ class BraneCertificate:
     x: List[NovikovScalar]
     order: object  # Fraction or NEG_INF
     residual_valuation: object  # Fraction-like or NEG_INF
-    leading_residual: Optional[object]
     residual_norm: float
     central_charge: NovikovScalar
     iterations: int
@@ -372,9 +371,7 @@ class BraneCertificate:
             "x": [xj.to_json() for xj in self.x],
             "order": floor_str(self.order),
             "residual_valuation": floor_str(self.residual_valuation),
-            "leading_residual": None
-            if self.leading_residual is None
-            else self.x[0].field.coeff_to_json(self.leading_residual),
+            "leading_residual": None,  # schema field, always null
             "residual_norm": self.residual_norm,
             "central_charge": self.central_charge.to_json(),
             "iterations": self.iterations,
@@ -436,7 +433,6 @@ def lift_critical(
                 x=x,
                 order=order,
                 residual_valuation=NEG_INF,
-                leading_residual=None,
                 residual_norm=0.0,
                 central_charge=charge,
                 iterations=0,
@@ -506,7 +502,6 @@ def lift_critical(
         x=x_final,
         order=order,
         residual_valuation=order,
-        leading_residual=None,
         residual_norm=_residual_norm(grad_final),
         central_charge=charge,
         iterations=iterations,

@@ -21,12 +21,11 @@ counts, and rank statements are claims about this model only.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Optional, Sequence
 
 from .complexes import Chain, FilteredComplex, OrbitGenerator, PeriodLattice
-from .fields import NEG_INF, CoefficientField, floor_str, fraction_str
+from .fields import NEG_INF, CoefficientField, floor_str
 from .novikov import NovikovScalar
 from .potential import PotentialFunction
 from .spectral import echelon_from_columns, homology_rank
@@ -55,9 +54,6 @@ class QuasimapComplex:
         self.y = [yj.truncate(floor) for yj in y]
         self.brane = list(brane) if brane is not None else None
         self.names = [_subset_name(mask) for mask in range(1 << self.n)]
-
-    def basis(self) -> List[str]:
-        return list(self.names)
 
     def m1(self, chain: Chain) -> Chain:
         """Contraction differential on a chain keyed by subset names."""
@@ -164,11 +160,6 @@ def hqf_report(c: QuasimapComplex) -> dict:
 
 def hqf_rank(c: QuasimapComplex) -> int:
     return hqf_report(c)["rank"]
-
-
-def unit_class(c: QuasimapComplex) -> Chain:
-    """The cycle on the empty subset; always closed (nothing maps out of e)."""
-    return {"e": NovikovScalar.one(c.field)}
 
 
 def unit_in_homology(c: QuasimapComplex) -> bool:

@@ -208,9 +208,6 @@ class MomentPolytope:
             return False
         return all(x > 0 for x in self._value_numerators(pt))
 
-    def contains(self, point) -> bool:
-        return all(x >= 0 for x in self._value_numerators(self._point(point)))
-
     def to_json(self) -> dict:
         return {"dim": self.dim, "facets": [f.to_json() for f in self.facets]}
 
@@ -244,20 +241,6 @@ def simplex(dim: int, size=1) -> MomentPolytope:
         raise ValueError("simplex size must be positive")
     facets = [Facet(tuple(1 if j == i else 0 for j in range(dim)), Fraction(0)) for i in range(dim)]
     facets.append(Facet(tuple(-1 for _ in range(dim)), -s))
-    return MomentPolytope(dim, tuple(facets))
-
-
-def box(bounds: Sequence[Tuple]) -> MomentPolytope:
-    """Axis-aligned box given per-coordinate (lo, hi) bounds."""
-    dim = len(bounds)
-    facets = []
-    for i, (lo, hi) in enumerate(bounds):
-        lo, hi = parse_fraction(lo), parse_fraction(hi)
-        if lo >= hi:
-            raise ValueError("box needs lo < hi in every coordinate")
-        e = tuple(1 if j == i else 0 for j in range(dim))
-        facets.append(Facet(e, lo))
-        facets.append(Facet(tuple(-x for x in e), -hi))
     return MomentPolytope(dim, tuple(facets))
 
 
@@ -608,115 +591,6 @@ def facet_values(p: MomentPolytope, fiber) -> List[Fraction]:
             f"fiber is not interior: nonpositive value on facet(s) {bad}"
         )
     return vals
-
-
-@dataclass(frozen=True)
-class FiberRadius:
-    facet: int
-    radius_sq: Fraction  # exact: radius^2 = l_i / pi = 2 r_i
-    radius: float
-
-    def to_json(self) -> dict:
-        return {
-            "facet": self.facet,
-            "radius_sq": fraction_str(self.radius_sq),
-            "radius": self.radius,
-        }
-
-
-def fiber_radii(p: MomentPolytope, fiber) -> List[FiberRadius]:
-    """Boundary-circle radii of the basic holomorphic disks through each facet:
-    radius_i = sqrt(l_i / pi), kept exact as radius^2 = 2 r_i."""
-    out = []
-    for i, r in enumerate(facet_values(p, fiber)):
-        sq = 2 * r
-        out.append(FiberRadius(i, sq, float(sq) ** 0.5))
-    return out
-
-
-@dataclass(frozen=True)
-class BlaschkeDisk:
-    degrees: Tuple[int, ...]
-    zeros: Tuple[Tuple[complex, ...], ...]
-    winding: Vector  # total boundary class in H_1 of the torus fiber
-    maslov: int
-    area_weights: Tuple[Fraction, ...]  # d_i * r_i per facet, in 2*pi units
-    area: Fraction
-    radii: Tuple[FiberRadius, ...]
-
-    def evaluate(self, z: complex) -> List[complex]:
-        """Component value through each facet coordinate; boundary points
-        (|z| = 1) land on the circle of the fiber radius."""
-        if abs(z) > 1 + 1e-12:
-            raise ValueError("Blaschke products are defined on the closed unit disk")
-        out = []
-        for i in range(len(self.degrees)):
-            value = complex(self.radii[i].radius)
-            for alpha in self.zeros[i]:
-                value *= (z - alpha) / (1 - alpha.conjugate() * z)
-            out.append(value)
-        return out
-
-    def to_json(self) -> dict:
-        return {
-            "degrees": list(self.degrees),
-            "winding": list(self.winding),
-            "maslov": self.maslov,
-            "area_weights": [fraction_str(w) for w in self.area_weights],
-            "area": fraction_str(self.area),
-        }
-
-
-def blaschke_disk(
-    p: MomentPolytope,
-    fiber,
-    degrees: Sequence[int],
-    zeros: Sequence[Sequence[complex]],
-) -> BlaschkeDisk:
-    """Disk class record for the product-of-Blaschke-factors disk with the
-    given per-facet degree vector and interior zeros.
-
-    Maslov index is 2 * sum(degrees) and the (2*pi-normalized) area is
-    sum_i d_i * r_i(fiber); both are exact integers/rationals.
-    """
-    if len(degrees) != len(p.facets):
-        raise ValueError("need one degree per facet")
-    clean_degrees = []
-    for d in degrees:
-        if isinstance(d, bool) or not isinstance(d, int) or d < 0:
-            raise ValueError("degrees must be nonnegative integers")
-        clean_degrees.append(d)
-    if len(zeros) != len(p.facets):
-        raise ValueError("need one zero list per facet")
-    clean_zeros = []
-    for i, zs in enumerate(zeros):
-        if len(zs) != clean_degrees[i]:
-            raise ValueError(
-                f"facet {i}: got {len(zs)} zeros for degree {clean_degrees[i]}"
-            )
-        row = []
-        for alpha in zs:
-            alpha = complex(alpha)
-            if abs(alpha) >= 1:
-                raise ValueError("Blaschke zeros must lie strictly inside the unit disk")
-            row.append(alpha)
-        clean_zeros.append(tuple(row))
-    values = facet_values(p, fiber)
-    radii = tuple(fiber_radii(p, fiber))
-    winding = tuple(
-        sum(d * f.normal[j] for d, f in zip(clean_degrees, p.facets))
-        for j in range(p.dim)
-    )
-    weights = tuple(d * r for d, r in zip(clean_degrees, values))
-    return BlaschkeDisk(
-        degrees=tuple(clean_degrees),
-        zeros=tuple(clean_zeros),
-        winding=winding,
-        maslov=2 * sum(clean_degrees),
-        area_weights=weights,
-        area=sum(weights, Fraction(0)),
-        radii=radii,
-    )
 
 
 def parse_fiber(text_or_seq) -> Point:

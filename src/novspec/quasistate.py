@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Sequence, Tuple, Union
+from typing import List, Sequence, Tuple, Union
 
 from .fields import fraction_str, parse_fraction
 
@@ -47,6 +47,13 @@ def _is_close(a: Value, b: Value, tol: float) -> bool:
     if isinstance(a, Fraction) and isinstance(b, Fraction) and tol == 0:
         return a == b
     return abs(float(a) - float(b)) <= tol
+
+
+def _at_most(a: Value, b: Value, tol: float) -> bool:
+    """a <= b + tol, compared exactly when both sides are rational and tol is 0."""
+    if isinstance(a, Fraction) and isinstance(b, Fraction) and tol == 0:
+        return a <= b
+    return float(a) <= float(b) + tol
 
 
 def _tolerance(values: Sequence[Value]) -> float:
@@ -160,16 +167,6 @@ def mu_from_oracle(o: SpectralOracle, vol) -> QuasiStateEstimate:
     )
 
 
-def e_inf(values: Sequence, sign: int = 1) -> Value:
-    """sup of sign * H over a finite sample grid of (t, p) values."""
-    if sign not in (1, -1):
-        raise ValueError("sign must be +1 or -1")
-    parsed = [_parse_value(v) for v in values]
-    if not parsed:
-        raise ValueError("empty sample grid")
-    return max(v if sign == 1 else -v for v in parsed)
-
-
 # ---------------------------------------------------------------------------
 # Axiom checking on declared families
 
@@ -224,7 +221,7 @@ def check_partial_quasistate(family: dict) -> dict:
         kind = rel.get("type")
         if kind == "lipschitz":
             zf, zg, dist = zeta(rel["f"]), zeta(rel["g"]), _parse_value(rel["dist"])
-            ok = abs(float(zf) - float(zg)) <= float(dist) + tol
+            ok = _at_most(abs(zf - zg), dist, tol)
             _record(
                 axioms["lipschitz"],
                 ok,
@@ -244,7 +241,7 @@ def check_partial_quasistate(family: dict) -> dict:
             )
         elif kind == "le":
             zf, zg = zeta(rel["f"]), zeta(rel["g"])
-            ok = float(zf) <= float(zg) + tol
+            ok = _at_most(zf, zg, tol)
             _record(
                 axioms["monotonicity"],
                 ok,
@@ -266,7 +263,7 @@ def check_partial_quasistate(family: dict) -> dict:
             )
         elif kind == "triangle":
             zf, zg, zh = zeta(rel["f"]), zeta(rel["g"]), zeta(rel["sum"])
-            ok = float(zh) >= float(zf) + float(zg) - tol
+            ok = _at_most(zf + zg, zh, tol)
             _record(
                 axioms["triangle"],
                 ok,
@@ -345,7 +342,7 @@ def check_prequasimorphism(family: dict) -> dict:
         elif kind == "quasi_additivity":
             mf, mg, mh = mu(rel["f"]), mu(rel["g"]), mu(rel["product"])
             bound = _parse_value(rel["bound"])
-            ok = abs(float(mh) - float(mf) - float(mg)) <= float(bound) + tol
+            ok = _at_most(abs(mh - mf - mg), bound, tol)
             _record(
                 axioms["quasi-additivity"],
                 ok,
@@ -362,7 +359,7 @@ def check_prequasimorphism(family: dict) -> dict:
         elif kind == "lipschitz":
             mf, mg = mu(rel["f"]), mu(rel["g"])
             bound = _parse_value(rel["bound"])
-            ok = abs(float(mf) - float(mg)) <= float(bound) + tol
+            ok = _at_most(abs(mf - mg), bound, tol)
             _record(
                 axioms["hofer-lipschitz"],
                 ok,
@@ -431,7 +428,7 @@ def heaviness_check(family: dict) -> HeavinessReport:
         name = f["name"]
         zeta, sup = _parse_value(f["zeta"]), _parse_value(f["sup"])
         checked.append(name)
-        if float(zeta) > float(sup) + tol:
+        if not _at_most(zeta, sup, tol):
             excess = (
                 zeta - sup
                 if not isinstance(zeta, float) and not isinstance(sup, float)

@@ -22,7 +22,7 @@ from .complexes import (
     chain_add,
     chain_scale,
 )
-from .fields import NEG_INF, CoefficientField, GaussianRational
+from .fields import CoefficientField, GaussianRational
 from .novikov import NovikovScalar
 
 

@@ -30,7 +30,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Dict, List, Optional, Tuple
 
-from .complexes import Chain, FilteredComplex, chain_to_json, level
+from .complexes import Chain, FilteredComplex, chain_to_json
 from .fields import (
     NEG_INF,
     CoefficientField,

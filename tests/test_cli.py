@@ -804,6 +804,27 @@ class TestQstateCommands:
         assert code == 1
 
 
+    def test_heavy_exact_violation_below_float_resolution(self, tmp_path):
+        zeta = "100000000000000001/100000000000000000"
+        fam = {"functions": [{"name": "f", "zeta": zeta, "sup": "1"}]}
+        path = write(tmp_path, "heavy.json", fam)
+        code, doc = run_json(tmp_path, ["qstate", "heavy", path])
+        assert code == 1 and not doc["consistent"]
+        assert [v["name"] for v in doc["violations"]] == ["f"]
+
+    def test_check_exact_lipschitz_violation_below_float_resolution(self, tmp_path):
+        family = {
+            "functions": [{"name": "f", "zeta": "1"}, {"name": "g", "zeta": "0"}],
+            "relations": [{"type": "lipschitz", "f": "f", "g": "g",
+                           "dist": "99999999999999999/100000000000000000"}],
+        }
+        path = write(tmp_path, "family.json", family)
+        code, doc = run_json(tmp_path, ["qstate", "check", path])
+        by_name = {a["axiom"]: a for a in doc["axioms"]}
+        assert code == 1 and by_name["lipschitz"]["status"] == "fail"
+        assert by_name["lipschitz"]["failures"]
+
+
 class TestSelftest:
     def test_byte_identical_across_runs(self, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"

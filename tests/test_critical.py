@@ -29,7 +29,6 @@ from novspec.critical import (
 from novspec.polytope import (
     Facet,
     MomentPolytope,
-    box,
     int_det,
     polytope_validate,
     product,
@@ -38,7 +37,7 @@ from novspec.polytope import (
     transform,
     transform_point,
 )
-from novspec.potential import PotentialFunction, brane_from_constants, potential
+from novspec.potential import brane_from_constants, potential
 
 QQ = field_for_mode("rational")
 QI = field_for_mode("gaussian")
@@ -46,6 +45,7 @@ CC = field_for_mode("complex")
 
 CP1 = segment(Fraction(0), Fraction(1))
 CP2 = simplex(2)
+BOX = product(CP1, segment(Fraction(0), Fraction(2)))
 TRAP = MomentPolytope(
     2,
     [
@@ -187,8 +187,7 @@ class TestLeadingRoots:
         assert abs(vals[0] ** 3 - 1) < 1e-9
 
     def test_mixed_minima_product_four_roots(self):
-        p = box([(Fraction(0), Fraction(1)), (Fraction(0), Fraction(2))])
-        w = potential(p, (Fraction(1, 2), Fraction(1)))
+        w = potential(BOX, (Fraction(1, 2), Fraction(1)))
         rep = critical_points_leading(w)
         assert rep.found and len(rep.roots) == 4
 
@@ -423,8 +422,7 @@ class TestProductFibers:
         ]
 
     def test_mixed_minima_product_certifies(self):
-        p = box([(Fraction(0), Fraction(1)), (Fraction(0), Fraction(2))])
-        cert = certify_heavy(p, "1/2,1", "-8", QQ)
+        cert = certify_heavy(BOX, "1/2,1", "-8", QQ)
         assert len(cert.branes) == 4
         for brane in cert.branes:
             assert brane.residual_valuation == NEG_INF
@@ -444,7 +442,7 @@ class TestEquivariance:
     A = ((1, 1), (0, 1))
 
     def test_certificates_transform_with_the_torus(self):
-        p = box([(Fraction(0), Fraction(1)), (Fraction(0), Fraction(2))])
+        p = BOX
         fiber = (Fraction(1, 2), Fraction(1))
         q = transform(p, self.A)
         cert0 = certify_heavy(p, fiber, "-8", QQ)
@@ -463,7 +461,7 @@ class TestEquivariance:
     def test_brane_coordinates_transform_contragradiently(self):
         # A^{-T} = ((1,0),(-1,1)) sends (x0, x1) to (x0, x0^{-1} x1); on
         # constant branes with entries +-1 that is (x0, x0*x1) up to sign
-        p = box([(Fraction(0), Fraction(1)), (Fraction(0), Fraction(2))])
+        p = BOX
         fiber = (Fraction(1, 2), Fraction(1))
         q = transform(p, self.A)
         cert0 = certify_heavy(p, fiber, "-8", QQ)

@@ -1,4 +1,4 @@
-"""Moment polytopes: exact validation, vertices, transforms, disk records."""
+"""Moment polytopes: exact validation, vertices, transforms, facet values."""
 
 import itertools
 import math
@@ -12,12 +12,9 @@ from hypothesis import strategies as st
 from novspec.polytope import (
     Facet,
     MomentPolytope,
-    blaschke_disk,
-    box,
     coset_representatives,
     enumerate_vertices,
     facet_values,
-    fiber_radii,
     int_det,
     interior_point,
     parse_fiber,
@@ -83,7 +80,7 @@ class TestValidate:
         ]
 
     def test_box_and_trapezoid(self):
-        b = box([(Fraction(0), Fraction(1)), (Fraction(-1), Fraction(2))])
+        b = product(CP1, segment(Fraction(-1), Fraction(2)))
         assert polytope_validate(b).ok
         rep = polytope_validate(TRAP)
         assert rep.ok and len(rep.vertices) == 4
@@ -290,51 +287,10 @@ class TestProducts:
         ]
 
 
-class TestDisks:
-    def test_fiber_radii_squared_exact(self):
-        radii = fiber_radii(CP1, "1/2")
-        assert [r.radius_sq for r in radii] == [Fraction(1), Fraction(1)]
-        radii = fiber_radii(CP1, "1/4")
-        assert [r.radius_sq for r in radii] == [Fraction(1, 2), Fraction(3, 2)]
-        for r in radii:
-            assert abs(r.radius**2 - float(r.radius_sq)) < 1e-12
-
-    def test_blaschke_winding_maslov_area(self):
-        d = blaschke_disk(CP1, "1/2", [1, 1], [[0j], [0.5 + 0j]])
-        assert d.winding == (0,)
-        assert d.maslov == 4
-        assert d.area == Fraction(1)
-        assert d.area_weights == (Fraction(1, 2), Fraction(1, 2))
-
-    def test_blaschke_single_facet_disk(self):
-        d = blaschke_disk(CP2, "1/3,1/3", [1, 0, 0], [[0j], [], []])
-        assert d.winding == (1, 0)
-        assert d.maslov == 2
-        assert d.area == Fraction(1, 3)
-
-    def test_blaschke_boundary_modulus_is_radius(self):
-        d = blaschke_disk(CP1, "1/2", [2, 0], [[0.3 + 0.1j, -0.2j], []])
-        vals = d.evaluate(1 + 0j)
-        assert abs(abs(vals[0]) - d.radii[0].radius) < 1e-12
-        zero_vals = d.evaluate(0.3 + 0.1j)
-        assert abs(zero_vals[0]) < 1e-12
-
-    def test_blaschke_rejects_bad_data(self):
-        with pytest.raises(ValueError):
-            blaschke_disk(CP1, "1/2", [1], [[0j]])
-        with pytest.raises(ValueError):
-            blaschke_disk(CP1, "1/2", [1, 0], [[1.2 + 0j], []])
-        with pytest.raises(ValueError):
-            blaschke_disk(CP1, "1/2", [1, 0], [[0j, 0.1j], []])
-        d = blaschke_disk(CP1, "1/2", [1, 0], [[0j], []])
-        with pytest.raises(ValueError):
-            d.evaluate(2 + 0j)
-
-
 class TestVertexEnumeration:
     def test_random_gl2z_images_of_boxes(self):
         rng = random.Random(7)
-        base = box([(Fraction(0), Fraction(1)), (Fraction(0), Fraction(2))])
+        base = product(CP1, segment(Fraction(0), Fraction(2)))
         base_rep = polytope_validate(base)
         for _ in range(25):
             # random unimodular matrix from elementary operations
@@ -474,14 +430,25 @@ def _bounded_oracle(normals, n):
     return True
 
 
+def _cramer(rows, rhs):
+    """Solution of the square system ``rows x = rhs`` by Cramer's rule over
+    cofactor determinants, or None when it is singular."""
+    det = _cofactor_det(rows)
+    if det == 0:
+        return None
+    return [
+        Fraction(_cofactor_det([[*row[:j], c, *row[j + 1:]] for row, c in zip(rows, rhs)]), det)
+        for j in range(len(rows))
+    ]
+
+
 def _vertices(rows, rhs):
-    """Vertices of {x : <row, x> >= rhs} by exact square solves."""
+    """Vertices of {x : <row, x> >= rhs} by square solves independent of
+    the solver under test."""
     dim = len(rows[0])
     out = set()
     for subset in itertools.combinations(range(len(rows)), dim):
-        sol = _frac_solve(
-            [[Fraction(x) for x in rows[i]] for i in subset], [rhs[i] for i in subset]
-        )
+        sol = _cramer([list(rows[i]) for i in subset], [rhs[i] for i in subset])
         if sol is not None and all(
             sum(a * x for a, x in zip(row, sol)) >= c for row, c in zip(rows, rhs)
         ):

@@ -9,7 +9,6 @@ from novspec.quasistate import (
     SpectralOracle,
     check_partial_quasistate,
     check_prequasimorphism,
-    e_inf,
     heaviness_check,
     homogenize,
     mu_from_oracle,
@@ -109,18 +108,6 @@ class TestMu:
     def test_volume_must_be_positive(self):
         with pytest.raises(ValueError, match="positive"):
             mu_from_oracle(linear_oracle(1), Fraction(0))
-
-
-class TestEInf:
-    def test_grid_max(self):
-        assert e_inf(["1/2", "-3", "2/3"]) == Fraction(2, 3)
-        assert e_inf(["1/2", "-3", "2/3"], sign=-1) == Fraction(3)
-
-    def test_empty_and_bad_sign(self):
-        with pytest.raises(ValueError):
-            e_inf([])
-        with pytest.raises(ValueError):
-            e_inf(["1"], sign=2)
 
 
 def passing_family():
@@ -226,6 +213,67 @@ class TestQuasistateAxioms:
         }
         rep = check_partial_quasistate(family)
         assert rep["tolerance"] == 1e-9 and rep["all_pass"]
+
+
+# 1 - 1e-17 and 1 + 1e-17: float() reads both as 1.0
+NEAR_ONE = "99999999999999999/100000000000000000"
+PAST_ONE = "100000000000000001/100000000000000000"
+
+
+class TestExactComparisons:
+    @pytest.mark.parametrize(
+        "relation,axiom",
+        [
+            ({"type": "lipschitz", "f": "one", "g": "zero", "dist": NEAR_ONE}, "lipschitz"),
+            ({"type": "le", "f": "past_one", "g": "one"}, "monotonicity"),
+            ({"type": "triangle", "f": "one", "g": "zero", "sum": "near_one"}, "triangle"),
+        ],
+    )
+    def test_quasistate_violation_below_float_resolution(self, relation, axiom):
+        family = {
+            "functions": [
+                {"name": "one", "zeta": "1"},
+                {"name": "zero", "zeta": "0"},
+                {"name": "near_one", "zeta": NEAR_ONE},
+                {"name": "past_one", "zeta": PAST_ONE},
+            ],
+            "relations": [relation],
+        }
+        rep = check_partial_quasistate(family)
+        by_name = {a["axiom"]: a for a in rep["axioms"]}
+        assert not rep["all_pass"] and rep["tolerance"] == 0
+        assert by_name[axiom]["status"] == "fail" and by_name[axiom]["failures"]
+
+    @pytest.mark.parametrize(
+        "relation,axiom",
+        [
+            (
+                {"type": "quasi_additivity", "f": "one", "g": "zero", "product": "two",
+                 "bound": NEAR_ONE},
+                "quasi-additivity",
+            ),
+            ({"type": "lipschitz", "f": "one", "g": "zero", "bound": NEAR_ONE}, "hofer-lipschitz"),
+        ],
+    )
+    def test_prequasimorphism_violation_below_float_resolution(self, relation, axiom):
+        family = {
+            "elements": [
+                {"name": "one", "mu": "1"},
+                {"name": "zero", "mu": "0"},
+                {"name": "two", "mu": "2"},
+            ],
+            "relations": [relation],
+        }
+        rep = check_prequasimorphism(family)
+        by_name = {a["axiom"]: a for a in rep["axioms"]}
+        assert not rep["all_pass"]
+        assert by_name[axiom]["status"] == "fail" and by_name[axiom]["failures"]
+
+    def test_heaviness_violation_below_float_resolution(self):
+        rep = heaviness_check({"functions": [{"name": "f", "zeta": PAST_ONE, "sup": "1"}]})
+        assert rep.violations == [
+            {"name": "f", "zeta": PAST_ONE, "sup": "1", "excess": "1/100000000000000000"}
+        ]
 
 
 class TestPrequasimorphism:

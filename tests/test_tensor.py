@@ -4,15 +4,11 @@ import random
 from fractions import Fraction
 
 from novspec import CoefficientField, NovikovScalar
-from novspec.complexes import validate_complex
+from novspec.complexes import level, validate_complex
+from novspec.fields import NEG_INF
 from novspec.randomcx import random_complex, random_scalar
-from novspec.spectral import homology_rank, spectral_number
-from novspec.tensor import (
-    kunneth_ranks,
-    tensor_chain,
-    tensor_product,
-    verify_spectral_axioms,
-)
+from novspec.spectral import homology_rank, spectral_number, spectrum
+from novspec.tensor import kunneth_ranks, tensor_chain, tensor_product
 
 from test_spectral import hand_case
 
@@ -102,22 +98,30 @@ class TestAxiomChecker:
         rng = random.Random(67)
         d0 = random_complex(rng, max_generators=5)
         d1 = random_complex(rng, max_generators=5)
-        classes0 = [z for z in (d0.random_cycle(rng),) if z is not None]
-        classes1 = [z for z in (d1.random_cycle(rng),) if z is not None]
+        z0, z1 = d0.random_cycle(rng), d1.random_cycle(rng)
         shifts = [
             random_scalar(rng, d0.complex.field, d0.complex.lattice)
             for _ in range(3)
         ]
-        report = verify_spectral_axioms(
-            d0.complex, d1.complex, classes0, classes1, shifts
-        )
-        assert report["all_pass"], report
+        values = []
+        for cx, z in ((d0.complex, z0), (d1.complex, z1)):
+            res = spectral_number(cx, z)
+            assert not res.is_boundary
+            assert spectrum(cx).contains(res.value) and res.spectrality is not None
+            assert level(res.witness_cycle, cx) == res.value
+            for lam in shifts:
+                shifted = {gid: coeff * lam for gid, coeff in z.items()}
+                assert spectral_number(cx, shifted).value == res.value + lam.valuation()
+            values.append(res.value)
+        prod = tensor_product(d0.complex, d1.complex)
+        assert spectral_number(prod, tensor_chain(z0, z1)).value == values[0] + values[1]
 
     def test_boundary_classes_handled(self):
         cx = hand_case()
-        z = cx.apply_differential({"b": NovikovScalar.one(QQ)})
-        report = verify_spectral_axioms(
-            cx, cx, [z], [{"a1": NovikovScalar.one(QQ)}]
-        )
-        assert report["all_pass"], report
-        assert report["additivity"][0]["value"] == "-inf"
+        one = NovikovScalar.one(QQ)
+        z = cx.apply_differential({"b": one})
+        assert spectral_number(cx, z).is_boundary
+        res = spectral_number(cx, {"a1": one})
+        assert level(res.witness_cycle, cx) == res.value
+        prod = tensor_product(cx, cx)
+        assert spectral_number(prod, tensor_chain(z, {"a1": one})).value == NEG_INF

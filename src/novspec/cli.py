@@ -177,30 +177,25 @@ def cmd_toric_validate(args) -> int:
     return 0 if rep.ok else 1
 
 
-def cmd_toric_potential(args) -> int:
-    from .polytope import polytope_validate
+def _validated_potential(args):
+    """The disk potential at ``--fiber`` of the polytope, which must validate."""
+    from .polytope import validated
     from .potential import potential
 
     p = _load_polytope(args.input)
-    rep = polytope_validate(p)
-    if not rep.ok:
-        raise ValueError("polytope failed validation: " + "; ".join(rep.violations))
-    w = potential(p, args.fiber)
-    _emit(args, _document("potential", w.to_json()))
+    validated(p)
+    return potential(p, args.fiber)
+
+
+def cmd_toric_potential(args) -> int:
+    _emit(args, _document("potential", _validated_potential(args).to_json()))
     return 0
 
 
 def cmd_toric_critical(args) -> int:
     from .critical import critical_points_leading
-    from .polytope import polytope_validate
-    from .potential import potential
 
-    p = _load_polytope(args.input)
-    rep = polytope_validate(p)
-    if not rep.ok:
-        raise ValueError("polytope failed validation: " + "; ".join(rep.violations))
-    w = potential(p, args.fiber)
-    leading = critical_points_leading(w)
+    leading = critical_points_leading(_validated_potential(args))
     _emit(args, _document("leading-critical-points", leading.to_json()))
     return 0
 
@@ -244,9 +239,13 @@ def cmd_toric_revalidate(args) -> int:
 # qmap
 
 
-def _certificate_context(args):
-    """Potential, field, branes, and working floor from a certificate file."""
+def _per_brane(args, kind: str, row) -> int:
+    """Emit ``row(w, x, floor)`` with its index for every brane of the
+    certificate (or the one ``--brane`` names), at ``--floor`` or the
+    certificate's order, scaled by ``--scale`` when given."""
     from .critical import read_certificate
+    from .fields import floor_str
+    from .polytope import point_str
     from .potential import potential
 
     doc = _load_json(args.input)
@@ -256,7 +255,7 @@ def _certificate_context(args):
             f"got {doc.get('kind') if isinstance(doc, dict) else type(doc).__name__!r}"
         )
     field, p, fiber, order, parsed = read_certificate(doc, f"certificate {args.input}")
-    branes = [x for x, _, _ in parsed]
+    branes = list(enumerate(x for x, _, _ in parsed))
     w = potential(p, fiber)
     floor = order if args.floor is None else args.floor
     if args.brane is not None:
@@ -268,80 +267,39 @@ def _certificate_context(args):
         branes = [branes[args.brane]]
     if getattr(args, "scale", None) is not None:
         c = field.coerce(args.scale)
-        branes = [[xj.scale(c) for xj in x] for x in branes]
-    return w, fiber, floor, branes
+        branes = [(idx, [xj.scale(c) for xj in x]) for idx, x in branes]
+    rows = [{**row(w, x, floor), "index": idx} for idx, x in branes]
+    payload = {"fiber": point_str(fiber), "floor": floor_str(floor), "branes": rows}
+    _emit(args, _document(kind, payload))
+    return 0
 
 
 def cmd_qmap_rank(args) -> int:
-    from .fields import floor_str
     from .koszul import build_cqf, hqf_report
-    from .polytope import point_str
 
-    w, fiber, floor, branes = _certificate_context(args)
-    rows = []
-    for idx, x in enumerate(branes):
-        c = build_cqf(w, x, floor)
-        rep = hqf_report(c)
-        rep["index"] = idx if args.brane is None else args.brane
-        rows.append(rep)
-    _emit(
-        args,
-        _document(
-            "quasimap-rank",
-            {"fiber": point_str(fiber), "floor": floor_str(floor), "branes": rows},
-        ),
+    return _per_brane(
+        args, "quasimap-rank", lambda w, x, floor: hqf_report(build_cqf(w, x, floor))
     )
-    return 0
 
 
 def cmd_qmap_unit(args) -> int:
-    from .fields import floor_str
     from .koszul import build_cqf, unit_in_homology
-    from .polytope import point_str
 
-    w, fiber, floor, branes = _certificate_context(args)
-    rows = []
-    for idx, x in enumerate(branes):
-        c = build_cqf(w, x, floor)
-        rows.append(
-            {
-                "index": idx if args.brane is None else args.brane,
-                "unit_survives": unit_in_homology(c),
-            }
-        )
-    _emit(
+    return _per_brane(
         args,
-        _document(
-            "quasimap-unit",
-            {"fiber": point_str(fiber), "floor": floor_str(floor), "branes": rows},
-        ),
+        "quasimap-unit",
+        lambda w, x, floor: {"unit_survives": unit_in_homology(build_cqf(w, x, floor))},
     )
-    return 0
 
 
 def cmd_qmap_charge(args) -> int:
-    from .fields import floor_str
     from .koszul import central_charge
-    from .polytope import point_str
 
-    w, fiber, floor, branes = _certificate_context(args)
-    rows = []
-    for idx, x in enumerate(branes):
-        charge = central_charge(w, x, floor)
-        rows.append(
-            {
-                "index": idx if args.brane is None else args.brane,
-                "charge": charge.to_json(),
-            }
-        )
-    _emit(
+    return _per_brane(
         args,
-        _document(
-            "central-charge",
-            {"fiber": point_str(fiber), "floor": floor_str(floor), "branes": rows},
-        ),
+        "central-charge",
+        lambda w, x, floor: {"charge": central_charge(w, x, floor).to_json()},
     )
-    return 0
 
 
 # ---------------------------------------------------------------------------

@@ -237,6 +237,8 @@ class FilteredComplex:
 
     @staticmethod
     def from_json(obj: dict) -> "FilteredComplex":
+        if not isinstance(obj, dict):
+            raise ValueError("complex document must be a JSON object")
         field = CoefficientField.from_json(obj.get("field"))
         lattice = PeriodLattice.from_json(obj.get("lattice"))
         generators = [OrbitGenerator.from_json(g) for g in obj["generators"]]

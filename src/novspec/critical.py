@@ -54,6 +54,7 @@ from .polytope import (
     point_str,
     polytope_validate,
     rational_inverse,
+    validated,
 )
 from .potential import ComponentStratum, PotentialFunction, brane_from_constants, potential
 
@@ -388,13 +389,12 @@ def _residual_norm(grad: Sequence[NovikovScalar]) -> float:
 
 def lift_critical(
     w: PotentialFunction,
-    root,
+    root: LeadingRoot,
     order,
     field: CoefficientField,
 ) -> BraneCertificate:
     """Refine a leading root to a brane with gradient zero to the given order.
 
-    ``root`` is a LeadingRoot or a plain sequence of coefficient constants.
     The returned brane coordinates are unit scalars; in exact modes with a
     root that kills the gradient identically, the residual is exactly zero
     (valuation -inf) and the brane is exact with no truncation floor.
@@ -402,12 +402,8 @@ def lift_critical(
     order = parse_floor(order)
     if order == NEG_INF or order >= 0:
         raise ValueError("order must be a negative rational (a q-exponent cutoff)")
-    if isinstance(root, LeadingRoot):
-        constants = root.constants_for(field)
-        numeric = root.values
-    else:
-        constants = list(root)
-        numeric = tuple(field.as_complex(field.coerce(c)) for c in constants)
+    constants = root.constants_for(field)
+    numeric = root.values
 
     strata = w.leading_strata()
 
@@ -588,9 +584,7 @@ def certify_heavy(
     diagnosis.  The polytope must validate and the fiber must be interior.
     """
     if check_polytope:
-        rep = polytope_validate(p)
-        if not rep.ok:
-            raise ValueError(f"polytope failed validation: {'; '.join(rep.violations)}")
+        validated(p)
     fiber_pt = parse_fiber(fiber)
     w = potential(p, fiber_pt)
     leading = critical_points_leading(w)
@@ -730,8 +724,7 @@ def revalidate_certificate(doc: dict, where: str = "certificate") -> dict:
                 fail(f"brane {idx}: gradient has residual above {floor_str(claimed)}")
                 continue
         fresh = w.evaluate(x, claimed)
-        same = fresh == stated_charge if field.exact else fresh.isclose(stated_charge)
-        if same:
+        if fresh.isclose(stated_charge):
             checks.append(f"brane {idx}: central charge matches")
         else:
             fail(f"brane {idx}: stated central charge does not match re-evaluation")
@@ -826,12 +819,10 @@ def scan_fibers(
     field: CoefficientField,
 ) -> ScanReport:
     """Certify every interior grid fiber; deterministic row order."""
-    rep = polytope_validate(p)
-    if not rep.ok:
-        raise ValueError(f"polytope failed validation: {'; '.join(rep.violations)}")
+    vertices = validated(p).vertices
     order = parse_floor(order)
     rows = []
-    for fiber in grid_fibers(p, resolution, rep.vertices):
+    for fiber in grid_fibers(p, resolution, vertices):
         result = certify_heavy(p, fiber, order, field, check_polytope=False)
         if result.found:
             rows.append(

@@ -270,13 +270,6 @@ class CoefficientField:
             return abs(a.to_complex())
         return abs(a)
 
-    def as_complex(self, a: Coefficient) -> complex:
-        if self.mode == RATIONAL:
-            return complex(float(a), 0.0)
-        if self.mode == GAUSSIAN:
-            return a.to_complex()
-        return a
-
     def coeff_to_json(self, a: Coefficient) -> Any:
         if self.mode == RATIONAL:
             return fraction_str(a)

@@ -22,7 +22,7 @@ counts, and rank statements are claims about this model only.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Dict, Optional, Sequence
+from typing import Dict, Sequence
 
 from .complexes import Chain, FilteredComplex, OrbitGenerator, PeriodLattice
 from .fields import NEG_INF, CoefficientField, floor_str
@@ -46,13 +46,11 @@ class QuasimapComplex:
         field: CoefficientField,
         y: Sequence[NovikovScalar],
         floor=NEG_INF,
-        brane: Optional[Sequence[NovikovScalar]] = None,
     ) -> None:
         self.field = field
         self.n = len(y)
         self.floor = floor
         self.y = [yj.truncate(floor) for yj in y]
-        self.brane = list(brane) if brane is not None else None
         self.names = [_subset_name(mask) for mask in range(1 << self.n)]
 
     def m1(self, chain: Chain) -> Chain:
@@ -121,7 +119,7 @@ def build_cqf(
     """
     field = x[0].field
     y = w.gradient(x, floor)
-    return QuasimapComplex(field, y, floor, brane=x)
+    return QuasimapComplex(field, y, floor)
 
 
 def hqf_report(c: QuasimapComplex) -> dict:

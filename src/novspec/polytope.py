@@ -577,6 +577,15 @@ def polytope_validate(p: MomentPolytope) -> PolytopeReport:
     )
 
 
+def validated(p: MomentPolytope) -> PolytopeReport:
+    """The report of ``polytope_validate(p)``; raises ValueError when ``p``
+    fails validation."""
+    rep = polytope_validate(p)
+    if not rep.ok:
+        raise ValueError("polytope failed validation: " + "; ".join(rep.violations))
+    return rep
+
+
 # ---------------------------------------------------------------------------
 # Fiber data
 

@@ -44,20 +44,39 @@ def _value_str(v: Value):
 
 
 def _is_close(a: Value, b: Value, tol: float) -> bool:
-    if isinstance(a, Fraction) and isinstance(b, Fraction) and tol == 0:
-        return a == b
-    return abs(float(a) - float(b)) <= tol
+    """a == b within tol; exact when tol is 0, which ``_tolerance`` gives only
+    for all-rational data."""
+    return a == b if tol == 0 else abs(float(a) - float(b)) <= tol
 
 
 def _at_most(a: Value, b: Value, tol: float) -> bool:
-    """a <= b + tol, compared exactly when both sides are rational and tol is 0."""
-    if isinstance(a, Fraction) and isinstance(b, Fraction) and tol == 0:
-        return a <= b
-    return float(a) <= float(b) + tol
+    """a <= b + tol; exact when tol is 0."""
+    return a <= b if tol == 0 else float(a) <= float(b) + tol
 
 
 def _tolerance(values: Sequence[Value]) -> float:
+    """0 when every number a check reads is rational, else FLOAT_TOL."""
     return 0.0 if all(isinstance(v, Fraction) for v in values) else FLOAT_TOL
+
+
+def _objects(doc, key: str) -> list:
+    """The list of JSON objects under ``key`` (empty when absent)."""
+    if not isinstance(doc, dict):
+        raise ValueError("document must be a JSON object")
+    items = doc.get(key)
+    if items is None:
+        return []
+    if not isinstance(items, list) or not all(isinstance(x, dict) for x in items):
+        raise ValueError(f"{key!r} must be a list of objects")
+    return items
+
+
+def _relations(family: dict, params: dict) -> Tuple[list, list]:
+    """The family's relation objects, and the parsed parameter of each
+    relation whose type ``params`` maps to the parameter's key."""
+    relations = _objects(family, "relations")
+    values = [_parse_value(r[params[r.get("type")]]) for r in relations if r.get("type") in params]
+    return relations, values
 
 
 @dataclass
@@ -113,20 +132,13 @@ class QuasiStateEstimate:
 def _fit_slope(o: SpectralOracle) -> Tuple[Value, Value, List[int]]:
     if len(o.samples) < 2:
         raise ValueError("homogenization needs at least two oracle samples")
-    exact = all(isinstance(c, Fraction) for _, c in o.samples)
-    if exact:
-        num = sum(Fraction(n) * c for n, c in o.samples)
-        den = sum(Fraction(n) * n for n, _ in o.samples)
-        slope: Value = num / den
-        n_max = max(n for n, _ in o.samples)
-        halfwidth: Value = max(abs(c - slope * n) for n, c in o.samples) / n_max
-    else:
-        num = sum(n * float(c) for n, c in o.samples)
-        den = sum(n * n for n, _ in o.samples)
-        slope = num / den
-        n_max = max(n for n, _ in o.samples)
-        halfwidth = max(abs(float(c) - slope * n) for n, c in o.samples) / n_max
-    return slope, halfwidth, sorted(n for n, _ in o.samples)
+    samples = o.samples
+    if not all(isinstance(c, Fraction) for _, c in samples):
+        samples = [(n, float(c)) for n, c in samples]
+    slope = sum(n * c for n, c in samples) / sum(n * n for n, _ in samples)
+    n_max = max(n for n, _ in samples)
+    halfwidth = max(abs(c - slope * n) for n, c in samples) / n_max
+    return slope, halfwidth, sorted(n for n, _ in samples)
 
 
 def homogenize(o: SpectralOracle) -> QuasiStateEstimate:
@@ -153,12 +165,7 @@ def mu_from_oracle(o: SpectralOracle, vol) -> QuasiStateEstimate:
     if vol <= 0:
         raise ValueError("volume must be positive")
     slope, halfwidth, scales = _fit_slope(o)
-    if isinstance(slope, float):
-        value: Value = float(vol) * slope
-        spread: Value = float(vol) * halfwidth
-    else:
-        value = vol * slope
-        spread = vol * halfwidth
+    value, spread = vol * slope, vol * halfwidth
     return QuasiStateEstimate(
         value=value,
         interval=(value - spread, value + spread),
@@ -198,8 +205,11 @@ def check_partial_quasistate(family: dict) -> dict:
     supports), Hamiltonian invariance (conditional), additivity with
     constants, vanishing (conditional), and the triangle inequality on
     declared-commuting pairs."""
-    functions = {f["name"]: _parse_value(f["zeta"]) for f in family.get("functions", [])}
-    tol = _tolerance(list(functions.values()))
+    functions = {f["name"]: _parse_value(f["zeta"]) for f in _objects(family, "functions")}
+    relations, params = _relations(
+        family, {"lipschitz": "dist", "scale": "factor", "shift": "alpha"}
+    )
+    tol = _tolerance([*functions.values(), *params])
     axioms = {
         "lipschitz": _axiom("lipschitz"),
         "semi-homogeneity": _axiom("semi-homogeneity"),
@@ -217,7 +227,7 @@ def check_partial_quasistate(family: dict) -> dict:
             raise ValueError(f"relation references unknown function {name!r}")
         return functions[name]
 
-    for rel in family.get("relations", []):
+    for rel in relations:
         kind = rel.get("type")
         if kind == "lipschitz":
             zf, zg, dist = zeta(rel["f"]), zeta(rel["g"]), _parse_value(rel["dist"])
@@ -232,8 +242,7 @@ def check_partial_quasistate(family: dict) -> dict:
             if float(factor) < 0:
                 raise ValueError("semi-homogeneity factors must be >= 0")
             zf, zg = zeta(rel["f"]), zeta(rel["g"])
-            expected = factor * zf if not isinstance(zf, float) and not isinstance(factor, float) else float(factor) * float(zf)
-            ok = _is_close(zg, expected, tol)
+            ok = _is_close(zg, factor * zf, tol)
             _record(
                 axioms["semi-homogeneity"],
                 ok,
@@ -254,8 +263,7 @@ def check_partial_quasistate(family: dict) -> dict:
         elif kind == "shift":
             alpha = _parse_value(rel["alpha"])
             zf, zg = zeta(rel["f"]), zeta(rel["g"])
-            expected = zf + alpha if not isinstance(zf, float) and not isinstance(alpha, float) else float(zf) + float(alpha)
-            ok = _is_close(zg, expected, tol)
+            ok = _is_close(zg, zf + alpha, tol)
             _record(
                 axioms["additivity-with-constants"],
                 ok,
@@ -310,8 +318,11 @@ def check_prequasimorphism(family: dict) -> dict:
     pre-quasimorphism axioms.  Hofer-Lipschitz bounds and Calabi values are
     user-declared data; with no such declarations those axioms are reported
     as not-checked."""
-    elements = {e["name"]: _parse_value(e["mu"]) for e in family.get("elements", [])}
-    tol = _tolerance(list(elements.values()))
+    elements = {e["name"]: _parse_value(e["mu"]) for e in _objects(family, "elements")}
+    relations, params = _relations(
+        family, {"quasi_additivity": "bound", "lipschitz": "bound", "calabi": "value"}
+    )
+    tol = _tolerance([*elements.values(), *params])
     axioms = {
         "hofer-lipschitz": _axiom("hofer-lipschitz", conditional=True),
         "semi-homogeneity": _axiom("semi-homogeneity"),
@@ -325,15 +336,14 @@ def check_prequasimorphism(family: dict) -> dict:
             raise ValueError(f"relation references unknown element {name!r}")
         return elements[name]
 
-    for rel in family.get("relations", []):
+    for rel in relations:
         kind = rel.get("type")
         if kind == "power":
             n = rel["n"]
             if isinstance(n, bool) or not isinstance(n, int) or n < 1:
                 raise ValueError("power relations need integer n >= 1")
             mf, mg = mu(rel["f"]), mu(rel["g"])
-            expected = n * mf if not isinstance(mf, float) else n * float(mf)
-            ok = _is_close(mg, expected, tol)
+            ok = _is_close(mg, n * mf, tol)
             _record(
                 axioms["semi-homogeneity"],
                 ok,
@@ -416,33 +426,21 @@ def heaviness_check(family: dict) -> HeavinessReport:
     sups over Y.  Violations list every function exceeding its sup beyond
     the tolerance (0 for all-rational data).
     """
-    subset = family.get("subset", "Y")
-    functions = family.get("functions", [])
-    values = []
-    for f in functions:
-        values.append(_parse_value(f["zeta"]))
-        values.append(_parse_value(f["sup"]))
-    tol = _tolerance(values)
-    checked, violations = [], []
-    for f in functions:
-        name = f["name"]
-        zeta, sup = _parse_value(f["zeta"]), _parse_value(f["sup"])
-        checked.append(name)
-        if not _at_most(zeta, sup, tol):
-            excess = (
-                zeta - sup
-                if not isinstance(zeta, float) and not isinstance(sup, float)
-                else float(zeta) - float(sup)
-            )
-            violations.append(
-                {
-                    "name": name,
-                    "zeta": _value_str(zeta),
-                    "sup": _value_str(sup),
-                    "excess": _value_str(excess),
-                }
-            )
-    return HeavinessReport(subset=subset, checked=checked, violations=violations)
+    rows = [(f["name"], _parse_value(f["zeta"]), _parse_value(f["sup"]))
+            for f in _objects(family, "functions")]
+    tol = _tolerance([v for _, zeta, sup in rows for v in (zeta, sup)])
+    violations = [
+        {
+            "name": name,
+            "zeta": _value_str(zeta),
+            "sup": _value_str(sup),
+            "excess": _value_str(zeta - sup),
+        }
+        for name, zeta, sup in rows
+        if not _at_most(zeta, sup, tol)
+    ]
+    checked = [name for name, _, _ in rows]
+    return HeavinessReport(family.get("subset", "Y"), checked, violations)
 
 
 def product_quasistate_check(tables: dict) -> dict:
@@ -454,31 +452,23 @@ def product_quasistate_check(tables: dict) -> dict:
     are declared heavy, the product subset is reported heavy by inference
     (tagged "product-heaviness"), not by recomputation.
     """
-    pairs = tables.get("pairs", [])
-    values = []
-    for p in pairs:
-        values.extend([_parse_value(p["zeta0"]), _parse_value(p["zeta1"]), _parse_value(p["zeta_product"])])
-    tol = _tolerance(values)
+    pairs = [(p, [_parse_value(p[k]) for k in ("zeta0", "zeta1", "zeta_product")])
+             for p in _objects(tables, "pairs")]
+    tol = _tolerance([v for _, values in pairs for v in values])
     rows = []
-    for p in pairs:
-        z0, z1, zp = (
-            _parse_value(p["zeta0"]),
-            _parse_value(p["zeta1"]),
-            _parse_value(p["zeta_product"]),
-        )
-        expected = z0 + z1 if not isinstance(z0, float) and not isinstance(z1, float) else float(z0) + float(z1)
-        ok = _is_close(zp, expected, tol)
+    for p, (z0, z1, zp) in pairs:
+        expected = z0 + z1
         rows.append(
             {
                 "f0": p.get("f0", "?"),
                 "f1": p.get("f1", "?"),
-                "additive": ok,
+                "additive": _is_close(zp, expected, tol),
                 "zeta_product": _value_str(zp),
                 "expected": _value_str(expected),
             }
         )
     inference = None
-    factors = tables.get("factors_heavy")
+    factors = _objects(tables, "factors_heavy")
     if factors:
         all_heavy = all(f.get("heavy", False) for f in factors)
         inference = {

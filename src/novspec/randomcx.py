@@ -72,6 +72,15 @@ def _period_exponent_below(
     return gen * k
 
 
+def _apply(columns: Dict[str, Chain], chain: Chain) -> Chain:
+    """The chain a linear map sends ``chain`` to, the map given by the image
+    of each generator."""
+    out: Chain = {}
+    for gid, coeff in chain.items():
+        out = chain_add(out, chain_scale(columns[gid], coeff))
+    return out
+
+
 class RandomComplexData:
     """A generated complex plus the bookkeeping needed by the suites."""
 
@@ -87,12 +96,6 @@ class RandomComplexData:
             deg = self.complex.generator(gid).degree
             out[deg] = out.get(deg, 0) + 1
         return {k: v for k, v in out.items() if v}
-
-    def apply_automorphism(self, chain: Chain) -> Chain:
-        out: Chain = {}
-        for gid, coeff in chain.items():
-            out = chain_add(out, chain_scale(self.automorphism[gid], coeff))
-        return out
 
     def random_cycle(
         self, rng: random.Random, boundary: bool = False
@@ -121,7 +124,7 @@ class RandomComplexData:
         if not chain:
             gid = rng.choice(self.free_ids)
             chain[gid] = random_scalar(rng, cx.field, cx.lattice)
-        return self.apply_automorphism(chain)
+        return _apply(self.automorphism, chain)
 
 
 def random_complex(
@@ -229,19 +232,13 @@ def _invert_unipotent(
     for gid, col in t_map.items():
         n_map[gid] = {k: v for k, v in col.items() if k != gid}
 
-    def apply_n(chain: Chain) -> Chain:
-        out: Chain = {}
-        for gid, coeff in chain.items():
-            out = chain_add(out, chain_scale(n_map.get(gid, {}), coeff))
-        return out
-
     inverse: Dict[str, Chain] = {}
     for g in cx.generators:
         total: Chain = {g.id: NovikovScalar.one(field)}
         power: Chain = {g.id: NovikovScalar.one(field)}
         sign = 1
         for _ in range(len(cx.generators)):
-            power = apply_n(power)
+            power = _apply(n_map, power)
             if not power:
                 break
             sign = -sign
@@ -258,17 +255,9 @@ def _invert_unipotent(
 def _conjugate(cx: FilteredComplex, t_map: Dict[str, Chain]) -> FilteredComplex:
     inverse = _invert_unipotent(cx, t_map)
 
-    def apply_map(m: Dict[str, Chain], chain: Chain) -> Chain:
-        out: Chain = {}
-        for gid, coeff in chain.items():
-            out = chain_add(out, chain_scale(m[gid], coeff))
-        return out
-
     differential: Dict[Tuple[str, str], NovikovScalar] = {}
     for g in cx.generators:
-        column = apply_map(
-            t_map, cx.apply_differential(inverse[g.id])
-        )
+        column = _apply(t_map, cx.apply_differential(inverse[g.id]))
         for dst, coeff in column.items():
             differential[(g.id, dst)] = coeff
     return FilteredComplex(

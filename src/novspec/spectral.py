@@ -25,6 +25,7 @@ reduction need not terminate on them.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from math import gcd, lcm
@@ -176,44 +177,25 @@ def homology_report(cx: FilteredComplex) -> dict:
     report is integer graded; otherwise degrees only make sense mod 2.
     rank H_k = dim C_k - rank D_k - rank D_{k+1}.
     """
+    integer = cx.degrees_strictly_graded()
+
+    def grade(degree: int) -> int:
+        return degree if integer else degree % 2
+
+    grades = sorted({g.degree for g in cx.generators}) if integer else [0, 1]
     audit: List[dict] = []
-    if cx.degrees_strictly_graded():
-        degrees = sorted({g.degree for g in cx.generators})
-        dims = {k: 0 for k in degrees}
-        for g in cx.generators:
-            dims[g.degree] += 1
-        rank_d = {}
-        for k in degrees:
-            ech = echelon_from_columns(
-                cx, [g.id for g in cx.generators if g.degree == k]
-            )
-            rank_d[k] = ech.rank
-            audit.extend(ech.audit)
-        ranks = {}
-        for k in degrees:
-            ranks[k] = dims[k] - rank_d.get(k, 0) - rank_d.get(k + 1, 0)
-        return {
-            "graded": "integer",
-            "ranks": {str(k): r for k, r in sorted(ranks.items())},
-            "total": sum(ranks.values()),
-            "pivot_audit": audit,
-        }
-    sides = {0: "even", 1: "odd"}
-    dims = {0: 0, 1: 0}
-    for g in cx.generators:
-        dims[g.degree % 2] += 1
     rank_d = {}
-    for par in (0, 1):
+    for k in grades:
         ech = echelon_from_columns(
-            cx, [g.id for g in cx.generators if g.degree % 2 == par]
+            cx, [g.id for g in cx.generators if grade(g.degree) == k]
         )
-        rank_d[par] = ech.rank
+        rank_d[k] = ech.rank
         audit.extend(ech.audit)
-    ranks = {
-        sides[par]: dims[par] - rank_d[par] - rank_d[1 - par] for par in (0, 1)
-    }
+    dims = Counter(grade(g.degree) for g in cx.generators)
+    names = {k: str(k) for k in grades} if integer else {0: "even", 1: "odd"}
+    ranks = {names[k]: dims[k] - rank_d[k] - rank_d.get(grade(k + 1), 0) for k in grades}
     return {
-        "graded": "mod2",
+        "graded": "integer" if integer else "mod2",
         "ranks": ranks,
         "total": sum(ranks.values()),
         "pivot_audit": audit,
@@ -369,9 +351,7 @@ def spectral_number(cx: FilteredComplex, chain: Chain) -> SpectralResult:
             ratio = v[coord] * bc.invert()
             v = _vec_sub_scaled(v, b, ratio, coord)
         else:
-            vc = v[coord]
-            v = {i: c * bc for i, c in v.items()}
-            v = _vec_sub_scaled(v, b, vc, coord)
+            v = _vec_cross(v, b, coord)
             multiplier = multiplier * bc
             if multiplier.is_monomial():
                 inv = multiplier.invert()

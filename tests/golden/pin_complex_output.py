@@ -6,7 +6,8 @@ Draws one seeded complex per coefficient mode (with a second complex for
 ``tensor``, a cycle and a boundary for ``spectral``), adds one hand-written
 document whose rationals are spelled ``"0.5"``, ``" 3/2 "`` and ``"-0"``
 (the first two are forms ``fields.parse_fraction`` leaves to the generic
-``Fraction`` parser), runs ``complex
+``Fraction`` parser) and, in each mode, one hand-written complex graded
+only mod 2 whose spectral number needs a pivot of two terms, runs ``complex
 validate|homology|spectrum|spectral|tensor`` on each through
 ``novspec.cli.main`` in process, and writes the documents, the argv, the
 exit code and the sha256 of stdout to ``complex_output.json``.  ``tests/test_cli.py`` replays the file from the
@@ -54,6 +55,29 @@ FORMS_CHAIN = {
 }
 
 
+def mod2_complex(mode: str) -> dict:
+    """Degree drop 3, so homology is graded mod 2; the image vector's lead
+    sits on ``c`` with coefficient q^-1 + 3 q^-3/2, so the spectral number of
+    ``c`` reduces by a pivot that is not a monomial."""
+    return {
+        "field": {"mode": mode},
+        "lattice": {"rank": 1, "periods": ["1/2"]},
+        "generators": [
+            {"id": "a", "action": "3", "degree": 3},
+            {"id": "b", "action": "0", "degree": 0},
+            {"id": "c", "action": "1", "degree": 0},
+            {"id": "e", "action": "1/2", "degree": 1},
+        ],
+        "differential": [
+            {"from": "a", "to": "b", "coeff": [{"exp": "-1", "c": "2"}]},
+            {"from": "a", "to": "c", "coeff": [{"exp": "-1", "c": "1"}, {"exp": "-3/2", "c": "3"}]},
+        ],
+    }
+
+
+MOD2_CHAIN = {"coeffs": [{"id": "c", "coeff": [{"exp": "0", "c": "1"}]}]}
+
+
 def _complex_doc(cx) -> dict:
     doc = {"schema_version": "1", "kind": "filtered-complex"}
     doc.update(cx.to_json())
@@ -82,12 +106,15 @@ def documents() -> dict:
     docs["forms.json"] = FORMS
     docs["forms_right.json"] = FORMS
     docs["forms_cycle.json"] = FORMS_CHAIN
+    for mode in MODES:
+        docs[f"mod2_{mode}.json"] = docs[f"mod2_{mode}_right.json"] = mod2_complex(mode)
+        docs[f"mod2_{mode}_cycle.json"] = MOD2_CHAIN
     return docs
 
 
 def argvs() -> list:
     out = []
-    for base in (*MODES, "forms"):
+    for base in (*MODES, "forms", *(f"mod2_{mode}" for mode in MODES)):
         cx = f"{base}.json"
         out += [
             ["complex", "validate", cx],
@@ -96,7 +123,7 @@ def argvs() -> list:
             ["complex", "spectral", cx, "--chain", f"{base}_cycle.json"],
             ["complex", "tensor", cx, f"{base}_right.json"],
         ]
-        if base != "forms":
+        if base in MODES:
             out.append(["complex", "spectral", cx, "--chain", f"{base}_boundary.json"])
     return out
 

@@ -7,12 +7,15 @@ monotone hexagon and the sheared trapezoid among them) and on polytopes
 that fail validation for each reason the exact LPs decide (unbounded,
 empty interior, redundant facet, not simple, not Delzant); ``toric scan``
 on the benchmark's four grids, in JSON and CSV; and ``toric potential`` at
-one fiber.  Each run goes through ``novspec.cli.main`` in process, and the
-polytope, the argv after the input path, the exit code and the sha256 of
-stdout go to ``toric_output.json``.  ``tests/test_cli.py`` replays the
-file.  ``toric critical`` on the hexagon is left out: it spends about a
-second in sympy.  Re-pin only when an output change is intended, and name
-the change in CHANGES.md.
+one fiber; ``toric critical`` on the monotone hexagon at ``0,0`` (six
+roots, about a second in sympy) and on the sheared trapezoid at
+``3/4,-1/4`` (``leading-system-not-finite``); and one ``toric certify``
+that finds no branes (``dominating-facet``).  Each run goes through
+``novspec.cli.main`` in process, and the polytope, the argv after the
+input path, the exit code and the sha256 of stdout go to
+``toric_output.json``.  ``tests/test_cli.py`` replays the file.  Re-pin
+only when an output change is intended, and name the change in
+CHANGES.md.
 """
 
 from __future__ import annotations
@@ -77,6 +80,9 @@ RUNS = (
     + [(name, "scan", options) for name, options in SCANS]
     + [(name, "scan", [*options, "--format", "csv"]) for name, options in SCANS]
     + [("trapezoid", "potential", ["--fiber", "3/4,1/2"])]
+    + [("hexagon", "critical", ["--fiber", "0,0"])]
+    + [("sheared_trapezoid", "critical", ["--fiber", "3/4,-1/4"])]
+    + [("trapezoid", "certify", ["--fiber", "1/3,1/3"])]
 )
 
 

@@ -3,6 +3,7 @@
 import argparse
 import contextlib
 import csv
+import functools
 import hashlib
 import io
 import json
@@ -131,6 +132,28 @@ class TestExitCodes:
         path = write(tmp_path, "poly.json", {"facets": []})
         assert main(["toric", "validate", path]) == 2
         assert "schema error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "command, doc",
+        [
+            (["complex", "validate"], []),
+            (["complex", "validate"], "x"),
+            (["complex", "homology"], []),
+            (["complex", "spectrum"], "x"),
+            (["qstate", "heavy"], []),
+            (["qstate", "product"], []),
+            (["qstate", "check"], {"functions": [], "relations": [5]}),
+            (["qstate", "check"], {"elements": [], "relations": [5]}),
+            (["qstate", "product"], {"pairs": [], "factors_heavy": [5]}),
+        ],
+        ids=["complex-list", "complex-string", "homology-list", "spectrum-string",
+             "heavy-list", "product-list", "functions-relation-5", "elements-relation-5",
+             "factors-heavy-5"],
+    )
+    def test_non_object_document_is_2(self, tmp_path, capsys, command, doc):
+        path = write(tmp_path, "doc.json", doc)
+        assert main([*command, path]) == 2
+        assert capsys.readouterr().err.startswith("novspec: schema error:")
 
     def test_bad_flag_value_raises_systemexit_2(self, tmp_path):
         path = write(tmp_path, "cp1.json", CP1)
@@ -498,9 +521,9 @@ class TestComplexCommands:
         assert code == 0 and rep["valid"]
 
     def test_output_corpus_replays_byte_identical(self, tmp_path, capsys):
-        # Seeded complexes in every mode plus one document of decimal,
-        # padded and signed-zero rationals, recorded by
-        # tests/golden/pin_complex_output.py.
+        # Seeded complexes in every mode, one document of decimal, padded and
+        # signed-zero rationals, and a complex graded only mod 2 in every
+        # mode, recorded by tests/golden/pin_complex_output.py.
         corpus = json.loads((GOLDEN / "complex_output.json").read_text(encoding="utf-8"))
         docs = corpus["documents"]
         modes = {doc["field"]["mode"] for doc in docs.values() if "field" in doc}
@@ -539,9 +562,10 @@ class TestToricCommands:
             assert [code, digest] == [entry["code"], entry["stdout_sha256"]], entry["name"]
 
     def test_toric_output_corpus_replays_byte_identical(self, tmp_path, capsys):
-        # Validation reports, grid scans and a potential, recorded by
-        # tests/golden/pin_toric_output.py: every exact LP outcome and the
-        # facet values at each grid point.
+        # Validation reports, grid scans, a potential, the leading critical
+        # points of the hexagon and the sheared trapezoid, and a certification
+        # that finds no branes, recorded by tests/golden/pin_toric_output.py:
+        # every exact LP outcome and the facet values at each grid point.
         corpus = json.loads((GOLDEN / "toric_output.json").read_text(encoding="utf-8"))
         assert {e["code"] for e in corpus if e["command"] == "validate"} == {0, 1}
         for entry in corpus:
@@ -812,6 +836,24 @@ class TestQstateCommands:
         assert code == 1 and not doc["consistent"]
         assert [v["name"] for v in doc["violations"]] == ["f"]
 
+    @pytest.mark.parametrize(
+        "family",
+        [
+            {"functions": [{"name": "f", "zeta": "1/10"}, {"name": "g", "zeta": "3/10"}],
+             "relations": [{"type": "shift", "f": "f", "g": "g", "alpha": 0.2}]},
+            {"elements": [{"name": "a", "mu": "3/10"}],
+             "relations": [{"type": "calabi", "f": "a", "value": 0.30000000000000004}]},
+        ],
+        ids=["shift", "calabi"],
+    )
+    def test_float_parameter_sets_float_tolerance(self, tmp_path, family):
+        # 1/10 + 0.2 and 0.30000000000000004 are 3/10 to within float rounding;
+        # one float parameter makes the whole check a float comparison.
+        path = write(tmp_path, "family.json", family)
+        code, doc = run_json(tmp_path, ["qstate", "check", path])
+        assert code == 0 and doc["all_pass"] and doc["tolerance"] == 1e-09
+        assert [a["status"] for a in doc["axioms"] if a["checked"]] == ["pass"]
+
     def test_check_exact_lipschitz_violation_below_float_resolution(self, tmp_path):
         family = {
             "functions": [{"name": "f", "zeta": "1"}, {"name": "g", "zeta": "0"}],
@@ -856,3 +898,112 @@ class TestSelftest:
             code = main(argv)
             digest = hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest()
             assert [code, digest] == [entry["code"], entry["stdout_sha256"]], entry["argv"]
+
+
+# -- reader fuzz ----------------------------------------------------------
+
+CHAIN = {"coeffs": [{"id": "c", "coeff": [{"exp": "0", "c": "1"}]}], "floor": "-inf"}
+
+# One skeleton document per reader, with the command lines that read it;
+# "DOC" stands for the document's path, and a skeleton of None for the
+# certificate of the ``cert_path`` fixture.
+READERS = {
+    "complex": (GOOD_COMPLEX, [["complex", "homology", "DOC"]]),
+    "chain": (CHAIN, [["complex", "spectral", "COMPLEX", "--chain", "DOC"]]),
+    "polytope": (TRAP, [["toric", "validate", "DOC"]]),
+    "certificate": (None, [["toric", "revalidate", "DOC"], ["qmap", "rank", "DOC"],
+                           ["qmap", "unit", "DOC"], ["qmap", "charge", "DOC"]]),
+    "oracle": (ORACLE, [["qstate", "homogenize", "DOC", "--volume", "2"]]),
+    "quasistate-family": ({
+        "functions": [{"name": "f", "zeta": "1"}, {"name": "g", "zeta": 0.5}],
+        "relations": [
+            {"type": "lipschitz", "f": "f", "g": "g", "dist": "1"},
+            {"type": "scale", "f": "f", "g": "g", "factor": "1/2"},
+            {"type": "shift", "f": "g", "g": "f", "alpha": 0.5},
+            {"type": "triangle", "f": "f", "g": "g", "sum": "f"},
+            {"type": "normalized", "f": "f"},
+        ],
+    }, [["qstate", "check", "DOC"]]),
+    "quasimorphism-family": ({
+        "elements": [{"name": "a", "mu": "1"}, {"name": "b", "mu": "2"}],
+        "relations": [
+            {"type": "power", "f": "a", "g": "b", "n": 2},
+            {"type": "quasi_additivity", "f": "a", "g": "a", "product": "b", "bound": "0"},
+            {"type": "calabi", "f": "a", "value": 1.0},
+        ],
+    }, [["qstate", "check", "DOC"]]),
+    "heaviness": ({"subset": "Y", "functions": [{"name": "H", "zeta": "0", "sup": 1.5}]},
+                  [["qstate", "heavy", "DOC"]]),
+    "product": ({
+        "pairs": [{"f0": "F", "f1": "G", "zeta0": "1", "zeta1": 2.0, "zeta_product": "3"}],
+        "factors_heavy": [{"subset": "A", "heavy": True}, {"subset": "B", "heavy": False}],
+    }, [["qstate", "product", "DOC"]]),
+}
+
+_SCALARS = (
+    st.none() | st.booleans() | st.integers() | st.text(max_size=4)
+    | st.floats(allow_nan=False, allow_infinity=False)
+    | st.sampled_from(["1/2", "-1", "1/0", "-inf", "rational", "complex", "a"])
+)
+JSON_VALUES = st.recursive(
+    _SCALARS,
+    lambda kids: st.lists(kids, max_size=3)
+    | st.dictionaries(st.text(max_size=4), kids, max_size=3),
+    max_leaves=5,
+)
+DELETE = object()
+
+
+def _paths(doc, prefix=()):
+    """Every position in a JSON document, the document itself first."""
+    yield prefix
+    if isinstance(doc, dict):
+        items = doc.items()
+    elif isinstance(doc, list):
+        items = enumerate(doc)
+    else:
+        return
+    for key, value in items:
+        yield from _paths(value, (*prefix, key))
+
+
+def _replaced(doc, path, value):
+    """A copy of ``doc`` with the value at ``path`` replaced, or deleted."""
+    if not path:
+        return value
+    doc = json.loads(json.dumps(doc))
+    *head, last = path
+    parent = functools.reduce(lambda d, k: d[k], head, doc)
+    if value is DELETE:
+        del parent[last]
+    else:
+        parent[last] = value
+    return doc
+
+
+class TestReaderFuzz:
+    @pytest.fixture(scope="class")
+    def workdir(self, tmp_path_factory, cert_path):
+        tmp = tmp_path_factory.mktemp("fuzz")
+        write(tmp, "complex.json", GOOD_COMPLEX)
+        return tmp, json.loads(Path(cert_path).read_text(encoding="utf-8"))
+
+    @pytest.mark.parametrize("skeleton, commands", READERS.values(), ids=list(READERS))
+    @settings(max_examples=60, derandomize=True, deadline=None, database=None)
+    @given(data=st.data())
+    def test_reader_exits_0_1_or_2(self, workdir, skeleton, commands, data):
+        # A wrong value anywhere in a valid document, or a deleted key, is an
+        # exit code of the contract, never a traceback.
+        tmp, certificate = workdir
+        skeleton = certificate if skeleton is None else skeleton
+        path = data.draw(st.sampled_from(list(_paths(skeleton))))
+        value = data.draw(JSON_VALUES | st.just(DELETE) if path else JSON_VALUES)
+        doc_path = write(tmp, "doc.json", _replaced(skeleton, path, value))
+        argv = data.draw(st.sampled_from(commands))
+        argv = [{"DOC": doc_path, "COMPLEX": str(tmp / "complex.json")}.get(a, a) for a in argv]
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+        assert code in (0, 1, 2)

@@ -81,6 +81,14 @@ def parse_ratio(value: Any) -> Tuple[int, int]:
     return value.numerator, value.denominator
 
 
+def to_float(value: Any) -> float:
+    """``float(value)``; a number beyond float range is a ValueError naming it."""
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValueError(f"{value} is beyond float range") from None
+
+
 def parse_fraction(value: Any) -> Fraction:
     """The Fraction ``parse_ratio`` reads."""
     return Fraction(*parse_ratio(value))
@@ -311,8 +319,8 @@ class CoefficientField:
         gives them except that ``den`` need not be least."""
         if self.mode == COMPLEX:
             if isinstance(obj, dict):
-                return float(obj.get("re", 0.0)), float(obj.get("im", 0.0)), 1
-            return float(obj), 0.0, 1
+                return to_float(obj.get("re", 0.0)), to_float(obj.get("im", 0.0)), 1
+            return to_float(obj), 0.0, 1
         if self.mode == GAUSSIAN and isinstance(obj, dict):
             a, b = parse_ratio(obj.get("re", 0))
             c, d = parse_ratio(obj.get("im", 0))
@@ -338,7 +346,7 @@ class CoefficientField:
             raise ValueError("field must be a mode name or an object")
         mode = obj.get("mode", RATIONAL)
         if mode == COMPLEX:
-            return CoefficientField(COMPLEX, float(obj.get("eps", 1e-12)))
+            return CoefficientField(COMPLEX, to_float(obj.get("eps", 1e-12)))
         return CoefficientField(mode)
 
 

@@ -28,11 +28,11 @@ pairs from it on access, for JSON and tests.
 Every operation runs on the rows: sums merge them over the lcms of the
 grids and denominators, and products and inverses run one row kernel
 accumulating ``re += a1*a2 - b1*b2`` and ``im += a1*b2 + b1*a2``.  On
-floats these are the IEEE operations, in the same order, that complex
-``*`` and ``+`` perform (a scaling puts the term's coefficient on the
-left), and a float coefficient is zero when ``abs(complex(re, im)) <
-eps``, as in the field; so complex results keep their last bits, signed
-zeros included.
+floats these are the IEEE operations that complex ``*`` and ``+``
+perform, in the same order up to commuted operands (a factor of one
+row takes one pass), and a float coefficient is zero when ``abs(complex(re,
+im)) < eps``, as in the field; so complex results keep their last bits,
+signed zeros included.
 """
 
 from __future__ import annotations
@@ -158,6 +158,19 @@ def _merged(field: CoefficientField, parts: list, floor: FloorValue) -> tuple:
     return floor, grid, den, _above(rows, _cut(floor, grid))
 
 
+def _by_term(rows, term: tuple, cut: Optional[int], nonzero) -> list:
+    """``rows`` times the one row ``term``, above ``cut`` (None keeps all)."""
+    e2, c, d = term
+    out = []
+    for e, a, b in rows:
+        if cut is not None and e + e2 <= cut:
+            break
+        re, im = a * c - b * d, a * d + b * c
+        if nonzero(re, im):
+            out.append((e + e2, re, im))
+    return out
+
+
 def _row_product(left: list, right: list, cut: int, nonzero) -> list:
     """Product of two row lists above the grid exponent ``cut``.
 
@@ -165,6 +178,10 @@ def _row_product(left: list, right: list, cut: int, nonzero) -> list:
     exponents; so is the result, which keeps the rows that pass
     ``nonzero``.  Its denominator is the product of the factors'.
     """
+    if len(right) == 1:
+        return _by_term(left, right[0], cut, nonzero)
+    if len(left) == 1:  # commutes the addends of im, which IEEE addition allows
+        return _by_term(right, left[0], cut, nonzero)
     if not right:
         return []
     top = right[0][0]
@@ -348,9 +365,7 @@ class NovikovScalar:
         if field.is_zero(coeff):
             return NovikovScalar.zero(field, NEG_INF if self.is_exact_zero() else self.floor)
         c, d, cden = field.to_parts(coeff)
-        nonzero = _nonzero(field)
-        rows = [(e, a * c - b * d, a * d + b * c) for e, a, b in self.rows]
-        rows = [row for row in rows if nonzero(row[1], row[2])]
+        rows = _by_term(self.rows, (0, c, d), None, _nonzero(field))
         return _scalar(field, self.floor, self.grid, self.den * cden, rows)
 
     def shift(self, exp) -> "NovikovScalar":

@@ -62,6 +62,11 @@ class ComponentStratum:
         }
 
 
+def _sum(field: CoefficientField, terms: Sequence[NovikovScalar], floor) -> NovikovScalar:
+    """``zero(field, floor)`` plus the terms in order, as stored, without the zero."""
+    return sum(terms[1:], terms[0].truncate(floor)) if terms else NovikovScalar.zero(field, floor)
+
+
 class PotentialFunction:
     """The potential at one fiber, with exact weights and integer exponents."""
 
@@ -76,14 +81,6 @@ class PotentialFunction:
         self._memo = None  # ((x, floor), monomials) of the last point
 
     # -- scalar evaluation ---------------------------------------------------
-
-    @staticmethod
-    def _check_units(x: Sequence[NovikovScalar]) -> None:
-        for j, xj in enumerate(x):
-            if xj.valuation() != 0:
-                raise ValueError(
-                    f"brane coordinate {j} is not a unit (valuation {xj.valuation()})"
-                )
 
     def _monomials(self, x: Sequence[NovikovScalar], floor) -> Tuple[NovikovScalar, ...]:
         """x^{v_i} q^{w_i} for every facet term, truncated at the working floor.
@@ -101,7 +98,7 @@ class PotentialFunction:
                 a is b for a, b in zip(last_x, x)
             ):
                 return monos
-        field = x[0].field
+        one = x[0].field.one()
         inv_floor = None if floor == NEG_INF else floor
         powers = {}  # (j, k) -> x_j^k truncated at the floor
         for j, xj in enumerate(x):
@@ -111,17 +108,18 @@ class PotentialFunction:
                 if top <= 0:
                     continue
                 base = xj if sign > 0 else xj.invert(inv_floor)
-                out = NovikovScalar.one(field)
+                out = base.scale(one)  # 1 * base as a product stores it, signed zeros included
                 for k in range(1, top + 1):
-                    out = out * base
+                    if k > 1:
+                        out = out * base
                     if sign * k in needed:
                         powers[j, sign * k] = out if floor == NEG_INF else out.truncate(floor)
         monos = []
         for term in self.terms:
-            out = NovikovScalar.one(field)
-            for j, k in enumerate(term.exponent):
-                if k:
-                    out = out * powers[j, k]
+            factors = [powers[j, k] for j, k in enumerate(term.exponent) if k]
+            out = factors[0].scale(one) if factors else NovikovScalar.one(x[0].field)
+            for factor in factors[1:]:
+                out = out * factor
             out = out.shift(term.weight)
             monos.append(out if floor == NEG_INF else out.truncate(floor))
         monos = tuple(monos)
@@ -131,41 +129,41 @@ class PotentialFunction:
     def evaluate(self, x: Sequence[NovikovScalar], floor=NEG_INF) -> NovikovScalar:
         """W(x) = sum of x^{v_i} q^{w_i}; requires unit coordinates."""
         self._check_x(x)
-        field = x[0].field
-        total = NovikovScalar.zero(field, floor)
-        for mono in self._monomials(x, floor):
-            total = total + mono
-        return total
+        return _sum(x[0].field, self._monomials(x, floor), floor)
 
     def gradient(self, x: Sequence[NovikovScalar], floor=NEG_INF) -> List[NovikovScalar]:
         """Logarithmic gradient y_j = sum_i v_ij x^{v_i} q^{w_i}."""
         self._check_x(x)
         field = x[0].field
-        out = [NovikovScalar.zero(field, floor) for _ in range(self.dim)]
+        out = [[] for _ in range(self.dim)]
         for term, mono in zip(self.terms, self._monomials(x, floor)):
             for j, vij in enumerate(term.exponent):
                 if vij:
-                    out[j] = out[j] + mono.scale(field.coerce(vij))
-        return out
+                    out[j].append(mono.scale(field.coerce(vij)))
+        return [_sum(field, terms, floor) for terms in out]
 
     def hessian(self, x: Sequence[NovikovScalar], floor=NEG_INF) -> List[List[NovikovScalar]]:
         """Logarithmic Hessian M_jk = sum_i v_ij v_ik x^{v_i} q^{w_i}."""
         self._check_x(x)
         field = x[0].field
-        mat = [[NovikovScalar.zero(field, floor) for _ in range(self.dim)] for _ in range(self.dim)]
+        mat = [[[] for _ in range(self.dim)] for _ in range(self.dim)]
         for term, mono in zip(self.terms, self._monomials(x, floor)):
             for j, vij in enumerate(term.exponent):
                 if not vij:
                     continue
                 for k, vik in enumerate(term.exponent):
                     if vik:
-                        mat[j][k] = mat[j][k] + mono.scale(field.coerce(vij * vik))
-        return mat
+                        mat[j][k].append(mono.scale(field.coerce(vij * vik)))
+        return [[_sum(field, terms, floor) for terms in row] for row in mat]
 
     def _check_x(self, x: Sequence[NovikovScalar]) -> None:
         if len(x) != self.dim:
             raise ValueError(f"expected {self.dim} brane coordinates, got {len(x)}")
-        self._check_units(x)
+        for j, xj in enumerate(x):
+            if xj.valuation() != 0:
+                raise ValueError(
+                    f"brane coordinate {j} is not a unit (valuation {xj.valuation()})"
+                )
 
     # -- leading data ----------------------------------------------------
 

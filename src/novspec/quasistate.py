@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Sequence, Tuple, Union
 
-from .fields import fraction_str, parse_fraction
+from .fields import fraction_str, parse_fraction, to_float
 
 Value = Union[Fraction, float]
 
@@ -55,8 +55,13 @@ def _at_most(a: Value, b: Value, tol: float) -> bool:
 
 
 def _tolerance(values: Sequence[Value]) -> float:
-    """0 when every number a check reads is rational, else FLOAT_TOL."""
-    return 0.0 if all(isinstance(v, Fraction) for v in values) else FLOAT_TOL
+    """0 when every number a check reads is rational, else FLOAT_TOL: the
+    checks then compare in floats, so each value must be in float range."""
+    if all(isinstance(v, Fraction) for v in values):
+        return 0.0
+    for v in values:
+        to_float(v)
+    return FLOAT_TOL
 
 
 def _objects(doc, key: str) -> list:
@@ -96,6 +101,7 @@ class SpectralOracle:
             seen.add(n)
         if self.tag not in ("synthetic", "derived-from-complex"):
             raise ValueError(f"unknown oracle tag {self.tag!r}")
+        _tolerance([c for _, c in self.samples])  # a fit in floats needs float range
 
     def to_json(self) -> dict:
         return {
@@ -239,7 +245,7 @@ def check_partial_quasistate(family: dict) -> dict:
             )
         elif kind == "scale":
             factor = _parse_value(rel["factor"])
-            if float(factor) < 0:
+            if factor < 0:
                 raise ValueError("semi-homogeneity factors must be >= 0")
             zf, zg = zeta(rel["f"]), zeta(rel["g"])
             ok = _is_close(zg, factor * zf, tol)

@@ -67,28 +67,15 @@ def _vec_sub_scaled(v: Vec, b: Vec, s: NovikovScalar, drop: int) -> Vec:
     out = dict(v)
     for i, c in b.items():
         term = c * s
-        if i in out:
-            out[i] = out[i] - term
-        else:
-            out[i] = -term
+        out[i] = out[i] - term if i in out else -term
     out.pop(drop, None)
     return {i: c for i, c in out.items() if not c.is_zero()}
 
 
 def _vec_cross(v: Vec, b: Vec, coord: int) -> Vec:
     """b[coord]*v - v[coord]*b; kills coordinate coord, no division."""
-    bc, vc = b[coord], v[coord]
-    out: Vec = {}
-    for i, c in v.items():
-        out[i] = c * bc
-    for i, c in b.items():
-        term = c * vc
-        if i in out:
-            out[i] = out[i] - term
-        else:
-            out[i] = -term
-    out.pop(coord, None)
-    return {i: c for i, c in out.items() if not c.is_zero()}
+    bc = b[coord]
+    return _vec_sub_scaled({i: c * bc for i, c in v.items()}, b, v[coord], coord)
 
 
 def _vec_normalize(v: Vec, field: CoefficientField) -> Vec:
@@ -370,9 +357,10 @@ def spectral_number(cx: FilteredComplex, chain: Chain) -> SpectralResult:
     mult_val = multiplier.valuation()
     value = raw_level - mult_val
 
-    floor = None if multiplier.is_monomial() else -mult_val - WITNESS_DEPTH
-    inv = multiplier.invert(floor)
-    witness = _to_chain(cx, {i: c * inv for i, c in v.items()})
+    # The multiplier is still one when every pivot was a monomial.
+    inv = None if multiplier.is_monomial() else multiplier.invert(-mult_val - WITNESS_DEPTH)
+    scaled = {i: c.scale(field.one()) if inv is None else c * inv for i, c in v.items()}
+    witness = _to_chain(cx, scaled)
 
     spectrality = None
     for g in cx.generators:

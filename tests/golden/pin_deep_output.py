@@ -3,14 +3,16 @@
     PYTHONPATH=src python3 tests/golden/pin_deep_output.py
 
 Runs ``toric certify`` on each polytope below through ``novspec.cli.main``
-in process, and writes the polytope, the options, the exit code and the
-sha256 of stdout to ``deep_output.json``.  ``tests/test_cli.py``
+in process, and appends the polytope, the options, the exit code and the
+sha256 of stdout of each run not yet in ``deep_output.json``.  ``tests/test_cli.py``
 replays the file.  The benchmark's pinned digests lift only to order -1,
 where every series is a few terms long; these runs go to orders -6 to -10,
 where series inversion and long products decide every coefficient, in all
 three coefficient modes; the Hirzebruch F2 runs lift off-centre, so the
-rational mode takes Newton steps too.  Re-pin only when an output change
-is intended, and name the change in CHANGES.md.
+rational mode takes Newton steps too.  A stored run whose exit code or
+digest the current source does not reproduce is never re-pinned: the
+script names it, writes nothing and exits 1.  To re-pin a run on purpose,
+delete its entry first and name the output change in CHANGES.md.
 """
 
 from __future__ import annotations
@@ -51,6 +53,7 @@ RUNS = [
     ("hirzebruch_f2", "1,1/2", "rational", "-6"),
     ("hirzebruch_f2", "1,1/2", "gaussian", "-6"),
     ("hirzebruch_f2", "1,1/2", "complex", "-6"),
+    ("trapezoid", "3/4,1/2", "gaussian", "-8"),
 ]
 
 
@@ -67,17 +70,26 @@ def run(workdir: Path, polytope: dict, options: list) -> tuple:
 
 
 def main() -> int:
-    entries = []
+    entries = json.loads(CORPUS.read_text(encoding="utf-8")) if CORPUS.exists() else []
+    stored = {(e["name"], tuple(e["options"])): e for e in entries}
+    changed, added = [], 0
     with tempfile.TemporaryDirectory() as tmp:
         for name, fiber, mode, order in RUNS:
             options = ["--fiber", fiber, "--mode", mode, f"--order={order}"]
             code, digest = run(Path(tmp), POLYTOPES[name], options)
-            entries.append({"name": name, "polytope": POLYTOPES[name], "options": options,
-                            "code": code, "stdout_sha256": digest})
+            old = stored.get((name, tuple(options)))
+            if old is None:
+                entries.append({"name": name, "polytope": POLYTOPES[name], "options": options,
+                                "code": code, "stdout_sha256": digest})
+                added += 1
+            elif [old["code"], old["stdout_sha256"]] != [code, digest]:
+                changed.append(f"{name} {' '.join(options)}")
+    if changed:
+        print("pinned output changed, nothing written:", *changed, sep="\n  ", file=sys.stderr)
+        return 1
     CORPUS.write_text(json.dumps(entries, indent=1) + "\n", encoding="utf-8")
-    print(f"{len(entries)} runs pinned to {CORPUS.name}")
+    print(f"{added} of {len(entries)} runs newly pinned in {CORPUS.name}")
     return 0
-
 
 if __name__ == "__main__":
     sys.exit(main())

@@ -155,6 +155,36 @@ class TestExitCodes:
         assert main([*command, path]) == 2
         assert capsys.readouterr().err.startswith("novspec: schema error:")
 
+    @pytest.mark.parametrize(
+        "command, doc",
+        [
+            (["complex", "validate"],
+             {**GOOD_COMPLEX, "field": {"mode": "complex", "eps": 10**400}}),
+            (["complex", "validate"],
+             {**GOOD_COMPLEX, "field": {"mode": "complex"}, "differential": [
+                 {"from": "a", "to": "b", "coeff": [{"exp": "-1", "c": {"re": -(10**400)}}]}]}),
+            (["qstate", "homogenize"],
+             {"tag": "synthetic", "samples": [{"n": 1, "c": "1e400"}, {"n": 2, "c": 0.5}]}),
+            (["qstate", "check"], {"functions": [{"name": "f", "zeta": "1e400"},
+                                                 {"name": "g", "zeta": 0.5}]}),
+            (["qstate", "check"], {"elements": [{"name": "a", "mu": "1"}], "relations": [
+                {"type": "calabi", "f": "a", "value": 1.0},
+                {"type": "lipschitz", "f": "a", "g": "a", "bound": 10**400}]}),
+            (["qstate", "heavy"], {"functions": [{"name": "H", "zeta": 0.5, "sup": "-1e400"}]}),
+            (["qstate", "product"], {"pairs": [{"zeta0": "1e400", "zeta1": 2.0,
+                                                "zeta_product": "3"}]}),
+        ],
+        ids=["complex-eps", "complex-coefficient", "homogenize", "check-functions",
+             "check-elements", "heavy", "product"],
+    )
+    def test_number_beyond_float_range_is_2(self, tmp_path, capsys, command, doc):
+        # A value that a float computation reads must have a float; the
+        # reader names it instead of overflowing in the arithmetic.
+        path = write(tmp_path, "doc.json", doc)
+        assert main([*command, path]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("novspec: schema error:") and "beyond float range" in err
+
     def test_bad_flag_value_raises_systemexit_2(self, tmp_path):
         path = write(tmp_path, "cp1.json", CP1)
         with pytest.raises(SystemExit) as exc:
@@ -854,6 +884,17 @@ class TestQstateCommands:
         assert code == 0 and doc["all_pass"] and doc["tolerance"] == 1e-09
         assert [a["status"] for a in doc["axioms"] if a["checked"]] == ["pass"]
 
+    def test_rational_values_beyond_float_range_stay_exact(self, tmp_path):
+        oracle = {"samples": [{"n": 1, "c": "1e400"}, {"n": 2, "c": "1/2"}]}
+        code, doc = run_json(tmp_path, ["qstate", "homogenize", write(tmp_path, "o.json", oracle)])
+        assert code == 0 and doc["zeta"]["slope"] == f"{10**400 + 1}/5"
+        family = {
+            "functions": [{"name": "f", "zeta": "1e400"}, {"name": "g", "zeta": "1/2"}],
+            "relations": [{"type": "scale", "f": "g", "g": "f", "factor": "2e400"}],
+        }
+        code, doc = run_json(tmp_path, ["qstate", "check", write(tmp_path, "f.json", family)])
+        assert code == 0 and doc["all_pass"] and doc["tolerance"] == 0.0
+
     def test_check_exact_lipschitz_violation_below_float_resolution(self, tmp_path):
         family = {
             "functions": [{"name": "f", "zeta": "1"}, {"name": "g", "zeta": "0"}],
@@ -944,6 +985,7 @@ _SCALARS = (
     st.none() | st.booleans() | st.integers() | st.text(max_size=4)
     | st.floats(allow_nan=False, allow_infinity=False)
     | st.sampled_from(["1/2", "-1", "1/0", "-inf", "rational", "complex", "a"])
+    | st.sampled_from([10**400, -(10**400), "1e400", "-1e400"])
 )
 JSON_VALUES = st.recursive(
     _SCALARS,

@@ -5,6 +5,8 @@ import functools
 import json
 import math
 import random
+import sys
+import types
 from fractions import Fraction
 
 import pytest
@@ -12,6 +14,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from novspec.fields import NEG_INF, GaussianRational, field_for_mode
+from novspec.cli import main
 from novspec.novikov import NovikovScalar
 from novspec.critical import (
     LeadingRoot,
@@ -37,7 +40,7 @@ from novspec.polytope import (
     transform,
     transform_point,
 )
-from novspec.potential import brane_from_constants, potential
+from novspec.potential import PotentialFunction, brane_from_constants, potential
 
 QQ = field_for_mode("rational")
 QI = field_for_mode("gaussian")
@@ -128,6 +131,42 @@ class TestPotential:
             check(pt, floor)
         moved[1] = other[1]  # the same list, holding another point
         check(moved, -3)
+
+    @pytest.mark.parametrize("mode", ["gaussian", "complex"])
+    def test_lift_multiplies_nothing_by_one(self, tmp_path, monkeypatch, mode):
+        # Power chains and monomials start from their first factor: no
+        # product made in a potential method takes a scalar that
+        # NovikovScalar.one returned.  (Equality with one would also flag
+        # data: the gaussian run checks the leading roots exactly first, and
+        # a root coordinate may be 1.)
+        def codes(code):
+            yield code
+            for const in code.co_consts:
+                if isinstance(const, types.CodeType):
+                    yield from codes(const)
+
+        methods = {c for f in vars(PotentialFunction).values()
+                   if isinstance(f, types.FunctionType) for c in codes(f.__code__)}
+        make_one, mul = NovikovScalar.one.__func__, NovikovScalar.__mul__
+        ones, by_one = [], []
+
+        def traced_one(cls, field):
+            ones.append(make_one(cls, field))
+            return ones[-1]
+
+        def traced_mul(x, y):
+            if sys._getframe(1).f_code in methods:
+                by_one.append(any(x is one or y is one for one in ones))
+            return mul(x, y)
+
+        monkeypatch.setattr(NovikovScalar, "one", classmethod(traced_one))
+        monkeypatch.setattr(NovikovScalar, "__mul__", traced_mul)
+        path = tmp_path / "trap.json"
+        path.write_text(json.dumps(TRAP.to_json()), encoding="utf-8")
+        argv = ["toric", "certify", str(path), "--fiber", "3/4,1/2", "--mode", mode,
+                "--order=-2", "--out", str(tmp_path / "cert.json")]
+        assert main(argv) == 0
+        assert by_one and not any(by_one)
 
     def test_non_unit_brane_rejected(self):
         w = potential(CP1, "1/2")

@@ -716,3 +716,94 @@ class TestRowOperationProperties:
         assert_matches(
             field, NovikovScalar.terms_from_json(field, doc, floor), ref_normal(field, terms, floor)
         )
+
+
+# -- identity laws, to the bit --------------------------------------------------
+#
+# The Newton lift starts power chains, monomials and sums from their first
+# factor or term instead of from one or zero, and a product with a one-row
+# factor runs in one pass; these are the laws that keep every bit.
+
+
+def _stored_rows(rows):
+    """Rows with float parts as hex, which tells -0.0 from 0.0."""
+    def part(v):
+        return v.hex() if isinstance(v, float) else v
+    return [(e, part(re), part(im)) for e, re, im in rows]
+
+
+def _stored(x):
+    """Floor, grid, denominator and rows, to the bit."""
+    return x.floor, x.grid, x.den, _stored_rows(x.rows)
+
+
+@st.composite
+def mode_scalars(draw, floor=floors):
+    """A scalar of any mode; complex parts include -0.0 and values that round."""
+    field = MODES[draw(st.sampled_from(sorted(MODES)))]
+    if field is CC and draw(st.booleans()):
+        return draw(float_scalars(floor))
+    return draw(scalars(field, floor))
+
+
+def reference_row_product(left, right, cut, nonzero):
+    """The general row kernel: every pair of rows summed into a dict by
+    exponent, then sorted."""
+    acc = {}
+    for e1, a1, b1 in left:
+        for e2, a2, b2 in right:
+            e = e1 + e2
+            if e <= cut:
+                break
+            if e in acc:
+                acc[e][0] += a1 * a2 - b1 * b2
+                acc[e][1] += a1 * b2 + b1 * a2
+            else:
+                acc[e] = [a1 * a2 - b1 * b2, a1 * b2 + b1 * a2]
+    return [(e, re, im) for e, (re, im) in sorted(acc.items(), reverse=True) if nonzero(re, im)]
+
+
+class TestIdentityLaws:
+    @PROPERTY
+    @given(mode_scalars())
+    def test_products_by_one_and_scaling_by_one_agree(self, x):
+        one = NovikovScalar.one(x.field)
+        bits = _stored(x.scale(x.field.one()))
+        assert _stored(one * x) == bits and _stored(x * one) == bits
+
+    @PROPERTY
+    @given(mode_scalars(), floors)
+    def test_zero_plus_x_is_x_truncated(self, x, f):
+        assert _stored(NovikovScalar.zero(x.field, f) + x) == _stored(x.truncate(f))
+
+    @PROPERTY
+    @given(st.data())
+    def test_one_row_product_matches_general_kernel(self, data):
+        from novspec.novikov import _nonzero, _row_product
+
+        x = data.draw(mode_scalars(st.just(NEG_INF)))
+        if x.field is CC and data.draw(st.booleans()):
+            coeff = complex(data.draw(float_parts), data.draw(float_parts))
+        else:
+            coeff = data.draw(coefficients(x.field))
+        y = NovikovScalar.monomial(x.field, coeff, data.draw(exponents))
+        if not (x.rows and y.rows):
+            return
+        # Exponents on one grid do not matter to the kernel: it adds ints.
+        top, lowest = x.rows[0][0] + y.rows[0][0], x.rows[-1][0] + y.rows[0][0]
+        cut = data.draw(st.integers(lowest - 1, top))
+        nonzero = _nonzero(x.field)
+        for left, right in ((x.rows, y.rows), (y.rows, x.rows)):
+            got = _row_product(list(left), list(right), cut, nonzero)
+            ref = reference_row_product(left, right, cut, nonzero)
+            assert _stored_rows(got) == _stored_rows(ref)
+
+    @PROPERTY
+    @given(st.data())
+    def test_exact_inverse_times_scalar_is_one(self, data):
+        field = data.draw(st.sampled_from([QQ, QI]))
+        x = data.draw(exact_scalars(field))
+        if x.is_zero():
+            return
+        product = x * x.invert(_series_floor(data, x))
+        assert product == NovikovScalar.one(field).truncate(product.floor)

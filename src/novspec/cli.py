@@ -9,8 +9,8 @@ Exit codes: 0 on success (a none-found certification and a valid
 revalidation both count as success), 1 when a mathematical validation
 fails (invalid complex or polytope, off-interior fiber, degenerate
 lift, axiom violation), 2 on I/O, JSON, or schema errors and on bad
-arguments, which argparse reports: a bad ``--fiber``, ``--floor``,
-``--scale``, ``--volume``, ``--order`` or ``--grid`` value among them.
+arguments: a bad ``--fiber``, ``--floor``, ``--scale``, ``--volume``,
+``--order``, ``--grid`` or ``--eps`` value among them.
 
 Every command is described once, in ``_COMMANDS``, and parsed on one of
 two paths.  A command line that starts with a group and one of its
@@ -74,7 +74,7 @@ def _write_text(args, text: str) -> None:
 def _toric_field(args):
     from .fields import field_for_mode
 
-    return field_for_mode(args.mode, getattr(args, "eps", 1e-12))
+    return field_for_mode(args.mode, float(getattr(args, "eps", 1e-12)))
 
 
 # ---------------------------------------------------------------------------
@@ -314,7 +314,11 @@ def cmd_qstate_homogenize(args) -> int:
     est = homogenize(oracle)
     payload = {"tag": oracle.tag, "zeta": est.to_json(), "mu": None}
     if args.volume is not None:
-        payload["mu"] = mu_from_oracle(oracle, args.volume).to_json()
+        try:
+            payload["mu"] = mu_from_oracle(oracle, args.volume).to_json()
+        except ValueError as exc:
+            print(f"novspec: argument --volume: {exc}", file=sys.stderr)
+            return 2
     _emit(args, _document("quasistate-estimate", payload))
     return 0
 
@@ -393,6 +397,10 @@ def _checked_rational(need: str, ok):
 _positive_rational = _checked_rational("positive", lambda v: v > 0)
 _negative_rational = _checked_rational("negative", lambda v: v < 0)
 _nonzero_rational = _checked_rational("nonzero", lambda v: v != 0)
+# a positive normal float, so that float() of it neither overflows nor gives 0
+_eps = _checked_rational(
+    "positive and in float range", lambda v: sys.float_info.min <= v <= sys.float_info.max
+)
 
 
 def _fiber(text: str) -> tuple:
@@ -426,7 +434,7 @@ def _add_mode(p: argparse.ArgumentParser) -> None:
     )
     p.add_argument(
         "--eps",
-        type=float,
+        type=_eps,
         default=1e-12,
         help="tolerance for complex mode (ignored by exact modes)",
     )

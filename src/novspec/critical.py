@@ -29,6 +29,7 @@ The pipeline at a fixed interior fiber is:
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
@@ -38,7 +39,6 @@ from .fields import (
     CoefficientField,
     GaussianRational,
     SchemaError,
-    determinant,
     floor_str,
     fraction_str,
     gauss_jordan,
@@ -326,13 +326,7 @@ def _complex_leading_jacobian(w: PotentialFunction, strata, values: Sequence[com
 def _complex_det(mat) -> complex:
     n = len(mat)
     _, pivots, sign = gauss_jordan(mat, n, lambda z: abs(z) or None, lambda z: 1 / z)
-    return determinant(pivots, sign, n)
-
-
-def _anchor(s: NovikovScalar, floor) -> NovikovScalar:
-    # Deliberate floor assertion; callers use it only where Newton
-    # contraction guarantees the deeper coefficients are final.
-    return s.with_floor(floor)
+    return sign * math.prod(p for _, p in pivots) if len(pivots) == n else 0
 
 
 def _pivot_key(s: NovikovScalar):
@@ -440,7 +434,9 @@ def lift_critical(
     # absorbs the row normalization in the linear solves.
     floor_work = order + 3 * w_lead
     strict = order + w_lead
-    x = [_anchor(xj.truncate(floor_work), floor_work) for xj in x]
+    # with_floor is a deliberate floor assertion here and below: Newton
+    # contraction guarantees the deeper coefficients are final.
+    x = [xj.with_floor(floor_work) for xj in x]
 
     grad = w.gradient(x, floor_work)
     for s in strata:
@@ -474,16 +470,13 @@ def lift_critical(
             rhs.append(-grad[s.component].shift(-s.weight))
         delta = _solve_linear(rows, rhs)
         one = NovikovScalar.one(field)
-        x = [
-            _anchor((xj * (one + dj)).truncate(floor_work), floor_work)
-            for xj, dj in zip(x, delta)
-        ]
+        x = [(xj * (one + dj)).with_floor(floor_work) for xj, dj in zip(x, delta)]
         grad = w.gradient(x, floor_work)
         iterations += 1
 
     # Re-anchor at the certified order and verify the claim independently of
     # the iteration bookkeeping.
-    x_final = [_anchor(xj.truncate(order), order) for xj in x]
+    x_final = [xj.with_floor(order) for xj in x]
     for xj in x_final:
         if xj.valuation() != 0:
             raise ValueError("lifted brane coordinate lost unit valuation")

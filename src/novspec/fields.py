@@ -82,11 +82,18 @@ def parse_ratio(value: Any) -> Tuple[int, int]:
 
 
 def to_float(value: Any) -> float:
-    """``float(value)``; a number beyond float range is a ValueError naming it."""
+    """``float(value)``, finite: a NaN, or a number beyond float range (an
+    infinity, a string such as "1e400" that ``float`` reads as one, a huge
+    int), is a ValueError naming it."""
     try:
-        return float(value)
+        out = float(value)
     except OverflowError:
-        raise ValueError(f"{value} is beyond float range") from None
+        out = math.inf
+    if math.isnan(out):
+        raise ValueError(f"{value} is not a number")
+    if math.isinf(out):
+        raise ValueError(f"{value} is beyond float range")
+    return out
 
 
 def parse_fraction(value: Any) -> Fraction:
@@ -278,13 +285,6 @@ class CoefficientField:
             return abs(a.to_complex())
         return abs(a)
 
-    def coeff_to_json(self, a: Coefficient) -> Any:
-        if self.mode == RATIONAL:
-            return fraction_str(a)
-        if self.mode == GAUSSIAN:
-            return {"re": fraction_str(a.re), "im": fraction_str(a.im)}
-        return {"re": a.real, "im": a.imag}
-
     def to_parts(self, a: Coefficient) -> tuple:
         """``(re, im, den)`` with ``a == (re + i*im) / den``: integer
         numerators over their least positive denominator in the exact modes
@@ -307,7 +307,9 @@ class CoefficientField:
         return complex(re, im)
 
     def parts_to_json(self, re, im, den: int) -> Any:
-        """``coeff_to_json`` of the coefficient ``(re + i*im) / den``."""
+        """JSON form of the coefficient ``(re + i*im) / den``: a reduced
+        rational string, ``{"re", "im"}`` strings, or ``{"re", "im"}`` floats
+        in complex mode."""
         if self.mode == RATIONAL:
             return ratio_str(re, den)
         if self.mode == GAUSSIAN:
@@ -356,7 +358,9 @@ def gauss_jordan(
     key: Callable[[Any], Optional[Any]],
     invert: Callable[[Any], Any],
 ) -> Tuple[List[list], List[Tuple[int, Any]], int]:
-    """Gauss-Jordan elimination over any entries with ``*`` and ``-``.
+    """Gauss-Jordan elimination over inexact entries with ``*`` and ``-``:
+    Novikov scalars and complex floats.  Exact integer matrices go through
+    the fraction-free ``polytope._reduce`` instead.
 
     Reduces a copy of ``rows`` over their first ``width`` columns; later
     columns (right-hand sides, identity blocks) are carried along.  In each
@@ -404,11 +408,6 @@ def gauss_jordan(
         pivots.append((col, pivot))
         top += 1
     return rows, pivots, sign
-
-
-def determinant(pivots: List[Tuple[int, Any]], sign: int, n: int) -> Any:
-    """Determinant of an n x n matrix from its ``gauss_jordan`` reduction."""
-    return sign * math.prod(p for _, p in pivots) if len(pivots) == n else 0
 
 
 def field_for_mode(mode: str, eps: float = 1e-12) -> CoefficientField:

@@ -139,15 +139,11 @@ def hqf_report(c: QuasimapComplex) -> dict:
         )
     ideal = []
     for j, yj in enumerate(c.y):
-        ideal.append(
-            {
-                "component": j,
-                "valuation": floor_str(yj.valuation()),
-                "leading": None
-                if yj.is_zero()
-                else c.field.coeff_to_json(yj.leading_coefficient()),
-            }
-        )
+        leading = None
+        if yj.rows:
+            _, re, im = yj.rows[0]
+            leading = c.field.parts_to_json(re, im, yj.den)
+        ideal.append({"component": j, "valuation": floor_str(yj.valuation()), "leading": leading})
     return {
         "rank": total,
         "ranks_by_degree": {str(k): v for k, v in sorted(ranks.items())},

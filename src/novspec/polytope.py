@@ -13,10 +13,10 @@ and every area-like quantity in this package is reported in units of 2*pi:
 we only ever store the rational part r_i(lam) = <lam, v_i> - c_i and keep
 the 2*pi scale symbolic, so that exact arithmetic survives end to end.
 
-Validation is exact.  Boundedness, nonempty interior and facet redundancy
-are decided with a rational simplex solver (no floating-point feasibility
-tolerances); vertices are enumerated by exact linear solves, and the
-smoothness test at each vertex reduces to an integer determinant.
+Validation is exact and runs on integer rows: an LP simplex decides
+boundedness, interior and redundancy (no floating-point tolerances); one
+fraction-free elimination, ``_reduce``, gives ranks, vertices and the
+integer determinants of the smoothness test.
 """
 
 from __future__ import annotations
@@ -25,9 +25,9 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Iterator, List, Optional, Sequence, Tuple
 
-from .fields import determinant, fraction_str, gauss_jordan, parse_fraction
+from .fields import fraction_str, parse_fraction
 
 Vector = Tuple[int, ...]
 Point = Tuple[Fraction, ...]
@@ -45,10 +45,6 @@ def point_str(point: Sequence[Fraction]) -> str:
     return ",".join(fraction_str(Fraction(c)) for c in point)
 
 
-def _vec_gcd(vec: Iterable[int]) -> int:
-    return math.gcd(*vec)
-
-
 def _over_lcm(point: Sequence[Fraction]) -> Tuple[List[int], int]:
     """The integer numerators of a rational point over the lcm ``den`` of
     its denominators, and ``den``."""
@@ -56,49 +52,57 @@ def _over_lcm(point: Sequence[Fraction]) -> Tuple[List[int], int]:
     return [x.numerator * (den // x.denominator) for x in point], den
 
 
-def _frac_reduce(rows: List[List[Fraction]], width: int):
-    """``gauss_jordan`` over Fraction rows.  Every nonzero entry is an exact
-    pivot, so the first one in each column is taken."""
-    return gauss_jordan(rows, width, lambda x: True if x else None, lambda x: 1 / x)
-
-
-def _frac_solve(rows: List[List[Fraction]], rhs: List[Fraction]) -> Optional[List[Fraction]]:
-    # Solve a square rational system; None when singular.
-    n = len(rows)
-    reduced, pivots, _ = _frac_reduce([[*row, b] for row, b in zip(rows, rhs)], n)
-    if len(pivots) < n:
-        return None
-    return [row[n] for row in reduced]
+def _reduce(rows: Sequence[Sequence[int]], width: int) -> Tuple[List[List[int]], List[int], int]:
+    """Fraction-free Gauss-Jordan elimination (Bareiss 1968) of integer rows
+    over their first ``width`` columns; later columns are carried along.
+    A column's first nonzero entry p below the earlier pivots pivots; every
+    other row becomes ``(p*row - row[col]*prow) // prev``, ``prev`` the pivot
+    before p: the division is exact, as every entry stays a minor of the
+    input.  A pivot row ends as the final pivot times the rational row.
+    Returns ``(rows, pivot columns, det)``, det for a square matrix."""
+    rows = [list(row) for row in rows]
+    cols: List[int] = []
+    prev, sign = 1, 1
+    for col in range(width):
+        top = len(cols)
+        best = next((r for r in range(top, len(rows)) if rows[r][col]), None)
+        if best is None:
+            continue
+        if best != top:
+            rows[top], rows[best] = rows[best], rows[top]
+            sign = -sign
+        prow = rows[top]
+        p = prow[col]
+        for i, row in enumerate(rows):
+            if i != top:
+                f = row[col]
+                rows[i] = [(p * x - f * y) // prev for x, y in zip(row, prow)]
+        cols.append(col)
+        prev = p
+    return rows, cols, sign * prev if len(cols) == width else 0
 
 
 def int_det(rows: Sequence[Sequence[int]]) -> int:
-    n = len(rows)
-    _, pivots, sign = _frac_reduce([[Fraction(x) for x in row] for row in rows], n)
-    return int(determinant(pivots, sign, n))
+    return _reduce(rows, len(rows))[2]
 
 
 def rational_inverse(a: Sequence[Sequence[int]]):
     """``(det A, A^{-1})`` exactly, from one reduction of [A | I]; the
     inverse is None when det A = 0."""
     n = len(a)
-    rows = [
-        [Fraction(x) for x in row] + [Fraction(int(r == c)) for c in range(n)]
-        for r, row in enumerate(a)
-    ]
-    reduced, pivots, sign = _frac_reduce(rows, n)
-    det = determinant(pivots, sign, n)
-    return det, ([row[n:] for row in reduced] if det else None)
+    rows = [[*row] + [int(r == c) for c in range(n)] for r, row in enumerate(a)]
+    reduced, _, det = _reduce(rows, n)
+    if not det:
+        return det, None
+    return det, [[Fraction(x, row[i]) for x in row[n:]] for i, row in enumerate(reduced)]
 
 
 def unimodular_inverse_transpose(a: Sequence[Sequence[int]]) -> Tuple[Vector, ...]:
-    """Exact A^{-T} for an integer matrix with det = +-1."""
+    """Exact A^{-T} for an integer matrix with det = +-1: adj(A)/det is integral."""
     det, inv = rational_inverse(a)
     if det not in (1, -1):
         raise ValueError(f"matrix is not unimodular (det = {det})")
-    out = list(zip(*inv))  # columns of A^{-1} are rows of A^{-T}
-    if any(x.denominator != 1 for row in out for x in row):
-        raise ValueError("unimodular inverse produced a non-integer entry")
-    return tuple(tuple(int(x) for x in row) for row in out)
+    return tuple(tuple(int(x) for x in col) for col in zip(*inv))
 
 
 def coset_representatives(a: Sequence[Sequence[int]]) -> List[Vector]:
@@ -270,9 +274,7 @@ def transform(p: MomentPolytope, a: Sequence[Sequence[int]]) -> MomentPolytope:
 
 def transform_point(a: Sequence[Sequence[int]], point) -> Point:
     """Image of a moment point under the coordinate change of transform(): A^{-T} lam."""
-    inv_t = unimodular_inverse_transpose(a)
-    pt = _parse_point(point)
-    return tuple(sum(Fraction(inv_t[r][c]) * pt[c] for c in range(len(pt))) for r in range(len(inv_t)))
+    return apply_matrix(unimodular_inverse_transpose(a), _parse_point(point))
 
 
 # ---------------------------------------------------------------------------
@@ -448,8 +450,7 @@ def _bounded_exact(p: MomentPolytope) -> bool:
     # LP below is always optimal: d = 0 is feasible and its last row caps
     # the sum at 1.
     normals = [list(f.normal) for f in p.facets]
-    _, pivots, _ = _frac_reduce([[Fraction(x) for x in row] for row in normals], p.dim)
-    if len(pivots) < p.dim:
+    if len(_reduce(normals, p.dim)[1]) < p.dim:
         return False
     total = [sum(col) for col in zip(*normals)]
     _, d = _lp([[-x for x in total]], normals + [[-x for x in total]], [0] * len(normals) + [-1])
@@ -492,13 +493,13 @@ def enumerate_vertices(p: MomentPolytope) -> List[Point]:
     whose intersection point satisfies every inequality."""
     n = p.dim
     seen = {}
-    for subset in itertools.combinations(range(len(p.facets)), n):
-        rows = [[Fraction(x) for x in p.facets[i].normal] for i in subset]
-        rhs = [p.facets[i].offset for i in subset]
-        sol = _frac_solve(rows, rhs)
-        if sol is None:
+    for subset in itertools.combinations(p.facets, n):
+        # <v, x> = c on each facet of the subset, times the denominator of c
+        rows = [[f.offset.denominator * v for v in f.normal] + [f.offset.numerator] for f in subset]
+        reduced, cols, _ = _reduce(rows, n)
+        if len(cols) < n:
             continue
-        pt = tuple(sol)
+        pt = tuple(Fraction(row[n], row[i]) for i, row in enumerate(reduced))
         if all(x >= 0 for x in p._value_numerators(pt)):
             seen[pt] = True
     return sorted(seen.keys())
@@ -516,7 +517,7 @@ def polytope_validate(p: MomentPolytope) -> PolytopeReport:
     if len(p.facets) < p.dim + 1:
         violations.append(f"needs at least {p.dim + 1} facets, found {len(p.facets)}")
     for i, f in enumerate(p.facets):
-        g = _vec_gcd(f.normal)
+        g = math.gcd(*f.normal)
         if g == 0:
             violations.append(f"facet {i} has zero normal")
         elif g != 1:

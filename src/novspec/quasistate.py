@@ -171,6 +171,8 @@ def mu_from_oracle(o: SpectralOracle, vol) -> QuasiStateEstimate:
     if vol <= 0:
         raise ValueError("volume must be positive")
     slope, halfwidth, scales = _fit_slope(o)
+    if isinstance(slope, float):
+        vol = to_float(vol)
     value, spread = vol * slope, vol * halfwidth
     return QuasiStateEstimate(
         value=value,

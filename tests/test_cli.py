@@ -173,9 +173,20 @@ class TestExitCodes:
             (["qstate", "heavy"], {"functions": [{"name": "H", "zeta": 0.5, "sup": "-1e400"}]}),
             (["qstate", "product"], {"pairs": [{"zeta0": "1e400", "zeta1": 2.0,
                                                 "zeta_product": "3"}]}),
+            (["complex", "homology"],
+             {**GOOD_COMPLEX, "field": {"mode": "complex", "eps": "1e400"}}),
+            (["complex", "validate"],
+             {**GOOD_COMPLEX, "field": {"mode": "complex", "eps": float("inf")}}),
+            (["complex", "validate"],
+             {**GOOD_COMPLEX, "field": {"mode": "complex"}, "differential": [
+                 {"from": "a", "to": "b", "coeff": [{"exp": "-1", "c": {"re": "1e400"}}]}]}),
+            (["complex", "homology"],
+             {**GOOD_COMPLEX, "field": {"mode": "complex"}, "differential": [
+                 {"from": "a", "to": "b", "coeff": [{"exp": "-1", "c": {"im": float("-inf")}}]}]}),
         ],
         ids=["complex-eps", "complex-coefficient", "homogenize", "check-functions",
-             "check-elements", "heavy", "product"],
+             "check-elements", "heavy", "product", "complex-eps-string", "complex-eps-infinity",
+             "complex-coefficient-string", "complex-coefficient-infinity"],
     )
     def test_number_beyond_float_range_is_2(self, tmp_path, capsys, command, doc):
         # A value that a float computation reads must have a float; the
@@ -184,6 +195,20 @@ class TestExitCodes:
         assert main([*command, path]) == 2
         err = capsys.readouterr().err
         assert err.startswith("novspec: schema error:") and "beyond float range" in err
+
+    @pytest.mark.parametrize("command", [["complex", "validate"], ["complex", "homology"]])
+    @pytest.mark.parametrize(
+        "doc",
+        [{**GOOD_COMPLEX, "field": {"mode": "complex", "eps": float("nan")}},
+         {**GOOD_COMPLEX, "field": {"mode": "complex"}, "differential": [
+             {"from": "a", "to": "b", "coeff": [{"exp": "-1", "c": {"re": "nan"}}]}]}],
+        ids=["eps", "coefficient"],
+    )
+    def test_nan_in_complex_document_is_2(self, tmp_path, capsys, command, doc):
+        # json reads NaN and "nan" alike; no complex value may be a NaN
+        assert main([*command, write(tmp_path, "doc.json", doc)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("novspec: schema error:") and "not a number" in err
 
     def test_bad_flag_value_raises_systemexit_2(self, tmp_path):
         path = write(tmp_path, "cp1.json", CP1)
@@ -385,6 +410,11 @@ class TestExitCodes:
             (["qstate", "homogenize", "{oracle}"], "--volume", "1/0"),
             (["qstate", "homogenize", "{oracle}"], "--volume", "0"),
             (["qstate", "homogenize", "{oracle}"], "--volume", "-2"),
+            (["toric", "certify", "{cp1}", "--fiber", "1/2"], "--eps", "inf"),
+            (["toric", "certify", "{cp1}", "--fiber", "1/2"], "--eps", "1e400"),
+            (["toric", "certify", "{cp1}", "--fiber", "1/2"], "--eps", "nan"),
+            (["toric", "scan", "{cp1}", "--grid", "1/4"], "--eps", "-1"),
+            (["toric", "scan", "{cp1}", "--grid", "1/4"], "--eps", "0"),
         ],
     )
     def test_bad_option_value_raises_systemexit_2(
@@ -801,6 +831,17 @@ class TestQstateCommands:
         )
         assert code == 0 and doc["mu"]["value"] == "3"
 
+    def test_volume_beyond_float_range_needs_rational_samples(self, tmp_path, capsys):
+        # A float oracle's mu is a float product, so the volume must be a
+        # float; a rational oracle's mu stays exact at any volume.
+        floats = write(tmp_path, "floats.json", {"samples": [{"n": 1, "c": 0.25}, {"n": 2, "c": 0.5}]})
+        assert main(["qstate", "homogenize", floats, "--volume", "1e400"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("novspec: argument --volume:") and "beyond float range" in err
+        path = write(tmp_path, "oracle.json", ORACLE)
+        code, doc = run_json(tmp_path, ["qstate", "homogenize", path, "--volume", "1e400"])
+        assert code == 0 and doc["mu"]["value"] == str(3 * 10**400 // 2)
+
     def test_check_functions(self, tmp_path):
         family = {
             "functions": [{"name": "one", "zeta": "1"}],
@@ -950,6 +991,11 @@ CHAIN = {"coeffs": [{"id": "c", "coeff": [{"exp": "0", "c": "1"}]}], "floor": "-
 # certificate of the ``cert_path`` fixture.
 READERS = {
     "complex": (GOOD_COMPLEX, [["complex", "homology", "DOC"]]),
+    "complex-float": ({
+        **GOOD_COMPLEX,
+        "field": {"mode": "complex", "eps": 1e-12},
+        "differential": [{"from": "a", "to": "b", "coeff": [{"exp": "-1", "c": {"re": 1.0, "im": 0.5}}]}],
+    }, [["complex", "homology", "DOC"], ["complex", "validate", "DOC"]]),
     "chain": (CHAIN, [["complex", "spectral", "COMPLEX", "--chain", "DOC"]]),
     "polytope": (TRAP, [["toric", "validate", "DOC"]]),
     "certificate": (None, [["toric", "revalidate", "DOC"], ["qmap", "rank", "DOC"],
@@ -985,7 +1031,7 @@ _SCALARS = (
     st.none() | st.booleans() | st.integers() | st.text(max_size=4)
     | st.floats(allow_nan=False, allow_infinity=False)
     | st.sampled_from(["1/2", "-1", "1/0", "-inf", "rational", "complex", "a"])
-    | st.sampled_from([10**400, -(10**400), "1e400", "-1e400"])
+    | st.sampled_from([10**400, -(10**400), "1e400", "-1e400", "inf", "nan"])
 )
 JSON_VALUES = st.recursive(
     _SCALARS,

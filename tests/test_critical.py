@@ -60,6 +60,18 @@ TRAP = MomentPolytope(
 )
 
 
+# Hirzebruch F2: {x >= 0, y >= 0, y <= 1, x + 2y <= 3}
+F2 = MomentPolytope(
+    2,
+    [
+        Facet((1, 0), Fraction(0)),
+        Facet((0, 1), Fraction(0)),
+        Facet((0, -1), Fraction(-1)),
+        Facet((-1, -2), Fraction(-3)),
+    ],
+)
+
+
 def mono(field, c, e):
     return NovikovScalar.monomial(field, field.coerce(c), Fraction(e))
 
@@ -447,6 +459,28 @@ class TestLift:
         )
         with pytest.raises(ValueError, match="failed validation"):
             certify_heavy(halfplane, "1/2,1/2", "-6", QQ)
+
+
+class TestFloorsAcrossOrders:
+    # A certificate at order o states x and the central charge down to o,
+    # so a deeper run must agree with it above o, term for term.
+    @pytest.mark.parametrize(
+        "certify",
+        [lambda o: certify_heavy(F2, "1,1/2", o, QQ), trap_cert],
+        ids=["f2-rational", "trapezoid-gaussian"],
+    )
+    def test_deeper_certificate_truncates_to_the_shallower(self, certify):
+        shallow, deep = certify("-2"), certify("-4")
+        for bs, bd in zip(shallow.branes, deep.branes, strict=True):
+            for s, d in zip([*bs.x, bs.central_charge], [*bd.x, bd.central_charge], strict=True):
+                assert d.truncate(shallow.order) == s
+
+    def test_complex_certificate_matches_the_gaussian_one(self):
+        approx = certify_heavy(TRAP, "3/4,1/2", "-4", CC)
+        for be, ba in zip(trap_cert("-4").branes, approx.branes, strict=True):
+            for e, a in zip([*be.x, be.central_charge], [*ba.x, ba.central_charge], strict=True):
+                assert [t for t, _ in e.terms] == [t for t, _ in a.terms]
+                assert all(abs(c.to_complex() - z) <= 4.5e-13 for (_, c), (_, z) in zip(e.terms, a.terms))
 
 
 class TestProductFibers:

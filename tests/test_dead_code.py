@@ -1,12 +1,15 @@
-"""Every public module-level function and class of novspec has a caller.
+"""Every module-level function and class of novspec, public or private,
+has a caller.
 
 A name defined in ``src/novspec/<module>.py`` counts as referenced when,
 outside its own definition, it is read as a bare name in its module,
 imported from its module or read as an attribute of it anywhere in
 ``src/`` or ``bench/``, or named in a pair of strings such as
 ``("novikov", "NovikovScalar.__mul__")``, the form in which the benchmark
-tracer names the functions it wraps.  Code that only tests reach has to
-be listed in ``KEPT`` with its reason.
+tracer names the functions it wraps.  Public code that only tests reach
+has to be listed in ``KEPT`` with its reason; a private helper that only
+tests reach (a ``_name`` left behind when its last caller moved to other
+code) fails outright.
 """
 
 import ast
@@ -42,12 +45,14 @@ def _uses(path: Path):
                 yield node.lineno, module.value, attr.value.split(".")[0]
 
 
-def _unreferenced():
+def _unreferenced(private: bool):
     uses = {path: list(_uses(path)) for path in CALLERS}
     out = set()
     for path in SOURCES:
         for node in ast.parse(path.read_text(encoding="utf-8")).body:
-            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name.startswith("_"):
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                continue
+            if node.name.startswith("_") != private:
                 continue
             own = range(node.lineno, node.end_lineno + 1)
             if not any(
@@ -62,4 +67,8 @@ def _unreferenced():
 
 
 def test_every_public_name_has_a_caller_outside_tests():
-    assert _unreferenced() == set(KEPT)
+    assert _unreferenced(private=False) == set(KEPT)
+
+
+def test_every_private_helper_has_a_caller_outside_tests():
+    assert _unreferenced(private=True) == set()

@@ -548,6 +548,26 @@ class TestArithmeticProperties:
 
     @PROPERTY
     @given(st.data())
+    def test_associative_above_the_floor(self, data):
+        # Small dyadic parts keep complex products exact, so all three modes
+        # agree to the bit above the coarser floor of the two groupings.
+        field = MODES[data.draw(st.sampled_from(sorted(MODES)))]
+        x, y, z = (data.draw(scalars(field)) for _ in "xyz")
+        left, right = (x * y) * z, x * (y * z)
+        floor = max(left.floor, right.floor)
+        assert left.truncate(floor) == right.truncate(floor)
+
+    @PROPERTY
+    @given(st.data())
+    def test_distributive_above_the_floor(self, data):
+        field = MODES[data.draw(st.sampled_from(sorted(MODES)))]
+        x, y, z = (data.draw(scalars(field)) for _ in "xyz")
+        left, right = x * (y + z), x * y + x * z
+        floor = max(left.floor, right.floor)
+        assert left.truncate(floor) == right.truncate(floor)
+
+    @PROPERTY
+    @given(st.data())
     def test_floors_are_honest(self, data):
         # Cutting exact operands at their floors changes nothing above the
         # floor of the result, and that floor is the sharp one.
@@ -606,7 +626,7 @@ def ref_normal(field, terms, floor):
 
 def ref_json(field, terms, floor):
     return {
-        "terms": [{"c": field.coeff_to_json(c), "exp": str(e)} for e, c in terms],
+        "terms": [{"c": field.parts_to_json(*field.to_parts(c)), "exp": str(e)} for e, c in terms],
         "floor": "-inf" if floor == NEG_INF else str(floor),
     }
 

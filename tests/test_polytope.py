@@ -28,7 +28,7 @@ from novspec.polytope import (
     transform_point,
     unimodular_inverse_transpose,
 )
-from novspec.polytope import _facet_redundant, _frac_solve, _lp, _pivot, _simplex
+from novspec.polytope import _facet_redundant, _lp, _pivot, _reduce, _simplex
 
 CP1 = segment(Fraction(0), Fraction(1))
 CP2 = simplex(2)
@@ -365,10 +365,14 @@ def test_elimination_matches_cofactor_reference(system):
     n = len(a)
     det = _cofactor_det(a)
     assert int_det(a) == det
-    x = _frac_solve([[Fraction(v) for v in row] for row in a], [Fraction(v) for v in b])
-    if det == 0:
-        assert x is None
-    else:
+    reduced, cols, det_back = _reduce([[*row, c] for row, c in zip(a, b)], n)
+    assert det_back == det and (len(cols) == n) == (det != 0)
+    if det:
+        # Every pivot row ends as +-det times the rational reduction's row.
+        assert cols == list(range(n))
+        assert all(row[i] == reduced[0][0] for i, row in enumerate(reduced))
+        assert abs(reduced[0][0]) == abs(det)
+        x = [Fraction(row[n], row[i]) for i, row in enumerate(reduced)]
         assert [sum(v * xj for v, xj in zip(row, x)) for row in a] == b
     if det in (1, -1):
         assert _transpose_times(a, unimodular_inverse_transpose(a)) == _identity(n)

@@ -311,8 +311,8 @@ def cmd_qstate_homogenize(args) -> int:
 
     doc = _load_json(args.input)
     oracle = _parse(lambda: SpectralOracle.from_json(doc), f"oracle {args.input}")
-    est = homogenize(oracle)
-    payload = {"tag": oracle.tag, "zeta": est.to_json(), "mu": None}
+    zeta = _parse(homogenize(oracle).to_json, f"oracle {args.input}")
+    payload = {"tag": oracle.tag, "zeta": zeta, "mu": None}
     if args.volume is not None:
         try:
             payload["mu"] = mu_from_oracle(oracle, args.volume).to_json()

@@ -226,13 +226,6 @@ class CoefficientField:
                 f"incompatible coefficient fields: {self} vs {other}"
             )
 
-    def zero(self) -> Coefficient:
-        if self.mode == RATIONAL:
-            return Fraction(0)
-        if self.mode == GAUSSIAN:
-            return GaussianRational(0, 0)
-        return 0j
-
     def one(self) -> Coefficient:
         if self.mode == RATIONAL:
             return Fraction(1)

@@ -15,16 +15,20 @@ form c_n = s*n + r(n) with |r| bounded, the estimate converges to s at rate
 1/n_max, and the reported interval always contains the true slope.
 
 Axiom checkers operate on finite function (or group-element) families with
-declared pointwise relations; axioms whose hypotheses need displaceability
-or Hofer-geometry data that cannot be derived here are only checked against
+declared pointwise relations.  The relation vocabulary is the two rule
+tables ``_QUASISTATE_RULES`` and ``_PREQUASIMORPHISM_RULES``: each relation
+type is declared there once, with its axiom, parameter, comparison and
+failure message.  Axioms whose hypotheses need displaceability or
+Hofer-geometry data that cannot be derived here are only checked against
 user-declared flags and are marked conditional in the report.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Sequence, Tuple, Union
+from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .fields import fraction_str, parse_fraction, to_float
 
@@ -40,7 +44,14 @@ def _parse_value(v) -> Value:
 
 
 def _value_str(v: Value):
-    return v if isinstance(v, float) else fraction_str(v)
+    """The JSON form of a result: a float as is, a rational as its string.
+    Float arithmetic on in-range inputs can still overflow; a non-finite
+    result has no JSON form and is refused."""
+    if not isinstance(v, float):
+        return fraction_str(v)
+    if not math.isfinite(v):
+        raise ValueError(f"float arithmetic overflows to {v}")
+    return v
 
 
 def _is_close(a: Value, b: Value, tol: float) -> bool:
@@ -74,14 +85,6 @@ def _objects(doc, key: str) -> list:
     if not isinstance(items, list) or not all(isinstance(x, dict) for x in items):
         raise ValueError(f"{key!r} must be a list of objects")
     return items
-
-
-def _relations(family: dict, params: dict) -> Tuple[list, list]:
-    """The family's relation objects, and the parsed parameter of each
-    relation whose type ``params`` maps to the parameter's key."""
-    relations = _objects(family, "relations")
-    values = [_parse_value(r[params[r.get("type")]]) for r in relations if r.get("type") in params]
-    return relations, values
 
 
 @dataclass
@@ -135,33 +138,33 @@ class QuasiStateEstimate:
         }
 
 
-def _fit_slope(o: SpectralOracle) -> Tuple[Value, Value, List[int]]:
+def _estimate(o: SpectralOracle, factor) -> QuasiStateEstimate:
+    """factor * lim c_n/n.  The slope is the least-squares fit of c = s*n;
+    the interval is value +- |factor| * (max residual)/n_max.  A fit in
+    floats scales by float(factor), so the factor must be in float range."""
     if len(o.samples) < 2:
         raise ValueError("homogenization needs at least two oracle samples")
     samples = o.samples
     if not all(isinstance(c, Fraction) for _, c in samples):
         samples = [(n, float(c)) for n, c in samples]
+        factor = to_float(factor)
     slope = sum(n * c for n, c in samples) / sum(n * n for n, _ in samples)
     n_max = max(n for n, _ in samples)
     halfwidth = max(abs(c - slope * n) for n, c in samples) / n_max
-    return slope, halfwidth, sorted(n for n, _ in samples)
+    value, spread = factor * slope, abs(factor) * halfwidth
+    return QuasiStateEstimate(
+        value=value,
+        interval=(value - spread, value + spread),
+        scales_used=sorted(n for n, _ in samples),
+        slope=slope,
+    )
 
 
 def homogenize(o: SpectralOracle) -> QuasiStateEstimate:
-    """Quasi-state value zeta = -lim c_n/n from a finite oracle.
-
-    Slope is the least-squares fit of c = s*n; the interval is
-    value +- (max residual)/n_max and contains -s_true whenever the oracle
-    is linear-plus-bounded and n_max is large enough for the bound.
-    """
-    slope, halfwidth, scales = _fit_slope(o)
-    value = -slope
-    return QuasiStateEstimate(
-        value=value,
-        interval=(value - halfwidth, value + halfwidth),
-        scales_used=scales,
-        slope=slope,
-    )
+    """Quasi-state value zeta = -lim c_n/n from a finite oracle; the
+    interval contains -s_true whenever the oracle is linear-plus-bounded
+    and n_max is large enough for the bound."""
+    return _estimate(o, -1)
 
 
 def mu_from_oracle(o: SpectralOracle, vol) -> QuasiStateEstimate:
@@ -170,40 +173,134 @@ def mu_from_oracle(o: SpectralOracle, vol) -> QuasiStateEstimate:
     vol = parse_fraction(vol)
     if vol <= 0:
         raise ValueError("volume must be positive")
-    slope, halfwidth, scales = _fit_slope(o)
-    if isinstance(slope, float):
-        vol = to_float(vol)
-    value, spread = vol * slope, vol * halfwidth
-    return QuasiStateEstimate(
-        value=value,
-        interval=(value - spread, value + spread),
-        scales_used=scales,
-        slope=slope,
-    )
+    return _estimate(o, vol)
 
 
 # ---------------------------------------------------------------------------
 # Axiom checking on declared families
 
 
-def _axiom(name: str, conditional: bool = False) -> dict:
-    return {
-        "axiom": name,
-        "status": "not-checked",
-        "checked": 0,
-        "conditional": conditional,
-        "failures": [],
+def _factor(v) -> Value:
+    factor = _parse_value(v)
+    if factor < 0:
+        raise ValueError("semi-homogeneity factors must be >= 0")
+    return factor
+
+
+def _power(n) -> Fraction:
+    """n as a Fraction, so that it counts as rational for the tolerance."""
+    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
+        raise ValueError("power relations need integer n >= 1")
+    return Fraction(n)
+
+
+class _Rule(NamedTuple):
+    """One relation type: its axiom, its numeric parameter's key (or None)
+    and reader, the keys of the names it looks up in lookup order, whether it holds
+    given (tolerance, parameter, *values), and its failure message over the
+    relation's keys, the parameter written as a result."""
+
+    axiom: str
+    param: Optional[str]
+    names: Tuple[str, ...]
+    holds: Callable[..., bool]
+    message: str
+    conditional: bool = False
+    parse: Callable = _parse_value
+
+
+# Listed in report order: each axiom has one relation type per family.
+_QUASISTATE_RULES = {
+    "lipschitz": _Rule(
+        "lipschitz", "dist", ("f", "g"),
+        lambda t, d, f, g: _at_most(abs(f - g), d, t), "|zeta({f}) - zeta({g})| > {dist}"),
+    "scale": _Rule(
+        "semi-homogeneity", "factor", ("f", "g"),
+        lambda t, k, f, g: _is_close(g, k * f, t), "zeta({g}) != {factor} * zeta({f})",
+        parse=_factor),
+    "le": _Rule(
+        "monotonicity", None, ("f", "g"), lambda t, _, f, g: _at_most(f, g, t),
+        "{f} <= {g} declared but zeta({f}) > zeta({g})"),
+    "normalized": _Rule(
+        "normalization", None, ("f",), lambda t, _, f: _is_close(f, Fraction(1), t),
+        "zeta({f}) != 1"),
+    "partial_additivity": _Rule(
+        "partial-additivity", None, ("f", "sum"), lambda t, _, f, h: _is_close(h, f, t),
+        "zeta({sum}) != zeta({f}) with displaceable {g}", conditional=True),
+    "invariance": _Rule(
+        "hamiltonian-invariance", None, ("f", "g"), lambda t, _, f, g: _is_close(f, g, t),
+        "zeta({f}) != zeta({g}) on a declared pullback pair", conditional=True),
+    "shift": _Rule(
+        "additivity-with-constants", "alpha", ("f", "g"),
+        lambda t, a, f, g: _is_close(g, f + a, t), "zeta({g}) != zeta({f}) + {alpha}"),
+    "vanishing": _Rule(
+        "vanishing", None, ("f",), lambda t, _, f: _is_close(f, Fraction(0), t),
+        "zeta({f}) != 0 with declared displaceable support", conditional=True),
+    "triangle": _Rule(
+        "triangle", None, ("f", "g", "sum"), lambda t, _, f, g, h: _at_most(f + g, h, t),
+        "zeta({sum}) < zeta({f}) + zeta({g}) on a commuting pair"),
+}
+
+_PREQUASIMORPHISM_RULES = {
+    "lipschitz": _Rule(
+        "hofer-lipschitz", "bound", ("f", "g"),
+        lambda t, b, f, g: _at_most(abs(f - g), b, t),
+        "|mu({f}) - mu({g})| > declared Hofer bound", conditional=True),
+    "power": _Rule(
+        "semi-homogeneity", "n", ("f", "g"), lambda t, n, f, g: _is_close(g, n * f, t),
+        "mu({g}) != {n} * mu({f})", parse=_power),
+    "quasi_additivity": _Rule(
+        "quasi-additivity", "bound", ("f", "g", "product"),
+        lambda t, b, f, g, h: _at_most(abs(h - f - g), b, t),
+        "|mu({product}) - mu({f}) - mu({g})| > {bound}"),
+    "conjugation": _Rule(
+        "hamiltonian-invariance", None, ("f", "g"), lambda t, _, f, g: _is_close(f, g, t),
+        "mu({f}) != mu({g}) on a conjugate pair"),
+    "calabi": _Rule(
+        "calabi", "value", ("f",), lambda t, v, f: _is_close(f, v, t),
+        "mu({f}) != declared Calabi value", conditional=True),
+}
+
+
+def _check(family: dict, kind: str, members: str, value: str, noun: str, rules: dict) -> dict:
+    """Check every declared relation of ``family`` against ``rules``.  Every
+    member value and relation parameter is read first, so the tolerance
+    covers every number a comparison reads."""
+    values = {m["name"]: _parse_value(m[value]) for m in _objects(family, members)}
+    relations = []
+    for rel in _objects(family, "relations"):
+        rule = rules.get(rel.get("type"))
+        relations.append((rel, rule, rule.parse(rel[rule.param]) if rule and rule.param else None))
+    tol = _tolerance([*values.values(), *(p for _, _, p in relations if p is not None)])
+    axioms = {
+        rule.axiom: {"axiom": rule.axiom, "status": "not-checked", "checked": 0,
+                     "conditional": rule.conditional, "failures": []}
+        for rule in rules.values()
     }
-
-
-def _record(entry: dict, ok: bool, detail: str) -> None:
-    entry["checked"] += 1
-    if ok:
-        if entry["status"] == "not-checked":
-            entry["status"] = "pass"
-    else:
-        entry["status"] = "fail"
-        entry["failures"].append(detail)
+    for rel, rule, param in relations:
+        if rule is None:
+            raise ValueError(f"unknown relation type {rel.get('type')!r}")
+        looked_up = []
+        for key in rule.names:
+            if rel[key] not in values:
+                raise ValueError(f"relation references unknown {noun} {rel[key]!r}")
+            looked_up.append(values[rel[key]])
+        ok = rule.holds(tol, param, *looked_up)
+        # formatted even when the relation holds: every key it names is required
+        failure = rule.message.format_map(
+            {**rel, rule.param: _value_str(param)} if rule.param else rel)
+        entry = axioms[rule.axiom]
+        entry["checked"] += 1
+        if not ok:
+            entry["failures"].append(failure)
+        entry["status"] = "fail" if entry["failures"] else "pass"
+    report = list(axioms.values())
+    return {
+        "kind": kind,
+        "tolerance": tol,
+        "axioms": report,
+        "all_pass": all(a["status"] != "fail" for a in report),
+    }
 
 
 def check_partial_quasistate(family: dict) -> dict:
@@ -213,112 +310,8 @@ def check_partial_quasistate(family: dict) -> dict:
     supports), Hamiltonian invariance (conditional), additivity with
     constants, vanishing (conditional), and the triangle inequality on
     declared-commuting pairs."""
-    functions = {f["name"]: _parse_value(f["zeta"]) for f in _objects(family, "functions")}
-    relations, params = _relations(
-        family, {"lipschitz": "dist", "scale": "factor", "shift": "alpha"}
-    )
-    tol = _tolerance([*functions.values(), *params])
-    axioms = {
-        "lipschitz": _axiom("lipschitz"),
-        "semi-homogeneity": _axiom("semi-homogeneity"),
-        "monotonicity": _axiom("monotonicity"),
-        "normalization": _axiom("normalization"),
-        "partial-additivity": _axiom("partial-additivity", conditional=True),
-        "hamiltonian-invariance": _axiom("hamiltonian-invariance", conditional=True),
-        "additivity-with-constants": _axiom("additivity-with-constants"),
-        "vanishing": _axiom("vanishing", conditional=True),
-        "triangle": _axiom("triangle"),
-    }
-
-    def zeta(name: str) -> Value:
-        if name not in functions:
-            raise ValueError(f"relation references unknown function {name!r}")
-        return functions[name]
-
-    for rel in relations:
-        kind = rel.get("type")
-        if kind == "lipschitz":
-            zf, zg, dist = zeta(rel["f"]), zeta(rel["g"]), _parse_value(rel["dist"])
-            ok = _at_most(abs(zf - zg), dist, tol)
-            _record(
-                axioms["lipschitz"],
-                ok,
-                f"|zeta({rel['f']}) - zeta({rel['g']})| > {_value_str(dist)}",
-            )
-        elif kind == "scale":
-            factor = _parse_value(rel["factor"])
-            if factor < 0:
-                raise ValueError("semi-homogeneity factors must be >= 0")
-            zf, zg = zeta(rel["f"]), zeta(rel["g"])
-            ok = _is_close(zg, factor * zf, tol)
-            _record(
-                axioms["semi-homogeneity"],
-                ok,
-                f"zeta({rel['g']}) != {_value_str(factor)} * zeta({rel['f']})",
-            )
-        elif kind == "le":
-            zf, zg = zeta(rel["f"]), zeta(rel["g"])
-            ok = _at_most(zf, zg, tol)
-            _record(
-                axioms["monotonicity"],
-                ok,
-                f"{rel['f']} <= {rel['g']} declared but zeta({rel['f']}) > zeta({rel['g']})",
-            )
-        elif kind == "normalized":
-            zf = zeta(rel["f"])
-            ok = _is_close(zf, Fraction(1), tol)
-            _record(axioms["normalization"], ok, f"zeta({rel['f']}) != 1")
-        elif kind == "shift":
-            alpha = _parse_value(rel["alpha"])
-            zf, zg = zeta(rel["f"]), zeta(rel["g"])
-            ok = _is_close(zg, zf + alpha, tol)
-            _record(
-                axioms["additivity-with-constants"],
-                ok,
-                f"zeta({rel['g']}) != zeta({rel['f']}) + {_value_str(alpha)}",
-            )
-        elif kind == "triangle":
-            zf, zg, zh = zeta(rel["f"]), zeta(rel["g"]), zeta(rel["sum"])
-            ok = _at_most(zf + zg, zh, tol)
-            _record(
-                axioms["triangle"],
-                ok,
-                f"zeta({rel['sum']}) < zeta({rel['f']}) + zeta({rel['g']}) on a commuting pair",
-            )
-        elif kind == "partial_additivity":
-            zf, zh = zeta(rel["f"]), zeta(rel["sum"])
-            ok = _is_close(zh, zf, tol)
-            _record(
-                axioms["partial-additivity"],
-                ok,
-                f"zeta({rel['sum']}) != zeta({rel['f']}) with displaceable {rel['g']}",
-            )
-        elif kind == "invariance":
-            zf, zg = zeta(rel["f"]), zeta(rel["g"])
-            ok = _is_close(zf, zg, tol)
-            _record(
-                axioms["hamiltonian-invariance"],
-                ok,
-                f"zeta({rel['f']}) != zeta({rel['g']}) on a declared pullback pair",
-            )
-        elif kind == "vanishing":
-            zf = zeta(rel["f"])
-            ok = _is_close(zf, Fraction(0), tol)
-            _record(
-                axioms["vanishing"],
-                ok,
-                f"zeta({rel['f']}) != 0 with declared displaceable support",
-            )
-        else:
-            raise ValueError(f"unknown relation type {kind!r}")
-
-    report = list(axioms.values())
-    return {
-        "kind": "partial-quasistate-check",
-        "tolerance": tol,
-        "axioms": report,
-        "all_pass": all(a["status"] != "fail" for a in report),
-    }
+    return _check(family, "partial-quasistate-check", "functions", "zeta", "function",
+                  _QUASISTATE_RULES)
 
 
 def check_prequasimorphism(family: dict) -> dict:
@@ -326,81 +319,8 @@ def check_prequasimorphism(family: dict) -> dict:
     pre-quasimorphism axioms.  Hofer-Lipschitz bounds and Calabi values are
     user-declared data; with no such declarations those axioms are reported
     as not-checked."""
-    elements = {e["name"]: _parse_value(e["mu"]) for e in _objects(family, "elements")}
-    relations, params = _relations(
-        family, {"quasi_additivity": "bound", "lipschitz": "bound", "calabi": "value"}
-    )
-    tol = _tolerance([*elements.values(), *params])
-    axioms = {
-        "hofer-lipschitz": _axiom("hofer-lipschitz", conditional=True),
-        "semi-homogeneity": _axiom("semi-homogeneity"),
-        "quasi-additivity": _axiom("quasi-additivity"),
-        "hamiltonian-invariance": _axiom("hamiltonian-invariance"),
-        "calabi": _axiom("calabi", conditional=True),
-    }
-
-    def mu(name: str) -> Value:
-        if name not in elements:
-            raise ValueError(f"relation references unknown element {name!r}")
-        return elements[name]
-
-    for rel in relations:
-        kind = rel.get("type")
-        if kind == "power":
-            n = rel["n"]
-            if isinstance(n, bool) or not isinstance(n, int) or n < 1:
-                raise ValueError("power relations need integer n >= 1")
-            mf, mg = mu(rel["f"]), mu(rel["g"])
-            ok = _is_close(mg, n * mf, tol)
-            _record(
-                axioms["semi-homogeneity"],
-                ok,
-                f"mu({rel['g']}) != {n} * mu({rel['f']})",
-            )
-        elif kind == "quasi_additivity":
-            mf, mg, mh = mu(rel["f"]), mu(rel["g"]), mu(rel["product"])
-            bound = _parse_value(rel["bound"])
-            ok = _at_most(abs(mh - mf - mg), bound, tol)
-            _record(
-                axioms["quasi-additivity"],
-                ok,
-                f"|mu({rel['product']}) - mu({rel['f']}) - mu({rel['g']})| > {_value_str(bound)}",
-            )
-        elif kind == "conjugation":
-            mf, mg = mu(rel["f"]), mu(rel["g"])
-            ok = _is_close(mf, mg, tol)
-            _record(
-                axioms["hamiltonian-invariance"],
-                ok,
-                f"mu({rel['f']}) != mu({rel['g']}) on a conjugate pair",
-            )
-        elif kind == "lipschitz":
-            mf, mg = mu(rel["f"]), mu(rel["g"])
-            bound = _parse_value(rel["bound"])
-            ok = _at_most(abs(mf - mg), bound, tol)
-            _record(
-                axioms["hofer-lipschitz"],
-                ok,
-                f"|mu({rel['f']}) - mu({rel['g']})| > declared Hofer bound",
-            )
-        elif kind == "calabi":
-            mf = mu(rel["f"])
-            ok = _is_close(mf, _parse_value(rel["value"]), tol)
-            _record(
-                axioms["calabi"],
-                ok,
-                f"mu({rel['f']}) != declared Calabi value",
-            )
-        else:
-            raise ValueError(f"unknown relation type {kind!r}")
-
-    report = list(axioms.values())
-    return {
-        "kind": "prequasimorphism-check",
-        "tolerance": tol,
-        "axioms": report,
-        "all_pass": all(a["status"] != "fail" for a in report),
-    }
+    return _check(family, "prequasimorphism-check", "elements", "mu", "element",
+                  _PREQUASIMORPHISM_RULES)
 
 
 # ---------------------------------------------------------------------------
@@ -478,11 +398,13 @@ def product_quasistate_check(tables: dict) -> dict:
     inference = None
     factors = _objects(tables, "factors_heavy")
     if factors:
-        all_heavy = all(f.get("heavy", False) for f in factors)
+        heavy = [f.get("heavy", False) for f in factors]
+        if not all(isinstance(h, bool) for h in heavy):
+            raise ValueError("factor 'heavy' flags must be true or false")
         inference = {
             "theorem": "product-heaviness",
             "subsets": [f.get("subset", "?") for f in factors],
-            "product_heavy": all_heavy,
+            "product_heavy": all(heavy),
             "note": (
                 "inferred from factor heaviness; the product subset is heavy "
                 "whenever every factor subset is"

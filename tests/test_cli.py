@@ -949,6 +949,91 @@ class TestQstateCommands:
         assert by_name["lipschitz"]["failures"]
 
 
+FUNCS = [{"name": "f", "zeta": "1/3"}, {"name": "g", "zeta": "2/3"}, {"name": "h", "zeta": "1"}]
+ELEMS = [{"name": "a", "mu": "1/2"}, {"name": "b", "mu": "1"}, {"name": "c", "mu": "3/2"}]
+
+# One relation with one fault, and what follows "family PATH: " on stderr.
+MALFORMED_RELATIONS = {
+    "functions-missing-name": (FUNCS, {"type": "le", "f": "f"}, "'g'"),
+    "functions-missing-displaceable-name": (
+        FUNCS, {"type": "partial_additivity", "f": "f", "sum": "f"}, "'g'"),
+    "functions-missing-dist": (FUNCS, {"type": "lipschitz", "f": "f", "g": "g"}, "'dist'"),
+    "functions-missing-factor": (FUNCS, {"type": "scale", "f": "f", "g": "g"}, "'factor'"),
+    "functions-missing-alpha": (FUNCS, {"type": "shift", "f": "f", "g": "g"}, "'alpha'"),
+    "functions-unknown-function": (
+        FUNCS, {"type": "triangle", "f": "f", "g": "zz", "sum": "h"},
+        "relation references unknown function 'zz'"),
+    "functions-unknown-type": (
+        FUNCS, {"type": "power", "f": "f", "g": "g", "n": 2},
+        "unknown relation type 'power'"),
+    "functions-missing-type": (FUNCS, {"f": "f"}, "unknown relation type None"),
+    "functions-negative-factor": (
+        FUNCS, {"type": "scale", "f": "f", "g": "g", "factor": "-1/2"},
+        "semi-homogeneity factors must be >= 0"),
+    "elements-missing-name": (ELEMS, {"type": "conjugation", "f": "a"}, "'g'"),
+    "elements-missing-product": (
+        ELEMS, {"type": "quasi_additivity", "f": "a", "g": "b", "bound": "1"}, "'product'"),
+    "elements-missing-n": (ELEMS, {"type": "power", "f": "a", "g": "b"}, "'n'"),
+    "elements-missing-bound": (
+        ELEMS, {"type": "quasi_additivity", "f": "a", "g": "b", "product": "c"}, "'bound'"),
+    "elements-missing-hofer-bound": (
+        ELEMS, {"type": "lipschitz", "f": "a", "g": "b"}, "'bound'"),
+    "elements-missing-value": (ELEMS, {"type": "calabi", "f": "a"}, "'value'"),
+    "elements-unknown-element": (
+        ELEMS, {"type": "calabi", "f": "zz", "value": "1"},
+        "relation references unknown element 'zz'"),
+    "elements-unknown-type": (
+        ELEMS, {"type": "scale", "f": "a", "g": "b", "factor": "2"},
+        "unknown relation type 'scale'"),
+    **{
+        f"elements-power-n-{n}": (
+            ELEMS, {"type": "power", "f": "a", "g": "b", "n": n},
+            "power relations need integer n >= 1")
+        for n in (0, True, 1.5, "2")
+    },
+}
+
+# Documents whose float arithmetic overflows, the command line (DOC for the
+# document's path) and the start of the stderr line that refuses them.
+OVERFLOWING = {
+    "zeta": ({"samples": [{"n": 1, "c": 1e308}, {"n": 2, "c": 1e308}]},
+             ["qstate", "homogenize", "DOC"], "novspec: schema error: oracle DOC: "),
+    "mu": ({"samples": [{"n": 1, "c": 1e300}, {"n": 2, "c": 2e300}]},
+           ["qstate", "homogenize", "DOC", "--volume", "1e10"], "novspec: argument --volume: "),
+    "excess": ({"functions": [{"name": "f", "zeta": 1e308, "sup": -1e308}]},
+               ["qstate", "heavy", "DOC"], "novspec: schema error: family DOC: "),
+    "expected": ({"pairs": [{"zeta0": 1e308, "zeta1": 1e308, "zeta_product": 1.0}]},
+                 ["qstate", "product", "DOC"], "novspec: schema error: tables DOC: "),
+}
+
+
+class TestQstateRefusals:
+    @pytest.mark.parametrize("members, relation, message", MALFORMED_RELATIONS.values(),
+                             ids=MALFORMED_RELATIONS)
+    def test_malformed_relation_is_2(self, tmp_path, capsys, members, relation, message):
+        key = "functions" if "zeta" in members[0] else "elements"
+        path = write(tmp_path, "family.json", {key: members, "relations": [relation]})
+        assert main(["qstate", "check", path]) == 2
+        assert capsys.readouterr() == ("", f"novspec: schema error: family {path}: {message}\n")
+
+    @pytest.mark.parametrize("doc, argv, err", OVERFLOWING.values(), ids=OVERFLOWING)
+    def test_float_overflow_is_2(self, tmp_path, capsys, doc, argv, err):
+        # json would write the overflowed result as Infinity or NaN, which
+        # are not JSON; the command refuses it instead.
+        path = write(tmp_path, "doc.json", doc)
+        assert main([path if t == "DOC" else t for t in argv]) == 2
+        out, got = capsys.readouterr()
+        assert out == "" and got.startswith(err.replace("DOC", path))
+        assert "overflows" in got and "Traceback" not in got
+
+    @pytest.mark.parametrize("flag", ["false", 1, None])
+    def test_non_boolean_heavy_flag_is_2(self, tmp_path, capsys, flag):
+        tables = {"pairs": [], "factors_heavy": [{"subset": "A", "heavy": flag}]}
+        assert main(["qstate", "product", write(tmp_path, "prod.json", tables)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("novspec: schema error: tables ")
+
+
 class TestSelftest:
     def test_byte_identical_across_runs(self, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"

@@ -1,11 +1,15 @@
 """Oracle homogenization, axiom checkers, heaviness and product reports."""
 
+import json
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from novspec.quasistate import (
+    _PREQUASIMORPHISM_RULES,
+    _QUASISTATE_RULES,
     SpectralOracle,
     check_partial_quasistate,
     check_prequasimorphism,
@@ -213,6 +217,28 @@ class TestQuasistateAxioms:
         }
         rep = check_partial_quasistate(family)
         assert rep["tolerance"] == 1e-9 and rep["all_pass"]
+
+
+class TestRuleTables:
+    @pytest.mark.parametrize(
+        "rules, check, passing, failing",
+        [
+            (_QUASISTATE_RULES, check_partial_quasistate, "functions", "functions_fail"),
+            (_PREQUASIMORPHISM_RULES, check_prequasimorphism, "elements", "elements_fail"),
+        ],
+        ids=["quasistate", "prequasimorphism"],
+    )
+    def test_every_rule_is_pinned_passing_and_failing(self, rules, check, passing, failing):
+        # command_output.json pins the report bytes of one passing and one
+        # failing family; each relation type of the table must appear in
+        # both, so that every comparison and failure message is pinned.
+        corpus = Path(__file__).resolve().parent / "golden" / "command_output.json"
+        docs = json.loads(corpus.read_text(encoding="utf-8"))["documents"]
+        for name, status in ((f"{passing}.json", "pass"), (f"{failing}.json", "fail")):
+            assert set(rules) <= {r["type"] for r in docs[name]["relations"]}, name
+            report = check(docs[name])
+            assert [a["axiom"] for a in report["axioms"]] == [r.axiom for r in rules.values()]
+            assert {a["status"] for a in report["axioms"]} == {status}, name
 
 
 # 1 - 1e-17 and 1 + 1e-17: float() reads both as 1.0

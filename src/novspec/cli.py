@@ -311,7 +311,7 @@ def cmd_qstate_homogenize(args) -> int:
 
     doc = _load_json(args.input)
     oracle = _parse(lambda: SpectralOracle.from_json(doc), f"oracle {args.input}")
-    zeta = _parse(homogenize(oracle).to_json, f"oracle {args.input}")
+    zeta = _parse(lambda: homogenize(oracle).to_json(), f"oracle {args.input}")
     payload = {"tag": oracle.tag, "zeta": zeta, "mu": None}
     if args.volume is not None:
         try:

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
-from math import gcd as int_gcd
+from math import lcm
 from typing import Any, Dict, Iterable, List, Mapping, Optional, Tuple
 
 from .fields import (
@@ -71,10 +71,7 @@ class PeriodLattice:
         value = Fraction(value)
         if self.rank == 0:
             return () if value == 0 else None
-        den = 1
-        for p in self.periods:
-            den = den * p.denominator // int_gcd(den, p.denominator)
-        den = den * value.denominator // int_gcd(den, value.denominator)
+        den = lcm(value.denominator, *[p.denominator for p in self.periods])
         ints = [int(p * den) for p in self.periods]
         target = int(value * den)
         # iterative extended gcd across the period integers
@@ -171,6 +168,10 @@ class FilteredComplex:
         if len(set(ids)) != len(ids):
             raise ValueError("duplicate generator ids")
         self.index = {gid: i for i, gid in enumerate(ids)}
+        # The actions as numerators over one denominator, so that levels compare on integers.
+        actions = [g.action for g in self.generators]
+        self.action_den = den = lcm(*[a.denominator for a in actions])
+        self.action_nums = [a.numerator * (den // a.denominator) for a in actions]
         self.floor = floor if floor == NEG_INF else Fraction(floor)
         entries: Dict[Tuple[str, str], NovikovScalar] = {}
         for (src, dst), coeff in differential.items():
@@ -201,12 +202,9 @@ class FilteredComplex:
                 raise KeyError(f"unknown generator id {gid!r}")
             if coeff.is_zero():
                 continue
-            for dst, entry in self.column(gid).items():
+            for dst, entry in self._columns[gid].items():
                 term = entry * coeff
-                if dst in acc:
-                    acc[dst] = acc[dst] + term
-                else:
-                    acc[dst] = term
+                acc[dst] = acc[dst] + term if dst in acc else term
         return {
             gid: c for gid, c in acc.items() if not c.truncate(self.floor).is_zero()
         }
@@ -334,6 +332,7 @@ def validate_complex(cx: FilteredComplex) -> ValidationReport:
     warnings: List[str] = []
 
     z_graded = True
+    nums = cx.action_nums
     for (src, dst), coeff in sorted(cx.entries.items()):
         gsrc, gdst = cx.generator(src), cx.generator(dst)
         drop = gsrc.degree - gdst.degree
@@ -343,11 +342,12 @@ def validate_complex(cx: FilteredComplex) -> ValidationReport:
             )
         if drop != 1:
             z_graded = False
-        v = coeff.valuation()
-        if v != NEG_INF and not (v + gdst.action < gsrc.action):
+        # v + action(dst) < action(src), for v = e/grid, times grid * action_den
+        drop_grid = (nums[cx.index[src]] - nums[cx.index[dst]]) * coeff.grid
+        if not coeff.rows[0][0] * cx.action_den < drop_grid:
             violations.append(
                 f"no strict action drop on {src}->{dst}: "
-                f"{v} + {gdst.action} >= {gsrc.action}"
+                f"{coeff.valuation()} + {gdst.action} >= {gsrc.action}"
             )
 
     in_lattice = True
@@ -369,11 +369,8 @@ def validate_complex(cx: FilteredComplex) -> ValidationReport:
         if not col:
             continue
         square = cx.apply_differential(col)
-        for dst, coeff in square.items():
-            if not coeff.truncate(cx.floor).is_zero():
-                violations.append(
-                    f"delta squared nonzero: {gen.id} ~> {dst} = {coeff!r}"
-                )
+        for dst, coeff in square.items():  # nonzero down to the floor
+            violations.append(f"delta squared nonzero: {gen.id} ~> {dst} = {coeff!r}")
 
     return ValidationReport(
         valid=not violations,

@@ -25,14 +25,14 @@ grid = den = 1.  So an element has one stored form, which ``__eq__`` and
 ``__hash__`` compare; ``terms`` builds (Fraction exponent, coefficient)
 pairs from it on access, for JSON and tests.
 
-Every operation runs on the rows: sums merge them over the lcms of the
-grids and denominators, and products and inverses run one row kernel
-accumulating ``re += a1*a2 - b1*b2`` and ``im += a1*b2 + b1*a2``.  On
-floats these are the IEEE operations that complex ``*`` and ``+``
-perform, in the same order up to commuted operands (a factor of one
-row takes one pass), and a float coefficient is zero when ``abs(complex(re,
-im)) < eps``, as in the field; so complex results keep their last bits,
-signed zeros included.
+Every operation runs on the rows: sums merge the two decreasing row lists
+in one pass over the lcms of the grids and denominators, and products and
+inverses run one row kernel accumulating ``re += a1*a2 - b1*b2`` and
+``im += a1*b2 + b1*a2``.  On floats these are the IEEE operations that
+complex ``*`` and ``+`` perform, in the same order up to commuted operands
+(a factor of one row takes one pass), and a float coefficient is zero when
+``abs(complex(re, im)) < eps``, as in the field; so complex results keep
+their last bits, signed zeros included.
 """
 
 from __future__ import annotations
@@ -80,8 +80,11 @@ def _above(rows, cut: Optional[int]):
     return rows
 
 
-def _regrid(rows, factor: int):
-    """The rows with their exponents on a grid ``factor`` times finer."""
+def _regrid(rows, factor: int, scale: int = 1):
+    """The rows with their exponents on a grid ``factor`` times finer and
+    their parts times ``scale``; a float times -1 is its exact negation."""
+    if scale != 1:
+        return [(e * factor, re * scale, im * scale) for e, re, im in rows]
     return rows if factor == 1 else [(e * factor, re, im) for e, re, im in rows]
 
 
@@ -131,9 +134,9 @@ def _scalar(field, floor, grid: int, den: int, rows, out=None, reduced=False) ->
 
 
 def _merged(field: CoefficientField, parts: list, floor: FloorValue) -> tuple:
-    """Floor, grid, denominator and rows of terms given as (exponent
-    numerator, exponent denominator, re, im, den): equal exponents sum in
-    order, and sums that are zero or at or below the floor drop."""
+    """Floor, grid, denominator and rows of terms given in any order as
+    (exponent numerator, exponent denominator, re, im, den): equal exponents
+    sum in order, and zero sums and those at or below the floor drop."""
     floor = _floor(floor)
     if len(parts) == 1:  # a monomial, the common case in documents
         num, grid, re, im, den = parts[0]
@@ -321,17 +324,38 @@ class NovikovScalar:
     # -- ring operations -----------------------------------------------
 
     def __add__(self, other: "NovikovScalar") -> "NovikovScalar":
-        if other.field is not self.field:
-            self.field.check_compatible(other.field)
-        parts = [(e, self.grid, re, im, self.den) for e, re, im in self.rows]
-        parts += [(e, other.grid, re, im, other.den) for e, re, im in other.rows]
-        return _scalar(self.field, *_merged(self.field, parts, max(self.floor, other.floor)))
+        return self._sum(other, False)
 
     def __sub__(self, other: "NovikovScalar") -> "NovikovScalar":
-        return self + (-other)
+        return self._sum(other, True)
+
+    def _sum(self, other: "NovikovScalar", negate: bool) -> "NovikovScalar":
+        """self + other, or self - other: one merge of the decreasing row lists
+        on the lcm grid over the lcm denominator, other's rows negated as they
+        are rescaled.  Equal exponents add self's part first, as ``_merged`` does."""
+        field = self.field
+        if other.field is not field:
+            field.check_compatible(other.field)
+        floor = max(self.floor, other.floor)
+        grid, den = lcm(self.grid, other.grid), lcm(self.den, other.den)
+        left = _regrid(self.rows, grid // self.grid, den // self.den)
+        right = _regrid(other.rows, grid // other.grid, (-1 if negate else 1) * (den // other.den))
+        nonzero, rows, j = _nonzero(field), [], 0
+        for row in left:
+            while j < len(right) and right[j][0] > row[0]:
+                rows.append(right[j])
+                j += 1
+            if j < len(right) and right[j][0] == row[0]:
+                row = (row[0], row[1] + right[j][1], row[2] + right[j][2])
+                j += 1
+                if not nonzero(row[1], row[2]):
+                    continue
+            rows.append(row)
+        rows += right[j:]
+        return _scalar(field, floor, grid, den, _above(rows, _cut(floor, grid)))
 
     def __neg__(self) -> "NovikovScalar":
-        rows = tuple((e, -re, -im) for e, re, im in self.rows)
+        rows = _regrid(self.rows, 1, -1)
         return _scalar(self.field, self.floor, self.grid, self.den, rows, reduced=True)
 
     def __mul__(self, other: "NovikovScalar") -> "NovikovScalar":

@@ -54,15 +54,21 @@ def _value_str(v: Value):
     return v
 
 
+def _float(v: Value) -> float:
+    """A float as is (``_value_str`` refuses an overflowed one); an exact
+    value through ``to_float``, so one beyond float range is a ValueError."""
+    return v if isinstance(v, float) else to_float(v)
+
+
 def _is_close(a: Value, b: Value, tol: float) -> bool:
     """a == b within tol; exact when tol is 0, which ``_tolerance`` gives only
     for all-rational data."""
-    return a == b if tol == 0 else abs(float(a) - float(b)) <= tol
+    return a == b if tol == 0 else abs(_float(a) - _float(b)) <= tol
 
 
 def _at_most(a: Value, b: Value, tol: float) -> bool:
     """a <= b + tol; exact when tol is 0."""
-    return a <= b if tol == 0 else float(a) <= float(b) + tol
+    return a <= b if tol == 0 else _float(a) <= _float(b) + tol
 
 
 def _tolerance(values: Sequence[Value]) -> float:

@@ -82,7 +82,10 @@ def _vec_normalize(v: Vec, field: CoefficientField) -> Vec:
     """Divide by a unit (content times a monomial); spans are unchanged."""
     if not v:
         return v
-    shift = max(c.valuation() for c in v.values())
+    e, grid = 0, 0  # the largest valuation e/grid, by cross-multiplication
+    for s in v.values():
+        if s.rows and (not grid or s.rows[0][0] * grid > e * s.grid):
+            e, grid = s.rows[0][0], s.grid
     if field.exact:
         # The content of a canonical scalar is gcd(numerators) / den.
         num = gcd(*[x for s in v.values() for _, re, im in s.rows for x in (re, im)])
@@ -90,7 +93,8 @@ def _vec_normalize(v: Vec, field: CoefficientField) -> Vec:
     else:
         top = max([m for s in v.values() for m in s.magnitudes()], default=1.0)
         factor = complex(1.0 / top, 0.0) if top > 0 else complex(1.0, 0.0)
-    return {i: s.scale(factor).shift(-shift) for i, s in v.items()}
+    scaled = {i: s.scale(factor) for i, s in v.items()}
+    return {i: s.shift(Fraction(-e, grid)) for i, s in scaled.items()} if e else scaled
 
 
 # -- structural echelon ----------------------------------------------------
@@ -268,35 +272,36 @@ class SpectralResult:
         }
 
 
-def _lead(vec: Vec, actions: List[Fraction]) -> Tuple[int, Fraction]:
-    """Coordinate realizing the level, smallest index among the argmax."""
-    best_level = NEG_INF
-    best_coord = -1
+def _lead(vec: Vec, cx: FilteredComplex) -> Tuple[int, Tuple[int, int]]:
+    """Coordinate realizing the level, smallest index among the argmax, and
+    that level as (numerator, denominator); levels compare on integers."""
+    nums, den = cx.action_nums, cx.action_den
+    best_coord, best_num, best_grid = -1, 0, 1
     for i in sorted(vec):
-        v = vec[i].valuation()
-        if v == NEG_INF:
+        rows, grid = vec[i].rows, vec[i].grid
+        if not rows:
             continue
-        lvl = v + actions[i]
-        if lvl > best_level:
-            best_level = lvl
-            best_coord = i
+        # e/grid + action = num / (grid*den), and den is common
+        num = rows[0][0] * den + nums[i] * grid
+        if best_coord < 0 or num * best_grid > best_num * grid:
+            best_coord, best_num, best_grid = i, num, grid
     if best_coord < 0:
         raise ValueError("zero vector has no lead")
-    return best_coord, best_level
+    return best_coord, (best_num, best_grid * den)
 
 
-def _lead_basis(ech: Echelon, actions: List[Fraction], field) -> Dict[int, Vec]:
+def _lead_basis(ech: Echelon, cx: FilteredComplex) -> Dict[int, Vec]:
     """Rebase the image so that lead coordinates are pairwise distinct."""
     basis: Dict[int, Vec] = {}
     for p in sorted(ech.pivots):
         v = ech.pivots[p]
         steps = 0
         while v:
-            coord, _ = _lead(v, actions)
+            coord, _ = _lead(v, cx)
             if coord not in basis:
                 basis[coord] = v
                 break
-            v = _vec_normalize(_vec_cross(v, basis[coord], coord), field)
+            v = _vec_normalize(_vec_cross(v, basis[coord], coord), cx.field)
             steps += 1
             if steps > STEP_BUDGET:
                 raise RuntimeError("lead disambiguation exceeded step budget")
@@ -321,15 +326,14 @@ def spectral_number(cx: FilteredComplex, chain: Chain) -> SpectralResult:
     if not ech.reduce(z):
         return SpectralResult(NEG_INF, None, None)
 
-    actions = [g.action for g in cx.generators]
-    basis = _lead_basis(ech, actions, cx.field)
+    basis = _lead_basis(ech, cx)
 
     field = cx.field
     v = dict(z)
     multiplier = NovikovScalar.one(field)
     steps = 0
     while True:
-        coord, _ = _lead(v, actions)
+        coord, _ = _lead(v, cx)
         if coord not in basis:
             break
         b = basis[coord]
@@ -353,9 +357,8 @@ def spectral_number(cx: FilteredComplex, chain: Chain) -> SpectralResult:
         if steps > STEP_BUDGET:
             raise RuntimeError("spectral reduction exceeded step budget")
 
-    _, raw_level = _lead(v, actions)
     mult_val = multiplier.valuation()
-    value = raw_level - mult_val
+    value = Fraction(*_lead(v, cx)[1]) - mult_val
 
     # The multiplier is still one when every pivot was a monomial.
     inv = None if multiplier.is_monomial() else multiplier.invert(-mult_val - WITNESS_DEPTH)

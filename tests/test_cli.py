@@ -1006,6 +1006,17 @@ OVERFLOWING = {
                  ["qstate", "product", "DOC"], "novspec: schema error: tables DOC: "),
 }
 
+# Exact sums and products of in-range rationals that leave float range,
+# read where a float elsewhere in the document makes the check compare in
+# floats; the error names the exact value.
+BEYOND_FLOAT = {
+    "product": ({"pairs": [{"zeta0": "17e307", "zeta1": "17e307", "zeta_product": 1.0}]},
+                ["qstate", "product", "DOC"], "tables", 34 * 10**307),
+    "scale": ({"functions": [{"name": "f", "zeta": "1e200"}, {"name": "g", "zeta": 0.5}],
+               "relations": [{"type": "scale", "f": "f", "g": "g", "factor": "1e200"}]},
+              ["qstate", "check", "DOC"], "family", 10**400),
+}
+
 
 class TestQstateRefusals:
     @pytest.mark.parametrize("members, relation, message", MALFORMED_RELATIONS.values(),
@@ -1025,6 +1036,20 @@ class TestQstateRefusals:
         out, got = capsys.readouterr()
         assert out == "" and got.startswith(err.replace("DOC", path))
         assert "overflows" in got and "Traceback" not in got
+
+    @pytest.mark.parametrize("doc, argv, what, value", BEYOND_FLOAT.values(), ids=BEYOND_FLOAT)
+    def test_exact_value_beyond_float_range_is_2(self, tmp_path, capsys, doc, argv, what, value):
+        path = write(tmp_path, "doc.json", doc)
+        assert main([path if t == "DOC" else t for t in argv]) == 2
+        assert capsys.readouterr() == (
+            "", f"novspec: schema error: {what} {path}: {value} is beyond float range\n")
+
+    def test_one_sample_oracle_is_2(self, tmp_path, capsys):
+        path = write(tmp_path, "oracle.json", {"samples": [{"n": 1, "c": "1"}]})
+        assert main(["qstate", "homogenize", path]) == 2
+        assert capsys.readouterr() == (
+            "", f"novspec: schema error: oracle {path}: "
+            "homogenization needs at least two oracle samples\n")
 
     @pytest.mark.parametrize("flag", ["false", 1, None])
     def test_non_boolean_heavy_flag_is_2(self, tmp_path, capsys, flag):

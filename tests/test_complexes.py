@@ -111,6 +111,18 @@ class TestValidation:
         )
         assert validate_complex(cx).valid
 
+    def test_action_drop_boundary_on_the_exponent_grid(self):
+        # Actions 1/3 -> 1/2 over denominator 6: the entry q^{-1/6} meets
+        # v + action(dst) == action(src) exactly, and one step down the
+        # entry's grid drops strictly.
+        gens = [("b", Fraction(1, 3), 1), ("a", Fraction(1, 2), 0)]
+        equal = validate_complex(make(gens, {("b", "a"): mono(1, Fraction(-1, 6))}))
+        assert equal.violations == ["no strict action drop on b->a: -1/6 + 1/2 >= 1/3"]
+        assert validate_complex(make(gens, {("b", "a"): mono(1, Fraction(-2, 6))})).valid
+        # an entry of two terms on grid 12, led by the boundary exponent
+        lead = NovikovScalar(QQ, [(Fraction(-2, 12), 1), (Fraction(-5, 12), 3)])
+        assert not validate_complex(make(gens, {("b", "a"): lead})).valid
+
     def test_even_degree_drop_invalid(self):
         cx = make(
             [("b", 1, 2), ("a", 0, 0)],

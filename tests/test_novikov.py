@@ -738,6 +738,111 @@ class TestRowOperationProperties:
         )
 
 
+# -- merged sums against the constructor ----------------------------------------
+#
+# ``+`` and ``-`` merge the two decreasing row lists in one pass; the
+# reference builds the same element from ``terms`` through the constructor,
+# which sums equal exponents in the order given: x's term, then y's.
+
+
+def reference_sum(x, y, negate=False):
+    """x + y, or x - y, from the operands' (exponent, coefficient) terms;
+    unary minus flips both float parts, as negating a row does."""
+    y_terms = [(e, -c) for e, c in y.terms] if negate else list(y.terms)
+    return NovikovScalar(x.field, [*x.terms, *y_terms], max(x.floor, y.floor))
+
+
+# Exponents on grids 1 to 6 and exact parts over denominators 1 to 7, so
+# that operands rarely share a grid or a denominator.
+merge_exponents = st.builds(Fraction, st.integers(-12, 12), st.sampled_from([1, 2, 3, 4, 6]))
+merge_parts = st.builds(Fraction, st.integers(-6, 6), st.sampled_from([1, 2, 3, 5, 7]))
+
+
+@st.composite
+def merge_coefficients(draw, field):
+    if field is QQ:
+        return draw(merge_parts)
+    if field is QI:
+        return GaussianRational(draw(merge_parts), draw(merge_parts))
+    return complex(draw(float_parts), draw(float_parts))
+
+
+@st.composite
+def merge_operands(draw):
+    """Two scalars of one mode, possibly truncated, where y may repeat x's
+    terms (x - y cancels them) or negate them (x + y cancels them); in
+    complex mode the negation is off by less than eps."""
+    field = MODES[draw(st.sampled_from(sorted(MODES)))]
+    terms = st.lists(st.tuples(merge_exponents, merge_coefficients(field)), max_size=5)
+    x = NovikovScalar(field, draw(terms), draw(floors))
+    echo = draw(st.sampled_from(["none", "same", "negated"]))
+    y_terms = draw(terms)
+    for e, c in x.terms:
+        if echo != "none" and draw(st.booleans()):
+            if echo == "negated":
+                c = -c + complex(draw(st.floats(-4e-13, 4e-13)), 0.0) if field is CC else -c
+            y_terms.append((e, c))
+    return x, NovikovScalar(field, y_terms, draw(floors))
+
+
+def _cx(*terms, floor=NEG_INF):
+    return NovikovScalar(CC, terms, floor)
+
+
+# (x, y, what the case shows), each checked for both + and -
+MERGE_CASES = {
+    "grids-and-denominators": (
+        NovikovScalar(QQ, [(Fraction(1, 2), Fraction(1, 2)), (Fraction(-1, 3), Fraction(1, 3))]),
+        NovikovScalar(QQ, [(Fraction(1, 2), Fraction(1, 6)), (Fraction(-1, 4), Fraction(5, 4))]),
+        lambda s, d: (s.grid, s.den, d.grid, d.den) == (12, 12, 12, 12),
+    ),
+    "gaussian-grids": (
+        NovikovScalar(QI, [(Fraction(2, 3), GaussianRational(Fraction(1, 2), 1))]),
+        NovikovScalar(QI, [(Fraction(2, 3), GaussianRational(Fraction(1, 2), 1)),
+                           (Fraction(1, 5), GaussianRational(0, Fraction(1, 3)))]),
+        lambda s, d: d.terms == ((Fraction(1, 5), GaussianRational(0, Fraction(-1, 3))),),
+    ),
+    "truncated": (
+        NovikovScalar(QQ, [(0, 1), (Fraction(-3, 2), 2)], Fraction(-2)),
+        NovikovScalar(QQ, [(Fraction(-1, 2), 1), (Fraction(-5, 2), 7)], Fraction(-3)),
+        lambda s, d: s.floor == d.floor == -2 and len(s.rows) == len(d.rows) == 3,
+    ),
+    "exact-cancellation": (
+        NovikovScalar(QQ, [(Fraction(1, 3), Fraction(2, 5)), (-1, 3)]),
+        NovikovScalar(QQ, [(Fraction(1, 3), Fraction(2, 5)), (-1, 3)]),
+        lambda s, d: d.is_exact_zero() and (s.grid, s.den) == (3, 5),
+    ),
+    "complex-below-eps": (
+        _cx((0, 1 + 0.5j), (-1, 2.0)),
+        _cx((0, 1 + 0.5j), (-1, -(2.0 - 4e-13))),
+        lambda s, d: s.terms == ((0, 2 + 1j),) and [e for e, _, _ in d.rows] == [-1],
+    ),
+    "signed-zeros": (
+        _cx((0, complex(-0.0, 1.0)), (Fraction(-1, 2), complex(0.0, -0.0))),
+        _cx((0, complex(-0.0, 2.0)), (Fraction(-1, 2), complex(-0.0, 0.0))),
+        lambda s, d: "-0.0" in _bits(s) and _bits(d).count("-0.0") == 0,
+    ),
+}
+
+
+class TestMergedSums:
+    @pytest.mark.parametrize("x, y, shows", MERGE_CASES.values(), ids=MERGE_CASES)
+    def test_cases_match_terms_reference(self, x, y, shows):
+        total, diff = x + y, x - y
+        assert _stored(total) == _stored(reference_sum(x, y))
+        assert _stored(diff) == _stored(reference_sum(x, y, negate=True))
+        assert _stored(diff) == _stored(x + (-y))
+        assert shows(total, diff)
+
+    @PROPERTY
+    @given(merge_operands())
+    def test_sum_and_difference_match_terms_reference(self, pair):
+        x, y = pair
+        for got, ref in ((x + y, reference_sum(x, y)), (x - y, reference_sum(x, y, negate=True))):
+            assert _stored(got) == _stored(ref)
+            assert_canonical(got)
+
+
 # -- identity laws, to the bit --------------------------------------------------
 #
 # The Newton lift starts power chains, monomials and sums from their first

@@ -15,6 +15,7 @@ from novspec.complexes import (
 from novspec.fields import NEG_INF
 from novspec.randomcx import random_complex, random_scalar
 from novspec.spectral import (
+    _lead,
     homology_rank,
     homology_report,
     spectral_number,
@@ -84,6 +85,25 @@ class TestHandOracle:
     def test_homology_ranks(self):
         cx = hand_case()
         assert homology_rank(cx) == {0: 1, 1: 0}
+
+
+class TestLead:
+    def test_tie_on_different_grids_goes_to_smallest_index(self):
+        # Levels 1/3 + 1/3 (grid 3) and 1/6 + 1/2 (grid 6) are both 2/3;
+        # the coordinate listed first wins, whichever grid it is on.
+        cx = FilteredComplex(
+            QQ,
+            PeriodLattice(),
+            [OrbitGenerator("x", Fraction(1, 3), 0), OrbitGenerator("y", Fraction(1, 2), 0),
+             OrbitGenerator("z", Fraction(0), 0)],
+            {},
+        )
+        third, sixth = mono(1, Fraction(1, 3)), mono(2, Fraction(1, 6))
+        for vec, coord in [({1: sixth, 0: third, 2: mono(1, 0)}, 0),
+                           ({2: mono(5, Fraction(2, 3)), 1: sixth}, 1)]:
+            got, lvl = _lead(vec, cx)
+            assert got == coord and Fraction(*lvl) == Fraction(2, 3)
+        assert _lead({2: mono(1, Fraction(3, 4)), 0: third}, cx)[0] == 2
 
 
 class TestBoundaryDetection:

@@ -26,6 +26,7 @@ from .fields import (
     fraction_str,
     parse_floor,
     parse_fraction,
+    parse_ratio,
     rational_gcd,
 )
 from .novikov import FloorValue, NovikovScalar
@@ -132,9 +133,8 @@ class OrbitGenerator:
 
     @staticmethod
     def from_json(obj: dict) -> "OrbitGenerator":
-        return OrbitGenerator(
-            str(obj["id"]), parse_fraction(obj["action"]), _parse_degree(obj["degree"])
-        )
+        action = Fraction(*parse_ratio(obj["action"]))
+        return OrbitGenerator(str(obj["id"]), action, _parse_degree(obj["degree"]))
 
 
 def _parse_degree(value: Any) -> int:
@@ -172,13 +172,15 @@ class FilteredComplex:
         actions = [g.action for g in self.generators]
         self.action_den = den = lcm(*[a.denominator for a in actions])
         self.action_nums = [a.numerator * (den // a.denominator) for a in actions]
-        self.floor = floor if floor == NEG_INF else Fraction(floor)
+        self.floor = NEG_INF if floor == NEG_INF else Fraction(floor)
         entries: Dict[Tuple[str, str], NovikovScalar] = {}
         for (src, dst), coeff in differential.items():
             if src not in self.index or dst not in self.index:
                 raise ValueError(f"differential references unknown id {src!r}->{dst!r}")
-            field.check_compatible(coeff.field)
-            coeff = coeff.truncate(self.floor)
+            if coeff.field is not field:
+                field.check_compatible(coeff.field)
+            if self.floor is not NEG_INF:
+                coeff = coeff.truncate(self.floor)
             if not coeff.is_zero():
                 entries[(src, dst)] = coeff
         self.entries = entries

@@ -15,7 +15,6 @@ so every operation goes through a CoefficientField instance.
 from __future__ import annotations
 
 import math
-import re
 from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Rational
@@ -41,11 +40,6 @@ def parse_or_schema_error(fn: Callable, what: str):
         raise SchemaError(f"{what}: {exc}") from exc
 
 
-# The rationals documents write: an optional minus sign, ASCII digits, and
-# an optional slash and ASCII digits.
-_PLAIN_RATIONAL = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
-
-
 def parse_ratio(value: Any) -> Tuple[int, int]:
     """Parse a rational from JSON form: "3/2", "-1", or an integer, into a
     numerator and a positive denominator.
@@ -61,10 +55,11 @@ def parse_ratio(value: Any) -> Tuple[int, int]:
     ``ValueError``.
     """
     if isinstance(value, str):
-        plain = _PLAIN_RATIONAL.fullmatch(value)
-        if plain:
-            num, den = plain.groups()
-            n, d = int(num), int(den or 1)
+        num, slash, den = value.partition("/")
+        digits = num[1:] if num[:1] == "-" else num
+        if (digits.isascii() and digits.isdigit()
+                and (not slash or den.isascii() and den.isdigit())):
+            n, d = int(num), int(den) if slash else 1
             if d:
                 return n, d
     if isinstance(value, bool):
@@ -84,7 +79,10 @@ def parse_ratio(value: Any) -> Tuple[int, int]:
 def to_float(value: Any) -> float:
     """``float(value)``, finite: a NaN, or a number beyond float range (an
     infinity, a string such as "1e400" that ``float`` reads as one, a huge
-    int), is a ValueError naming it."""
+    int), is a ValueError naming it; so is a boolean, which ``float`` would
+    read as 0 or 1."""
+    if isinstance(value, bool):
+        raise ValueError("boolean is not a number")
     try:
         out = float(value)
     except OverflowError:

@@ -108,7 +108,7 @@ def _content(rows: list, den: int) -> tuple:
     return [(e, re // g, im // g) for e, re, im in rows], den // g
 
 
-def _scalar(field, floor, grid: int, den: int, rows, out=None, reduced=False) -> "NovikovScalar":
+def _scalar(field, floor, grid: int, den: int, rows, reduced=False, out=None) -> "NovikovScalar":
     """The scalar of ``rows`` over ``grid`` and ``den``, brought to canonical
     form unless ``reduced`` says it is; the rows are nonzero, above
     ``floor`` and strictly decreasing."""
@@ -134,14 +134,19 @@ def _scalar(field, floor, grid: int, den: int, rows, out=None, reduced=False) ->
 
 
 def _merged(field: CoefficientField, parts: list, floor: FloorValue) -> tuple:
-    """Floor, grid, denominator and rows of terms given in any order as
-    (exponent numerator, exponent denominator, re, im, den): equal exponents
-    sum in order, and zero sums and those at or below the floor drop."""
+    """Floor, grid, denominator, rows and whether they are canonical, of terms
+    given in any order as (exponent numerator, exponent denominator, re, im,
+    den): equal exponents sum in order, and zero sums and those at or below
+    the floor drop."""
     floor = _floor(floor)
-    if len(parts) == 1:  # a monomial, the common case in documents
+    if len(parts) == 1:  # a monomial, the common case in documents: canonical at once
         num, grid, re, im, den = parts[0]
-        rows = [(num, re, im)] if _nonzero(field)(re, im) else []
-        return floor, grid, den, _above(rows, _cut(floor, grid))
+        if not _nonzero(field)(re, im) or (
+                floor is not NEG_INF and num * floor.denominator <= floor.numerator * grid):
+            return floor, 1, 1, (), True
+        g = gcd(num, grid)
+        rows, den = _content([(num // g, re, im)], den)
+        return floor, grid // g, den, rows, True
     grid = lcm(*[p[1] for p in parts])
     den = lcm(*[p[4] for p in parts])
     merged: dict = {}
@@ -158,7 +163,7 @@ def _merged(field: CoefficientField, parts: list, floor: FloorValue) -> tuple:
     nonzero = _nonzero(field)
     rows = [(e, re, im) for e, (re, im) in merged.items() if nonzero(re, im)]
     rows.sort(reverse=True)
-    return floor, grid, den, _above(rows, _cut(floor, grid))
+    return floor, grid, den, _above(rows, _cut(floor, grid)), False
 
 
 def _by_term(rows, term: tuple, cut: Optional[int], nonzero) -> list:
@@ -497,11 +502,11 @@ class NovikovScalar:
     def terms_from_json(
         cls, field: CoefficientField, obj: list, floor: FloorValue = NEG_INF
     ) -> "NovikovScalar":
-        if not isinstance(obj, list) or not all(
-            isinstance(t, dict) and "exp" in t and "c" in t for t in obj
-        ):
-            raise ValueError("scalar terms must be a list of {exp, c} objects")
-        parts = [(*parse_ratio(t["exp"]), *field.parts_from_json(t["c"])) for t in obj]
+        parts = []
+        for t in obj if isinstance(obj, list) else [None]:  # a non-list fails as a bad term
+            if not (isinstance(t, dict) and "exp" in t and "c" in t):
+                raise ValueError("scalar terms must be a list of {exp, c} objects")
+            parts.append((*parse_ratio(t["exp"]), *field.parts_from_json(t["c"])))
         return _scalar(field, *_merged(field, parts, floor))
 
     @classmethod

@@ -38,7 +38,7 @@ from .fields import (
     floor_str,
     fraction_str,
 )
-from .novikov import FloorValue, NovikovScalar
+from .novikov import FloorValue, NovikovScalar, _by_term, _nonzero, _regrid, _scalar
 
 Vec = Dict[int, NovikovScalar]
 
@@ -79,22 +79,36 @@ def _vec_cross(v: Vec, b: Vec, coord: int) -> Vec:
 
 
 def _vec_normalize(v: Vec, field: CoefficientField) -> Vec:
-    """Divide by a unit (content times a monomial); spans are unchanged."""
-    if not v:
-        return v
+    """Divide by a unit (content times a monomial); spans are unchanged.
+
+    Each coordinate is ``s.scale(factor).shift(-e/grid)``, for the factor
+    split once into parts and the shift folded into the row exponents; an
+    exact vector whose unit is 1 comes back as it is."""
     e, grid = 0, 0  # the largest valuation e/grid, by cross-multiplication
     for s in v.values():
         if s.rows and (not grid or s.rows[0][0] * grid > e * s.grid):
             e, grid = s.rows[0][0], s.grid
+    if not grid:  # every coordinate is zero
+        return v
     if field.exact:
-        # The content of a canonical scalar is gcd(numerators) / den.
+        # The content of a canonical scalar is gcd(numerators) / den, so the
+        # factor den / num of the canonical coordinates is in lowest terms.
         num = gcd(*[x for s in v.values() for _, re, im in s.rows for x in (re, im)])
-        factor = Fraction(lcm(*[s.den for s in v.values()]), num) if num else 1
+        den = lcm(*[s.den for s in v.values()])
+        if num == den and not e:
+            return v
+        c, d, cden = den, 0, num
     else:
-        top = max([m for s in v.values() for m in s.magnitudes()], default=1.0)
-        factor = complex(1.0 / top, 0.0) if top > 0 else complex(1.0, 0.0)
-    scaled = {i: s.scale(factor) for i, s in v.items()}
-    return {i: s.shift(Fraction(-e, grid)) for i, s in scaled.items()} if e else scaled
+        c, d, cden = 1.0 / max(m for s in v.values() for m in s.magnitudes()), 0.0, 1
+    g = gcd(e, grid)
+    e, grid = e // g, grid // g
+    nonzero, out = _nonzero(field), {}
+    for i, s in v.items():
+        fine = lcm(s.grid, grid)
+        rows = _by_term(_regrid(s.rows, fine // s.grid), (-e * (fine // grid), c, d), None, nonzero)
+        floor = s.floor if s.floor is NEG_INF else s.floor - Fraction(e, grid)
+        out[i] = _scalar(field, floor, fine, s.den * cden, rows)
+    return out
 
 
 # -- structural echelon ----------------------------------------------------
@@ -232,7 +246,8 @@ class Spectrum:
 
 
 def spectrum(cx: FilteredComplex) -> Spectrum:
-    actions = tuple(sorted({g.action for g in cx.generators}))
+    den = cx.action_den
+    actions = tuple(Fraction(n, den) for n in sorted(set(cx.action_nums)))
     return Spectrum(actions, cx.lattice.group_generator())
 
 

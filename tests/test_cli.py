@@ -201,11 +201,15 @@ class TestExitCodes:
         "doc",
         [{**GOOD_COMPLEX, "field": {"mode": "complex", "eps": float("nan")}},
          {**GOOD_COMPLEX, "field": {"mode": "complex"}, "differential": [
-             {"from": "a", "to": "b", "coeff": [{"exp": "-1", "c": {"re": "nan"}}]}]}],
-        ids=["eps", "coefficient"],
+             {"from": "a", "to": "b", "coeff": [{"exp": "-1", "c": {"re": "nan"}}]}]},
+         {**GOOD_COMPLEX, "field": {"mode": "complex", "eps": True}},
+         {**GOOD_COMPLEX, "field": {"mode": "complex"}, "differential": [
+             {"from": "a", "to": "b", "coeff": [{"exp": "-1", "c": {"re": True, "im": False}}]}]}],
+        ids=["eps", "coefficient", "eps-boolean", "coefficient-boolean"],
     )
     def test_nan_in_complex_document_is_2(self, tmp_path, capsys, command, doc):
-        # json reads NaN and "nan" alike; no complex value may be a NaN
+        # json reads NaN and "nan" alike; no complex value may be a NaN, nor
+        # a boolean, which float() would read as 0.0 or 1.0
         assert main([*command, write(tmp_path, "doc.json", doc)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("novspec: schema error:") and "not a number" in err

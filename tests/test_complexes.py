@@ -15,7 +15,7 @@ from novspec.complexes import (
     level,
     validate_complex,
 )
-from novspec.fields import NEG_INF
+from novspec.fields import NEG_INF, field_for_mode
 from novspec.randomcx import random_complex
 
 QQ = CoefficientField("rational")
@@ -202,12 +202,16 @@ class TestChainsAndLevels:
 class TestSerialization:
     def test_round_trip(self):
         rng = random.Random(7)
-        for _ in range(25):
-            cx = random_complex(rng).complex
-            blob = cx.to_json()
-            back = FilteredComplex.from_json(blob)
-            assert back.to_json() == blob
-            assert validate_complex(back).valid
+        for mode in ("rational", "gaussian", "complex"):
+            field = field_for_mode(mode)
+            for _ in range(25):
+                cx = random_complex(rng, field).complex
+                blob = cx.to_json()
+                back = FilteredComplex.from_json(blob)
+                assert back.to_json() == blob
+                assert (back.action_nums, back.action_den) == (cx.action_nums, cx.action_den)
+                assert back.entries == cx.entries
+                assert validate_complex(back).valid
 
     def test_chain_round_trip(self):
         cx = make([("a", 3, 0), ("b", 1, 0)], {})

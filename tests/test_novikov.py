@@ -675,6 +675,38 @@ def _text(value: Fraction, scale: int) -> str:
     return f"{sign}{num}" if den == 1 else f"{sign}{num}/{den}"
 
 
+@st.composite
+def term_documents(draw):
+    """A field, terms for it, a scale for each term's strings, and a floor."""
+    field = MODES[draw(st.sampled_from(sorted(MODES)))]
+    terms = draw(term_lists(field))
+    return field, terms, [draw(st.sampled_from([1, 2, 3])) for _ in terms], draw(floors)
+
+
+def json_examples():
+    """(scalar, document) examples in every mode: a one-term list, a pair that
+    cancels to zero, and a floor at the only term; the scalar is the one the
+    document describes."""
+    coefficients = {QQ: Fraction(-3, 2), QI: GaussianRational(Fraction(1, 2), -2),
+                    CC: complex(1.5, -0.25)}
+    for field, c in coefficients.items():
+        for terms, scales, floor in (
+            ([(Fraction(-3, 2), c)], [2], NEG_INF),
+            ([(Fraction(1, 3), c), (Fraction(1, 3), -c)], [1, 3], NEG_INF),
+            ([(Fraction(-2), c)], [3], Fraction(-2)),
+        ):
+            yield NovikovScalar(field, terms, floor), (field, terms, scales, floor)
+
+
+def with_examples(cases):
+    """Hypothesis ``@example`` for each argument tuple in ``cases``."""
+    def add(test):
+        for case in cases:
+            test = example(*case)(test)
+        return test
+    return add
+
+
 class TestRowOperationProperties:
     @PROPERTY
     @given(st.data())
@@ -716,15 +748,14 @@ class TestRowOperationProperties:
         assert x.shift(s).shift(-s) == x
 
     @PROPERTY
-    @given(st.data())
-    def test_json_round_trip_and_unreduced_strings(self, data):
-        x = data.draw(field_scalars())
+    @given(field_scalars(), term_documents())
+    @with_examples(json_examples())
+    def test_json_round_trip_and_unreduced_strings(self, x, document):
         field = x.field
         assert_matches(field, NovikovScalar.from_json(field, x.to_json()), (x.terms, x.floor))
         # Unreduced and signed-zero strings, and equal exponents written
         # differently, parse to the reference's values.
-        terms = data.draw(term_lists(field))
-        scales = [data.draw(st.sampled_from([1, 2, 3])) for _ in terms]
+        field, terms, scales, floor = document
         if field is QQ:
             coeffs = [_text(c, k) for (_, c), k in zip(terms, scales)]
         elif field is QI:
@@ -732,7 +763,6 @@ class TestRowOperationProperties:
         else:
             coeffs = [{"re": c.real, "im": c.imag} for _, c in terms]
         doc = [{"exp": _text(e, k), "c": c} for (e, _), k, c in zip(terms, scales, coeffs)]
-        floor = data.draw(floors)
         assert_matches(
             field, NovikovScalar.terms_from_json(field, doc, floor), ref_normal(field, terms, floor)
         )

@@ -1,21 +1,25 @@
 """Spectral numbers, homology ranks, spectra: frozen oracles and sweeps."""
 
+import json
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from novspec import CoefficientField, NovikovScalar
+from novspec import CoefficientField, GaussianRational, NovikovScalar
 from novspec.complexes import (
     FilteredComplex,
     OrbitGenerator,
     PeriodLattice,
     level,
 )
-from novspec.fields import NEG_INF
+from novspec.fields import NEG_INF, field_for_mode, rational_gcd
 from novspec.randomcx import random_complex, random_scalar
 from novspec.spectral import (
     _lead,
+    _vec_normalize,
     homology_rank,
     homology_report,
     spectral_number,
@@ -275,3 +279,104 @@ class TestSpectrumJson:
         blob = spectrum(cx).to_json()
         assert blob["base_actions"] == ["1", "2", "3"]
         assert blob["period_group_generator"] == "1/2"
+
+    def test_mixed_denominators_duplicates_and_negatives(self):
+        actions = ["-3/4", "1/6", "-3/4", "2", "1/6", "-1/2", "0", "-7/3"]
+        cx = FilteredComplex(
+            QQ, PeriodLattice((Fraction(1, 3),)),
+            [OrbitGenerator(f"g{i}", Fraction(a), 0) for i, a in enumerate(actions)], {},
+        )
+        spec = spectrum(cx)
+        assert spec.base_actions == tuple(sorted({Fraction(a) for a in actions}))
+        assert all(type(a) is Fraction for a in spec.base_actions)
+        assert spec.to_json()["base_actions"] == ["-7/3", "-3/4", "-1/2", "0", "1/6", "2"]
+        assert spec.contains(Fraction(-5, 12)) and not spec.contains(Fraction(1, 5))
+
+    @pytest.mark.parametrize("mode", ["rational", "gaussian", "complex"])
+    def test_base_actions_are_the_sorted_distinct_actions(self, mode):
+        rng = random.Random(41)
+        for _ in range(30):
+            cx = random_complex(rng, field_for_mode(mode)).complex
+            expected = tuple(sorted({g.action for g in cx.generators}))
+            assert spectrum(cx).base_actions == expected
+
+
+# -- normalization ---------------------------------------------------------------
+#
+# ``_vec_normalize`` divides a vector by its content and by the monomial of
+# its largest valuation.  The reference does that coordinate by coordinate
+# with ``scale`` and ``shift``; the two must agree to the bit, signed zeros
+# included, so coordinates are compared through their JSON text.
+
+norm_exponents = st.builds(Fraction, st.integers(-12, 12), st.sampled_from([1, 2, 3, 4, 6]))
+norm_parts = st.builds(Fraction, st.integers(-9, 9), st.sampled_from([1, 2, 3, 4, 6, 9]))
+# Float parts stay below 50 in magnitude, so 1/top stays above eps: the
+# reference's scale factor is then a nonzero element of the complex field.
+norm_floats = st.one_of(st.sampled_from([0.0, -0.0]),
+                        st.floats(-50, 50, allow_nan=False, allow_infinity=False))
+norm_floors = st.one_of(st.just(NEG_INF), st.builds(Fraction, st.integers(-40, -13), st.integers(1, 4)))
+
+
+@st.composite
+def norm_vectors(draw):
+    field = field_for_mode(draw(st.sampled_from(["rational", "gaussian", "complex"])))
+
+    def coefficient():
+        if field.mode == "rational":
+            return draw(norm_parts)
+        if field.mode == "gaussian":
+            return GaussianRational(draw(norm_parts), draw(norm_parts))
+        return complex(draw(norm_floats), draw(norm_floats))
+
+    v = {}
+    for _ in range(draw(st.integers(1, 4))):
+        terms = [(draw(norm_exponents), coefficient()) for _ in range(draw(st.integers(0, 3)))]
+        v[draw(st.integers(0, 9))] = NovikovScalar(field, terms, draw(norm_floors))
+    return field, v
+
+
+def reference_normalize(v, field):
+    """Each coordinate times the inverse content (exact modes) or the inverse
+    largest magnitude (complex mode), then shifted by minus the largest
+    valuation."""
+    if all(s.is_zero() for s in v.values()):
+        return v
+    top = max(s.valuation() for s in v.values() if not s.is_zero())
+    if field.exact:
+        content = Fraction(0)
+        for s in v.values():
+            for _, c in s.terms:
+                for part in (c,) if field.mode == "rational" else (c.re, c.im):
+                    content = rational_gcd(content, part)
+        factor = 1 / content
+    else:
+        factor = complex(1.0 / max(m for s in v.values() for m in s.magnitudes()), 0.0)
+    return {i: s.scale(factor).shift(-top) for i, s in v.items()}
+
+
+def _texts(v):
+    return {i: json.dumps(s.to_json()) for i, s in v.items()}
+
+
+class TestNormalize:
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(norm_vectors())
+    @example((CC, {0: NovikovScalar(CC, [(0, 1.0), (-1, complex(-0.0, -0.5))])}))
+    def test_matches_scale_then_shift(self, case):
+        field, v = case
+        got, ref = _vec_normalize(v, field), reference_normalize(v, field)
+        assert got == ref and _texts(got) == _texts(ref)
+        # A normalized exact vector has unit 1 and comes back as it is.
+        # Complex mode scales by 1.0 anyway, as ``scale`` does: that turns a
+        # -0.0 part beside a negative one into 0.0 (the explicit example).
+        again = _vec_normalize(got, field)
+        assert _texts(again) == _texts(reference_normalize(got, field))
+        if field.exact:
+            assert again is got
+
+    def test_complex_vector_beyond_one_over_eps_keeps_its_span(self):
+        # The factor 1/top falls below eps here; it still divides by a unit
+        # and must not zero the vector.
+        v = {0: mono(2e12, 0, CC), 1: mono(3.0, -1, CC)}
+        got = _vec_normalize(v, CC)
+        assert [s.terms for s in got.values()] == [((0, 1.0),), ((-1, 1.5e-12),)]

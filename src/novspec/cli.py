@@ -9,8 +9,9 @@ Exit codes: 0 on success (a none-found certification and a valid
 revalidation both count as success), 1 when a mathematical validation
 fails (invalid complex or polytope, off-interior fiber, degenerate
 lift, axiom violation), 2 on I/O, JSON, or schema errors and on bad
-arguments: a bad ``--fiber``, ``--floor``, ``--scale``, ``--volume``,
-``--order``, ``--grid`` or ``--eps`` value among them.
+arguments: a bad ``--fiber`` (one of the wrong dimension included),
+``--floor``, ``--scale``, ``--volume``, ``--order``, ``--grid`` or
+``--eps`` value among them.
 
 Every command is described once, in ``_COMMANDS``, and parsed on one of
 two paths.  A command line that starts with a group and one of its
@@ -44,6 +45,10 @@ from .fields import NEG_INF, SchemaError
 from .fields import parse_or_schema_error as _parse
 
 SCHEMA_VERSION = "1"
+
+
+class _OptionError(Exception):
+    """A parsed option value that does not fit the input: exits 2, as argparse does."""
 
 
 def _load_json(path: str):
@@ -177,12 +182,22 @@ def cmd_toric_validate(args) -> int:
     return 0 if rep.ok else 1
 
 
+def _fiber_polytope(args):
+    """The polytope of ``args.input``, whose dimension ``--fiber`` must have."""
+    p = _load_polytope(args.input)
+    if len(args.fiber) != p.dim:
+        raise _OptionError(
+            f"argument --fiber: point has dimension {len(args.fiber)}, polytope has {p.dim}"
+        )
+    return p
+
+
 def _validated_potential(args):
     """The disk potential at ``--fiber`` of the polytope, which must validate."""
     from .polytope import validated
     from .potential import potential
 
-    p = _load_polytope(args.input)
+    p = _fiber_polytope(args)
     validated(p)
     return potential(p, args.fiber)
 
@@ -203,7 +218,7 @@ def cmd_toric_critical(args) -> int:
 def cmd_toric_certify(args) -> int:
     from .critical import certify_heavy
 
-    p = _load_polytope(args.input)
+    p = _fiber_polytope(args)
     result = certify_heavy(p, args.fiber, args.order, _toric_field(args))
     _emit(args, result.to_json())
     return 0
@@ -317,8 +332,7 @@ def cmd_qstate_homogenize(args) -> int:
         try:
             payload["mu"] = mu_from_oracle(oracle, args.volume).to_json()
         except ValueError as exc:
-            print(f"novspec: argument --volume: {exc}", file=sys.stderr)
-            return 2
+            raise _OptionError(f"argument --volume: {exc}") from None
     _emit(args, _document("quasistate-estimate", payload))
     return 0
 
@@ -609,6 +623,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return args.func(args)
     except SchemaError as exc:
         print(f"novspec: schema error: {exc}", file=sys.stderr)
+        return 2
+    except _OptionError as exc:
+        print(f"novspec: {exc}", file=sys.stderr)
         return 2
     except (OSError, json.JSONDecodeError) as exc:
         print(f"novspec: input error: {exc}", file=sys.stderr)

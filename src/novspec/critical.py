@@ -20,10 +20,11 @@ The pipeline at a fixed interior fiber is:
    stay exact; if the leading root solves the full gradient on the nose the
    residual is exactly zero and no iteration happens.
 3. ``certify_heavy`` packages the lifted branes of a fiber into a
-   certificate whose claim is re-checkable from the serialized form alone:
-   the gradient of the re-parsed potential at the re-parsed branes vanishes
-   to the stated order.  Finding no branes is reported as a diagnosis, never
-   as a proof of non-heaviness.
+   ``FiberReport``, serialized as a certificate whose claim is re-checkable
+   from that form alone: the gradient of the re-parsed potential at the
+   re-parsed branes vanishes to the stated order.  Finding no branes is
+   reported as a diagnosis, never as a proof of non-heaviness.  A fiber
+   scan is one report per grid fiber.
 """
 
 from __future__ import annotations
@@ -63,43 +64,41 @@ NEWTON_CAP = 60
 
 THEOREM_TAG = "critical-fiber-heaviness"
 
-# Exact values a floating root may be snapped to, with the coefficient used
-# in each exact mode (None = not representable there).
+# Exact values a floating root may be snapped to.
 _SNAP_TABLE = [
-    (complex(1, 0), Fraction(1), GaussianRational(1, 0)),
-    (complex(-1, 0), Fraction(-1), GaussianRational(-1, 0)),
-    (complex(0, 1), None, GaussianRational(0, 1)),
-    (complex(0, -1), None, GaussianRational(0, -1)),
+    (complex(1, 0), GaussianRational(1, 0)),
+    (complex(-1, 0), GaussianRational(-1, 0)),
+    (complex(0, 1), GaussianRational(0, 1)),
+    (complex(0, -1), GaussianRational(0, -1)),
 ]
 
 
 @dataclass(frozen=True)
 class LeadingRoot:
     values: Tuple[complex, ...]
-    exact_rational: Optional[Tuple[Fraction, ...]]
-    exact_gaussian: Optional[Tuple[GaussianRational, ...]]
+    exact: Optional[Tuple[GaussianRational, ...]]  # None unless every value snaps
 
     def constants_for(self, field: CoefficientField):
         if field.mode == "rational":
-            if self.exact_rational is None:
+            if self.exact is None or any(g.im for g in self.exact):
                 raise ValueError(
                     f"leading root {self.values} is not rational; "
                     "use gaussian or complex mode"
                 )
-            return self.exact_rational
+            return tuple(g.re for g in self.exact)
         if field.mode == "gaussian":
-            if self.exact_gaussian is None:
+            if self.exact is None:
                 raise ValueError(
                     f"leading root {self.values} is not Gaussian-rational; "
                     "use complex mode"
                 )
-            return self.exact_gaussian
+            return self.exact
         return self.values
 
     def to_json(self) -> dict:
         return {
             "values": [[z.real, z.imag] for z in self.values],
-            "exact": self.exact_rational is not None or self.exact_gaussian is not None,
+            "exact": self.exact is not None,
         }
 
 
@@ -108,10 +107,6 @@ class LeadingReport:
     strata: List[ComponentStratum]
     roots: List[LeadingRoot]
     diagnosis: Optional[dict] = None
-
-    @property
-    def found(self) -> bool:
-        return bool(self.roots)
 
     def to_json(self) -> dict:
         return {
@@ -122,21 +117,8 @@ class LeadingReport:
 
 
 def _snap_root(values: Sequence[complex]) -> LeadingRoot:
-    rationals: List[Optional[Fraction]] = []
-    gaussians: List[Optional[GaussianRational]] = []
-    for z in values:
-        hit_r, hit_g = None, None
-        for target, frac, gauss in _SNAP_TABLE:
-            if abs(z - target) < SNAP_TOL:
-                hit_r, hit_g = frac, gauss
-                break
-        rationals.append(hit_r)
-        gaussians.append(hit_g)
-    return LeadingRoot(
-        values=tuple(values),
-        exact_rational=tuple(rationals) if all(r is not None for r in rationals) else None,
-        exact_gaussian=tuple(gaussians) if all(g is not None for g in gaussians) else None,
-    )
+    hits = [next((g for t, g in _SNAP_TABLE if abs(z - t) < SNAP_TOL), None) for z in values]
+    return LeadingRoot(values=tuple(values), exact=None if None in hits else tuple(hits))
 
 
 def critical_points_leading(w: PotentialFunction) -> LeadingReport:
@@ -168,12 +150,9 @@ def critical_points_leading(w: PotentialFunction) -> LeadingReport:
                 },
             )
 
-    terms_by_facet = {t.facet: t for t in w.terms}
+    # potential term i is the term of facet i
     system = [
-        [
-            (terms_by_facet[i].exponent[s.component], terms_by_facet[i].exponent)
-            for i in s.facets
-        ]
+        [(w.terms[i].exponent[s.component], w.terms[i].exponent) for i in s.facets]
         for s in strata
     ]
     values = _binomial_values(system)
@@ -198,10 +177,8 @@ def _leading_roots(values: Sequence[Tuple[complex, ...]]) -> List[LeadingRoot]:
     """Deduplicate numeric roots, sort them and snap them to unit points."""
     seen = {}
     for vals in values:
-        key = tuple((round(z.real, 9), round(z.imag, 9)) for z in vals)
-        if key not in seen:
-            seen[key] = vals
-    return [_snap_root(seen[k]) for k in sorted(seen.keys())]
+        seen.setdefault(tuple((round(z.real, 9), round(z.imag, 9)) for z in vals), vals)
+    return [_snap_root(seen[k]) for k in sorted(seen)]
 
 
 # A polynomial system in (C^*)^n: one list of (coefficient, exponent) pairs
@@ -308,12 +285,11 @@ def _sympy_values(system: System, n: int):
 
 
 def _complex_leading_jacobian(w: PotentialFunction, strata, values: Sequence[complex]):
-    terms_by_facet = {t.facet: t for t in w.terms}
     n = w.dim
     mat = [[complex(0) for _ in range(n)] for _ in range(n)]
     for s in strata:
         for i in s.facets:
-            t = terms_by_facet[i]
+            t = w.terms[i]
             mono = complex(1)
             for k in range(n):
                 mono *= values[k] ** t.exponent[k]
@@ -502,64 +478,67 @@ def lift_critical(
 
 
 @dataclass
-class HeavinessCertificate:
+class FiberReport:
+    """What ``certify_heavy`` finds at one fiber: a heaviness certificate
+    when the fiber carries lifted critical branes, otherwise the diagnosis
+    of why none were found."""
+
     polytope: MomentPolytope
     fiber: Tuple[Fraction, ...]
     order: object
     field: CoefficientField
-    branes: List[BraneCertificate]
-    leading_weights: List[Fraction]
-
-    kind = "heaviness-certificate"
-    theorem = THEOREM_TAG
-
-    @property
-    def found(self) -> bool:
-        return True
-
-    def to_json(self) -> dict:
-        return {
-            "schema_version": "1",
-            "kind": self.kind,
-            "theorem": self.theorem,
-            "field": self.field.to_json(),
-            "polytope": self.polytope.to_json(),
-            "fiber": point_str(self.fiber),
-            "order": floor_str(self.order),
-            "leading_weights": [fraction_str(w) for w in self.leading_weights],
-            "branes": [b.to_json() for b in self.branes],
-        }
-
-
-@dataclass
-class NoneFoundReport:
-    polytope: MomentPolytope
-    fiber: Tuple[Fraction, ...]
-    order: object
-    field: CoefficientField
-    diagnosis: Optional[dict]
     strata: List[ComponentStratum]
-
-    kind = "no-critical-branes"
+    diagnosis: Optional[dict]
+    branes: List[BraneCertificate]
 
     @property
     def found(self) -> bool:
-        return False
+        return bool(self.branes)
+
+    @property
+    def status(self) -> str:
+        return "certified" if self.branes else "none-found"
+
+    @property
+    def leading_weights(self) -> List[Fraction]:
+        return [s.weight for s in self.strata]
 
     def to_json(self) -> dict:
-        return {
+        doc = {
             "schema_version": "1",
-            "kind": self.kind,
             "field": self.field.to_json(),
             "polytope": self.polytope.to_json(),
             "fiber": point_str(self.fiber),
             "order": floor_str(self.order),
+        }
+        if self.branes:
+            doc.update(
+                kind="heaviness-certificate",
+                theorem=THEOREM_TAG,
+                leading_weights=[fraction_str(w) for w in self.leading_weights],
+                branes=[b.to_json() for b in self.branes],
+            )
+        else:
+            doc.update(
+                kind="no-critical-branes",
+                diagnosis=self.diagnosis,
+                strata=[s.to_json() for s in self.strata],
+                note=(
+                    "no critical branes found at this fiber; this is a diagnosis, "
+                    "not a proof of non-heaviness"
+                ),
+            )
+        return doc
+
+    def row_json(self) -> dict:
+        """This fiber's row of a scan."""
+        return {
+            "fiber": point_str(self.fiber),
+            "status": self.status,
+            "branes": len(self.branes),
+            "leading_weights": [fraction_str(w) for w in self.leading_weights],
             "diagnosis": self.diagnosis,
-            "strata": [s.to_json() for s in self.strata],
-            "note": (
-                "no critical branes found at this fiber; this is a diagnosis, "
-                "not a proof of non-heaviness"
-            ),
+            "certificate": self.to_json() if self.branes else None,
         }
 
 
@@ -569,12 +548,12 @@ def certify_heavy(
     order,
     field: CoefficientField,
     check_polytope: bool = True,
-):
+) -> FiberReport:
     """Certify the toric fiber by exhibiting lifted critical branes.
 
-    Returns a HeavinessCertificate when the leading system has unit roots
-    (every root is lifted), otherwise a NoneFoundReport with the blocking
-    diagnosis.  The polytope must validate and the fiber must be interior.
+    Every unit root of the leading system is lifted; with none, the report
+    has no branes and carries the blocking diagnosis.  The polytope must
+    validate and the fiber must be interior.
     """
     if check_polytope:
         validated(p)
@@ -582,23 +561,14 @@ def certify_heavy(
     w = potential(p, fiber_pt)
     leading = critical_points_leading(w)
     order = parse_floor(order)
-    if not leading.found:
-        return NoneFoundReport(
-            polytope=p,
-            fiber=fiber_pt,
-            order=order,
-            field=field,
-            diagnosis=leading.diagnosis,
-            strata=leading.strata,
-        )
-    branes = [lift_critical(w, root, order, field) for root in leading.roots]
-    return HeavinessCertificate(
+    return FiberReport(
         polytope=p,
         fiber=fiber_pt,
         order=order,
         field=field,
-        branes=branes,
-        leading_weights=[s.weight for s in leading.strata],
+        strata=leading.strata,
+        diagnosis=leading.diagnosis,
+        branes=[lift_critical(w, root, order, field) for root in leading.roots],
     )
 
 
@@ -638,6 +608,8 @@ def read_certificate(doc: dict, where: str = "certificate"):
     field = _parse(lambda: CoefficientField.from_json(doc["field"]), f"{where}: 'field'")
     p = _parse(lambda: MomentPolytope.from_json(doc["polytope"]), f"{where}: 'polytope'")
     fiber = _parse(lambda: parse_fiber(doc["fiber"]), f"{where}: 'fiber'")
+    if len(fiber) != p.dim:
+        raise SchemaError(f"{where}: 'fiber' needs one coordinate per dimension ({p.dim})")
     order = _parse(lambda: parse_floor(doc["order"]), f"{where}: 'order'")
     branes = []
     for idx, brane in enumerate(doc["branes"]):
@@ -672,9 +644,7 @@ def revalidate_certificate(doc: dict, where: str = "certificate") -> dict:
     """
     checks: List[str] = []
     failures: List[str] = []
-
-    def fail(msg: str) -> None:
-        failures.append(msg)
+    fail = failures.append
 
     if doc.get("kind") != "heaviness-certificate":
         fail(f"not a heaviness certificate: kind={doc.get('kind')!r}")
@@ -729,30 +699,10 @@ def revalidate_certificate(doc: dict, where: str = "certificate") -> dict:
 
 
 @dataclass
-class ScanRow:
-    fiber: Tuple[Fraction, ...]
-    status: str  # "certified" | "none-found"
-    branes: int
-    leading_weights: List[Fraction]
-    diagnosis: Optional[dict]
-    certificate: Optional[HeavinessCertificate]
-
-    def to_json(self) -> dict:
-        return {
-            "fiber": point_str(self.fiber),
-            "status": self.status,
-            "branes": self.branes,
-            "leading_weights": [fraction_str(w) for w in self.leading_weights],
-            "diagnosis": self.diagnosis,
-            "certificate": self.certificate.to_json() if self.certificate else None,
-        }
-
-
-@dataclass
 class ScanReport:
     resolution: Fraction
     order: object
-    rows: List[ScanRow]
+    rows: List[FiberReport]
 
     def to_json(self) -> dict:
         return {
@@ -760,23 +710,15 @@ class ScanReport:
             "kind": "fiber-scan",
             "resolution": fraction_str(self.resolution),
             "order": floor_str(self.order),
-            "rows": [r.to_json() for r in self.rows],
+            "rows": [r.row_json() for r in self.rows],
         }
 
     def to_csv_rows(self) -> List[List[str]]:
-        header = ["fiber", "status", "branes", "leading_weights", "diagnosis"]
-        out = [header]
+        out = [["fiber", "status", "branes", "leading_weights", "diagnosis"]]
         for r in self.rows:
             diag = "" if not r.diagnosis else r.diagnosis.get("reason", "")
-            out.append(
-                [
-                    point_str(r.fiber),
-                    r.status,
-                    str(r.branes),
-                    ";".join(fraction_str(w) for w in r.leading_weights),
-                    diag,
-                ]
-            )
+            weights = ";".join(fraction_str(w) for w in r.leading_weights)
+            out.append([point_str(r.fiber), r.status, str(len(r.branes)), weights, diag])
         return out
 
 
@@ -814,29 +756,8 @@ def scan_fibers(
     """Certify every interior grid fiber; deterministic row order."""
     vertices = validated(p).vertices
     order = parse_floor(order)
-    rows = []
-    for fiber in grid_fibers(p, resolution, vertices):
-        result = certify_heavy(p, fiber, order, field, check_polytope=False)
-        if result.found:
-            rows.append(
-                ScanRow(
-                    fiber=fiber,
-                    status="certified",
-                    branes=len(result.branes),
-                    leading_weights=result.leading_weights,
-                    diagnosis=None,
-                    certificate=result,
-                )
-            )
-        else:
-            rows.append(
-                ScanRow(
-                    fiber=fiber,
-                    status="none-found",
-                    branes=0,
-                    leading_weights=[s.weight for s in result.strata],
-                    diagnosis=result.diagnosis,
-                    certificate=None,
-                )
-            )
+    rows = [
+        certify_heavy(p, fiber, order, field, check_polytope=False)
+        for fiber in grid_fibers(p, resolution, vertices)
+    ]
     return ScanReport(resolution=parse_fraction(resolution), order=order, rows=rows)

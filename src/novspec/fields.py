@@ -100,7 +100,7 @@ def parse_fraction(value: Any) -> Fraction:
 
 
 def fraction_str(value: Fraction) -> str:
-    return str(Fraction(value))
+    return str(value)
 
 
 def ratio_str(num: int, den: int) -> str:

@@ -42,7 +42,7 @@ def _parse_point(text_or_seq) -> Point:
 
 
 def point_str(point: Sequence[Fraction]) -> str:
-    return ",".join(fraction_str(Fraction(c)) for c in point)
+    return ",".join(fraction_str(c) for c in point)
 
 
 def _over_lcm(point: Sequence[Fraction]) -> Tuple[List[int], int]:

@@ -380,6 +380,30 @@ class TestExitCodes:
         assert main(["toric", "revalidate", path]) == 2
         assert "'x' needs one scalar per dimension (1)" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["potential", "critical", "certify"])
+    @pytest.mark.parametrize("fiber, dim", [("1/2,1/2", 2), (",", 0)])
+    def test_fiber_of_wrong_dimension_is_2(self, tmp_path, capsys, command, fiber, dim):
+        # an argument that does not fit the polytope, not a failed check
+        path = write(tmp_path, "cp1.json", CP1)
+        assert main(["toric", command, path, f"--fiber={fiber}"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"novspec: argument --fiber: point has dimension {dim}, polytope has 1\n"
+
+    @pytest.mark.parametrize(
+        "command", [["qmap", "rank"], ["qmap", "unit"], ["qmap", "charge"], ["toric", "revalidate"]]
+    )
+    def test_certificate_fiber_of_wrong_dimension_is_2(
+        self, tmp_path, cert_path, capsys, command
+    ):
+        doc = json.loads(open(cert_path, encoding="utf-8").read())
+        doc["fiber"] = "1/2,1/2"
+        path = write(tmp_path, "wide.json", doc)
+        assert main([*command, path]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "schema error" in err and "'fiber' needs one coordinate per dimension (1)" in err
+
     def test_fractional_order_as_separate_argument(self, tmp_path):
         path = write(tmp_path, "cp1.json", CP1)
         for command in (["certify", path, "--fiber", "1/2"], ["scan", path, "--grid", "1/2"]):

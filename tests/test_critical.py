@@ -76,6 +76,15 @@ def mono(field, c, e):
     return NovikovScalar.monomial(field, field.coerce(c), Fraction(e))
 
 
+def rational_constants(root):
+    """``root.constants_for(QQ)``, or None where that raises."""
+    try:
+        return root.constants_for(QQ)
+    except ValueError as exc:
+        assert "is not rational; use gaussian or complex mode" in str(exc)
+        return None
+
+
 @functools.lru_cache(maxsize=None)
 def trap_cert(order="-6"):
     return certify_heavy(TRAP, "3/4,1/2", order, QI)
@@ -205,9 +214,9 @@ class TestLeadingRoots:
     def test_interval_midpoint_pm_one(self):
         w = potential(CP1, "1/2")
         rep = critical_points_leading(w)
-        assert rep.found
+        assert rep.roots
         assert [r.values for r in rep.roots] == [(-1 + 0j,), (1 + 0j,)]
-        assert [r.exact_rational for r in rep.roots] == [
+        assert [r.constants_for(QQ) for r in rep.roots] == [
             (Fraction(-1),),
             (Fraction(1),),
         ]
@@ -215,7 +224,7 @@ class TestLeadingRoots:
     def test_off_center_dominating_facet(self):
         w = potential(CP1, "1/4")
         rep = critical_points_leading(w)
-        assert not rep.found
+        assert not rep.roots
         assert rep.diagnosis["reason"] == "dominating-facet"
         assert rep.diagnosis["facet"] == 0
 
@@ -225,22 +234,24 @@ class TestLeadingRoots:
             center = ",".join([f"1/{n + 1}"] * n)
             w = potential(p, center)
             rep = critical_points_leading(w)
-            assert rep.found and len(rep.roots) == n + 1
+            assert len(rep.roots) == n + 1
 
     def test_cube_roots_need_complex_mode(self):
         w = potential(CP2, "1/3,1/3")
         rep = critical_points_leading(w)
         root = rep.roots[0]
-        assert root.exact_rational is None and root.exact_gaussian is None
+        assert root.exact is None
         with pytest.raises(ValueError, match="use gaussian or complex mode"):
             root.constants_for(QQ)
+        with pytest.raises(ValueError, match="not Gaussian-rational; use complex mode"):
+            root.constants_for(QI)
         vals = root.constants_for(CC)
         assert abs(vals[0] ** 3 - 1) < 1e-9
 
     def test_mixed_minima_product_four_roots(self):
         w = potential(BOX, (Fraction(1, 2), Fraction(1)))
         rep = critical_points_leading(w)
-        assert rep.found and len(rep.roots) == 4
+        assert len(rep.roots) == 4
 
     def test_gaussian_roots_snap_exactly(self):
         w = potential(TRAP, (Fraction(3, 4), Fraction(1, 2)))
@@ -251,8 +262,10 @@ class TestLeadingRoots:
             (1j, -1 + 0j),
             (1 + 0j, 1 + 0j),
         ]
-        assert rep.roots[1].exact_gaussian[0] == GaussianRational(0, -1)
-        assert rep.roots[1].exact_rational is None
+        assert rep.roots[1].exact[0] == GaussianRational(0, -1)
+        assert rep.roots[1].constants_for(QI) == rep.roots[1].exact
+        with pytest.raises(ValueError, match="is not rational"):
+            rep.roots[1].constants_for(QQ)
 
 
 class TestBinomialLeadingSystems:
@@ -336,9 +349,9 @@ def test_binomial_roots_match_exact_oracle(case):
                 zero = xk.imag if xk.real else xk.real
                 assert zero == 0.0 and math.copysign(1.0, zero) == 1.0
         exact = all(on_axis) and all(unit_radius)
-        assert (root.exact_gaussian is not None) == exact
+        assert (root.exact is not None) == exact
         real = exact and all(t.denominator <= 2 for t in thetas)
-        assert (root.exact_rational is not None) == real
+        assert (rational_constants(root) is not None) == real
         if exact:
             unit_points = {
                 Fraction(0): GaussianRational(1, 0),
@@ -346,7 +359,7 @@ def test_binomial_roots_match_exact_oracle(case):
                 Fraction(1, 2): GaussianRational(-1, 0),
                 Fraction(3, 4): GaussianRational(0, -1),
             }
-            assert root.exact_gaussian == tuple(unit_points[t] for t in thetas)
+            assert root.exact == tuple(unit_points[t] for t in thetas)
 
 
 @settings(max_examples=15, deadline=None, derandomize=True, database=None)
@@ -359,8 +372,8 @@ def test_binomial_roots_agree_with_sympy(case):
     roots = _leading_roots(_binomial_values(system))
     assert len(roots) == len(reference)
     for root, ref in zip(roots, reference):
-        assert root.exact_rational == ref.exact_rational
-        assert root.exact_gaussian == ref.exact_gaussian
+        assert rational_constants(root) == rational_constants(ref)
+        assert root.exact == ref.exact
         for z, y in zip(root.values, ref.values):
             assert abs(z - y) <= 1e-12 * max(1.0, abs(y))
 
@@ -421,9 +434,7 @@ class TestLift:
 
     def test_non_root_rejected(self):
         w = potential(CP1, "1/2")
-        bad = LeadingRoot(
-            values=(2 + 0j,), exact_rational=(Fraction(2),), exact_gaussian=None
-        )
+        bad = LeadingRoot(values=(2 + 0j,), exact=(GaussianRational(2),))
         with pytest.raises(ValueError, match="does not solve the leading system"):
             lift_critical(w, bad, Fraction(-6), QQ)
 
@@ -431,9 +442,7 @@ class TestLift:
     def test_degenerate_leading_root_rejected(self, field):
         # x = i gives x + 1/x = 0: the leading Jacobian of the segment vanishes.
         w = potential(CP1, "1/2")
-        root = LeadingRoot(
-            values=(1j,), exact_rational=None, exact_gaussian=(GaussianRational(0, 1),)
-        )
+        root = LeadingRoot(values=(1j,), exact=(GaussianRational(0, 1),))
         with pytest.raises(ValueError, match="degenerate leading root"):
             lift_critical(w, root, Fraction(-2), field)
 
@@ -623,11 +632,11 @@ class TestScan:
         assert [r.fiber for r in report.rows] == grid_fibers(
             CP1, Fraction(1, 8), polytope_validate(CP1).vertices
         )
-        statuses = {str(r.fiber[0]): r.status for r in report.rows}
-        assert statuses["1/2"] == "certified"
-        assert all(v == "none-found" for k, v in statuses.items() if k != "1/2")
-        certified = [r for r in report.rows if r.status == "certified"]
-        assert len(certified) == 1 and certified[0].branes == 2
+        found = {str(r.fiber[0]): r.found for r in report.rows}
+        assert found["1/2"]
+        assert not any(v for k, v in found.items() if k != "1/2")
+        certified = [r for r in report.rows if r.found]
+        assert len(certified) == 1 and len(certified[0].branes) == 2
 
     def test_scan_csv_shape(self):
         report = scan_fibers(CP1, Fraction(1, 4), Fraction(-8), QQ)
@@ -645,8 +654,8 @@ class TestRandomizedInteriorConsistency:
         rng = random.Random(5)
         report = scan_fibers(CP1, Fraction(1, 4), Fraction(-8), QQ)
         for row in report.rows:
-            if row.certificate is not None:
-                doc = row.certificate.to_json()
+            if row.found:
+                doc = row.to_json()
                 assert revalidate_certificate(doc)["ok"]
         # certificates are deterministic: rerun matches
         again = scan_fibers(CP1, Fraction(1, 4), Fraction(-8), QQ)
@@ -654,3 +663,34 @@ class TestRandomizedInteriorConsistency:
             again.to_json(), sort_keys=True
         )
         assert rng.random() is not None
+
+    @pytest.mark.parametrize(
+        "polytope, grid, mode",
+        [
+            (product(segment(0, 2), segment(0, 2)), "1/2", "rational"),
+            (TRAP, "1/4", "gaussian"),
+        ],
+        ids=["square", "trapezoid"],
+    )
+    def test_scan_rows_match_certify_documents(self, tmp_path, polytope, grid, mode):
+        # every `toric scan` row says what `toric certify` says at its fiber
+        path = tmp_path / "p.json"
+        path.write_text(json.dumps(polytope.to_json()), encoding="utf-8")
+        opts = ["--order=-2", "--mode", mode]
+        out = tmp_path / "out.json"
+        assert main(["toric", "scan", str(path), "--grid", grid, *opts, "--out", str(out)]) == 0
+        rows = json.loads(out.read_text(encoding="utf-8"))["rows"]
+        statuses = set()
+        for row in rows:
+            argv = ["toric", "certify", str(path), "--fiber", row["fiber"], *opts]
+            assert main([*argv, "--out", str(out)]) == 0
+            doc = json.loads(out.read_text(encoding="utf-8"))
+            statuses.add(row["status"])
+            if row["status"] == "certified":
+                assert row["certificate"] == doc
+                assert row["branes"] == len(doc["branes"])
+            else:
+                assert row["certificate"] is None and row["branes"] == 0
+                assert row["diagnosis"] == doc["diagnosis"]
+                assert row["leading_weights"] == [s["weight"] for s in doc["strata"]]
+        assert statuses == {"certified", "none-found"}

@@ -1,11 +1,14 @@
-"""Pin the stdout bytes of the ``qmap``, ``qstate`` and ``selftest`` commands.
+"""Pin the stdout bytes of the ``qmap``, ``qstate``, ``selftest`` and
+``toric revalidate`` commands.
 
     PYTHONPATH=src python3 tests/golden/pin_command_output.py
 
 Certifies the trapezoid {x >= 0, 0 <= y <= 1, x + y <= 2} at the fiber
 3/4,1/2 (order -2) in gaussian and complex mode and runs ``qmap
 rank|unit|charge`` on both certificates, on the certified branes and
-scaled off them; runs ``qstate homogenize|check|heavy|product`` on
+scaled off them; runs ``toric revalidate`` on those two, on a rational
+CP^1 x CP^1 certificate at 1/2,1/2 and on tampered copies, one for each
+way revalidation can fail; runs ``qstate homogenize|check|heavy|product`` on
 rational and float documents that exercise every relation type, passing
 and failing; and runs ``selftest`` at seeds 0 to 3 and once with
 ``--mutate``.  Each run goes through ``novspec.cli.main`` in process, and
@@ -19,6 +22,7 @@ CHANGES.md.
 from __future__ import annotations
 
 import contextlib
+import copy
 import hashlib
 import io
 import json
@@ -172,6 +176,60 @@ PRODUCT_FAIL = {
     "factors_heavy": [{"subset": "T0", "heavy": True}, {"subset": "T1", "heavy": False}],
 }
 
+SQUARE = {
+    "dim": 2,
+    "facets": [
+        {"normal": [1, 0], "offset": "0"},
+        {"normal": [0, 1], "offset": "0"},
+        {"normal": [-1, 0], "offset": "-1"},
+        {"normal": [0, -1], "offset": "-1"},
+    ],
+}
+SEGMENT = {"dim": 1, "facets": [{"normal": [1], "offset": "0"}, {"normal": [-1], "offset": "-1"}]}
+
+# name -> (polytope, fiber, order, mode) of a certificate to pin
+CERTIFY = {
+    "cert_gaussian.json": (TRAPEZOID, "3/4,1/2", "-2", "gaussian"),
+    "cert_complex.json": (TRAPEZOID, "3/4,1/2", "-2", "complex"),
+    "cert_rational.json": (SQUARE, "1/2,1/2", "-2", "rational"),
+    "cert_segment.json": (SEGMENT, "1/2", "-4", "rational"),
+}
+
+ONE_PLUS_INVERSE_Q = {"floor": "-inf", "terms": [{"c": "1", "exp": "0"}, {"c": "1", "exp": "-1"}]}
+
+# name -> (certificate, [(key path, new value), ...]): each copy fails
+# revalidation in its own way
+TAMPERED = {
+    "tampered_polytope.json": ("cert_rational.json", [
+        (["polytope", "facets"], SQUARE["facets"] + [{"normal": [1, 1], "offset": "-5"}]),
+    ]),
+    "tampered_fiber.json": ("cert_rational.json", [(["fiber"], "3/2,1/2")]),
+    "tampered_no_branes.json": ("cert_rational.json", [(["branes"], [])]),
+    "tampered_non_unit.json": ("cert_rational.json", [
+        (["branes", 0, "x", 0, "terms", 0, "exp"], "1"),
+    ]),
+    "tampered_residual.json": ("cert_gaussian.json", [
+        (["branes", 0, "residual_valuation"], "-3"),
+        (["branes", 0, "x", 0, "floor"], "-3"),
+        (["branes", 0, "x", 1, "floor"], "-3"),
+    ]),
+    "tampered_charge.json": ("cert_gaussian.json", [
+        (["branes", 1, "central_charge", "terms", 0, "c", "re"], "3"),
+    ]),
+    "tampered_x_exact.json": ("cert_rational.json", [
+        (["branes", 1, "x", 0, "terms", 0, "c"], "2"),
+    ]),
+    "tampered_x_finite.json": ("cert_gaussian.json", [
+        (["branes", 2, "x", 1, "terms", 1, "c", "re"], "1"),
+    ]),
+    "tampered_kind.json": ("cert_rational.json", [(["kind"], "no-critical-branes")]),
+    "tampered_theorem.json": ("cert_rational.json", [(["theorem"], "some-other-theorem")]),
+    "segment_two_term_x.json": ("cert_segment.json", [
+        (["branes", 0, "x", 0], ONE_PLUS_INVERSE_Q),
+        (["branes", 0, "residual_valuation"], "-2"),
+    ]),
+}
+
 QSTATE_DOCUMENTS = {
     "oracle.json": ORACLE,
     "oracle_float.json": ORACLE_FLOAT,
@@ -209,6 +267,8 @@ ARGVS = (
     + [["qstate", "product", name] for name in ("product.json", "product_fail.json")]
     + [["selftest", "--seed", str(seed)] for seed in range(4)]
     + [["selftest", "--seed", "1", "--mutate"]]
+    + [["toric", "revalidate", name]
+       for name in ("cert_gaussian.json", "cert_complex.json", "cert_rational.json", *TAMPERED)]
 )
 
 
@@ -222,23 +282,39 @@ def run(argv: list) -> tuple:
     return code, hashlib.sha256(out.getvalue().encode("utf-8")).hexdigest()
 
 
-def _certificate(workdir: Path, mode: str) -> dict:
+def _certificate(workdir: Path, polytope: dict, fiber: str, order: str, mode: str) -> dict:
     from novspec.cli import main
 
-    poly, cert = workdir / "trapezoid.json", workdir / f"cert_{mode}.json"
-    poly.write_text(json.dumps(TRAPEZOID), encoding="utf-8")
-    argv = ["toric", "certify", str(poly), "--fiber", "3/4,1/2", "--order", "-2",
+    poly, cert = workdir / "polytope.json", workdir / "cert.json"
+    poly.write_text(json.dumps(polytope), encoding="utf-8")
+    argv = ["toric", "certify", str(poly), "--fiber", fiber, f"--order={order}",
             "--mode", mode, "--out", str(cert)]
     if main(argv) != 0:
-        raise SystemExit(f"certify failed in {mode} mode")
+        raise SystemExit(f"certify failed at {fiber} in {mode} mode")
     return json.loads(cert.read_text(encoding="utf-8"))
+
+
+def _tamper(doc: dict, edits: list) -> dict:
+    doc = copy.deepcopy(doc)
+    for path, value in edits:
+        *head, last = path
+        target = doc
+        for key in head:
+            target = target[key]
+        target[last] = value
+    return doc
 
 
 def main() -> int:
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
-        documents = {f"cert_{m}.json": _certificate(work, m) for m in ("gaussian", "complex")}
+        certs = {name: _certificate(work, *how) for name, how in CERTIFY.items()}
+        documents = {name: certs[name] for name in ("cert_gaussian.json", "cert_complex.json")}
         documents.update(QSTATE_DOCUMENTS)
+        documents["cert_rational.json"] = certs["cert_rational.json"]
+        documents.update(
+            (name, _tamper(certs[base], edits)) for name, (base, edits) in TAMPERED.items()
+        )
         for name, doc in documents.items():
             (work / name).write_text(json.dumps(doc), encoding="utf-8")
         runs = []

@@ -1103,13 +1103,15 @@ class TestSelftest:
         assert doc["mutation"]["violations"]
 
     def test_command_output_corpus_replays_byte_identical(self, tmp_path, capsys):
-        # qmap on gaussian and complex trapezoid certificates, qstate on
-        # rational and float documents of every relation type, and selftest
-        # at seeds 0-3, recorded by tests/golden/pin_command_output.py.
+        # qmap on gaussian and complex trapezoid certificates, toric
+        # revalidate on honest certificates in every mode and on tampered
+        # copies, qstate on rational and float documents of every relation
+        # type, and selftest at seeds 0-3, recorded by
+        # tests/golden/pin_command_output.py.
         corpus = json.loads((GOLDEN / "command_output.json").read_text(encoding="utf-8"))
         assert {tuple(e["argv"][:2]) for e in corpus["runs"]} == {
             (g, c) for g, c in COMMANDS if g in ("qmap", "qstate")
-        } | {("selftest", "--seed")}
+        } | {("selftest", "--seed"), ("toric", "revalidate")}
         docs = corpus["documents"]
         for name, doc in docs.items():
             write(tmp_path, name, doc)

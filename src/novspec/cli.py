@@ -257,7 +257,10 @@ def cmd_toric_revalidate(args) -> int:
 def _per_brane(args, kind: str, row) -> int:
     """Emit ``row(w, x, floor)`` with its index for every brane of the
     certificate (or the one ``--brane`` names), at ``--floor`` or the
-    certificate's order, scaled by ``--scale`` when given."""
+    certificate's order, scaled by ``--scale`` when given.  The branes are
+    not checked as ``toric revalidate`` checks them: these commands rank
+    any brane, and ``--scale`` moves branes off the critical locus on
+    purpose."""
     from .critical import read_certificate
     from .fields import floor_str
     from .polytope import point_str

@@ -284,25 +284,70 @@ def _sympy_values(system: System, n: int):
 # Lifting
 
 
-def _complex_leading_jacobian(w: PotentialFunction, strata, values: Sequence[complex]):
+def _degeneracy_failure(w: PotentialFunction, strata, values: Sequence[complex]) -> Optional[str]:
+    """Why the leading Jacobian at ``values`` is too degenerate for Newton
+    to contract, or None: in floats, its determinant must exceed 1e-9 times
+    the product of its row maxima."""
     n = w.dim
-    mat = [[complex(0) for _ in range(n)] for _ in range(n)]
+    jac = [[complex(0) for _ in range(n)] for _ in range(n)]
     for s in strata:
         for i in s.facets:
             t = w.terms[i]
-            mono = complex(1)
-            for k in range(n):
-                mono *= values[k] ** t.exponent[k]
+            mono = math.prod(v ** e for v, e in zip(values, t.exponent))
             for k in range(n):
                 if t.exponent[k]:
-                    mat[s.component][k] += t.exponent[s.component] * t.exponent[k] * mono
-    return mat
+                    jac[s.component][k] += t.exponent[s.component] * t.exponent[k] * mono
+    _, pivots, sign = gauss_jordan(jac, n, lambda z: abs(z) or None, lambda z: 1 / z)
+    det = sign * math.prod(p for _, p in pivots) if len(pivots) == n else 0
+    scale = math.prod(max(max(abs(z) for z in row), 1e-30) for row in jac)
+    if abs(det) <= 1e-9 * max(scale, 1e-30):
+        return "degenerate leading root: the leading-stratum Jacobian is singular"
+    return None
 
 
-def _complex_det(mat) -> complex:
-    n = len(mat)
-    _, pivots, sign = gauss_jordan(mat, n, lambda z: abs(z) or None, lambda z: 1 / z)
-    return sign * math.prod(p for _, p in pivots) if len(pivots) == n else 0
+def _leading_failure(strata, grad: Sequence[NovikovScalar]) -> Optional[str]:
+    """Why the point with gradient ``grad`` does not solve the leading
+    system, or None: each component must lie below its stratum weight."""
+    for s in strata:
+        yj = grad[s.component]
+        if not yj.is_zero() and yj.valuation() >= s.weight:
+            return (
+                f"does not solve the leading system in component {s.component}: "
+                f"residual valuation {yj.valuation()} is not below the stratum weight {s.weight}"
+            )
+    return None
+
+
+def _brane_failure(w: PotentialFunction, strata, x, residual, order) -> Optional[str]:
+    """The first condition under which brane ``x`` fails to certify a
+    critical point of ``w`` above ``residual``, or None.  The lift checks
+    what it returns here, and revalidation every brane it reads.
+
+    Units whose gradient vanishes above a residual at most the order, and
+    whose leading coefficients solve the leading system at a nondegenerate
+    Jacobian, converge under Newton to a true critical point that agrees
+    with x above the residual (K. Conrad, "A multivariable Hensel's lemma").
+    """
+    if any(xj.valuation() != 0 for xj in x):
+        return "coordinates are not units"
+    if residual == NEG_INF:
+        exact = all(xj.is_monomial() for xj in x)  # only these invert exactly
+        if not (exact and all(y.is_exact_zero() for y in w.gradient(x, NEG_INF))):
+            return "claimed exact zero residual but gradient is nonzero"
+    else:
+        grad = w.gradient(x, residual)
+        if not all(y.is_zero() for y in grad):
+            return f"gradient has residual above {floor_str(residual)}"
+        if residual > order:
+            return (
+                f"residual valuation {floor_str(residual)} lies above the order {floor_str(order)}"
+            )
+        w_min = min(s.weight for s in strata)
+        if residual >= w_min:  # read the leading system below every weight
+            grad = w.gradient(x, 2 * w_min)
+        if failure := _leading_failure(strata, grad):
+            return failure
+    return _degeneracy_failure(w, strata, [complex(xj.leading_coefficient()) for xj in x])
 
 
 def _pivot_key(s: NovikovScalar):
@@ -349,14 +394,6 @@ class BraneCertificate:
         }
 
 
-def _residual_norm(grad: Sequence[NovikovScalar]) -> float:
-    total = 0.0
-    for y in grad:
-        for m in y.magnitudes():
-            total += m
-    return total
-
-
 def lift_critical(
     w: PotentialFunction,
     root: LeadingRoot,
@@ -373,36 +410,25 @@ def lift_critical(
     if order == NEG_INF or order >= 0:
         raise ValueError("order must be a negative rational (a q-exponent cutoff)")
     constants = root.constants_for(field)
-    numeric = root.values
-
     strata = w.leading_strata()
 
     # Reject degenerate leading roots up front: the leading Jacobian must be
     # invertible for Newton contraction.
-    jac = _complex_leading_jacobian(w, strata, numeric)
-    scale = 1.0
-    for row in jac:
-        scale *= max(max(abs(z) for z in row), 1e-30)
-    if abs(_complex_det(jac)) <= 1e-9 * max(scale, 1e-30):
-        raise ValueError(
-            "degenerate leading root: the leading-stratum Jacobian is singular"
-        )
+    if failure := _degeneracy_failure(w, strata, root.values):
+        raise ValueError(failure)
 
     x = brane_from_constants(field, constants)
 
     # Exact short-circuit: a root that solves the full gradient identically.
-    if field.exact:
-        grad = w.gradient(x, NEG_INF)
-        if all(y.is_exact_zero() for y in grad):
-            charge = w.evaluate(x, NEG_INF)
-            return BraneCertificate(
-                x=x,
-                order=order,
-                residual_valuation=NEG_INF,
-                residual_norm=0.0,
-                central_charge=charge,
-                iterations=0,
-            )
+    if field.exact and _brane_failure(w, strata, x, NEG_INF, order) is None:
+        return BraneCertificate(
+            x=x,
+            order=order,
+            residual_valuation=NEG_INF,
+            residual_norm=0.0,
+            central_charge=w.evaluate(x, NEG_INF),
+            iterations=0,
+        )
 
     w_lead = min(s.weight for s in strata)
     # Work strictly below the target: corrections of size below order + w_lead
@@ -415,14 +441,8 @@ def lift_critical(
     x = [xj.with_floor(floor_work) for xj in x]
 
     grad = w.gradient(x, floor_work)
-    for s in strata:
-        yj = grad[s.component]
-        if not yj.is_zero() and yj.valuation() >= s.weight:
-            raise ValueError(
-                f"initial point does not solve the leading system in component "
-                f"{s.component}: residual valuation {yj.valuation()} is not "
-                f"below the stratum weight {s.weight}"
-            )
+    if failure := _leading_failure(strata, grad):
+        raise ValueError(f"initial point {failure}")
 
     iterations = 0
     last_res = None
@@ -453,22 +473,14 @@ def lift_critical(
     # Re-anchor at the certified order and verify the claim independently of
     # the iteration bookkeeping.
     x_final = [xj.with_floor(order) for xj in x]
-    for xj in x_final:
-        if xj.valuation() != 0:
-            raise ValueError("lifted brane coordinate lost unit valuation")
-    grad_final = w.gradient(x_final, order)
-    bad = [j for j, y in enumerate(grad_final) if not y.is_zero()]
-    if bad:
-        raise ValueError(
-            f"lift verification failed: residual above order {order} in components {bad}"
-        )
-    charge = w.evaluate(x_final, order)
+    if failure := _brane_failure(w, strata, x_final, order, order):
+        raise ValueError(f"lift verification failed: {failure}")
     return BraneCertificate(
         x=x_final,
         order=order,
         residual_valuation=order,
-        residual_norm=_residual_norm(grad_final),
-        central_charge=charge,
+        residual_norm=0.0,
+        central_charge=w.evaluate(x_final, order),
         iterations=iterations,
     )
 
@@ -639,8 +651,10 @@ def revalidate_certificate(doc: dict, where: str = "certificate") -> dict:
 
     Re-parses the polytope, fiber and branes (``read_certificate``; a
     malformed certificate raises its ``SchemaError``), revalidates the
-    polytope, and re-evaluates the potential gradient at every brane at the
-    stated order.  Returns {"ok": bool, "checks": [...], "failures": [...]}.
+    polytope, checks each brane as the lift checks what it returns
+    (``_brane_failure``), so that a passing brane proves a critical point of
+    the potential, and re-evaluates its central charge at its residual.
+    Returns {"ok": bool, "checks": [...], "failures": [...]}.
     """
     checks: List[str] = []
     failures: List[str] = []
@@ -660,6 +674,7 @@ def revalidate_certificate(doc: dict, where: str = "certificate") -> dict:
     try:
         w = potential(p, fiber)
         checks.append("fiber is interior")
+        strata = w.leading_strata()
     except ValueError as exc:
         fail(str(exc))
         return {"ok": False, "checks": checks, "failures": failures}
@@ -667,27 +682,12 @@ def revalidate_certificate(doc: dict, where: str = "certificate") -> dict:
     if not branes:
         fail("certificate carries no branes")
     for idx, (x, claimed, stated_charge) in enumerate(branes):
-        if any(xj.valuation() != 0 for xj in x):
-            fail(f"brane {idx}: coordinates are not units")
+        if failure := _brane_failure(w, strata, x, claimed, order):
+            fail(f"brane {idx}: {failure}")
             continue
-        if claimed == NEG_INF:
-            grad = w.gradient(x, NEG_INF)
-            if all(y.is_exact_zero() for y in grad):
-                checks.append(f"brane {idx}: gradient vanishes exactly")
-            else:
-                fail(f"brane {idx}: claimed exact zero residual but gradient is nonzero")
-                continue
-        else:
-            grad = w.gradient(x, claimed)
-            if all(y.is_zero() for y in grad):
-                checks.append(
-                    f"brane {idx}: gradient vanishes above order {floor_str(claimed)}"
-                )
-            else:
-                fail(f"brane {idx}: gradient has residual above {floor_str(claimed)}")
-                continue
-        fresh = w.evaluate(x, claimed)
-        if fresh.isclose(stated_charge):
+        above = "exactly" if claimed == NEG_INF else f"above order {floor_str(claimed)}"
+        checks.append(f"brane {idx}: gradient vanishes {above}")
+        if w.evaluate(x, claimed).isclose(stated_charge):
             checks.append(f"brane {idx}: central charge matches")
         else:
             fail(f"brane {idx}: stated central charge does not match re-evaluation")

@@ -185,6 +185,8 @@ class GaussianRational:
     def to_complex(self) -> complex:
         return complex(float(self.re), float(self.im))
 
+    __complex__ = to_complex
+
 
 def _gaussian(re: Fraction, im: Fraction) -> GaussianRational:
     # Arithmetic on Fraction parts already yields Fractions; skip the

@@ -7,8 +7,9 @@ Certifies the trapezoid {x >= 0, 0 <= y <= 1, x + y <= 2} at the fiber
 3/4,1/2 (order -2) in gaussian and complex mode and runs ``qmap
 rank|unit|charge`` on both certificates, on the certified branes and
 scaled off them; runs ``toric revalidate`` on those two, on a rational
-CP^1 x CP^1 certificate at 1/2,1/2 and on tampered copies, one for each
-way revalidation can fail; runs ``qstate homogenize|check|heavy|product`` on
+CP^1 x CP^1 certificate at 1/2,1/2, on tampered copies, one for each
+way revalidation can fail, and on two forgeries whose branes sit at no
+critical point; runs ``qstate homogenize|check|heavy|product`` on
 rational and float documents that exercise every relation type, passing
 and failing; and runs ``selftest`` at seeds 0 to 3 and once with
 ``--mutate``.  Each run goes through ``novspec.cli.main`` in process, and
@@ -193,6 +194,7 @@ CERTIFY = {
     "cert_complex.json": (TRAPEZOID, "3/4,1/2", "-2", "complex"),
     "cert_rational.json": (SQUARE, "1/2,1/2", "-2", "rational"),
     "cert_segment.json": (SEGMENT, "1/2", "-4", "rational"),
+    "cert_tenth.json": (TRAPEZOID, "3/4,1/2", "-1/10", "gaussian"),
 }
 
 ONE_PLUS_INVERSE_Q = {"floor": "-inf", "terms": [{"c": "1", "exp": "0"}, {"c": "1", "exp": "-1"}]}
@@ -228,6 +230,17 @@ TAMPERED = {
         (["branes", 0, "x", 0], ONE_PLUS_INVERSE_Q),
         (["branes", 0, "residual_valuation"], "-2"),
     ]),
+    "segment_two_term_exact_x.json": ("cert_segment.json", [
+        (["branes", 0, "x", 0], ONE_PLUS_INVERSE_Q),
+    ]),
+}
+
+# name -> (certificate, residual): every brane moved to the constant 7 and
+# its central charge recomputed at the residual, which lies above the order
+# in the first and above both stratum weights (-3/4, -1/2) in the second
+FORGED = {
+    "forged_above_order.json": ("cert_gaussian.json", "100"),
+    "forged_above_weights.json": ("cert_tenth.json", "-1/10"),
 }
 
 QSTATE_DOCUMENTS = {
@@ -268,7 +281,8 @@ ARGVS = (
     + [["selftest", "--seed", str(seed)] for seed in range(4)]
     + [["selftest", "--seed", "1", "--mutate"]]
     + [["toric", "revalidate", name]
-       for name in ("cert_gaussian.json", "cert_complex.json", "cert_rational.json", *TAMPERED)]
+       for name in ("cert_gaussian.json", "cert_complex.json", "cert_rational.json",
+                    *TAMPERED, *FORGED)]
 )
 
 
@@ -294,6 +308,22 @@ def _certificate(workdir: Path, polytope: dict, fiber: str, order: str, mode: st
     return json.loads(cert.read_text(encoding="utf-8"))
 
 
+def _forge(cert: dict, residual: str) -> dict:
+    from novspec.critical import read_certificate
+    from novspec.fields import parse_floor
+    from novspec.novikov import NovikovScalar
+    from novspec.potential import potential
+
+    field, p, fiber, _, _ = read_certificate(cert)
+    x = [NovikovScalar.monomial(field, field.coerce(7), 0)] * p.dim
+    brane = {
+        "x": [xj.to_json() for xj in x],
+        "residual_valuation": residual,
+        "central_charge": potential(p, fiber).evaluate(x, parse_floor(residual)).to_json(),
+    }
+    return {**cert, "branes": [{**b, **brane} for b in cert["branes"]]}
+
+
 def _tamper(doc: dict, edits: list) -> dict:
     doc = copy.deepcopy(doc)
     for path, value in edits:
@@ -314,6 +344,9 @@ def main() -> int:
         documents["cert_rational.json"] = certs["cert_rational.json"]
         documents.update(
             (name, _tamper(certs[base], edits)) for name, (base, edits) in TAMPERED.items()
+        )
+        documents.update(
+            (name, _forge(certs[base], residual)) for name, (base, residual) in FORGED.items()
         )
         for name, doc in documents.items():
             (work / name).write_text(json.dumps(doc), encoding="utf-8")

@@ -751,6 +751,18 @@ class TestToricCommands:
         assert code == 1 and not rep["ok"]
         assert any("central charge" in f for f in rep["failures"])
 
+    @pytest.mark.parametrize("residual", ["-inf", "-2"])
+    def test_revalidate_two_term_exact_x_reports(self, tmp_path, cert_path, capsys, residual):
+        # x = 1 + q^-1 has no exact inverse; an exact residual claim used to
+        # end in that inversion error with no report
+        doc = json.loads(open(cert_path, encoding="utf-8").read())
+        terms = [{"c": "1", "exp": "0"}, {"c": "1", "exp": "-1"}]
+        doc["branes"][0].update(x=[{"floor": "-inf", "terms": terms}], residual_valuation=residual)
+        bad = write(tmp_path, "two_term.json", doc)
+        code, rep = run_json(tmp_path, ["toric", "revalidate", bad])
+        assert code == 1 and not rep["ok"] and capsys.readouterr().err == ""
+        assert [f.split(": ")[0] for f in rep["failures"]] == ["brane 0"]
+
     def test_revalidate_wrong_kind_exits_1(self, tmp_path):
         path = write(tmp_path, "odd.json", {"kind": "potential"})
         code, rep = run_json(tmp_path, ["toric", "revalidate", path])

@@ -10,15 +10,16 @@ import types
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from novspec.fields import NEG_INF, GaussianRational, field_for_mode
+from novspec.fields import NEG_INF, GaussianRational, field_for_mode, parse_floor
 from novspec.cli import main
 from novspec.novikov import NovikovScalar
 from novspec.critical import (
     LeadingRoot,
     _binomial_values,
+    _brane_failure,
     _leading_roots,
     _solve_linear,
     _sympy_values,
@@ -615,6 +616,120 @@ class TestCertificates:
         doc = cert.to_json()
         assert doc["schema_version"] == "1"
         assert doc["theorem"] == "critical-fiber-heaviness"
+
+
+TRAP_W = potential(TRAP, (Fraction(3, 4), Fraction(1, 2)))
+SEVEN = [mono(QI, 7, 0)] * 2  # solves no leading system of the trapezoid
+
+
+def trap_failure(x, residual, order):
+    return _brane_failure(
+        TRAP_W, TRAP_W.leading_strata(), x, parse_floor(residual), parse_floor(order)
+    )
+
+
+class TestBraneCheck:
+    # One test per condition of the check that decides, for the lift and
+    # for revalidation alike, whether a brane certifies a critical point.
+    def test_lifted_branes_pass(self):
+        for order in ("-1/10", "-2"):
+            for brane in trap_cert(order).branes:
+                assert trap_failure(brane.x, brane.residual_valuation, order) is None
+
+    def test_non_units(self):
+        assert trap_failure([mono(QI, 1, -1), mono(QI, 1, 0)], "-2", "-2") == (
+            "coordinates are not units"
+        )
+
+    def test_exact_residual_needs_an_exact_zero_gradient(self):
+        assert trap_failure(SEVEN, "-inf", "-2") == (
+            "claimed exact zero residual but gradient is nonzero"
+        )
+
+    def test_exact_residual_at_a_two_term_exact_coordinate(self):
+        # 1 + q^-1 has no exact inverse, hence no exact gradient: this fails
+        # where it used to raise from the inversion
+        w = potential(CP1, "1/2")
+        x = [mono(QQ, 1, 0) + mono(QQ, 1, -1)]
+        assert _brane_failure(w, w.leading_strata(), x, NEG_INF, Fraction(-4)) == (
+            "claimed exact zero residual but gradient is nonzero"
+        )
+
+    def test_gradient_above_the_residual(self):
+        assert trap_failure(SEVEN, "-2", "-2") == "gradient has residual above -2"
+
+    def test_residual_above_the_order(self):
+        assert trap_failure(SEVEN, "100", "-2") == (
+            "residual valuation 100 lies above the order -2"
+        )
+
+    def test_leading_system(self):
+        # -1/10 lies above both stratum weights (-3/4, -1/2), so the gradient
+        # of the constant 7 vanishes above it; its leading coefficients still
+        # solve no leading system
+        assert trap_failure(SEVEN, "-1/10", "-1/10") == (
+            "does not solve the leading system in component 0: residual "
+            "valuation -3/4 is not below the stratum weight -3/4"
+        )
+
+    def test_degenerate_leading_jacobian(self):
+        # Not a Delzant polytope: five facets of weight -1/2 at 1/2 make the
+        # gradient 3x - 1/x + 2x^2 and its log-derivative 3x + 1/x + 4x^2,
+        # and both vanish at x = -1.
+        p = MomentPolytope(1, [Facet((1,), Fraction(0))] * 3 + [
+            Facet((-1,), Fraction(-1)), Facet((2,), Fraction(1, 2)),
+        ])
+        w = potential(p, "1/2")
+        degenerate = "degenerate leading root: the leading-stratum Jacobian is singular"
+        assert _brane_failure(w, w.leading_strata(), [mono(QQ, -1, 0)], NEG_INF, -2) == degenerate
+        root = LeadingRoot(values=(-1 + 0j,), exact=(GaussianRational(-1),))
+        with pytest.raises(ValueError, match=degenerate):
+            lift_critical(w, root, Fraction(-2), QQ)
+
+    @pytest.mark.parametrize(
+        "order, residual, failure",
+        [
+            ("-2", "100", "residual valuation 100 lies above the order -2"),
+            ("-1/10", "-1/10", "does not solve the leading system in component 0"),
+        ],
+        ids=["residual-above-order", "residual-above-weights"],
+    )
+    def test_forged_certificate_rejected(self, order, residual, failure):
+        # every brane moved to the constant 7, central charges recomputed
+        doc = trap_cert(order).to_json()
+        charge = TRAP_W.evaluate(SEVEN, parse_floor(residual)).to_json()
+        for brane in doc["branes"]:
+            brane.update(x=[xj.to_json() for xj in SEVEN], residual_valuation=residual,
+                         central_charge=charge)
+        result = revalidate_certificate(json.loads(json.dumps(doc)))
+        assert not result["ok"]
+        assert [f.split(": ", 1)[1].startswith(failure) for f in result["failures"]] == [True] * 4
+
+
+# name -> polytope, fiber, the modes whose coefficients hold its leading roots
+CERTIFIABLE = {
+    "segment": (CP1, "1/2", ("rational", "gaussian", "complex")),
+    "square": (product(CP1, CP1), "1/2,1/2", ("rational", "gaussian", "complex")),
+    "f2": (F2, "1,1/2", ("rational", "gaussian", "complex")),
+    "trapezoid": (TRAP, "3/4,1/2", ("gaussian", "complex")),
+}
+
+
+@pytest.mark.parametrize(
+    "polytope, fiber, mode",
+    [(p, fiber, mode) for p, fiber, modes in CERTIFIABLE.values() for mode in modes],
+    ids=[f"{name}-{mode}" for name, (_, _, modes) in CERTIFIABLE.items() for mode in modes],
+)
+@settings(max_examples=10, deadline=None)
+@given(order=st.fractions(min_value=-3, max_value=Fraction(-1, 10), max_denominator=10))
+@example(order=Fraction(-1, 10))
+@example(order=Fraction(-3))
+def test_certificates_revalidate_at_any_order(polytope, fiber, mode, order):
+    # above and below the stratum weights (-3/4 and -1/2 at the trapezoid)
+    report = certify_heavy(polytope, fiber, order, field_for_mode(mode))
+    assert report.branes
+    result = revalidate_certificate(json.loads(json.dumps(report.to_json())))
+    assert result["ok"], result["failures"]
 
 
 class TestScan:

@@ -21,10 +21,10 @@ The pipeline at a fixed interior fiber is:
    residual is exactly zero and no iteration happens.
 3. ``certify_heavy`` packages the lifted branes of a fiber into a
    ``FiberReport``, serialized as a certificate whose claim is re-checkable
-   from that form alone: the gradient of the re-parsed potential at the
-   re-parsed branes vanishes to the stated order.  Finding no branes is
-   reported as a diagnosis, never as a proof of non-heaviness.  A fiber
-   scan is one report per grid fiber.
+   from that form alone: each re-parsed brane passes the check the lift
+   made, which proves a critical point of the re-parsed potential.  Finding
+   no branes is reported as a diagnosis, never as a proof of
+   non-heaviness.  A fiber scan is one report per grid fiber.
 """
 
 from __future__ import annotations

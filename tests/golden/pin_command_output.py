@@ -210,6 +210,8 @@ TAMPERED = {
     "tampered_non_unit.json": ("cert_rational.json", [
         (["branes", 0, "x", 0, "terms", 0, "exp"], "1"),
     ]),
+    # the floors move down with the claim: the gradient is known no deeper
+    # than the coordinates, so a lower claim alone is never tested
     "tampered_residual.json": ("cert_gaussian.json", [
         (["branes", 0, "residual_valuation"], "-3"),
         (["branes", 0, "x", 0, "floor"], "-3"),

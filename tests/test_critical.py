@@ -631,11 +631,6 @@ def trap_failure(x, residual, order):
 class TestBraneCheck:
     # One test per condition of the check that decides, for the lift and
     # for revalidation alike, whether a brane certifies a critical point.
-    def test_lifted_branes_pass(self):
-        for order in ("-1/10", "-2"):
-            for brane in trap_cert(order).branes:
-                assert trap_failure(brane.x, brane.residual_valuation, order) is None
-
     def test_non_units(self):
         assert trap_failure([mono(QI, 1, -1), mono(QI, 1, 0)], "-2", "-2") == (
             "coordinates are not units"

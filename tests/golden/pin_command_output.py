@@ -9,7 +9,9 @@ rank|unit|charge`` on both certificates, on the certified branes and
 scaled off them; runs ``toric revalidate`` on those two, on a rational
 CP^1 x CP^1 certificate at 1/2,1/2, on tampered copies, one for each
 way revalidation can fail, and on two forgeries whose branes sit at no
-critical point; runs ``qstate homogenize|check|heavy|product`` on
+critical point; runs ``qmap rank|unit``, on the branes and scaled off
+them, on the CP^1 x CP^1 certificate and a rational certificate of the
+cube [0,1]^3 at 1/2,1/2,1/2; runs ``qstate homogenize|check|heavy|product`` on
 rational and float documents that exercise every relation type, passing
 and failing; and runs ``selftest`` at seeds 0 to 3 and once with
 ``--mutate``.  Each run goes through ``novspec.cli.main`` in process, and
@@ -186,6 +188,11 @@ SQUARE = {
         {"normal": [0, -1], "offset": "-1"},
     ],
 }
+CUBE = {
+    "dim": 3,
+    "facets": [{"normal": [int(i == j) for j in range(3)], "offset": "0"} for i in range(3)]
+    + [{"normal": [-int(i == j) for j in range(3)], "offset": "-1"} for i in range(3)],
+}
 SEGMENT = {"dim": 1, "facets": [{"normal": [1], "offset": "0"}, {"normal": [-1], "offset": "-1"}]}
 
 # name -> (polytope, fiber, order, mode) of a certificate to pin
@@ -195,6 +202,7 @@ CERTIFY = {
     "cert_rational.json": (SQUARE, "1/2,1/2", "-2", "rational"),
     "cert_segment.json": (SEGMENT, "1/2", "-4", "rational"),
     "cert_tenth.json": (TRAPEZOID, "3/4,1/2", "-1/10", "gaussian"),
+    "cert_cube.json": (CUBE, "1/2,1/2,1/2", "-2", "rational"),
 }
 
 ONE_PLUS_INVERSE_Q = {"floor": "-inf", "terms": [{"c": "1", "exp": "0"}, {"c": "1", "exp": "-1"}]}
@@ -285,6 +293,8 @@ ARGVS = (
     + [["toric", "revalidate", name]
        for name in ("cert_gaussian.json", "cert_complex.json", "cert_rational.json",
                     *TAMPERED, *FORGED)]
+    + [["qmap", cmd, cert, *rest] for cert in ("cert_rational.json", "cert_cube.json")
+       for cmd in ("rank", "unit") for rest in ([], ["--scale", "2"])]
 )
 
 
@@ -350,6 +360,7 @@ def main() -> int:
         documents.update(
             (name, _forge(certs[base], residual)) for name, (base, residual) in FORGED.items()
         )
+        documents["cert_cube.json"] = certs["cert_cube.json"]
         for name, doc in documents.items():
             (work / name).write_text(json.dumps(doc), encoding="utf-8")
         runs = []

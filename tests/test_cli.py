@@ -1115,7 +1115,8 @@ class TestSelftest:
         assert doc["mutation"]["violations"]
 
     def test_command_output_corpus_replays_byte_identical(self, tmp_path, capsys):
-        # qmap on gaussian and complex trapezoid certificates, toric
+        # qmap on gaussian and complex trapezoid certificates and on rational
+        # CP^1 x CP^1 and cube certificates, toric
         # revalidate on honest certificates in every mode and on tampered
         # copies, qstate on rational and float documents of every relation
         # type, and selftest at seeds 0-3, recorded by

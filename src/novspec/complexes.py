@@ -59,14 +59,6 @@ class PeriodLattice:
             g = rational_gcd(g, p)
         return g
 
-    def contains(self, value) -> bool:
-        value = Fraction(value)
-        g = self.group_generator()
-        if g == 0:
-            return value == 0
-        ratio = value / g
-        return ratio.denominator == 1
-
     def solve(self, value) -> Optional[Tuple[int, ...]]:
         """Integer vector n with omega(n) == value, or None."""
         value = Fraction(value)

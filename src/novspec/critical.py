@@ -323,10 +323,11 @@ def _brane_failure(w: PotentialFunction, strata, x, residual, order) -> Optional
     critical point of ``w`` above ``residual``, or None.  The lift checks
     what it returns here, and revalidation every brane it reads.
 
-    Units whose gradient vanishes above a residual at most the order, and
-    whose leading coefficients solve the leading system at a nondegenerate
-    Jacobian, converge under Newton to a true critical point that agrees
-    with x above the residual (K. Conrad, "A multivariable Hensel's lemma").
+    Units whose gradient is known down to a residual at most the order and
+    vanishes above it, and whose leading coefficients solve the leading
+    system at a nondegenerate Jacobian, converge under Newton to a true
+    critical point that agrees with x above the residual (K. Conrad, "A
+    multivariable Hensel's lemma").
     """
     if any(xj.valuation() != 0 for xj in x):
         return "coordinates are not units"
@@ -341,6 +342,12 @@ def _brane_failure(w: PotentialFunction, strata, x, residual, order) -> Optional
         if residual > order:
             return (
                 f"residual valuation {floor_str(residual)} lies above the order {floor_str(order)}"
+            )
+        known = max(y.floor for y in grad)
+        if known > residual:
+            return (
+                f"gradient is known only above {floor_str(known)}, "
+                f"not down to the residual {floor_str(residual)}"
             )
         w_min = min(s.weight for s in strata)
         if residual >= w_min:  # read the leading system below every weight
@@ -394,6 +401,15 @@ class BraneCertificate:
         }
 
 
+def parse_order(value) -> Fraction:
+    """A truncation order (a q-exponent cutoff) of a lift or a certificate;
+    raises ValueError unless it is a negative rational."""
+    order = parse_floor(value)
+    if order == NEG_INF or order >= 0:
+        raise ValueError("order must be a negative rational (a q-exponent cutoff)")
+    return order
+
+
 def lift_critical(
     w: PotentialFunction,
     root: LeadingRoot,
@@ -406,9 +422,7 @@ def lift_critical(
     root that kills the gradient identically, the residual is exactly zero
     (valuation -inf) and the brane is exact with no truncation floor.
     """
-    order = parse_floor(order)
-    if order == NEG_INF or order >= 0:
-        raise ValueError("order must be a negative rational (a q-exponent cutoff)")
+    order = parse_order(order)
     constants = root.constants_for(field)
     strata = w.leading_strata()
 
@@ -622,7 +636,7 @@ def read_certificate(doc: dict, where: str = "certificate"):
     fiber = _parse(lambda: parse_fiber(doc["fiber"]), f"{where}: 'fiber'")
     if len(fiber) != p.dim:
         raise SchemaError(f"{where}: 'fiber' needs one coordinate per dimension ({p.dim})")
-    order = _parse(lambda: parse_floor(doc["order"]), f"{where}: 'order'")
+    order = _parse(lambda: parse_order(doc["order"]), f"{where}: 'order'")
     branes = []
     for idx, brane in enumerate(doc["branes"]):
         at = f"{where}: brane {idx}"

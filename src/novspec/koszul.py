@@ -10,10 +10,9 @@ Contraction squares to zero for any y, the generator e_ (empty set, the
 analog of the unique maximum point of the torus) is always closed and
 represents the unit class, and homology obeys a dichotomy over the Novikov
 field: rank 2^n when every y_j vanishes to the working floor, rank 0 as
-soon as some y_j is nonzero (any nonzero scalar is invertible).  The rank
-is nevertheless computed honestly, by exporting the complex in the filtered
-format and running the general homology engine; the dichotomy is asserted
-against it.
+soon as some y_j is nonzero (any nonzero scalar is invertible).  The model
+is built once as a filtered complex and its rank is computed honestly by
+the general homology engine; the dichotomy is asserted against it.
 
 This is an algebraic model: the differential here replaces holomorphic-disk
 counts, and rank statements are claims about this model only.
@@ -22,9 +21,9 @@ counts, and rank statements are claims about this model only.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Dict, Sequence
+from typing import Sequence
 
-from .complexes import Chain, FilteredComplex, OrbitGenerator, PeriodLattice
+from .complexes import FilteredComplex, OrbitGenerator, PeriodLattice
 from .fields import NEG_INF, CoefficientField, floor_str
 from .novikov import NovikovScalar
 from .potential import PotentialFunction
@@ -38,131 +37,84 @@ def _subset_name(mask: int) -> str:
     return "e_" + "_".join(parts)
 
 
-class QuasimapComplex:
-    """Exterior algebra on n generators with contraction differential."""
-
-    def __init__(
-        self,
-        field: CoefficientField,
-        y: Sequence[NovikovScalar],
-        floor=NEG_INF,
-    ) -> None:
-        self.field = field
-        self.n = len(y)
-        self.floor = floor
-        self.y = [yj.truncate(floor) for yj in y]
-        self.names = [_subset_name(mask) for mask in range(1 << self.n)]
-
-    def m1(self, chain: Chain) -> Chain:
-        """Contraction differential on a chain keyed by subset names."""
-        name_to_mask = {name: mask for mask, name in enumerate(self.names)}
-        out: Dict[str, NovikovScalar] = {}
-        for name, coeff in chain.items():
-            mask = name_to_mask[name]
-            position = 0
-            for j in range(self.n):
-                if not mask >> j & 1:
-                    continue
-                position += 1
-                if self.y[j].is_zero():
-                    continue
-                entry = self.y[j] if position % 2 else -self.y[j]
-                target = self.names[mask & ~(1 << j)]
-                term = coeff * entry
-                if target in out:
-                    term = out[target] + term
-                if term.is_zero():
-                    out.pop(target, None)
-                else:
-                    out[target] = term
-        return out
-
-    def export_complex(self) -> FilteredComplex:
-        """The same data in the general filtered format: every generator has
-        action 0 and degree |S|, and periods are the exponents of y."""
-        periods = []
-        for yj in self.y:
-            for e, _, _ in yj.rows:
-                exp = Fraction(e, yj.grid)
-                if exp != 0 and exp not in periods:
-                    periods.append(exp)
-        lattice = PeriodLattice(tuple(sorted(periods)))
-        gens = [
-            OrbitGenerator(self.names[mask], Fraction(0), bin(mask).count("1"))
-            for mask in range(1 << self.n)
-        ]
-        differential = {}
-        for mask in range(1 << self.n):
-            src = self.names[mask]
-            column = self.m1({src: NovikovScalar.one(self.field)})
-            for dst, coeff in column.items():
-                differential[(src, dst)] = coeff
-        return FilteredComplex(self.field, lattice, gens, differential, self.floor)
-
-    def to_json(self) -> dict:
-        return {
-            "n": self.n,
-            "floor": floor_str(self.floor),
-            "field": self.field.to_json(),
-            "y": [yj.to_json() for yj in self.y],
-        }
+def koszul_complex(
+    field: CoefficientField, y: Sequence[NovikovScalar], floor=NEG_INF
+) -> FilteredComplex:
+    """Contraction by y as a filtered complex: e_S has action 0 and degree
+    |S|, and the periods are the exponents of y truncated at the floor."""
+    y = [yj.truncate(floor) for yj in y]
+    periods = {Fraction(e, yj.grid) for yj in y for e, _, _ in yj.rows} - {0}
+    names = [_subset_name(mask) for mask in range(1 << len(y))]
+    gens = [
+        OrbitGenerator(name, Fraction(0), bin(mask).count("1"))
+        for mask, name in enumerate(names)
+    ]
+    differential = {}
+    for mask, name in enumerate(names):
+        position = 0
+        for j, yj in enumerate(y):
+            if not mask >> j & 1:
+                continue
+            position += 1
+            if not yj.is_zero():
+                differential[(name, names[mask & ~(1 << j)])] = yj if position % 2 else -yj
+    lattice = PeriodLattice(tuple(sorted(periods)))
+    return FilteredComplex(field, lattice, gens, differential, floor)
 
 
 def build_cqf(
     w: PotentialFunction,
     x: Sequence[NovikovScalar],
     floor,
-) -> QuasimapComplex:
+) -> FilteredComplex:
     """Quasimap complex of the brane x at the potential's fiber.
 
     y_j = x_j dW/dx_j evaluated at x; unit coordinates required.
     """
-    field = x[0].field
-    y = w.gradient(x, floor)
-    return QuasimapComplex(field, y, floor)
+    return koszul_complex(x[0].field, w.gradient(x, floor), floor)
 
 
-def hqf_report(c: QuasimapComplex) -> dict:
+def hqf_report(cx: FilteredComplex) -> dict:
     """Homology rank plus the leading data of the gradient ideal.
 
-    The rank is computed by the general homology engine on the exported
-    filtered complex and cross-checked against the Koszul dichotomy:
-    2^n when all y_j vanish to the floor, 0 otherwise.
+    The rank is computed by the general homology engine and cross-checked
+    against the Koszul dichotomy: 2^n when all y_j vanish to the floor, 0
+    otherwise.  y_j is read back as the coefficient of e in d(e_j).
     """
-    exported = c.export_complex()
-    ranks = homology_rank(exported)
+    n = len(cx.generators).bit_length() - 1
+    zero = NovikovScalar.zero(cx.field)
+    y = [cx.column(_subset_name(1 << j)).get("e", zero) for j in range(n)]
+    ranks = homology_rank(cx)
     total = sum(ranks.values())
-    expected = (1 << c.n) if all(yj.is_zero() for yj in c.y) else 0
+    expected = (1 << n) if all(yj.is_zero() for yj in y) else 0
     if total != expected:
         raise AssertionError(
             f"Koszul dichotomy violated: computed rank {total}, expected {expected}"
         )
     ideal = []
-    for j, yj in enumerate(c.y):
+    for j, yj in enumerate(y):
         leading = None
         if yj.rows:
             _, re, im = yj.rows[0]
-            leading = c.field.parts_to_json(re, im, yj.den)
+            leading = cx.field.parts_to_json(re, im, yj.den)
         ideal.append({"component": j, "valuation": floor_str(yj.valuation()), "leading": leading})
     return {
         "rank": total,
         "ranks_by_degree": {str(k): v for k, v in sorted(ranks.items())},
         "ideal": ideal,
-        "floor": floor_str(c.floor),
+        "floor": floor_str(cx.floor),
     }
 
 
-def hqf_rank(c: QuasimapComplex) -> int:
-    return hqf_report(c)["rank"]
+def hqf_rank(cx: FilteredComplex) -> int:
+    return hqf_report(cx)["rank"]
 
 
-def unit_in_homology(c: QuasimapComplex) -> bool:
+def unit_in_homology(cx: FilteredComplex) -> bool:
     """Whether the unit class is nonzero in homology, decided by an image
-    membership test in the exported complex."""
-    exported = c.export_complex()
-    ech = echelon_from_columns(exported)
-    unit_vec = {exported.index["e"]: NovikovScalar.one(c.field)}
-    return bool(ech.reduce(unit_vec))
+    membership test."""
+    unit_vec = {cx.index["e"]: NovikovScalar.one(cx.field)}
+    return bool(echelon_from_columns(cx).reduce(unit_vec))
 
 
 def central_charge(w: PotentialFunction, x: Sequence[NovikovScalar], floor=NEG_INF) -> NovikovScalar:

@@ -170,14 +170,14 @@ def _toric_suite(seed: int) -> dict:
             w = potential(p1, cert.fiber)
             two = rat.coerce(Fraction(2))
             for idx, brane in enumerate(cert.branes):
-                rank = hqf_rank(build_cqf(w, brane.x, cert.order))
+                c = build_cqf(w, brane.x, cert.order)
+                rank = hqf_rank(c)
                 if rank != 2:
                     failures.append(f"interval brane {idx}: quasimap rank {rank} != 2")
                 doubled = [xj.scale(two) for xj in brane.x]
                 rank0 = hqf_rank(build_cqf(w, doubled, cert.order))
                 if rank0 != 0:
                     failures.append(f"interval brane {idx} doubled: rank {rank0} != 0")
-                c = build_cqf(w, brane.x, cert.order)
                 if not unit_in_homology(c):
                     failures.append(f"interval brane {idx}: unit class died")
 

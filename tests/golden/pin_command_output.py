@@ -8,16 +8,18 @@ Certifies the trapezoid {x >= 0, 0 <= y <= 1, x + y <= 2} at the fiber
 rank|unit|charge`` on both certificates, on the certified branes and
 scaled off them; runs ``toric revalidate`` on those two, on a rational
 CP^1 x CP^1 certificate at 1/2,1/2, on tampered copies, one for each
-way revalidation can fail, and on two forgeries whose branes sit at no
-critical point; runs ``qmap rank|unit``, on the branes and scaled off
-them, on the CP^1 x CP^1 certificate and a rational certificate of the
-cube [0,1]^3 at 1/2,1/2,1/2; runs ``qstate homogenize|check|heavy|product`` on
-rational and float documents that exercise every relation type, passing
-and failing; and runs ``selftest`` at seeds 0 to 3 and once with
-``--mutate``.  Each run goes through ``novspec.cli.main`` in process, and
-the documents, the argv, the exit code and the sha256 of stdout go to
-``command_output.json``.  ``tests/test_cli.py`` replays the file from the
-stored documents, so the replay does not depend on ``toric certify``.
+way revalidation can fail, on two forgeries whose branes sit at no
+critical point and on two certificates claiming a residual below what
+their coordinates determine; runs ``qmap rank|unit``, on the branes and
+scaled off them, on the CP^1 x CP^1 certificate and on a rational
+certificate of the cube [0,1]^3 at 1/2,1/2,1/2; runs ``qstate
+homogenize|check|heavy|product`` on rational and float documents that
+exercise every relation type, passing and failing; and runs
+``selftest`` at seeds 0 to 3 and once with ``--mutate``.  Each run goes
+through ``novspec.cli.main`` in process, and the documents, the argv,
+the exit code and the sha256 of stdout go to ``command_output.json``.
+``tests/test_cli.py`` replays the file from the stored documents, so the
+replay does not depend on ``toric certify``.
 Re-pin only when an output change is intended, and name the change in
 CHANGES.md.
 """
@@ -252,6 +254,12 @@ FORGED = {
     "forged_above_order.json": ("cert_gaussian.json", "100"),
     "forged_above_weights.json": ("cert_tenth.json", "-1/10"),
 }
+# the same without moving the branes: each claims residual -3 at order -2,
+# below the -5/2 down to which its coordinates determine the gradient
+DEEP_CLAIMS = {
+    "deep_claim_gaussian.json": ("cert_gaussian.json", "-3"),
+    "deep_claim_complex.json": ("cert_complex.json", "-3"),
+}
 
 QSTATE_DOCUMENTS = {
     "oracle.json": ORACLE,
@@ -295,6 +303,7 @@ ARGVS = (
                     *TAMPERED, *FORGED)]
     + [["qmap", cmd, cert, *rest] for cert in ("cert_rational.json", "cert_cube.json")
        for cmd in ("rank", "unit") for rest in ([], ["--scale", "2"])]
+    + [["toric", "revalidate", name] for name in DEEP_CLAIMS]
 )
 
 
@@ -320,20 +329,27 @@ def _certificate(workdir: Path, polytope: dict, fiber: str, order: str, mode: st
     return json.loads(cert.read_text(encoding="utf-8"))
 
 
-def _forge(cert: dict, residual: str) -> dict:
+def _forge(cert: dict, residual: str, move: bool = True) -> dict:
+    """Every brane claiming ``residual``, with its central charge recomputed
+    there; moved first to the constant 7 when ``move``."""
     from novspec.critical import read_certificate
     from novspec.fields import parse_floor
     from novspec.novikov import NovikovScalar
     from novspec.potential import potential
 
-    field, p, fiber, _, _ = read_certificate(cert)
-    x = [NovikovScalar.monomial(field, field.coerce(7), 0)] * p.dim
-    brane = {
-        "x": [xj.to_json() for xj in x],
-        "residual_valuation": residual,
-        "central_charge": potential(p, fiber).evaluate(x, parse_floor(residual)).to_json(),
-    }
-    return {**cert, "branes": [{**b, **brane} for b in cert["branes"]]}
+    field, p, fiber, _, parsed = read_certificate(cert)
+    w = potential(p, fiber)
+    branes = []
+    for b, (x, _, _) in zip(cert["branes"], parsed):
+        if move:
+            x = [NovikovScalar.monomial(field, field.coerce(7), 0)] * p.dim
+        branes.append({
+            **b,
+            "x": [xj.to_json() for xj in x],
+            "residual_valuation": residual,
+            "central_charge": w.evaluate(x, parse_floor(residual)).to_json(),
+        })
+    return {**cert, "branes": branes}
 
 
 def _tamper(doc: dict, edits: list) -> dict:
@@ -361,6 +377,10 @@ def main() -> int:
             (name, _forge(certs[base], residual)) for name, (base, residual) in FORGED.items()
         )
         documents["cert_cube.json"] = certs["cert_cube.json"]
+        documents.update(
+            (name, _forge(certs[base], residual, move=False))
+            for name, (base, residual) in DEEP_CLAIMS.items()
+        )
         for name, doc in documents.items():
             (work / name).write_text(json.dumps(doc), encoding="utf-8")
         runs = []

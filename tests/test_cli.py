@@ -329,6 +329,22 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "schema error" in err and message in err and "zero denominator" in err
 
+    @pytest.mark.parametrize("order", ["5", "0", "-inf"])
+    @pytest.mark.parametrize(
+        "command", ["toric revalidate", "qmap rank", "qmap unit", "qmap charge"]
+    )
+    def test_certificate_order_not_negative_is_2(
+        self, tmp_path, cert_path, capsys, order, command
+    ):
+        # the orders toric certify refuses; qmap's floor defaults to the order
+        doc = json.loads(open(cert_path, encoding="utf-8").read())
+        doc["order"] = order
+        path = write(tmp_path, "order.json", doc)
+        assert main([*command.split(), path]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "schema error" in err and "'order'" in err and "negative rational" in err
+
     @pytest.mark.parametrize(
         "edit",
         [

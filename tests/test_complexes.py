@@ -42,12 +42,13 @@ class TestLattice:
         assert lat.group_generator() == Fraction(1, 4)
 
     def test_contains(self):
+        # membership in the period group is solvability of omega(n) == value
         lat = PeriodLattice((Fraction(1, 2), Fraction(3, 4)))
-        assert lat.contains(Fraction(7, 4))
-        assert not lat.contains(Fraction(1, 3))
+        assert lat.solve(Fraction(7, 4)) is not None
+        assert lat.solve(Fraction(1, 3)) is None
         trivial = PeriodLattice(())
-        assert trivial.contains(0)
-        assert not trivial.contains(1)
+        assert trivial.solve(0) is not None
+        assert trivial.solve(1) is None
 
     def test_solve_produces_exact_vector(self):
         lat = PeriodLattice((Fraction(1, 2), Fraction(3, 4)))

@@ -658,6 +658,15 @@ class TestBraneCheck:
             "residual valuation 100 lies above the order -2"
         )
 
+    def test_gradient_known_down_to_the_residual(self):
+        # x known above -2 gives a gradient known only above -5/2, so the
+        # gradient vanishes above -3 only because nothing below -5/2 is known
+        x = [xj.truncate(Fraction(-2)) for xj in trap_cert().branes[0].x]
+        assert trap_failure(x, "-2", "-2") is None
+        assert trap_failure(x, "-3", "-2") == (
+            "gradient is known only above -5/2, not down to the residual -3"
+        )
+
     def test_leading_system(self):
         # -1/10 lies above both stratum weights (-3/4, -1/2), so the gradient
         # of the constant 7 vanishes above it; its leading coefficients still
@@ -699,6 +708,21 @@ class TestBraneCheck:
         result = revalidate_certificate(json.loads(json.dumps(doc)))
         assert not result["ok"]
         assert [f.split(": ", 1)[1].startswith(failure) for f in result["failures"]] == [True] * 4
+
+    @pytest.mark.parametrize("field", [QI, CC], ids=["gaussian", "complex"])
+    def test_residual_below_the_coordinates_rejected(self, field):
+        # an order -2 certificate claiming residual -3, charges recomputed
+        report = certify_heavy(TRAP, "3/4,1/2", "-2", field)
+        doc = report.to_json()
+        for brane, lifted in zip(doc["branes"], report.branes):
+            charge = TRAP_W.evaluate(lifted.x, Fraction(-3)).to_json()
+            brane.update(residual_valuation="-3", central_charge=charge)
+        result = revalidate_certificate(json.loads(json.dumps(doc)))
+        assert result["failures"] == [
+            f"brane {idx}: gradient is known only above -5/2, not down to the residual -3"
+            for idx in range(len(report.branes))
+        ]
+
 
 
 # name -> polytope, fiber, the modes whose coefficients hold its leading roots

@@ -10,8 +10,9 @@ revalidation both count as success), 1 when a mathematical validation
 fails (invalid complex or polytope, off-interior fiber, degenerate
 lift, axiom violation), 2 on I/O, JSON, or schema errors and on bad
 arguments: a bad ``--fiber`` (one of the wrong dimension included),
-``--floor``, ``--scale``, ``--volume``, ``--order``, ``--grid`` or
-``--eps`` value among them.
+``--brane`` (one out of the certificate's range included), ``--floor``,
+``--scale``, ``--volume``, ``--order``, ``--grid`` or ``--eps`` value
+among them.
 
 Every command is described once, in ``_COMMANDS``, and parsed on one of
 two paths.  A command line that starts with a group and one of its
@@ -182,22 +183,17 @@ def cmd_toric_validate(args) -> int:
     return 0 if rep.ok else 1
 
 
-def _fiber_polytope(args):
-    """The polytope of ``args.input``, whose dimension ``--fiber`` must have."""
+def _validated_potential(args):
+    """The disk potential at ``--fiber`` of the polytope of ``args.input``,
+    which must validate and have the dimension of ``--fiber``."""
+    from .polytope import validated
+    from .potential import potential
+
     p = _load_polytope(args.input)
     if len(args.fiber) != p.dim:
         raise _OptionError(
             f"argument --fiber: point has dimension {len(args.fiber)}, polytope has {p.dim}"
         )
-    return p
-
-
-def _validated_potential(args):
-    """The disk potential at ``--fiber`` of the polytope, which must validate."""
-    from .polytope import validated
-    from .potential import potential
-
-    p = _fiber_polytope(args)
     validated(p)
     return potential(p, args.fiber)
 
@@ -218,8 +214,7 @@ def cmd_toric_critical(args) -> int:
 def cmd_toric_certify(args) -> int:
     from .critical import certify_heavy
 
-    p = _fiber_polytope(args)
-    result = certify_heavy(p, args.fiber, args.order, _toric_field(args))
+    result = certify_heavy(_validated_potential(args), args.order, _toric_field(args))
     _emit(args, result.to_json())
     return 0
 
@@ -260,7 +255,8 @@ def _per_brane(args, kind: str, row) -> int:
     certificate's order, scaled by ``--scale`` when given.  The branes are
     not checked as ``toric revalidate`` checks them: these commands rank
     any brane, and ``--scale`` moves branes off the critical locus on
-    purpose."""
+    purpose.  But a brane's coordinates must determine its gradient down
+    to the floor, or the row would state coefficients nothing fixes."""
     from .critical import read_certificate
     from .fields import floor_str
     from .polytope import point_str
@@ -278,15 +274,24 @@ def _per_brane(args, kind: str, row) -> int:
     floor = order if args.floor is None else args.floor
     if args.brane is not None:
         if not 0 <= args.brane < len(branes):
-            raise ValueError(
-                f"brane index {args.brane} out of range "
+            raise _OptionError(
+                f"argument --brane: brane index {args.brane} out of range "
                 f"(certificate has {len(branes)} branes)"
             )
         branes = [branes[args.brane]]
     if getattr(args, "scale", None) is not None:
         c = field.coerce(args.scale)
         branes = [(idx, [xj.scale(c) for xj in x]) for idx, x in branes]
-    rows = [{**row(w, x, floor), "index": idx} for idx, x in branes]
+    rows = []
+    for idx, x in branes:
+        # row() meets the monomials of this gradient in the potential's memo
+        known = max(y.floor for y in w.gradient(x, floor))
+        if known > floor:
+            raise ValueError(
+                f"brane {idx}: gradient is known only above {floor_str(known)}, "
+                f"not down to the floor {floor_str(floor)}"
+            )
+        rows.append({**row(w, x, floor), "index": idx})
     payload = {"fiber": point_str(fiber), "floor": floor_str(floor), "branes": rows}
     _emit(args, _document(kind, payload))
     return 0
@@ -311,12 +316,10 @@ def cmd_qmap_unit(args) -> int:
 
 
 def cmd_qmap_charge(args) -> int:
-    from .koszul import central_charge
-
     return _per_brane(
         args,
         "central-charge",
-        lambda w, x, floor: {"charge": central_charge(w, x, floor).to_json()},
+        lambda w, x, floor: {"charge": w.evaluate(x, floor).to_json()},
     )
 
 

@@ -509,8 +509,7 @@ class FiberReport:
     when the fiber carries lifted critical branes, otherwise the diagnosis
     of why none were found."""
 
-    polytope: MomentPolytope
-    fiber: Tuple[Fraction, ...]
+    w: PotentialFunction
     order: object
     field: CoefficientField
     strata: List[ComponentStratum]
@@ -533,8 +532,8 @@ class FiberReport:
         doc = {
             "schema_version": "1",
             "field": self.field.to_json(),
-            "polytope": self.polytope.to_json(),
-            "fiber": point_str(self.fiber),
+            "polytope": self.w.polytope.to_json(),
+            "fiber": point_str(self.w.fiber),
             "order": floor_str(self.order),
         }
         if self.branes:
@@ -559,7 +558,7 @@ class FiberReport:
     def row_json(self) -> dict:
         """This fiber's row of a scan."""
         return {
-            "fiber": point_str(self.fiber),
+            "fiber": point_str(self.w.fiber),
             "status": self.status,
             "branes": len(self.branes),
             "leading_weights": [fraction_str(w) for w in self.leading_weights],
@@ -568,28 +567,18 @@ class FiberReport:
         }
 
 
-def certify_heavy(
-    p: MomentPolytope,
-    fiber,
-    order,
-    field: CoefficientField,
-    check_polytope: bool = True,
-) -> FiberReport:
-    """Certify the toric fiber by exhibiting lifted critical branes.
+def certify_heavy(w: PotentialFunction, order, field: CoefficientField) -> FiberReport:
+    """Certify the fiber of the potential ``w`` by exhibiting lifted
+    critical branes.
 
     Every unit root of the leading system is lifted; with none, the report
-    has no branes and carries the blocking diagnosis.  The polytope must
-    validate and the fiber must be interior.
+    has no branes and carries the blocking diagnosis.  The order must be
+    negative; callers validate the polytope of ``w``.
     """
-    if check_polytope:
-        validated(p)
-    fiber_pt = parse_fiber(fiber)
-    w = potential(p, fiber_pt)
+    order = parse_order(order)
     leading = critical_points_leading(w)
-    order = parse_floor(order)
     return FiberReport(
-        polytope=p,
-        fiber=fiber_pt,
+        w=w,
         order=order,
         field=field,
         strata=leading.strata,
@@ -732,7 +721,7 @@ class ScanReport:
         for r in self.rows:
             diag = "" if not r.diagnosis else r.diagnosis.get("reason", "")
             weights = ";".join(fraction_str(w) for w in r.leading_weights)
-            out.append([point_str(r.fiber), r.status, str(len(r.branes)), weights, diag])
+            out.append([point_str(r.w.fiber), r.status, str(len(r.branes)), weights, diag])
         return out
 
 
@@ -769,9 +758,9 @@ def scan_fibers(
 ) -> ScanReport:
     """Certify every interior grid fiber; deterministic row order."""
     vertices = validated(p).vertices
-    order = parse_floor(order)
+    order = parse_order(order)
     rows = [
-        certify_heavy(p, fiber, order, field, check_polytope=False)
+        certify_heavy(potential(p, fiber), order, field)
         for fiber in grid_fibers(p, resolution, vertices)
     ]
     return ScanReport(resolution=parse_fraction(resolution), order=order, rows=rows)

@@ -106,17 +106,8 @@ def hqf_report(cx: FilteredComplex) -> dict:
     }
 
 
-def hqf_rank(cx: FilteredComplex) -> int:
-    return hqf_report(cx)["rank"]
-
-
 def unit_in_homology(cx: FilteredComplex) -> bool:
     """Whether the unit class is nonzero in homology, decided by an image
     membership test."""
     unit_vec = {cx.index["e"]: NovikovScalar.one(cx.field)}
     return bool(echelon_from_columns(cx).reduce(unit_vec))
-
-
-def central_charge(w: PotentialFunction, x: Sequence[NovikovScalar], floor=NEG_INF) -> NovikovScalar:
-    """W evaluated at the brane (the curvature scalar of the model)."""
-    return w.evaluate(x, floor)

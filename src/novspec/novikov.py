@@ -467,14 +467,14 @@ class NovikovScalar:
     def __hash__(self):
         return hash(self._key())
 
-    def isclose(self, other: "NovikovScalar", tol: float = 1e-9) -> bool:
-        """Termwise closeness; exact modes compare exactly."""
+    def isclose(self, other: "NovikovScalar") -> bool:
+        """Termwise closeness within 1e-9; exact modes compare exactly."""
         if self.field.exact:
             return self == other
         if self.floor != other.floor or len(self.rows) != len(other.rows):
             return False
         pairs = zip(self.terms, other.terms)
-        return all(e1 == e2 and not abs(c1 - c2) > tol for (e1, c1), (e2, c2) in pairs)
+        return all(e1 == e2 and not abs(c1 - c2) > 1e-9 for (e1, c1), (e2, c2) in pairs)
 
     def __repr__(self) -> str:
         if not self.rows:

@@ -33,7 +33,7 @@ Vector = Tuple[int, ...]
 Point = Tuple[Fraction, ...]
 
 
-def _parse_point(text_or_seq) -> Point:
+def parse_fiber(text_or_seq) -> Point:
     # Accepts "1/2,1/3" or an iterable of rationals.
     if isinstance(text_or_seq, str):
         parts = [p for p in text_or_seq.split(",") if p.strip()]
@@ -189,7 +189,7 @@ class MomentPolytope:
                 raise ValueError("facet normal length does not match dimension")
 
     def _point(self, point) -> Point:
-        pt = _parse_point(point)
+        pt = parse_fiber(point)
         if len(pt) != self.dim:
             raise ValueError(f"point has dimension {len(pt)}, polytope has {self.dim}")
         return pt
@@ -238,13 +238,10 @@ def segment(a, b) -> MomentPolytope:
     return MomentPolytope(1, (Facet((1,), lo), Facet((-1,), -hi)))
 
 
-def simplex(dim: int, size=1) -> MomentPolytope:
-    """Standard simplex {lam_i >= 0, sum lam_i <= size} (projective-space polytope)."""
-    s = parse_fraction(size)
-    if s <= 0:
-        raise ValueError("simplex size must be positive")
+def simplex(dim: int) -> MomentPolytope:
+    """Standard simplex {lam_i >= 0, sum lam_i <= 1} (projective-space polytope)."""
     facets = [Facet(tuple(1 if j == i else 0 for j in range(dim)), Fraction(0)) for i in range(dim)]
-    facets.append(Facet(tuple(-1 for _ in range(dim)), -s))
+    facets.append(Facet(tuple(-1 for _ in range(dim)), Fraction(-1)))
     return MomentPolytope(dim, tuple(facets))
 
 
@@ -274,7 +271,7 @@ def transform(p: MomentPolytope, a: Sequence[Sequence[int]]) -> MomentPolytope:
 
 def transform_point(a: Sequence[Sequence[int]], point) -> Point:
     """Image of a moment point under the coordinate change of transform(): A^{-T} lam."""
-    return apply_matrix(unimodular_inverse_transpose(a), _parse_point(point))
+    return apply_matrix(unimodular_inverse_transpose(a), parse_fiber(point))
 
 
 # ---------------------------------------------------------------------------
@@ -594,14 +591,10 @@ def validated(p: MomentPolytope) -> PolytopeReport:
 def facet_values(p: MomentPolytope, fiber) -> List[Fraction]:
     """Rational parts r_i = <lam, v_i> - c_i at an interior point; the affine
     lengths are l_i = 2*pi*r_i.  Errors on boundary or exterior points."""
-    vals = p.values(_parse_point(fiber))
+    vals = p.values(parse_fiber(fiber))
     bad = [i for i, v in enumerate(vals) if v <= 0]
     if bad:
         raise ValueError(
             f"fiber is not interior: nonpositive value on facet(s) {bad}"
         )
     return vals
-
-
-def parse_fiber(text_or_seq) -> Point:
-    return _parse_point(text_or_seq)

@@ -61,14 +61,14 @@ def random_scalar(
 
 
 def _period_exponent_below(
-    rng: random.Random, gen: Fraction, bound: Fraction, span: int = 4
+    rng: random.Random, gen: Fraction, bound: Fraction
 ) -> Optional[Fraction]:
     """Random element of the period group strictly below ``bound``."""
     if gen == 0:
         return Fraction(0) if bound > 0 else None
     top = bound / gen
     k_max = -(-top.numerator // top.denominator) - 1  # ceil - 1
-    k = rng.randint(k_max - span, k_max)
+    k = rng.randint(k_max - 4, k_max)
     return gen * k
 
 

@@ -154,41 +154,39 @@ def _toric_suite(seed: int) -> dict:
 
     def body(failures: List[str]) -> None:
         from .critical import certify_heavy, revalidate_certificate
-        from .koszul import build_cqf, hqf_rank, unit_in_homology
+        from .koszul import build_cqf, hqf_report, unit_in_homology
         from .polytope import segment, simplex
         from .potential import potential
 
         rat = field_for_mode("rational")
-        p1 = segment(Fraction(0), Fraction(1))
-        cert = certify_heavy(p1, "1/2", Fraction(-6), rat)
+        w = potential(segment(Fraction(0), Fraction(1)), "1/2")
+        cert = certify_heavy(w, Fraction(-6), rat)
         if not cert.found or len(cert.branes) != 2:
             failures.append("interval midpoint did not yield exactly two branes")
         else:
             reval = revalidate_certificate(cert.to_json())
             if not reval["ok"]:
                 failures.append(f"interval certificate failed revalidation: {reval['failures']}")
-            w = potential(p1, cert.fiber)
             two = rat.coerce(Fraction(2))
             for idx, brane in enumerate(cert.branes):
                 c = build_cqf(w, brane.x, cert.order)
-                rank = hqf_rank(c)
+                rank = hqf_report(c)["rank"]
                 if rank != 2:
                     failures.append(f"interval brane {idx}: quasimap rank {rank} != 2")
                 doubled = [xj.scale(two) for xj in brane.x]
-                rank0 = hqf_rank(build_cqf(w, doubled, cert.order))
+                rank0 = hqf_report(build_cqf(w, doubled, cert.order))["rank"]
                 if rank0 != 0:
                     failures.append(f"interval brane {idx} doubled: rank {rank0} != 0")
                 if not unit_in_homology(c):
                     failures.append(f"interval brane {idx}: unit class died")
 
         cpl = field_for_mode("complex")
-        p2 = simplex(2)
-        cert2 = certify_heavy(p2, "1/3,1/3", Fraction(-6), cpl)
+        w2 = potential(simplex(2), "1/3,1/3")
+        cert2 = certify_heavy(w2, Fraction(-6), cpl)
         if not cert2.found or len(cert2.branes) != 3:
             failures.append("triangle barycenter did not yield exactly three branes")
         else:
-            w2 = potential(p2, cert2.fiber)
-            rank = hqf_rank(build_cqf(w2, cert2.branes[0].x, cert2.order))
+            rank = hqf_report(build_cqf(w2, cert2.branes[0].x, cert2.order))["rank"]
             if rank != 4:
                 failures.append(f"triangle brane 0: quasimap rank {rank} != 4")
 

@@ -12,7 +12,9 @@ way revalidation can fail, on two forgeries whose branes sit at no
 critical point and on two certificates claiming a residual below what
 their coordinates determine; runs ``qmap rank|unit``, on the branes and
 scaled off them, on the CP^1 x CP^1 certificate and on a rational
-certificate of the cube [0,1]^3 at 1/2,1/2,1/2; runs ``qstate
+certificate of the cube [0,1]^3 at 1/2,1/2,1/2; runs ``qmap
+rank|unit|charge`` on both trapezoid certificates at the floor -3, below
+the -5/2 their branes determine, which each refuses; runs ``qstate
 homogenize|check|heavy|product`` on rational and float documents that
 exercise every relation type, passing and failing; and runs
 ``selftest`` at seeds 0 to 3 and once with ``--mutate``.  Each run goes
@@ -304,6 +306,8 @@ ARGVS = (
     + [["qmap", cmd, cert, *rest] for cert in ("cert_rational.json", "cert_cube.json")
        for cmd in ("rank", "unit") for rest in ([], ["--scale", "2"])]
     + [["toric", "revalidate", name] for name in DEEP_CLAIMS]
+    + [["qmap", cmd, cert, "--floor", "-3"] for cert in ("cert_gaussian.json", "cert_complex.json")
+       for cmd in ("rank", "unit", "charge")]
 )
 
 

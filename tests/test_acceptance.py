@@ -50,19 +50,19 @@ def cp1_cert():
 @lru_cache(maxsize=None)
 def cp2_block():
     t0 = time.perf_counter()
-    cert = certify_heavy(CP2, "1/3,1/3", "-10", CC)
+    cert = certify_heavy(potential(CP2, "1/3,1/3"), "-10", CC)
     report = scan_fibers(CP2, "1/6", "-10", CC)
     return cert, report, time.perf_counter() - t0
 
 
 @lru_cache(maxsize=None)
 def product_cert():
-    return certify_heavy(product(CP1, CP1), "1/2,1/2", "-8", QQ)
+    return certify_heavy(potential(product(CP1, CP1), "1/2,1/2"), "-8", QQ)
 
 
 def test_criterion_1_cp1_heaviness_scan():
     report, elapsed = cp1_scan()
-    by_fiber = {r.fiber[0]: r for r in report.rows}
+    by_fiber = {r.w.fiber[0]: r for r in report.rows}
     assert sorted(by_fiber) == [Fraction(k, 8) for k in range(1, 8)]
     for lam, row in by_fiber.items():
         expected = "certified" if lam == Fraction(1, 2) else "none-found"
@@ -95,8 +95,8 @@ def test_criterion_2_cp2_barycenter():
     barycenter = (Fraction(1, 3), Fraction(1, 3))
     assert len(report.rows) == 10
     for row in report.rows:
-        expected = "certified" if row.fiber == barycenter else "none-found"
-        assert row.status == expected, f"fiber {row.fiber}: {row.status}"
+        expected = "certified" if row.w.fiber == barycenter else "none-found"
+        assert row.status == expected, f"fiber {row.w.fiber}: {row.status}"
     assert elapsed < 5.0, f"certify+scan took {elapsed:.3f}s"
     _pass(2, "cp2 barycenter branes")
 

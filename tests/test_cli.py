@@ -611,6 +611,20 @@ class TestComplexCommands:
         assert doc["value"] == "2" and not doc["is_boundary"]
         assert doc["in_spectrum"]
 
+    def test_spectral_number_sums_a_repeated_generator(self, tmp_path):
+        # c as q^0 and again as -q^0 + q^-1 is the cycle q^-1 c: 2 - 1
+        cx = write(tmp_path, "cx.json", GOOD_COMPLEX)
+        twice = [{"id": "c", "coeff": [{"exp": "0", "c": "1"}]},
+                 {"id": "c", "coeff": [{"exp": "0", "c": "-1"}, {"exp": "-1", "c": "1"}]}]
+        chain = write(tmp_path, "chain.json", {"coeffs": twice})
+        code, doc = run_json(tmp_path, ["complex", "spectral", cx, "--chain", chain])
+        assert code == 0 and doc["value"] == "1"
+
+    def test_bare_complex_field_reads_with_default_eps(self, tmp_path):
+        cx = write(tmp_path, "cx.json", {**GOOD_COMPLEX, "field": "complex"})
+        code, doc = run_json(tmp_path, ["complex", "tensor", cx, cx])
+        assert code == 0 and doc["field"] == {"mode": "complex", "eps": 1e-12}
+
     def test_spectrum(self, tmp_path):
         cx = write(tmp_path, "cx.json", GOOD_COMPLEX)
         code, doc = run_json(tmp_path, ["complex", "spectrum", cx])
@@ -779,6 +793,26 @@ class TestToricCommands:
         assert code == 1 and not rep["ok"] and capsys.readouterr().err == ""
         assert [f.split(": ")[0] for f in rep["failures"]] == ["brane 0"]
 
+    def test_revalidate_complex_charge_missing_a_term_exits_1(self, tmp_path):
+        trap = write(tmp_path, "trap.json", TRAP)
+        cert = tmp_path / "cert.json"
+        argv = ["toric", "certify", trap, "--fiber", "3/4,1/2", "--order=-2", "--mode", "complex"]
+        assert main(argv + ["--out", str(cert)]) == 0
+        doc = json.loads(cert.read_text(encoding="utf-8"))
+        doc["branes"][0]["central_charge"]["terms"].pop()
+        code, rep = run_json(tmp_path, ["toric", "revalidate", write(tmp_path, "short.json", doc)])
+        assert code == 1
+        assert rep["failures"] == ["brane 0: stated central charge does not match re-evaluation"]
+
+    def test_complex_lift_that_stalls_exits_1(self, tmp_path, capsys):
+        # in floats the trapezoid's Newton residual stops shrinking at -19/2
+        trap = write(tmp_path, "trap.json", TRAP)
+        argv = ["toric", "certify", trap, "--fiber", "3/4,1/2", "--order=-9", "--mode", "complex"]
+        assert main(argv) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "lift failed to contract: residual valuation stalled at -19/2" in err
+
     def test_revalidate_wrong_kind_exits_1(self, tmp_path):
         path = write(tmp_path, "odd.json", {"kind": "potential"})
         code, rep = run_json(tmp_path, ["toric", "revalidate", path])
@@ -863,9 +897,27 @@ class TestQmapCommands:
         err = capsys.readouterr().err
         assert "inverse lead below eps" in err and "Traceback" not in err
 
-    def test_brane_out_of_range_exits_1(self, cert_path, capsys):
-        assert main(["qmap", "rank", cert_path, "--brane", "5"]) == 1
-        assert "out of range" in capsys.readouterr().err
+    @pytest.mark.parametrize("mode", ["gaussian", "complex"])
+    def test_floor_below_what_the_branes_determine_exits_1(self, tmp_path, capsys, mode):
+        # at order -2 the trapezoid branes fix their gradient down to -5/2 only
+        poly = write(tmp_path, "trap.json", TRAP)
+        cert = str(tmp_path / "cert.json")
+        argv = ["toric", "certify", poly, "--fiber", "3/4,1/2", "--order=-2", "--mode", mode]
+        assert main(argv + ["--out", cert]) == 0
+        for command in ("rank", "unit", "charge"):
+            assert main(["qmap", command, cert, "--floor", "-3"]) == 1
+            out, err = capsys.readouterr()
+            assert out == ""
+            assert "brane 0: gradient is known only above -5/2, not down to the floor -3" in err
+            assert main(["qmap", command, cert, "--floor=-5/2", "--out", os.devnull]) == 0
+
+    @pytest.mark.parametrize("brane", ["7", "-1"])
+    def test_brane_out_of_range_exits_2(self, cert_path, capsys, brane):
+        # an option value that does not fit its input is an argument error
+        assert main(["qmap", "rank", cert_path, "--brane", brane]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert f"argument --brane: brane index {brane} out of range" in err
 
     def test_wrong_kind_exits_2(self, tmp_path, capsys):
         path = write(tmp_path, "poly.json", CP1)

@@ -14,7 +14,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from novspec.fields import NEG_INF, GaussianRational, field_for_mode, parse_floor
-from novspec.cli import main
+from novspec.cli import main, parse_args
 from novspec.novikov import NovikovScalar
 from novspec.critical import (
     LeadingRoot,
@@ -88,12 +88,12 @@ def rational_constants(root):
 
 @functools.lru_cache(maxsize=None)
 def trap_cert(order="-6"):
-    return certify_heavy(TRAP, "3/4,1/2", order, QI)
+    return certify_heavy(potential(TRAP, "3/4,1/2"), order, QI)
 
 
 @functools.lru_cache(maxsize=None)
 def cp2_cert():
-    return certify_heavy(CP2, "1/3,1/3", "-10", CC)
+    return certify_heavy(potential(CP2, "1/3,1/3"), "-10", CC)
 
 
 class TestPotential:
@@ -381,7 +381,7 @@ def test_binomial_roots_agree_with_sympy(case):
 
 class TestLift:
     def test_interval_exact_branes(self):
-        cert = certify_heavy(CP1, "1/2", "-8", QQ)
+        cert = certify_heavy(potential(CP1, "1/2"), "-8", QQ)
         assert cert.found and len(cert.branes) == 2
         for brane, const in zip(cert.branes, (-2, 2)):
             assert brane.iterations == 0
@@ -454,21 +454,31 @@ class TestLift:
             _solve_linear(rows, [a, b])
 
     def test_order_must_be_negative(self):
-        with pytest.raises(ValueError, match="negative rational"):
-            certify_heavy(CP1, "1/2", "0", QQ)
-        with pytest.raises(ValueError, match="negative rational"):
-            certify_heavy(CP1, "1/2", "1/2", QQ)
+        # refused whether or not a root lifts: none does at 1/4 or on the
+        # grid of thirds
+        for order in ("0", "1/2", "5"):
+            for fiber in ("1/2", "1/4"):
+                with pytest.raises(ValueError, match="negative rational"):
+                    certify_heavy(potential(CP1, fiber), order, QQ)
+            with pytest.raises(ValueError, match="negative rational"):
+                scan_fibers(CP1, "1/3", order, QQ)
 
     def test_exact_mode_refuses_irrational_roots(self):
         with pytest.raises(ValueError, match="use gaussian or complex mode"):
-            certify_heavy(CP2, "1/3,1/3", "-6", QQ)
+            certify_heavy(potential(CP2, "1/3,1/3"), "-6", QQ)
 
-    def test_invalid_polytope_rejected(self):
+    def test_invalid_polytope_rejected(self, tmp_path):
+        # certify_heavy takes a built potential: its callers validate
         halfplane = MomentPolytope(
             2, [Facet((1, 0), Fraction(0)), Facet((0, 1), Fraction(0)), Facet((0, -1), Fraction(-1))]
         )
+        path = tmp_path / "halfplane.json"
+        path.write_text(json.dumps(halfplane.to_json()), encoding="utf-8")
+        args = parse_args(["toric", "certify", str(path), "--fiber", "1/2,1/2", "--order", "-6"])
         with pytest.raises(ValueError, match="failed validation"):
-            certify_heavy(halfplane, "1/2,1/2", "-6", QQ)
+            args.func(args)
+        with pytest.raises(ValueError, match="failed validation"):
+            scan_fibers(halfplane, "1/4", "-6", QQ)
 
 
 class TestFloorsAcrossOrders:
@@ -476,7 +486,7 @@ class TestFloorsAcrossOrders:
     # so a deeper run must agree with it above o, term for term.
     @pytest.mark.parametrize(
         "certify",
-        [lambda o: certify_heavy(F2, "1,1/2", o, QQ), trap_cert],
+        [lambda o: certify_heavy(potential(F2, "1,1/2"), o, QQ), trap_cert],
         ids=["f2-rational", "trapezoid-gaussian"],
     )
     def test_deeper_certificate_truncates_to_the_shallower(self, certify):
@@ -486,7 +496,7 @@ class TestFloorsAcrossOrders:
                 assert d.truncate(shallow.order) == s
 
     def test_complex_certificate_matches_the_gaussian_one(self):
-        approx = certify_heavy(TRAP, "3/4,1/2", "-4", CC)
+        approx = certify_heavy(potential(TRAP, "3/4,1/2"), "-4", CC)
         for be, ba in zip(trap_cert("-4").branes, approx.branes, strict=True):
             for e, a in zip([*be.x, be.central_charge], [*ba.x, ba.central_charge], strict=True):
                 assert [t for t, _ in e.terms] == [t for t, _ in a.terms]
@@ -496,7 +506,7 @@ class TestFloorsAcrossOrders:
 class TestProductFibers:
     def test_product_branes_are_componentwise_pairs(self):
         p = product(CP1, CP1)
-        cert = certify_heavy(p, "1/2,1/2", "-8", QQ)
+        cert = certify_heavy(potential(p, "1/2,1/2"), "-8", QQ)
         consts = sorted(
             tuple(xj.terms[0][1] for xj in brane.x) for brane in cert.branes
         )
@@ -508,17 +518,17 @@ class TestProductFibers:
         ]
 
     def test_mixed_minima_product_certifies(self):
-        cert = certify_heavy(BOX, "1/2,1", "-8", QQ)
+        cert = certify_heavy(potential(BOX, "1/2,1"), "-8", QQ)
         assert len(cert.branes) == 4
         for brane in cert.branes:
             assert brane.residual_valuation == NEG_INF
 
     def test_product_charge_splits_as_sum(self):
         p = product(CP1, CP1)
-        cert = certify_heavy(p, "1/2,1/2", "-8", QQ)
+        cert = certify_heavy(potential(p, "1/2,1/2"), "-8", QQ)
         charges = {brane.central_charge for brane in cert.branes}
         # W = W_0 + W_1 termwise: charges are +-2q^{-1/2} +- 2q^{-1/2}
-        factor = certify_heavy(CP1, "1/2", "-8", QQ)
+        factor = certify_heavy(potential(CP1, "1/2"), "-8", QQ)
         parts = [b.central_charge for b in factor.branes]
         expected = {a + b for a in parts for b in parts}
         assert charges == expected
@@ -531,8 +541,8 @@ class TestEquivariance:
         p = BOX
         fiber = (Fraction(1, 2), Fraction(1))
         q = transform(p, self.A)
-        cert0 = certify_heavy(p, fiber, "-8", QQ)
-        cert1 = certify_heavy(q, transform_point(self.A, fiber), "-8", QQ)
+        cert0 = certify_heavy(potential(p, fiber), "-8", QQ)
+        cert1 = certify_heavy(potential(q, transform_point(self.A, fiber)), "-8", QQ)
         assert len(cert0.branes) == len(cert1.branes)
         charges0 = sorted(
             json.dumps(b.central_charge.to_json(), sort_keys=True)
@@ -550,8 +560,8 @@ class TestEquivariance:
         p = BOX
         fiber = (Fraction(1, 2), Fraction(1))
         q = transform(p, self.A)
-        cert0 = certify_heavy(p, fiber, "-8", QQ)
-        cert1 = certify_heavy(q, transform_point(self.A, fiber), "-8", QQ)
+        cert0 = certify_heavy(potential(p, fiber), "-8", QQ)
+        cert1 = certify_heavy(potential(q, transform_point(self.A, fiber)), "-8", QQ)
         consts0 = {
             tuple(xj.terms[0][1] for xj in b.x) for b in cert0.branes
         }
@@ -569,7 +579,7 @@ class TestEquivariance:
         # leading variety is a curve, and the solver reports that honestly
         q = transform(TRAP, self.A)
         fiber = transform_point(self.A, (Fraction(3, 4), Fraction(1, 2)))
-        report = certify_heavy(q, fiber, "-6", QI)
+        report = certify_heavy(potential(q, fiber), "-6", QI)
         assert not report.found
         assert report.diagnosis["reason"] == "leading-system-not-finite"
         assert "positive-dimensional" in report.diagnosis["note"]
@@ -584,7 +594,7 @@ class TestCertificates:
         assert any("gradient vanishes" in c for c in result["checks"])
 
     def test_tampered_charge_detected(self):
-        cert = certify_heavy(CP1, "1/2", "-8", QQ)
+        cert = certify_heavy(potential(CP1, "1/2"), "-8", QQ)
         doc = cert.to_json()
         doc["branes"][0]["central_charge"]["terms"][0]["c"] = "3"
         result = revalidate_certificate(doc)
@@ -592,7 +602,7 @@ class TestCertificates:
         assert any("central charge" in f for f in result["failures"])
 
     def test_tampered_brane_detected(self):
-        cert = certify_heavy(CP1, "1/2", "-8", QQ)
+        cert = certify_heavy(potential(CP1, "1/2"), "-8", QQ)
         doc = cert.to_json()
         doc["branes"][1]["x"][0]["terms"][0]["c"] = "2"
         result = revalidate_certificate(doc)
@@ -604,7 +614,7 @@ class TestCertificates:
         assert not result["ok"]
 
     def test_none_found_report_shape(self):
-        report = certify_heavy(CP1, "1/4", "-8", QQ)
+        report = certify_heavy(potential(CP1, "1/4"), "-8", QQ)
         assert not report.found
         doc = report.to_json()
         assert doc["kind"] == "no-critical-branes"
@@ -612,7 +622,7 @@ class TestCertificates:
         assert doc["diagnosis"]["reason"] == "dominating-facet"
 
     def test_certificate_carries_theorem_tag(self):
-        cert = certify_heavy(CP1, "1/2", "-8", QQ)
+        cert = certify_heavy(potential(CP1, "1/2"), "-8", QQ)
         doc = cert.to_json()
         assert doc["schema_version"] == "1"
         assert doc["theorem"] == "critical-fiber-heaviness"
@@ -712,7 +722,7 @@ class TestBraneCheck:
     @pytest.mark.parametrize("field", [QI, CC], ids=["gaussian", "complex"])
     def test_residual_below_the_coordinates_rejected(self, field):
         # an order -2 certificate claiming residual -3, charges recomputed
-        report = certify_heavy(TRAP, "3/4,1/2", "-2", field)
+        report = certify_heavy(potential(TRAP, "3/4,1/2"), "-2", field)
         doc = report.to_json()
         for brane, lifted in zip(doc["branes"], report.branes):
             charge = TRAP_W.evaluate(lifted.x, Fraction(-3)).to_json()
@@ -745,7 +755,7 @@ CERTIFIABLE = {
 @example(order=Fraction(-3))
 def test_certificates_revalidate_at_any_order(polytope, fiber, mode, order):
     # above and below the stratum weights (-3/4 and -1/2 at the trapezoid)
-    report = certify_heavy(polytope, fiber, order, field_for_mode(mode))
+    report = certify_heavy(potential(polytope, fiber), order, field_for_mode(mode))
     assert report.branes
     result = revalidate_certificate(json.loads(json.dumps(report.to_json())))
     assert result["ok"], result["failures"]
@@ -763,10 +773,10 @@ class TestScan:
 
     def test_interval_scan_oracle(self):
         report = scan_fibers(CP1, Fraction(1, 8), Fraction(-8), QQ)
-        assert [r.fiber for r in report.rows] == grid_fibers(
+        assert [r.w.fiber for r in report.rows] == grid_fibers(
             CP1, Fraction(1, 8), polytope_validate(CP1).vertices
         )
-        found = {str(r.fiber[0]): r.found for r in report.rows}
+        found = {str(r.w.fiber[0]): r.found for r in report.rows}
         assert found["1/2"]
         assert not any(v for k, v in found.items() if k != "1/2")
         certified = [r for r in report.rows if r.found]

@@ -15,6 +15,13 @@ read cannot tell them apart.  Public code that only tests reach has to
 be listed in ``KEPT`` with its reason; a private helper that only tests
 reach (a ``_name`` left behind when its last caller moved to other code)
 fails outright.
+
+The same holds for parameters: every defaulted parameter of a function or
+method in ``src/novspec`` (``__init__`` aside) is set by some call in
+``src/`` or ``bench/`` to a function of its name, by position (counted
+past ``self`` or ``cls`` for a method) or by keyword, a call with ``*`` or
+``**`` setting every parameter; one that no such call sets is listed in
+``KEPT_PARAMETERS`` with its reason.
 """
 
 import ast
@@ -31,6 +38,14 @@ KEPT = {
     ("polytope", "product"): "acceptance criterion 6 certifies CP1 x CP1 built with it",
     ("polytope", "transform"): "the shear tests check that certificates follow GL(n,Z) changes",
     ("polytope", "transform_point"): "moves the fiber along with transform() in the shear tests",
+}
+
+# (module, function, parameter) -> why it stays although no call sets it
+KEPT_PARAMETERS = {
+    ("randomcx", "random_complex", "conjugate"):
+        "the tests' unconjugated reference complexes, whose spectra are known",
+    ("randomcx", "RandomComplexData.random_cycle", "boundary"):
+        "the tests' and the corpus pin's boundaries, whose spectral number is -inf",
 }
 
 
@@ -102,3 +117,63 @@ def test_every_public_name_has_a_caller_outside_tests():
 
 def test_every_private_helper_has_a_caller_outside_tests():
     assert _unreferenced(private=True) == set()
+
+
+def _defaulted_parameters():
+    """(module, qualified name, offset, [(position or None, name)]) for
+    every function and method of the sources with defaulted parameters;
+    ``offset`` counts the ``self`` or ``cls`` a call by attribute does not
+    pass, and a keyword-only parameter has no position."""
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        scopes = [(None, tree.body)]
+        scopes += [(node.name, node.body) for node in tree.body if isinstance(node, ast.ClassDef)]
+        for cls, body in scopes:
+            for node in body:
+                if not isinstance(node, ast.FunctionDef) or node.name == "__init__":
+                    continue
+                a = node.args
+                positional = a.posonlyargs + a.args
+                static = any(ast.unparse(d) == "staticmethod" for d in node.decorator_list)
+                offset = int(cls is not None and not static)
+                params = [(i - offset, arg.arg) for i, arg in enumerate(positional)
+                          if i >= len(positional) - len(a.defaults)]
+                params += [(None, arg.arg) for arg, d in zip(a.kwonlyargs, a.kw_defaults) if d]
+                if params:
+                    qualname = node.name if cls is None else f"{cls}.{node.name}"
+                    yield path.stem, qualname, params
+
+
+def _calls():
+    """(called name, positional count or None, keyword names) for every
+    call in ``src/`` and ``bench/``; None when a ``*`` or ``**`` may pass
+    anything."""
+    for path in CALLERS:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            starred = any(isinstance(a, ast.Starred) for a in node.args)
+            if starred or any(k.arg is None for k in node.keywords):
+                yield name, None, set()
+            else:
+                yield name, len(node.args), {k.arg for k in node.keywords}
+
+
+def _unset_parameters():
+    calls = list(_calls())
+    out = set()
+    for module, qualname, params in _defaulted_parameters():
+        mine = [(n, kw) for name, n, kw in calls if name == qualname.split(".")[-1]]
+        for position, param in params:
+            if not any(
+                n is None or (position is not None and n > position) or param in kw
+                for n, kw in mine
+            ):
+                out.add((module, qualname, param))
+    return out
+
+
+def test_every_defaulted_parameter_is_set_outside_tests():
+    assert _unset_parameters() == set(KEPT_PARAMETERS)

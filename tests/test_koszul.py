@@ -12,8 +12,6 @@ from novspec.fields import field_for_mode
 from novspec.novikov import NovikovScalar
 from novspec.koszul import (
     build_cqf,
-    central_charge,
-    hqf_rank,
     hqf_report,
     koszul_complex,
     unit_in_homology,
@@ -107,24 +105,24 @@ class TestDichotomy:
             n = rng.randint(1, 3)
             y = [NovikovScalar.zero(QQ) for _ in range(n)]
             y[rng.randrange(n)] = random_scalar(rng, QQ, lattice)
-            assert hqf_rank(koszul_complex(QQ, y)) == 0
+            assert hqf_report(koszul_complex(QQ, y))["rank"] == 0
 
     def test_certified_brane_full_rank_doubled_brane_zero(self):
-        cert = certify_heavy(CP1, "1/2", "-8", QQ)
-        w = potential(CP1, cert.fiber)
+        w = potential(CP1, "1/2")
+        cert = certify_heavy(w, "-8", QQ)
         two = QQ.coerce(Fraction(2))
         for brane in cert.branes:
             c = build_cqf(w, brane.x, cert.order)
-            assert hqf_rank(c) == 2
+            assert hqf_report(c)["rank"] == 2
             assert unit_in_homology(c)
             doubled = [xj.scale(two) for xj in brane.x]
             c0 = build_cqf(w, doubled, cert.order)
-            assert hqf_rank(c0) == 0
+            assert hqf_report(c0)["rank"] == 0
             assert not unit_in_homology(c0)
 
     def test_triangle_branes_rank_four(self):
-        cert = certify_heavy(CP2, "1/3,1/3", "-6", CC)
-        w = potential(CP2, cert.fiber)
+        w = potential(CP2, "1/3,1/3")
+        cert = certify_heavy(w, "-6", CC)
         for brane in cert.branes:
             c = build_cqf(w, brane.x, cert.order)
             rep = hqf_report(c)
@@ -155,11 +153,11 @@ class TestCentralCharge:
         w = potential(CP1, "1/2")
         plus = brane_from_constants(QQ, [Fraction(1)])
         minus = brane_from_constants(QQ, [Fraction(-1)])
-        assert central_charge(w, plus) == mono(2, Fraction(-1, 2))
-        assert central_charge(w, minus) == mono(-2, Fraction(-1, 2))
+        assert w.evaluate(plus) == mono(2, Fraction(-1, 2))
+        assert w.evaluate(minus) == mono(-2, Fraction(-1, 2))
 
     def test_charge_truncates_at_floor(self):
         w = potential(CP1, "1/2")
         x = brane_from_constants(QQ, [Fraction(1)])
-        charge = central_charge(w, x, Fraction(-1, 4))
+        charge = w.evaluate(x, Fraction(-1, 4))
         assert charge.is_zero() and charge.floor == Fraction(-1, 4)

@@ -187,7 +187,7 @@ def _validated_potential(args):
     """The disk potential at ``--fiber`` of the polytope of ``args.input``,
     which must validate and have the dimension of ``--fiber``."""
     from .polytope import validated
-    from .potential import potential
+    from .potential import PotentialFunction
 
     p = _load_polytope(args.input)
     if len(args.fiber) != p.dim:
@@ -195,7 +195,7 @@ def _validated_potential(args):
             f"argument --fiber: point has dimension {len(args.fiber)}, polytope has {p.dim}"
         )
     validated(p)
-    return potential(p, args.fiber)
+    return PotentialFunction(p, args.fiber)
 
 
 def cmd_toric_potential(args) -> int:
@@ -260,7 +260,7 @@ def _per_brane(args, kind: str, row) -> int:
     from .critical import read_certificate
     from .fields import floor_str
     from .polytope import point_str
-    from .potential import potential
+    from .potential import PotentialFunction
 
     doc = _load_json(args.input)
     if not isinstance(doc, dict) or doc.get("kind") != "heaviness-certificate":
@@ -270,7 +270,7 @@ def _per_brane(args, kind: str, row) -> int:
         )
     field, p, fiber, order, parsed = read_certificate(doc, f"certificate {args.input}")
     branes = list(enumerate(x for x, _, _ in parsed))
-    w = potential(p, fiber)
+    w = PotentialFunction(p, fiber)
     floor = order if args.floor is None else args.floor
     if args.brane is not None:
         if not 0 <= args.brane < len(branes):

@@ -32,6 +32,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from decimal import Decimal, localcontext
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
@@ -57,7 +58,7 @@ from .polytope import (
     rational_inverse,
     validated,
 )
-from .potential import ComponentStratum, PotentialFunction, brane_from_constants, potential
+from .potential import ComponentStratum, PotentialFunction, brane_from_constants
 
 SNAP_TOL = 1e-9
 NEWTON_CAP = 60
@@ -185,9 +186,19 @@ def _leading_roots(values: Sequence[Tuple[complex, ...]]) -> List[LeadingRoot]:
 # per equation sum_i a_i x^{u_i} = 0.
 System = Sequence[Sequence[Tuple[int, Sequence[int]]]]
 
-# Working precision of the closed-form roots; each part is rounded to a
-# float once, at the end.
-_ROOT_PREC = 200
+# Working precision of the closed-form roots: 80 significant digits, past the
+# 61 of the 200-bit mpmath reference in the tests.  Each part is rounded to
+# the nearest float once, at the end, so two evaluations within 1e-60 of the
+# exact value give the same float unless it lies that close to a rounding
+# boundary.  A part on an axis (4 theta an integer) is exact: one of cos and
+# sin is the integer 0, so that zero is +0.0, and the other is +-1.
+_ROOT_DIGITS = 80
+# pi to 102 significant digits
+_PI = Decimal(
+    "3.14159265358979323846264338327950288419716939937510"
+    "582097494459230781640628620899862803482534211706798"
+)
+
 
 def _binomial_values(system: System) -> Optional[List[Tuple[complex, ...]]]:
     """All unit roots of a binomial system, or None if it is not one.
@@ -200,6 +211,11 @@ def _binomial_values(system: System) -> Optional[List[Tuple[complex, ...]]]:
     rho_k = prod_j |c_j|^{(D^-1)_kj} and theta = D^-1 (m + [c < 0] / 2)
     mod 1, one per coset m of Z^n / D Z^n.  Returns None for an equation
     without exactly two terms or a singular D.
+
+    Radii and angles are evaluated in ``decimal`` at ``_ROOT_DIGITS``
+    significant digits: rho_k by the correctly rounded ``ln`` and ``exp``,
+    with ln|c_j| = ln|p| - ln q for c_j = p / q.  A root part on an axis
+    (4 theta_k an integer) is exactly (+-rho_k, +0.0) or (+0.0, +-rho_k).
     """
     if any(len(eq) != 2 for eq in system):
         return None
@@ -208,30 +224,65 @@ def _binomial_values(system: System) -> Optional[List[Tuple[complex, ...]]]:
     if not det:
         return None
     c = [Fraction(-b, a) for (a, _), (b, _) in system]
-    half = [Fraction(int(cj < 0), 2) for cj in c]
-
-    import mpmath
-
-    def real(q: Fraction):
-        return mpmath.mpf(q.numerator) / q.denominator
+    # with the integer matrix adj = |det| D^-1, rho_k = exp(sum_j adj_kj ln|c_j| / |det|)
+    # and theta_k = t_k / grid for t_k = sum_j adj_kj (2 m_j + [c_j < 0]), grid = 2 |det|
+    grid = 2 * abs(det)
+    adj = [[int(e * abs(det)) for e in row] for row in inv]
+    neg = [int(cj < 0) for cj in c]
 
     out = []
-    with mpmath.workprec(_ROOT_PREC):
+    with localcontext() as ctx:
+        ctx.prec = _ROOT_DIGITS
+        logs = [Decimal(abs(cj.numerator)).ln() - Decimal(cj.denominator).ln() for cj in c]
         radii = [
-            mpmath.exp(mpmath.fsum(real(e) * mpmath.log(real(abs(cj))) for e, cj in zip(row, c)))
-            for row in inv
+            (sum((a * lj for a, lj in zip(row, logs)), Decimal(0)) / abs(det)).exp() for row in adj
         ]
+        memo = {}
         for m in coset_representatives(d):
-            shifted = [mj + hj for mj, hj in zip(m, half)]
+            twice = [2 * mj + nj for mj, nj in zip(m, neg)]
             root = []
-            for r, row in zip(radii, inv):
-                theta = sum(e * s for e, s in zip(row, shifted)) % 1
-                # cospi and sinpi are exact at half-integer turns, so a root
-                # on an axis (4 theta integral) gets an exact +0.0 zero part
-                turn = 2 * real(theta)
-                root.append(complex(float(r * mpmath.cospi(turn)), float(r * mpmath.sinpi(turn))))
+            for r, row in zip(radii, adj):
+                cos, sin = _unit_point(sum(a * s for a, s in zip(row, twice)), grid, memo)
+                root.append(complex(float(r * cos), float(r * sin)))
             out.append(tuple(root))
     return out
+
+
+def _unit_point(t: int, grid: int, memo: dict):
+    """cos and sin of 2 pi t / grid in the current decimal context.  When
+    4 t / grid is an integer they are the exact integers (+-1, 0) or
+    (0, +-1), so that a zero part is +0.0; otherwise the angle is folded
+    into (0, pi/4] and its sine is summed there once per ``memo``."""
+    quarter, rest = divmod(4 * t, grid)
+    if not rest:
+        cos, sin = 1, 0
+    else:
+        # the angle past the quarter turn is (pi/2) rest / grid; beyond pi/4
+        # it is pi/2 minus (pi/2)(grid - rest) / grid, so cos and sin swap
+        folded = min(rest, grid - rest)
+        if folded not in memo:
+            memo[folded] = _cos_sin(_PI * folded / (2 * grid))
+        cos, sin = memo[folded]
+        if folded != rest:
+            cos, sin = sin, cos
+    for _ in range(quarter % 4):
+        cos, sin = -sin, cos
+    return cos, sin
+
+
+def _cos_sin(x: Decimal) -> Tuple[Decimal, Decimal]:
+    """cos x and sin x for 0 < x <= pi/4, by the Taylor series of the sine
+    and cos x = sqrt(1 - sin^2 x) >= sqrt(1/2)."""
+    x2 = x * x
+    term = total = x
+    n = 1
+    while True:
+        n += 2
+        term = -term * x2 / (n * (n - 1))
+        nxt = total + term
+        if nxt == total:
+            return (1 - total * total).sqrt(), total
+        total = nxt
 
 
 def _sympy_values(system: System, n: int):
@@ -675,7 +726,7 @@ def revalidate_certificate(doc: dict, where: str = "certificate") -> dict:
     else:
         fail("polytope fails validation: " + "; ".join(rep.violations))
     try:
-        w = potential(p, fiber)
+        w = PotentialFunction(p, fiber)
         checks.append("fiber is interior")
         strata = w.leading_strata()
     except ValueError as exc:
@@ -760,7 +811,7 @@ def scan_fibers(
     vertices = validated(p).vertices
     order = parse_order(order)
     rows = [
-        certify_heavy(potential(p, fiber), order, field)
+        certify_heavy(PotentialFunction(p, fiber), order, field)
         for fiber in grid_fibers(p, resolution, vertices)
     ]
     return ScanReport(resolution=parse_fraction(resolution), order=order, rows=rows)

@@ -190,10 +190,6 @@ class PotentialFunction:
         }
 
 
-def potential(p: MomentPolytope, fiber) -> PotentialFunction:
-    return PotentialFunction(p, fiber)
-
-
 def brane_from_constants(field: CoefficientField, values: Sequence) -> List[NovikovScalar]:
     """Constant (q-independent) unit brane coordinates from raw coefficients."""
     out = []

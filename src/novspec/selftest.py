@@ -156,10 +156,10 @@ def _toric_suite(seed: int) -> dict:
         from .critical import certify_heavy, revalidate_certificate
         from .koszul import build_cqf, hqf_report, unit_in_homology
         from .polytope import segment, simplex
-        from .potential import potential
+        from .potential import PotentialFunction
 
         rat = field_for_mode("rational")
-        w = potential(segment(Fraction(0), Fraction(1)), "1/2")
+        w = PotentialFunction(segment(Fraction(0), Fraction(1)), "1/2")
         cert = certify_heavy(w, Fraction(-6), rat)
         if not cert.found or len(cert.branes) != 2:
             failures.append("interval midpoint did not yield exactly two branes")
@@ -181,7 +181,7 @@ def _toric_suite(seed: int) -> dict:
                     failures.append(f"interval brane {idx}: unit class died")
 
         cpl = field_for_mode("complex")
-        w2 = potential(simplex(2), "1/3,1/3")
+        w2 = PotentialFunction(simplex(2), "1/3,1/3")
         cert2 = certify_heavy(w2, Fraction(-6), cpl)
         if not cert2.found or len(cert2.branes) != 3:
             failures.append("triangle barycenter did not yield exactly three branes")

@@ -339,10 +339,10 @@ def _forge(cert: dict, residual: str, move: bool = True) -> dict:
     from novspec.critical import read_certificate
     from novspec.fields import parse_floor
     from novspec.novikov import NovikovScalar
-    from novspec.potential import potential
+    from novspec.potential import PotentialFunction
 
     field, p, fiber, _, parsed = read_certificate(cert)
-    w = potential(p, fiber)
+    w = PotentialFunction(p, fiber)
     branes = []
     for b, (x, _, _) in zip(cert["branes"], parsed):
         if move:

@@ -17,7 +17,7 @@ from novspec.critical import certify_heavy, revalidate_certificate, scan_fibers
 from novspec.fields import NEG_INF, CoefficientField
 from novspec.koszul import build_cqf, hqf_report
 from novspec.polytope import product, segment, simplex
-from novspec.potential import potential
+from novspec.potential import PotentialFunction
 from novspec.quasistate import SpectralOracle, homogenize
 from novspec.randomcx import random_complex, random_scalar
 from novspec.selftest import run_selftest
@@ -50,14 +50,14 @@ def cp1_cert():
 @lru_cache(maxsize=None)
 def cp2_block():
     t0 = time.perf_counter()
-    cert = certify_heavy(potential(CP2, "1/3,1/3"), "-10", CC)
+    cert = certify_heavy(PotentialFunction(CP2, "1/3,1/3"), "-10", CC)
     report = scan_fibers(CP2, "1/6", "-10", CC)
     return cert, report, time.perf_counter() - t0
 
 
 @lru_cache(maxsize=None)
 def product_cert():
-    return certify_heavy(potential(product(CP1, CP1), "1/2,1/2"), "-8", QQ)
+    return certify_heavy(PotentialFunction(product(CP1, CP1), "1/2,1/2"), "-8", QQ)
 
 
 def test_criterion_1_cp1_heaviness_scan():
@@ -109,7 +109,7 @@ def test_criterion_3_quasimap_dichotomy():
     agreements = 0
     total = 0
     for poly, fiber, cert in cases:
-        w = potential(poly, fiber)
+        w = PotentialFunction(poly, fiber)
         full = 2**poly.dim
         two = cert.field.coerce(2)
         for brane in cert.branes:

@@ -694,14 +694,14 @@ class TestToricCommands:
                 entry["name"], entry["command"], entry["options"])
 
     @staticmethod
-    def sympy_loaded(argv):
-        """Exit code of one CLI run in a fresh interpreter, and whether it
-        imported sympy."""
+    def heavy_imports(argv):
+        """Exit code of one CLI run in a fresh interpreter, and which of
+        mpmath and sympy it imported."""
         script = (
             "import sys\n"
             "from novspec.cli import main\n"
             f"code = main({[*argv, '--out', os.devnull]!r})\n"
-            "print(code, 'sympy' in sys.modules)\n"
+            "print(code, *[m for m in ('mpmath', 'sympy') if m in sys.modules])\n"
         )
         src = str(Path(novspec.__file__).resolve().parent.parent)
         paths = [src, os.environ.get("PYTHONPATH")]
@@ -709,27 +709,29 @@ class TestToricCommands:
         out = subprocess.run(
             [sys.executable, "-c", script], capture_output=True, text=True, env=env, check=True
         )
-        code, loaded = out.stdout.split()
-        return int(code), loaded == "True"
+        code, *loaded = out.stdout.split()
+        return int(code), loaded
 
     def test_validate_does_not_import_sympy(self, tmp_path):
-        # Polytope validation is sympy-free; only the leading-system solver
-        # imports it.
+        # Polytope validation loads neither sympy nor mpmath; only the
+        # leading-system solver imports sympy, which imports mpmath.
         path = write(tmp_path, "cp1.json", CP1)
-        assert self.sympy_loaded(["toric", "validate", path]) == (0, False)
+        assert self.heavy_imports(["toric", "validate", path]) == (0, [])
 
     def test_binomial_leading_systems_do_not_import_sympy(self, tmp_path):
         # Two facets per leading stratum and a nonsingular exponent matrix:
-        # the leading roots come in closed form.
+        # the leading roots come in closed form, evaluated with decimal, so
+        # neither sympy nor mpmath is loaded.
         cp1 = write(tmp_path, "cp1.json", CP1)
         cp2 = write(tmp_path, "cp2.json", CP2)
         trap = write(tmp_path, "trap.json", TRAP)
         for argv in (
             ["toric", "scan", cp1, "--grid", "1/4", "--order", "-2"],
             ["toric", "scan", cp2, "--grid", "1/3", "--order", "-2"],
+            ["toric", "critical", cp2, "--fiber", "1/3,1/3"],
             ["toric", "certify", trap, "--fiber", "3/4,1/2", "--order", "-1"],
         ):
-            assert self.sympy_loaded(argv) == (0, False), argv
+            assert self.heavy_imports(argv) == (0, []), argv
 
     def test_singular_leading_system_imports_sympy(self, tmp_path):
         # The trapezoid sheared by A = ((1, 1), (0, 1)): both leading
@@ -742,7 +744,7 @@ class TestToricCommands:
         ])
         path = write(tmp_path, "sheared.json", sheared)
         argv = ["toric", "critical", path, "--fiber", "3/4,-1/4"]
-        assert self.sympy_loaded(argv) == (0, True)
+        assert self.heavy_imports(argv) == (0, ["mpmath", "sympy"])
         code, doc = run_json(tmp_path, argv)
         assert code == 0 and doc["diagnosis"]["reason"] == "leading-system-not-finite"
 

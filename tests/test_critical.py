@@ -9,6 +9,7 @@ import sys
 import types
 from fractions import Fraction
 
+import mpmath
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
@@ -17,6 +18,7 @@ from novspec.fields import NEG_INF, GaussianRational, field_for_mode, parse_floo
 from novspec.cli import main, parse_args
 from novspec.novikov import NovikovScalar
 from novspec.critical import (
+    _PI,
     LeadingRoot,
     _binomial_values,
     _brane_failure,
@@ -33,15 +35,17 @@ from novspec.critical import (
 from novspec.polytope import (
     Facet,
     MomentPolytope,
+    coset_representatives,
     int_det,
     polytope_validate,
     product,
+    rational_inverse,
     segment,
     simplex,
     transform,
     transform_point,
 )
-from novspec.potential import PotentialFunction, brane_from_constants, potential
+from novspec.potential import PotentialFunction, brane_from_constants
 
 QQ = field_for_mode("rational")
 QI = field_for_mode("gaussian")
@@ -88,17 +92,17 @@ def rational_constants(root):
 
 @functools.lru_cache(maxsize=None)
 def trap_cert(order="-6"):
-    return certify_heavy(potential(TRAP, "3/4,1/2"), order, QI)
+    return certify_heavy(PotentialFunction(TRAP, "3/4,1/2"), order, QI)
 
 
 @functools.lru_cache(maxsize=None)
 def cp2_cert():
-    return certify_heavy(potential(CP2, "1/3,1/3"), "-10", CC)
+    return certify_heavy(PotentialFunction(CP2, "1/3,1/3"), "-10", CC)
 
 
 class TestPotential:
     def test_interval_terms(self):
-        w = potential(CP1, "1/2")
+        w = PotentialFunction(CP1, "1/2")
         assert [(t.exponent, t.weight) for t in w.terms] == [
             ((1,), Fraction(-1, 2)),
             ((-1,), Fraction(-1, 2)),
@@ -106,23 +110,23 @@ class TestPotential:
 
     def test_off_interior_rejected(self):
         with pytest.raises(ValueError, match="not interior"):
-            potential(CP1, "1")
+            PotentialFunction(CP1, "1")
 
     def test_evaluate_and_gradient_at_unit_brane(self):
-        w = potential(CP1, "1/2")
+        w = PotentialFunction(CP1, "1/2")
         x = brane_from_constants(QQ, [Fraction(1)])
         assert w.evaluate(x) == mono(QQ, 2, Fraction(-1, 2))
         grad = w.gradient(x)
         assert len(grad) == 1 and grad[0].is_exact_zero()
 
     def test_gradient_nonzero_off_critical(self):
-        w = potential(CP1, "1/2")
+        w = PotentialFunction(CP1, "1/2")
         x = brane_from_constants(QQ, [Fraction(2)])
         (y,) = w.gradient(x)
         assert y == mono(QQ, Fraction(3, 2), Fraction(-1, 2))
 
     def test_hessian_symmetric(self):
-        w = potential(CP2, "1/4,1/4")
+        w = PotentialFunction(CP2, "1/4,1/4")
         x = brane_from_constants(QQ, [Fraction(1), Fraction(2)])
         m = w.hessian(x)
         assert m[0][1] == m[1][0]
@@ -140,10 +144,10 @@ class TestPotential:
             ]
 
         x, other = point(1, 2), point(3, -1)
-        w = potential(TRAP, "3/4,1/2")
+        w = PotentialFunction(TRAP, "3/4,1/2")
 
         def check(pt, floor):
-            fresh = potential(TRAP, "3/4,1/2")
+            fresh = PotentialFunction(TRAP, "3/4,1/2")
             assert w.gradient(pt, floor) == fresh.gradient(pt, floor)
             assert w.hessian(pt, floor) == fresh.hessian(pt, floor)
             assert w.evaluate(pt, floor) == fresh.evaluate(pt, floor)
@@ -191,13 +195,13 @@ class TestPotential:
         assert by_one and not any(by_one)
 
     def test_non_unit_brane_rejected(self):
-        w = potential(CP1, "1/2")
+        w = PotentialFunction(CP1, "1/2")
         x = [mono(QQ, 1, Fraction(1, 2))]
         with pytest.raises(ValueError):
             w.gradient(x)
 
     def test_leading_strata_per_component(self):
-        w = potential(TRAP, (Fraction(3, 4), Fraction(1, 2)))
+        w = PotentialFunction(TRAP, (Fraction(3, 4), Fraction(1, 2)))
         strata = w.leading_strata()
         assert [(s.component, s.weight, tuple(s.facets)) for s in strata] == [
             (0, Fraction(-3, 4), (0, 3)),
@@ -205,7 +209,7 @@ class TestPotential:
         ]
 
     def test_dominating_facet_stratum(self):
-        w = potential(CP1, "1/4")
+        w = PotentialFunction(CP1, "1/4")
         (s,) = w.leading_strata()
         assert s.weight == Fraction(-1, 4)
         assert s.dominating == 0
@@ -213,7 +217,7 @@ class TestPotential:
 
 class TestLeadingRoots:
     def test_interval_midpoint_pm_one(self):
-        w = potential(CP1, "1/2")
+        w = PotentialFunction(CP1, "1/2")
         rep = critical_points_leading(w)
         assert rep.roots
         assert [r.values for r in rep.roots] == [(-1 + 0j,), (1 + 0j,)]
@@ -223,7 +227,7 @@ class TestLeadingRoots:
         ]
 
     def test_off_center_dominating_facet(self):
-        w = potential(CP1, "1/4")
+        w = PotentialFunction(CP1, "1/4")
         rep = critical_points_leading(w)
         assert not rep.roots
         assert rep.diagnosis["reason"] == "dominating-facet"
@@ -233,12 +237,12 @@ class TestLeadingRoots:
         for n in (1, 2, 3):
             p = simplex(n)
             center = ",".join([f"1/{n + 1}"] * n)
-            w = potential(p, center)
+            w = PotentialFunction(p, center)
             rep = critical_points_leading(w)
             assert len(rep.roots) == n + 1
 
     def test_cube_roots_need_complex_mode(self):
-        w = potential(CP2, "1/3,1/3")
+        w = PotentialFunction(CP2, "1/3,1/3")
         rep = critical_points_leading(w)
         root = rep.roots[0]
         assert root.exact is None
@@ -250,12 +254,12 @@ class TestLeadingRoots:
         assert abs(vals[0] ** 3 - 1) < 1e-9
 
     def test_mixed_minima_product_four_roots(self):
-        w = potential(BOX, (Fraction(1, 2), Fraction(1)))
+        w = PotentialFunction(BOX, (Fraction(1, 2), Fraction(1)))
         rep = critical_points_leading(w)
         assert len(rep.roots) == 4
 
     def test_gaussian_roots_snap_exactly(self):
-        w = potential(TRAP, (Fraction(3, 4), Fraction(1, 2)))
+        w = PotentialFunction(TRAP, (Fraction(3, 4), Fraction(1, 2)))
         rep = critical_points_leading(w)
         assert [r.values for r in rep.roots] == [
             (-1 + 0j, 1 + 0j),
@@ -298,13 +302,14 @@ def _cofactor_det(rows):
 
 
 @st.composite
-def binomial_systems(draw, max_dim=3):
-    """a x^u + b x^(u - d_j) = 0 per equation, with det D != 0."""
+def binomial_systems(draw, max_dim=3, span=2, max_coeff=3, max_det=None):
+    """a x^u + b x^(u - d_j) = 0 per equation, with exponent entries in
+    [-span, span], 0 < |a|, |b| <= max_coeff and 0 < |det D| <= max_det."""
     n = draw(st.integers(1, max_dim))
-    small = st.lists(st.integers(-2, 2), min_size=n, max_size=n)
-    coeff = st.sampled_from([-3, -2, -1, 1, 2, 3])
+    small = st.lists(st.integers(-span, span), min_size=n, max_size=n)
+    coeff = st.sampled_from([s * k for k in range(1, max_coeff + 1) for s in (-1, 1)])
     d = [draw(small) for _ in range(n)]
-    assume(int_det(d) != 0)
+    assume(int_det(d) != 0 and (max_det is None or abs(int_det(d)) <= max_det))
     system = []
     for dj in d:
         u = draw(small)
@@ -363,6 +368,61 @@ def test_binomial_roots_match_exact_oracle(case):
             assert root.exact == tuple(unit_points[t] for t in thetas)
 
 
+def _mpmath_binomial_values(system):
+    """The closed-form roots of ``_binomial_values`` evaluated with mpmath at
+    200 bits, each part rounded to a float once: the reference the decimal
+    evaluation matches bit for bit."""
+    d = [[p - q for p, q in zip(u, v)] for (_, u), (_, v) in system]
+    _, inv = rational_inverse(d)
+    c = [Fraction(-b, a) for (a, _), (b, _) in system]
+    half = [Fraction(int(cj < 0), 2) for cj in c]
+
+    def real(q):
+        return mpmath.mpf(q.numerator) / q.denominator
+
+    out = []
+    with mpmath.workprec(200):
+        radii = [
+            mpmath.exp(mpmath.fsum(real(e) * mpmath.log(real(abs(cj))) for e, cj in zip(row, c)))
+            for row in inv
+        ]
+        for m in coset_representatives(d):
+            shifted = [mj + hj for mj, hj in zip(m, half)]
+            root = []
+            for r, row in zip(radii, inv):
+                turn = 2 * real(sum(e * s for e, s in zip(row, shifted)) % 1)
+                root.append(complex(float(r * mpmath.cospi(turn)), float(r * mpmath.sinpi(turn))))
+            out.append(tuple(root))
+    return out
+
+
+def _float_bits(values):
+    return [
+        [(p, math.copysign(1.0, p)) for z in root for p in (z.real, z.imag)] for root in values
+    ]
+
+
+def test_pi_constant_is_correctly_rounded():
+    digits = len(str(_PI)) - 1
+    with mpmath.workdps(digits + 20):
+        assert abs(mpmath.mpf(str(_PI)) - mpmath.pi) < mpmath.mpf(10) ** -(digits - 1) / 2
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(binomial_systems())
+def test_binomial_roots_match_mpmath_bit_for_bit(case):
+    system, _ = case
+    assert _float_bits(_binomial_values(system)) == _float_bits(_mpmath_binomial_values(system))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(binomial_systems(span=3, max_coeff=6, max_det=64))
+def test_wide_binomial_roots_match_mpmath_bit_for_bit(case):
+    # coefficients +-1..6, exponents +-3, up to 64 roots per system
+    system, _ = case
+    assert _float_bits(_binomial_values(system)) == _float_bits(_mpmath_binomial_values(system))
+
+
 @settings(max_examples=15, deadline=None, derandomize=True, database=None)
 @given(binomial_systems(max_dim=2))
 def test_binomial_roots_agree_with_sympy(case):
@@ -381,7 +441,7 @@ def test_binomial_roots_agree_with_sympy(case):
 
 class TestLift:
     def test_interval_exact_branes(self):
-        cert = certify_heavy(potential(CP1, "1/2"), "-8", QQ)
+        cert = certify_heavy(PotentialFunction(CP1, "1/2"), "-8", QQ)
         assert cert.found and len(cert.branes) == 2
         for brane, const in zip(cert.branes, (-2, 2)):
             assert brane.iterations == 0
@@ -413,7 +473,7 @@ class TestLift:
 
     def test_lift_verifies_gradient_independently(self):
         cert = trap_cert()
-        w = potential(TRAP, (Fraction(3, 4), Fraction(1, 2)))
+        w = PotentialFunction(TRAP, (Fraction(3, 4), Fraction(1, 2)))
         for brane in cert.branes:
             grad = w.gradient(brane.x, Fraction(-6))
             assert all(y.is_zero() for y in grad)
@@ -434,7 +494,7 @@ class TestLift:
         assert abs(sum(thirds)) < 1e-9
 
     def test_non_root_rejected(self):
-        w = potential(CP1, "1/2")
+        w = PotentialFunction(CP1, "1/2")
         bad = LeadingRoot(values=(2 + 0j,), exact=(GaussianRational(2),))
         with pytest.raises(ValueError, match="does not solve the leading system"):
             lift_critical(w, bad, Fraction(-6), QQ)
@@ -442,7 +502,7 @@ class TestLift:
     @pytest.mark.parametrize("field", [QI, CC])
     def test_degenerate_leading_root_rejected(self, field):
         # x = i gives x + 1/x = 0: the leading Jacobian of the segment vanishes.
-        w = potential(CP1, "1/2")
+        w = PotentialFunction(CP1, "1/2")
         root = LeadingRoot(values=(1j,), exact=(GaussianRational(0, 1),))
         with pytest.raises(ValueError, match="degenerate leading root"):
             lift_critical(w, root, Fraction(-2), field)
@@ -459,13 +519,13 @@ class TestLift:
         for order in ("0", "1/2", "5"):
             for fiber in ("1/2", "1/4"):
                 with pytest.raises(ValueError, match="negative rational"):
-                    certify_heavy(potential(CP1, fiber), order, QQ)
+                    certify_heavy(PotentialFunction(CP1, fiber), order, QQ)
             with pytest.raises(ValueError, match="negative rational"):
                 scan_fibers(CP1, "1/3", order, QQ)
 
     def test_exact_mode_refuses_irrational_roots(self):
         with pytest.raises(ValueError, match="use gaussian or complex mode"):
-            certify_heavy(potential(CP2, "1/3,1/3"), "-6", QQ)
+            certify_heavy(PotentialFunction(CP2, "1/3,1/3"), "-6", QQ)
 
     def test_invalid_polytope_rejected(self, tmp_path):
         # certify_heavy takes a built potential: its callers validate
@@ -486,7 +546,7 @@ class TestFloorsAcrossOrders:
     # so a deeper run must agree with it above o, term for term.
     @pytest.mark.parametrize(
         "certify",
-        [lambda o: certify_heavy(potential(F2, "1,1/2"), o, QQ), trap_cert],
+        [lambda o: certify_heavy(PotentialFunction(F2, "1,1/2"), o, QQ), trap_cert],
         ids=["f2-rational", "trapezoid-gaussian"],
     )
     def test_deeper_certificate_truncates_to_the_shallower(self, certify):
@@ -496,7 +556,7 @@ class TestFloorsAcrossOrders:
                 assert d.truncate(shallow.order) == s
 
     def test_complex_certificate_matches_the_gaussian_one(self):
-        approx = certify_heavy(potential(TRAP, "3/4,1/2"), "-4", CC)
+        approx = certify_heavy(PotentialFunction(TRAP, "3/4,1/2"), "-4", CC)
         for be, ba in zip(trap_cert("-4").branes, approx.branes, strict=True):
             for e, a in zip([*be.x, be.central_charge], [*ba.x, ba.central_charge], strict=True):
                 assert [t for t, _ in e.terms] == [t for t, _ in a.terms]
@@ -506,7 +566,7 @@ class TestFloorsAcrossOrders:
 class TestProductFibers:
     def test_product_branes_are_componentwise_pairs(self):
         p = product(CP1, CP1)
-        cert = certify_heavy(potential(p, "1/2,1/2"), "-8", QQ)
+        cert = certify_heavy(PotentialFunction(p, "1/2,1/2"), "-8", QQ)
         consts = sorted(
             tuple(xj.terms[0][1] for xj in brane.x) for brane in cert.branes
         )
@@ -518,17 +578,17 @@ class TestProductFibers:
         ]
 
     def test_mixed_minima_product_certifies(self):
-        cert = certify_heavy(potential(BOX, "1/2,1"), "-8", QQ)
+        cert = certify_heavy(PotentialFunction(BOX, "1/2,1"), "-8", QQ)
         assert len(cert.branes) == 4
         for brane in cert.branes:
             assert brane.residual_valuation == NEG_INF
 
     def test_product_charge_splits_as_sum(self):
         p = product(CP1, CP1)
-        cert = certify_heavy(potential(p, "1/2,1/2"), "-8", QQ)
+        cert = certify_heavy(PotentialFunction(p, "1/2,1/2"), "-8", QQ)
         charges = {brane.central_charge for brane in cert.branes}
         # W = W_0 + W_1 termwise: charges are +-2q^{-1/2} +- 2q^{-1/2}
-        factor = certify_heavy(potential(CP1, "1/2"), "-8", QQ)
+        factor = certify_heavy(PotentialFunction(CP1, "1/2"), "-8", QQ)
         parts = [b.central_charge for b in factor.branes]
         expected = {a + b for a in parts for b in parts}
         assert charges == expected
@@ -541,8 +601,8 @@ class TestEquivariance:
         p = BOX
         fiber = (Fraction(1, 2), Fraction(1))
         q = transform(p, self.A)
-        cert0 = certify_heavy(potential(p, fiber), "-8", QQ)
-        cert1 = certify_heavy(potential(q, transform_point(self.A, fiber)), "-8", QQ)
+        cert0 = certify_heavy(PotentialFunction(p, fiber), "-8", QQ)
+        cert1 = certify_heavy(PotentialFunction(q, transform_point(self.A, fiber)), "-8", QQ)
         assert len(cert0.branes) == len(cert1.branes)
         charges0 = sorted(
             json.dumps(b.central_charge.to_json(), sort_keys=True)
@@ -560,8 +620,8 @@ class TestEquivariance:
         p = BOX
         fiber = (Fraction(1, 2), Fraction(1))
         q = transform(p, self.A)
-        cert0 = certify_heavy(potential(p, fiber), "-8", QQ)
-        cert1 = certify_heavy(potential(q, transform_point(self.A, fiber)), "-8", QQ)
+        cert0 = certify_heavy(PotentialFunction(p, fiber), "-8", QQ)
+        cert1 = certify_heavy(PotentialFunction(q, transform_point(self.A, fiber)), "-8", QQ)
         consts0 = {
             tuple(xj.terms[0][1] for xj in b.x) for b in cert0.branes
         }
@@ -579,7 +639,7 @@ class TestEquivariance:
         # leading variety is a curve, and the solver reports that honestly
         q = transform(TRAP, self.A)
         fiber = transform_point(self.A, (Fraction(3, 4), Fraction(1, 2)))
-        report = certify_heavy(potential(q, fiber), "-6", QI)
+        report = certify_heavy(PotentialFunction(q, fiber), "-6", QI)
         assert not report.found
         assert report.diagnosis["reason"] == "leading-system-not-finite"
         assert "positive-dimensional" in report.diagnosis["note"]
@@ -594,7 +654,7 @@ class TestCertificates:
         assert any("gradient vanishes" in c for c in result["checks"])
 
     def test_tampered_charge_detected(self):
-        cert = certify_heavy(potential(CP1, "1/2"), "-8", QQ)
+        cert = certify_heavy(PotentialFunction(CP1, "1/2"), "-8", QQ)
         doc = cert.to_json()
         doc["branes"][0]["central_charge"]["terms"][0]["c"] = "3"
         result = revalidate_certificate(doc)
@@ -602,7 +662,7 @@ class TestCertificates:
         assert any("central charge" in f for f in result["failures"])
 
     def test_tampered_brane_detected(self):
-        cert = certify_heavy(potential(CP1, "1/2"), "-8", QQ)
+        cert = certify_heavy(PotentialFunction(CP1, "1/2"), "-8", QQ)
         doc = cert.to_json()
         doc["branes"][1]["x"][0]["terms"][0]["c"] = "2"
         result = revalidate_certificate(doc)
@@ -614,7 +674,7 @@ class TestCertificates:
         assert not result["ok"]
 
     def test_none_found_report_shape(self):
-        report = certify_heavy(potential(CP1, "1/4"), "-8", QQ)
+        report = certify_heavy(PotentialFunction(CP1, "1/4"), "-8", QQ)
         assert not report.found
         doc = report.to_json()
         assert doc["kind"] == "no-critical-branes"
@@ -622,13 +682,13 @@ class TestCertificates:
         assert doc["diagnosis"]["reason"] == "dominating-facet"
 
     def test_certificate_carries_theorem_tag(self):
-        cert = certify_heavy(potential(CP1, "1/2"), "-8", QQ)
+        cert = certify_heavy(PotentialFunction(CP1, "1/2"), "-8", QQ)
         doc = cert.to_json()
         assert doc["schema_version"] == "1"
         assert doc["theorem"] == "critical-fiber-heaviness"
 
 
-TRAP_W = potential(TRAP, (Fraction(3, 4), Fraction(1, 2)))
+TRAP_W = PotentialFunction(TRAP, (Fraction(3, 4), Fraction(1, 2)))
 SEVEN = [mono(QI, 7, 0)] * 2  # solves no leading system of the trapezoid
 
 
@@ -654,7 +714,7 @@ class TestBraneCheck:
     def test_exact_residual_at_a_two_term_exact_coordinate(self):
         # 1 + q^-1 has no exact inverse, hence no exact gradient: this fails
         # where it used to raise from the inversion
-        w = potential(CP1, "1/2")
+        w = PotentialFunction(CP1, "1/2")
         x = [mono(QQ, 1, 0) + mono(QQ, 1, -1)]
         assert _brane_failure(w, w.leading_strata(), x, NEG_INF, Fraction(-4)) == (
             "claimed exact zero residual but gradient is nonzero"
@@ -693,7 +753,7 @@ class TestBraneCheck:
         p = MomentPolytope(1, [Facet((1,), Fraction(0))] * 3 + [
             Facet((-1,), Fraction(-1)), Facet((2,), Fraction(1, 2)),
         ])
-        w = potential(p, "1/2")
+        w = PotentialFunction(p, "1/2")
         degenerate = "degenerate leading root: the leading-stratum Jacobian is singular"
         assert _brane_failure(w, w.leading_strata(), [mono(QQ, -1, 0)], NEG_INF, -2) == degenerate
         root = LeadingRoot(values=(-1 + 0j,), exact=(GaussianRational(-1),))
@@ -722,7 +782,7 @@ class TestBraneCheck:
     @pytest.mark.parametrize("field", [QI, CC], ids=["gaussian", "complex"])
     def test_residual_below_the_coordinates_rejected(self, field):
         # an order -2 certificate claiming residual -3, charges recomputed
-        report = certify_heavy(potential(TRAP, "3/4,1/2"), "-2", field)
+        report = certify_heavy(PotentialFunction(TRAP, "3/4,1/2"), "-2", field)
         doc = report.to_json()
         for brane, lifted in zip(doc["branes"], report.branes):
             charge = TRAP_W.evaluate(lifted.x, Fraction(-3)).to_json()
@@ -755,7 +815,7 @@ CERTIFIABLE = {
 @example(order=Fraction(-3))
 def test_certificates_revalidate_at_any_order(polytope, fiber, mode, order):
     # above and below the stratum weights (-3/4 and -1/2 at the trapezoid)
-    report = certify_heavy(potential(polytope, fiber), order, field_for_mode(mode))
+    report = certify_heavy(PotentialFunction(polytope, fiber), order, field_for_mode(mode))
     assert report.branes
     result = revalidate_certificate(json.loads(json.dumps(report.to_json())))
     assert result["ok"], result["failures"]

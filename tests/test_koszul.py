@@ -18,7 +18,7 @@ from novspec.koszul import (
 )
 from novspec.critical import certify_heavy
 from novspec.polytope import segment, simplex
-from novspec.potential import brane_from_constants, potential
+from novspec.potential import PotentialFunction, brane_from_constants
 from novspec.randomcx import random_scalar
 
 QQ = field_for_mode("rational")
@@ -108,7 +108,7 @@ class TestDichotomy:
             assert hqf_report(koszul_complex(QQ, y))["rank"] == 0
 
     def test_certified_brane_full_rank_doubled_brane_zero(self):
-        w = potential(CP1, "1/2")
+        w = PotentialFunction(CP1, "1/2")
         cert = certify_heavy(w, "-8", QQ)
         two = QQ.coerce(Fraction(2))
         for brane in cert.branes:
@@ -121,7 +121,7 @@ class TestDichotomy:
             assert not unit_in_homology(c0)
 
     def test_triangle_branes_rank_four(self):
-        w = potential(CP2, "1/3,1/3")
+        w = PotentialFunction(CP2, "1/3,1/3")
         cert = certify_heavy(w, "-6", CC)
         for brane in cert.branes:
             c = build_cqf(w, brane.x, cert.order)
@@ -130,7 +130,7 @@ class TestDichotomy:
             assert unit_in_homology(c)
 
     def test_ideal_leading_data_reported(self):
-        w = potential(CP1, "1/2")
+        w = PotentialFunction(CP1, "1/2")
         x = brane_from_constants(QQ, [Fraction(3)])
         c = build_cqf(w, x, Fraction(-4))
         rep = hqf_report(c)
@@ -143,21 +143,21 @@ class TestDichotomy:
 
 class TestBuild:
     def test_build_requires_unit_brane(self):
-        w = potential(CP1, "1/2")
+        w = PotentialFunction(CP1, "1/2")
         with pytest.raises(ValueError):
             build_cqf(w, [mono(1, Fraction(1, 2))], Fraction(-4))
 
 
 class TestCentralCharge:
     def test_interval_charges(self):
-        w = potential(CP1, "1/2")
+        w = PotentialFunction(CP1, "1/2")
         plus = brane_from_constants(QQ, [Fraction(1)])
         minus = brane_from_constants(QQ, [Fraction(-1)])
         assert w.evaluate(plus) == mono(2, Fraction(-1, 2))
         assert w.evaluate(minus) == mono(-2, Fraction(-1, 2))
 
     def test_charge_truncates_at_floor(self):
-        w = potential(CP1, "1/2")
+        w = PotentialFunction(CP1, "1/2")
         x = brane_from_constants(QQ, [Fraction(1)])
         charge = w.evaluate(x, Fraction(-1, 4))
         assert charge.is_zero() and charge.floor == Fraction(-1, 4)

@@ -23,7 +23,6 @@ from .fields import (
     NEG_INF,
     CoefficientField,
     floor_str,
-    fraction_str,
     parse_floor,
     parse_fraction,
     parse_ratio,
@@ -84,7 +83,7 @@ class PeriodLattice:
     def to_json(self) -> dict:
         return {
             "rank": self.rank,
-            "periods": [fraction_str(p) for p in self.periods],
+            "periods": [str(p) for p in self.periods],
         }
 
     @staticmethod
@@ -93,8 +92,13 @@ class PeriodLattice:
             return PeriodLattice()
         if not isinstance(obj, dict):
             raise ValueError("lattice must be an object")
-        periods = tuple(parse_fraction(p) for p in obj.get("periods", []))
+        periods = obj.get("periods", [])
+        if not isinstance(periods, list):
+            raise ValueError("lattice periods must be a list")
+        periods = tuple(parse_fraction(p) for p in periods)
         rank = obj.get("rank", len(periods))
+        if isinstance(rank, bool) or not isinstance(rank, int):
+            raise ValueError("lattice rank must be an integer")
         if rank != len(periods):
             raise ValueError("lattice rank disagrees with period count")
         return PeriodLattice(periods)
@@ -119,7 +123,7 @@ class OrbitGenerator:
     def to_json(self) -> dict:
         return {
             "id": self.id,
-            "action": fraction_str(self.action),
+            "action": str(self.action),
             "degree": self.degree,
         }
 

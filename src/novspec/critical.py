@@ -42,7 +42,6 @@ from .fields import (
     GaussianRational,
     SchemaError,
     floor_str,
-    fraction_str,
     gauss_jordan,
     parse_floor,
     parse_fraction,
@@ -105,7 +104,7 @@ class LeadingRoot:
 
 @dataclass
 class LeadingReport:
-    strata: List[ComponentStratum]
+    strata: Tuple[ComponentStratum, ...]
     roots: List[LeadingRoot]
     diagnosis: Optional[dict] = None
 
@@ -131,7 +130,7 @@ def critical_points_leading(w: PotentialFunction) -> LeadingReport:
     with a nonsingular exponent matrix is solved in closed form; any other
     goes to sympy.
     """
-    strata = w.leading_strata()
+    strata = w.strata
     for s in strata:
         dom = s.dominating
         if dom is not None:
@@ -142,7 +141,7 @@ def critical_points_leading(w: PotentialFunction) -> LeadingReport:
                     "reason": "dominating-facet",
                     "component": s.component,
                     "facet": dom,
-                    "weight": fraction_str(s.weight),
+                    "weight": str(s.weight),
                     "note": (
                         f"facet {dom} alone attains the leading weight "
                         f"{s.weight} in coordinate {s.component}; its monomial "
@@ -151,14 +150,9 @@ def critical_points_leading(w: PotentialFunction) -> LeadingReport:
                 },
             )
 
-    # potential term i is the term of facet i
-    system = [
-        [(w.terms[i].exponent[s.component], w.terms[i].exponent) for i in s.facets]
-        for s in strata
-    ]
-    values = _binomial_values(system)
+    values = _binomial_values(w.leading_system)
     if values is None:
-        values, diagnosis = _sympy_values(system, w.dim)
+        values, diagnosis = _sympy_values(w.leading_system, w.dim)
         if diagnosis is not None:
             return LeadingReport(strata=strata, roots=[], diagnosis=diagnosis)
     roots = _leading_roots(values)
@@ -335,19 +329,18 @@ def _sympy_values(system: System, n: int):
 # Lifting
 
 
-def _degeneracy_failure(w: PotentialFunction, strata, values: Sequence[complex]) -> Optional[str]:
+def _degeneracy_failure(w: PotentialFunction, values: Sequence[complex]) -> Optional[str]:
     """Why the leading Jacobian at ``values`` is too degenerate for Newton
     to contract, or None: in floats, its determinant must exceed 1e-9 times
     the product of its row maxima."""
     n = w.dim
     jac = [[complex(0) for _ in range(n)] for _ in range(n)]
-    for s in strata:
-        for i in s.facets:
-            t = w.terms[i]
-            mono = math.prod(v ** e for v, e in zip(values, t.exponent))
+    for row, equation in zip(jac, w.leading_system):  # one per component, in order
+        for vj, v in equation:
+            mono = math.prod(z ** e for z, e in zip(values, v))
             for k in range(n):
-                if t.exponent[k]:
-                    jac[s.component][k] += t.exponent[s.component] * t.exponent[k] * mono
+                if v[k]:
+                    row[k] += vj * v[k] * mono
     _, pivots, sign = gauss_jordan(jac, n, lambda z: abs(z) or None, lambda z: 1 / z)
     det = sign * math.prod(p for _, p in pivots) if len(pivots) == n else 0
     scale = math.prod(max(max(abs(z) for z in row), 1e-30) for row in jac)
@@ -356,10 +349,11 @@ def _degeneracy_failure(w: PotentialFunction, strata, values: Sequence[complex])
     return None
 
 
-def _leading_failure(strata, grad: Sequence[NovikovScalar]) -> Optional[str]:
+def _leading_failure(w: PotentialFunction, grad: Sequence[NovikovScalar]) -> Optional[str]:
     """Why the point with gradient ``grad`` does not solve the leading
-    system, or None: each component must lie below its stratum weight."""
-    for s in strata:
+    system of ``w``, or None: each component must lie below its stratum
+    weight."""
+    for s in w.strata:
         yj = grad[s.component]
         if not yj.is_zero() and yj.valuation() >= s.weight:
             return (
@@ -369,7 +363,7 @@ def _leading_failure(strata, grad: Sequence[NovikovScalar]) -> Optional[str]:
     return None
 
 
-def _brane_failure(w: PotentialFunction, strata, x, residual, order) -> Optional[str]:
+def _brane_failure(w: PotentialFunction, x, residual, order) -> Optional[str]:
     """The first condition under which brane ``x`` fails to certify a
     critical point of ``w`` above ``residual``, or None.  The lift checks
     what it returns here, and revalidation every brane it reads.
@@ -400,12 +394,12 @@ def _brane_failure(w: PotentialFunction, strata, x, residual, order) -> Optional
                 f"gradient is known only above {floor_str(known)}, "
                 f"not down to the residual {floor_str(residual)}"
             )
-        w_min = min(s.weight for s in strata)
+        w_min = min(s.weight for s in w.strata)
         if residual >= w_min:  # read the leading system below every weight
             grad = w.gradient(x, 2 * w_min)
-        if failure := _leading_failure(strata, grad):
+        if failure := _leading_failure(w, grad):
             return failure
-    return _degeneracy_failure(w, strata, [complex(xj.leading_coefficient()) for xj in x])
+    return _degeneracy_failure(w, [complex(xj.leading_coefficient()) for xj in x])
 
 
 def _pivot_key(s: NovikovScalar):
@@ -415,17 +409,13 @@ def _pivot_key(s: NovikovScalar):
     return (s.valuation(), s.field.magnitude(s.leading_coefficient()))
 
 
-def _invert_pivot(s: NovikovScalar) -> NovikovScalar:
-    return s.invert(s.floor if s.floor != NEG_INF else None)
-
-
 def _solve_linear(
     mat: List[List[NovikovScalar]], rhs: List[NovikovScalar]
 ) -> List[NovikovScalar]:
     """Gaussian elimination over truncated scalars; raises on singular pivots."""
     n = len(rhs)
     rows = [[*row, b] for row, b in zip(mat, rhs)]
-    reduced, pivots, _ = gauss_jordan(rows, n, _pivot_key, _invert_pivot)
+    reduced, pivots, _ = gauss_jordan(rows, n, _pivot_key, lambda s: s.invert(s.floor))
     if len(pivots) < n:
         raise ValueError("degenerate linear system: singular Jacobian in the lift")
     return [row[n] for row in reduced]
@@ -475,17 +465,16 @@ def lift_critical(
     """
     order = parse_order(order)
     constants = root.constants_for(field)
-    strata = w.leading_strata()
 
     # Reject degenerate leading roots up front: the leading Jacobian must be
     # invertible for Newton contraction.
-    if failure := _degeneracy_failure(w, strata, root.values):
+    if failure := _degeneracy_failure(w, root.values):
         raise ValueError(failure)
 
     x = brane_from_constants(field, constants)
 
     # Exact short-circuit: a root that solves the full gradient identically.
-    if field.exact and _brane_failure(w, strata, x, NEG_INF, order) is None:
+    if field.exact and _brane_failure(w, x, NEG_INF, order) is None:
         return BraneCertificate(
             x=x,
             order=order,
@@ -495,7 +484,7 @@ def lift_critical(
             iterations=0,
         )
 
-    w_lead = min(s.weight for s in strata)
+    w_lead = min(s.weight for s in w.strata)
     # Work strictly below the target: corrections of size below order + w_lead
     # cannot change coefficients above order, and one more w_lead of margin
     # absorbs the row normalization in the linear solves.
@@ -506,7 +495,7 @@ def lift_critical(
     x = [xj.with_floor(floor_work) for xj in x]
 
     grad = w.gradient(x, floor_work)
-    if failure := _leading_failure(strata, grad):
+    if failure := _leading_failure(w, grad):
         raise ValueError(f"initial point {failure}")
 
     iterations = 0
@@ -526,7 +515,7 @@ def lift_critical(
         # Row-normalize by the stratum weights so pivots are unit-valuation.
         rows = []
         rhs = []
-        for s in strata:
+        for s in w.strata:
             rows.append([m.shift(-s.weight) for m in hess[s.component]])
             rhs.append(-grad[s.component].shift(-s.weight))
         delta = _solve_linear(rows, rhs)
@@ -538,7 +527,7 @@ def lift_critical(
     # Re-anchor at the certified order and verify the claim independently of
     # the iteration bookkeeping.
     x_final = [xj.with_floor(order) for xj in x]
-    if failure := _brane_failure(w, strata, x_final, order, order):
+    if failure := _brane_failure(w, x_final, order, order):
         raise ValueError(f"lift verification failed: {failure}")
     return BraneCertificate(
         x=x_final,
@@ -563,7 +552,6 @@ class FiberReport:
     w: PotentialFunction
     order: object
     field: CoefficientField
-    strata: List[ComponentStratum]
     diagnosis: Optional[dict]
     branes: List[BraneCertificate]
 
@@ -577,7 +565,7 @@ class FiberReport:
 
     @property
     def leading_weights(self) -> List[Fraction]:
-        return [s.weight for s in self.strata]
+        return [s.weight for s in self.w.strata]
 
     def to_json(self) -> dict:
         doc = {
@@ -591,14 +579,14 @@ class FiberReport:
             doc.update(
                 kind="heaviness-certificate",
                 theorem=THEOREM_TAG,
-                leading_weights=[fraction_str(w) for w in self.leading_weights],
+                leading_weights=[str(w) for w in self.leading_weights],
                 branes=[b.to_json() for b in self.branes],
             )
         else:
             doc.update(
                 kind="no-critical-branes",
                 diagnosis=self.diagnosis,
-                strata=[s.to_json() for s in self.strata],
+                strata=[s.to_json() for s in self.w.strata],
                 note=(
                     "no critical branes found at this fiber; this is a diagnosis, "
                     "not a proof of non-heaviness"
@@ -612,7 +600,7 @@ class FiberReport:
             "fiber": point_str(self.w.fiber),
             "status": self.status,
             "branes": len(self.branes),
-            "leading_weights": [fraction_str(w) for w in self.leading_weights],
+            "leading_weights": [str(w) for w in self.leading_weights],
             "diagnosis": self.diagnosis,
             "certificate": self.to_json() if self.branes else None,
         }
@@ -632,7 +620,6 @@ def certify_heavy(w: PotentialFunction, order, field: CoefficientField) -> Fiber
         w=w,
         order=order,
         field=field,
-        strata=leading.strata,
         diagnosis=leading.diagnosis,
         branes=[lift_critical(w, root, order, field) for root in leading.roots],
     )
@@ -728,7 +715,7 @@ def revalidate_certificate(doc: dict, where: str = "certificate") -> dict:
     try:
         w = PotentialFunction(p, fiber)
         checks.append("fiber is interior")
-        strata = w.leading_strata()
+        w.strata  # a coordinate on no facet fails here, after the interior check
     except ValueError as exc:
         fail(str(exc))
         return {"ok": False, "checks": checks, "failures": failures}
@@ -736,7 +723,7 @@ def revalidate_certificate(doc: dict, where: str = "certificate") -> dict:
     if not branes:
         fail("certificate carries no branes")
     for idx, (x, claimed, stated_charge) in enumerate(branes):
-        if failure := _brane_failure(w, strata, x, claimed, order):
+        if failure := _brane_failure(w, x, claimed, order):
             fail(f"brane {idx}: {failure}")
             continue
         above = "exactly" if claimed == NEG_INF else f"above order {floor_str(claimed)}"
@@ -762,7 +749,7 @@ class ScanReport:
         return {
             "schema_version": "1",
             "kind": "fiber-scan",
-            "resolution": fraction_str(self.resolution),
+            "resolution": str(self.resolution),
             "order": floor_str(self.order),
             "rows": [r.row_json() for r in self.rows],
         }
@@ -771,7 +758,7 @@ class ScanReport:
         out = [["fiber", "status", "branes", "leading_weights", "diagnosis"]]
         for r in self.rows:
             diag = "" if not r.diagnosis else r.diagnosis.get("reason", "")
-            weights = ";".join(fraction_str(w) for w in r.leading_weights)
+            weights = ";".join(str(w) for w in r.leading_weights)
             out.append([point_str(r.w.fiber), r.status, str(len(r.branes)), weights, diag])
         return out
 

@@ -99,10 +99,6 @@ def parse_fraction(value: Any) -> Fraction:
     return Fraction(*parse_ratio(value))
 
 
-def fraction_str(value: Fraction) -> str:
-    return str(value)
-
-
 def ratio_str(num: int, den: int) -> str:
     """``str(Fraction(num, den))`` for ints, ``den`` positive."""
     g = math.gcd(num, den)
@@ -118,7 +114,7 @@ def parse_floor(value: Any) -> Union[Fraction, float]:
 def floor_str(value: Union[Fraction, float]) -> str:
     if value == NEG_INF:
         return "-inf"
-    return fraction_str(value)
+    return str(value)
 
 
 def rational_gcd(a: Fraction, b: Fraction) -> Fraction:

@@ -422,7 +422,7 @@ class NovikovScalar:
 
     # -- inversion ------------------------------------------------------
 
-    def invert(self, floor: Optional[FloorValue] = None) -> "NovikovScalar":
+    def invert(self, floor: FloorValue = NEG_INF) -> "NovikovScalar":
         """Multiplicative inverse.
 
         A scalar a0 q^{w0} (1 + u) with v(u) < 0 has inverse
@@ -440,8 +440,7 @@ class NovikovScalar:
         # Nothing below f - 2*w0 is knowable: the tail enters at
         # relative order f - w0 and the inverse is scaled by q^{-w0}.
         implied = NEG_INF if self.floor is NEG_INF else self.floor - 2 * Fraction(e0, grid)
-        requested = NEG_INF if floor is None else _floor(floor)
-        out_floor = max(implied, requested)
+        out_floor = max(implied, _floor(floor))
         re, im, inv_den = field.to_parts(field.invert(field.from_parts(a0, b0, self.den)))
         if not _nonzero(field)(re, im):
             raise ValueError(f"inverse lead below eps {field.eps}")

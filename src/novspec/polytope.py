@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterator, List, Optional, Sequence, Tuple
 
-from .fields import fraction_str, parse_fraction
+from .fields import parse_fraction
 
 Vector = Tuple[int, ...]
 Point = Tuple[Fraction, ...]
@@ -42,7 +42,7 @@ def parse_fiber(text_or_seq) -> Point:
 
 
 def point_str(point: Sequence[Fraction]) -> str:
-    return ",".join(fraction_str(c) for c in point)
+    return ",".join(str(c) for c in point)
 
 
 def _over_lcm(point: Sequence[Fraction]) -> Tuple[List[int], int]:
@@ -146,11 +146,6 @@ class Facet:
     normal: Vector
     offset: Fraction
 
-    def value(self, point: Sequence[Fraction]) -> Fraction:
-        if len(point) != len(self.normal):
-            raise ValueError("point dimension does not match facet normal")
-        return Fraction(*self._ratio(*_over_lcm(point)))
-
     def _ratio(self, nums: Sequence[int], den: int) -> Tuple[int, int]:
         """``(num, d)``, ``d > 0``, with ``num / d`` the value at the point
         ``nums / den`` (``_over_lcm`` form)."""
@@ -159,7 +154,7 @@ class Facet:
         return dot * c.denominator - c.numerator * den, den * c.denominator
 
     def to_json(self) -> dict:
-        return {"normal": list(self.normal), "offset": fraction_str(self.offset)}
+        return {"normal": list(self.normal), "offset": str(self.offset)}
 
     @staticmethod
     def from_json(obj: dict) -> "Facet":
@@ -476,13 +471,12 @@ def _facet_redundant(p: MomentPolytope, idx: int) -> bool:
     # Facet i is redundant when its value stays >= 0 over the polytope cut
     # out by the other facets alone (vacuously so when they are infeasible).
     others = [f for j, f in enumerate(p.facets) if j != idx]
-    target = p.facets[idx]
     status, sol = _lp(
-        [target.normal], [f.normal for f in others], [f.offset for f in others]
+        [p.facets[idx].normal], [f.normal for f in others], [f.offset for f in others]
     )
     if status != "optimal":
         return status == "infeasible"
-    return target.value(sol) >= 0
+    return p.values(sol)[idx] >= 0
 
 
 def enumerate_vertices(p: MomentPolytope) -> List[Point]:
@@ -582,19 +576,3 @@ def validated(p: MomentPolytope) -> PolytopeReport:
     if not rep.ok:
         raise ValueError("polytope failed validation: " + "; ".join(rep.violations))
     return rep
-
-
-# ---------------------------------------------------------------------------
-# Fiber data
-
-
-def facet_values(p: MomentPolytope, fiber) -> List[Fraction]:
-    """Rational parts r_i = <lam, v_i> - c_i at an interior point; the affine
-    lengths are l_i = 2*pi*r_i.  Errors on boundary or exterior points."""
-    vals = p.values(parse_fiber(fiber))
-    bad = [i for i, v in enumerate(vals) if v <= 0]
-    if bad:
-        raise ValueError(
-            f"fiber is not interior: nonpositive value on facet(s) {bad}"
-        )
-    return vals

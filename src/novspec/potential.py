@@ -21,11 +21,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import List, Optional, Sequence, Tuple
 
-from .fields import NEG_INF, CoefficientField, fraction_str
+from .fields import NEG_INF, CoefficientField
 from .novikov import NovikovScalar
-from .polytope import MomentPolytope, Point, Vector, facet_values, parse_fiber, point_str
+from .polytope import MomentPolytope, Point, Vector, parse_fiber, point_str
 
 
 @dataclass(frozen=True)
@@ -38,7 +39,7 @@ class PotentialTerm:
         return {
             "facet": self.facet,
             "exponent": list(self.exponent),
-            "weight": fraction_str(self.weight),
+            "weight": str(self.weight),
         }
 
 
@@ -57,7 +58,7 @@ class ComponentStratum:
     def to_json(self) -> dict:
         return {
             "component": self.component,
-            "weight": fraction_str(self.weight),
+            "weight": str(self.weight),
             "facets": list(self.facets),
         }
 
@@ -73,7 +74,10 @@ class PotentialFunction:
     def __init__(self, polytope: MomentPolytope, fiber) -> None:
         self.polytope = polytope
         self.fiber: Point = parse_fiber(fiber)
-        values = facet_values(polytope, self.fiber)  # errors off the interior
+        values = polytope.values(self.fiber)  # r_i = <lam, v_i> - c_i
+        bad = [i for i, v in enumerate(values) if v <= 0]
+        if bad:
+            raise ValueError(f"fiber is not interior: nonpositive value on facet(s) {bad}")
         self.dim = polytope.dim
         self.terms: Tuple[PotentialTerm, ...] = tuple(
             PotentialTerm(i, f.normal, -values[i]) for i, f in enumerate(polytope.facets)
@@ -99,7 +103,6 @@ class PotentialFunction:
             ):
                 return monos
         one = x[0].field.one()
-        inv_floor = None if floor == NEG_INF else floor
         powers = {}  # (j, k) -> x_j^k truncated at the floor
         for j, xj in enumerate(x):
             needed = {t.exponent[j] for t in self.terms if t.exponent[j]}
@@ -107,7 +110,7 @@ class PotentialFunction:
                 top = max((sign * k for k in needed), default=0)
                 if top <= 0:
                     continue
-                base = xj if sign > 0 else xj.invert(inv_floor)
+                base = xj if sign > 0 else xj.invert(floor)
                 out = base.scale(one)  # 1 * base as a product stores it, signed zeros included
                 for k in range(1, top + 1):
                     if k > 1:
@@ -167,7 +170,8 @@ class PotentialFunction:
 
     # -- leading data ----------------------------------------------------
 
-    def leading_strata(self) -> List[ComponentStratum]:
+    @cached_property
+    def strata(self) -> Tuple[ComponentStratum, ...]:
         """Per component j: the facets with v_ij != 0 attaining the maximal
         weight.  These terms dominate y_j; solving the system they cut out
         is the first-order critical-point condition."""
@@ -179,7 +183,16 @@ class PotentialFunction:
             top = max(t.weight for t in touching)
             facets = tuple(t.facet for t in touching if t.weight == top)
             out.append(ComponentStratum(j, top, facets))
-        return out
+        return tuple(out)
+
+    @cached_property
+    def leading_system(self) -> Tuple[Tuple[Tuple[int, Vector], ...], ...]:
+        """The leading system, one equation sum_{i in I_j} v_ij x^{v_i} = 0
+        per stratum j, as its ``(v_ij, v_i)`` pairs in facet order."""
+        return tuple(
+            tuple((self.terms[i].exponent[s.component], self.terms[i].exponent) for i in s.facets)
+            for s in self.strata
+        )
 
     def to_json(self) -> dict:
         return {

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple, Union
 
-from .fields import fraction_str, parse_fraction, to_float
+from .fields import parse_fraction, to_float
 
 Value = Union[Fraction, float]
 
@@ -48,7 +48,7 @@ def _value_str(v: Value):
     Float arithmetic on in-range inputs can still overflow; a non-finite
     result has no JSON form and is refused."""
     if not isinstance(v, float):
-        return fraction_str(v)
+        return str(v)
     if not math.isfinite(v):
         raise ValueError(f"float arithmetic overflows to {v}")
     return v
@@ -111,12 +111,6 @@ class SpectralOracle:
         if self.tag not in ("synthetic", "derived-from-complex"):
             raise ValueError(f"unknown oracle tag {self.tag!r}")
         _tolerance([c for _, c in self.samples])  # a fit in floats needs float range
-
-    def to_json(self) -> dict:
-        return {
-            "tag": self.tag,
-            "samples": [{"n": n, "c": _value_str(c)} for n, c in self.samples],
-        }
 
     @staticmethod
     def from_json(obj: dict) -> "SpectralOracle":

@@ -18,7 +18,7 @@ from fractions import Fraction
 from typing import Callable, List
 
 from .complexes import FilteredComplex, OrbitGenerator, chain_scale, validate_complex
-from .fields import NEG_INF, field_for_mode, fraction_str
+from .fields import NEG_INF, field_for_mode
 from .novikov import NovikovScalar
 from .quasistate import SpectralOracle, homogenize
 from .randomcx import random_complex, random_scalar
@@ -208,16 +208,10 @@ def _homogenize_suite(seed: int) -> dict:
             est = homogenize(SpectralOracle(samples))
             err = abs(est.value - (-s))
             if err > Fraction(2, n_max):
-                failures.append(
-                    f"trial {t}: slope {fraction_str(s)} recovered with error "
-                    f"{fraction_str(err)} > 2/{n_max}"
-                )
+                failures.append(f"trial {t}: slope {s} recovered with error {err} > 2/{n_max}")
             lo, hi = est.interval
             if not (lo <= -s <= hi):
-                failures.append(
-                    f"trial {t}: interval [{fraction_str(lo)}, {fraction_str(hi)}] "
-                    f"misses the true value {fraction_str(-s)}"
-                )
+                failures.append(f"trial {t}: interval [{lo}, {hi}] misses the true value {-s}")
 
     return _suite("homogenization-bound", trials, body)
 

@@ -32,12 +32,7 @@ from math import gcd, lcm
 from typing import Dict, List, Optional, Tuple
 
 from .complexes import Chain, FilteredComplex, chain_to_json
-from .fields import (
-    NEG_INF,
-    CoefficientField,
-    floor_str,
-    fraction_str,
-)
+from .fields import NEG_INF, CoefficientField, floor_str
 from .novikov import FloorValue, NovikovScalar, _by_term, _nonzero, _regrid, _scalar
 
 Vec = Dict[int, NovikovScalar]
@@ -240,8 +235,8 @@ class Spectrum:
 
     def to_json(self) -> dict:
         return {
-            "base_actions": [fraction_str(a) for a in self.base_actions],
-            "period_group_generator": fraction_str(self.generator),
+            "base_actions": [str(a) for a in self.base_actions],
+            "period_group_generator": str(self.generator),
         }
 
 

@@ -352,8 +352,11 @@ class TestExitCodes:
             lambda doc: doc.update(floor="1/0"),
             lambda doc: doc.update(field=[1]),
             lambda doc: doc.update(lattice="x"),
+            # periods must be a list, not a string, and rank an integer, not a boolean
+            lambda doc: doc.update(lattice={"periods": "12"}),
+            lambda doc: doc.update(lattice={"rank": True, "periods": ["1"]}),
         ],
-        ids=["action", "floor", "field", "lattice"],
+        ids=["action", "floor", "field", "lattice", "periods-string", "rank-boolean"],
     )
     @pytest.mark.parametrize("command", ["validate", "homology"])
     def test_complex_unparsable_value_is_2(self, tmp_path, capsys, edit, command):
@@ -805,6 +808,23 @@ class TestToricCommands:
         code, rep = run_json(tmp_path, ["toric", "revalidate", write(tmp_path, "short.json", doc)])
         assert code == 1
         assert rep["failures"] == ["brane 0: stated central charge does not match re-evaluation"]
+
+    def test_revalidate_polytope_leaving_a_coordinate_on_no_facet_exits_1(self, tmp_path):
+        # no facet of the strip 0 <= x <= 1 involves y: the fiber 1/2,0 is
+        # interior to it, and the potential has no leading stratum in y
+        trap = write(tmp_path, "trap.json", TRAP)
+        cert = tmp_path / "cert.json"
+        argv = ["toric", "certify", trap, "--fiber", "3/4,1/2", "--order=-2", "--mode", "gaussian"]
+        assert main(argv + ["--out", str(cert)]) == 0
+        doc = json.loads(cert.read_text(encoding="utf-8"))
+        doc["polytope"] = {"dim": 2, "facets": STRIP["facets"][:2]}
+        doc["fiber"] = "1/2,0"
+        code, rep = run_json(tmp_path, ["toric", "revalidate", write(tmp_path, "strip.json", doc)])
+        assert code == 1 and rep["checks"] == ["fiber is interior"]
+        assert rep["failures"] == [
+            "polytope fails validation: needs at least 3 facets, found 2",
+            "no facet involves coordinate 1; polytope is degenerate",
+        ]
 
     def test_complex_lift_that_stalls_exits_1(self, tmp_path, capsys):
         # in floats the trapezoid's Newton residual stops shrinking at -19/2

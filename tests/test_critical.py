@@ -202,7 +202,7 @@ class TestPotential:
 
     def test_leading_strata_per_component(self):
         w = PotentialFunction(TRAP, (Fraction(3, 4), Fraction(1, 2)))
-        strata = w.leading_strata()
+        strata = w.strata
         assert [(s.component, s.weight, tuple(s.facets)) for s in strata] == [
             (0, Fraction(-3, 4), (0, 3)),
             (1, Fraction(-1, 2), (1, 2)),
@@ -210,7 +210,7 @@ class TestPotential:
 
     def test_dominating_facet_stratum(self):
         w = PotentialFunction(CP1, "1/4")
-        (s,) = w.leading_strata()
+        (s,) = w.strata
         assert s.weight == Fraction(-1, 4)
         assert s.dominating == 0
 
@@ -693,9 +693,7 @@ SEVEN = [mono(QI, 7, 0)] * 2  # solves no leading system of the trapezoid
 
 
 def trap_failure(x, residual, order):
-    return _brane_failure(
-        TRAP_W, TRAP_W.leading_strata(), x, parse_floor(residual), parse_floor(order)
-    )
+    return _brane_failure(TRAP_W, x, parse_floor(residual), parse_floor(order))
 
 
 class TestBraneCheck:
@@ -716,7 +714,7 @@ class TestBraneCheck:
         # where it used to raise from the inversion
         w = PotentialFunction(CP1, "1/2")
         x = [mono(QQ, 1, 0) + mono(QQ, 1, -1)]
-        assert _brane_failure(w, w.leading_strata(), x, NEG_INF, Fraction(-4)) == (
+        assert _brane_failure(w, x, NEG_INF, Fraction(-4)) == (
             "claimed exact zero residual but gradient is nonzero"
         )
 
@@ -755,7 +753,7 @@ class TestBraneCheck:
         ])
         w = PotentialFunction(p, "1/2")
         degenerate = "degenerate leading root: the leading-stratum Jacobian is singular"
-        assert _brane_failure(w, w.leading_strata(), [mono(QQ, -1, 0)], NEG_INF, -2) == degenerate
+        assert _brane_failure(w, [mono(QQ, -1, 0)], NEG_INF, -2) == degenerate
         root = LeadingRoot(values=(-1 + 0j,), exact=(GaussianRational(-1),))
         with pytest.raises(ValueError, match=degenerate):
             lift_critical(w, root, Fraction(-2), QQ)

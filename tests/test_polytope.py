@@ -14,7 +14,6 @@ from novspec.polytope import (
     MomentPolytope,
     coset_representatives,
     enumerate_vertices,
-    facet_values,
     int_det,
     interior_point,
     parse_fiber,
@@ -29,6 +28,7 @@ from novspec.polytope import (
     unimodular_inverse_transpose,
 )
 from novspec.polytope import _facet_redundant, _lp, _pivot, _reduce, _simplex
+from novspec.potential import PotentialFunction
 
 CP1 = segment(Fraction(0), Fraction(1))
 CP2 = simplex(2)
@@ -46,8 +46,8 @@ TRAP = MomentPolytope(
 
 class TestFacet:
     def test_value_is_exact(self):
-        f = Facet((2, -3), Fraction(1, 2))
-        assert f.value((Fraction(1), Fraction(1, 3))) == 2 - 1 - Fraction(1, 2)
+        p = MomentPolytope(2, (Facet((2, -3), Fraction(1, 2)),))
+        assert p.values((Fraction(1), Fraction(1, 3))) == [2 - 1 - Fraction(1, 2)]
 
     def test_normals_must_be_integral(self):
         with pytest.raises(ValueError, match="integer"):
@@ -210,14 +210,15 @@ class TestValidate:
 
 class TestFiberValues:
     def test_facet_values_exact(self):
-        vals = facet_values(TRAP, (Fraction(3, 4), Fraction(1, 2)))
+        w = PotentialFunction(TRAP, (Fraction(3, 4), Fraction(1, 2)))
+        vals = [-t.weight for t in w.terms]
         assert vals == [Fraction(3, 4), Fraction(1, 2), Fraction(1, 2), Fraction(3, 4)]
 
     def test_off_interior_names_facets(self):
         with pytest.raises(ValueError, match=r"not interior.*facet\(s\) \[1\]"):
-            facet_values(segment(Fraction(0), Fraction(1)), "1")
+            PotentialFunction(segment(Fraction(0), Fraction(1)), "1")
         with pytest.raises(ValueError, match=r"facet\(s\) \[0\]"):
-            facet_values(CP2, "0,1/2")
+            PotentialFunction(CP2, "0,1/2")
 
     def test_parse_fiber_formats(self):
         assert parse_fiber("1/2,1/3") == (Fraction(1, 2), Fraction(1, 3))
@@ -226,7 +227,7 @@ class TestFiberValues:
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
-            facet_values(CP2, "1/2")
+            PotentialFunction(CP2, "1/2")
 
 
 class TestTransforms:
@@ -260,9 +261,7 @@ class TestTransforms:
     def test_transform_preserves_facet_values(self):
         fiber = (Fraction(3, 4), Fraction(1, 2))
         q = transform(TRAP, self.A)
-        assert facet_values(TRAP, fiber) == facet_values(
-            q, transform_point(self.A, fiber)
-        )
+        assert TRAP.values(fiber) == q.values(transform_point(self.A, fiber))
 
     def test_non_unimodular_rejected(self):
         with pytest.raises(ValueError):
@@ -278,7 +277,7 @@ class TestProducts:
 
     def test_product_values_split(self):
         p = product(CP1, CP1)
-        vals = facet_values(p, (Fraction(1, 4), Fraction(1, 2)))
+        vals = p.values((Fraction(1, 4), Fraction(1, 2)))
         assert vals == [
             Fraction(1, 4),
             Fraction(3, 4),
@@ -495,12 +494,12 @@ def _assert_matches_vertex_oracle(p):
         assert p.is_interior(point) and min(p.values(point)) == best
         assert point == min(v[:n] for v in lifted if v[n] == best)
 
-    for i, target in enumerate(p.facets):
+    for i in range(len(p.facets)):
         others = p.facets[:i] + p.facets[i + 1:]
         if not others or not _bounded_oracle([f.normal for f in others], n):
             continue
         corners = _vertices([f.normal for f in others], [f.offset for f in others])
-        expected = all(target.value(v) >= 0 for v in corners)
+        expected = all(p.values(v)[i] >= 0 for v in corners)
         assert _facet_redundant(p, i) == expected
         if rep.interior_nonempty:
             assert (i in rep.redundant_facets) == expected

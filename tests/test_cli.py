@@ -1,8 +1,10 @@
 """End-to-end CLI contract: exit codes, JSON round trips, determinism."""
 
 import argparse
+import collections
 import contextlib
 import csv
+import enum
 import functools
 import hashlib
 import io
@@ -10,6 +12,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -17,6 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import novspec
+from novspec import cli
 from novspec.cli import build_parser, main, parse_args
 
 # facet value at lam is <normal, lam> - offset, so [0, 1] is offsets 0 and -1
@@ -213,6 +217,31 @@ class TestExitCodes:
         assert main([*command, write(tmp_path, "doc.json", doc)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("novspec: schema error:") and "not a number" in err
+
+    @pytest.mark.parametrize(
+        "command",
+        [["complex", "validate"], ["toric", "validate"], ["toric", "revalidate"],
+         ["qstate", "check"], ["qmap", "rank"]],
+    )
+    def test_input_not_utf8_is_2(self, tmp_path, capsys, command):
+        path = tmp_path / "latin.json"
+        path.write_bytes(b'{"a": "\xff\xfe"}')
+        assert main([*command, str(path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("novspec: input error: 'utf-8' codec")
+
+    @pytest.mark.parametrize(
+        "command", [["complex", "homology"], ["toric", "certify", "--fiber", "1/2"]]
+    )
+    @pytest.mark.parametrize("opening, closing", [("[", "]"), ('{"a":', "}")])
+    def test_deeply_nested_input_is_2(self, tmp_path, capsys, command, opening, closing):
+        # json.load recurses once per level and raises RecursionError
+        path = tmp_path / "deep.json"
+        path.write_text(opening * 100_000 + "1" + closing * 100_000, encoding="utf-8")
+        assert main([*command, str(path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.count("\n") == 1
+        assert err.startswith(f"novspec: input error: {path}: nested too deeply")
 
     def test_bad_flag_value_raises_systemexit_2(self, tmp_path):
         path = write(tmp_path, "cp1.json", CP1)
@@ -566,9 +595,21 @@ class TestParser:
             built.append(kwargs.get("prog"))
             init(self, *args, **kwargs)
 
+        cli._command_parser.cache_clear()
         monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
-        assert main(["complex", "homology", path, "--out", os.devnull]) == 0
+        for _ in range(2):
+            assert main(["complex", "homology", path, "--out", os.devnull]) == 0
         assert built == ["novspec complex homology"]
+
+    def test_cached_parser_keeps_no_state_between_calls(self):
+        certify = ["toric", "certify", "p.json", "--fiber", "1/2"]
+        assert parse_args([*certify, "--mode", "gaussian", "--order", "-2"]).mode == "gaussian"
+        args = parse_args(certify)
+        assert (args.mode, args.order) == ("complex", -10)
+        with pytest.raises(SystemExit) as exc:
+            parse_args([*certify, "--order", "1"])
+        assert exc.value.code == 2
+        assert parse_args([*certify, "--order", "-1/2"]).order == Fraction(-1, 2)
 
     def test_main_reads_sys_argv(self, tmp_path, monkeypatch):
         path = write(tmp_path, "cx.json", GOOD_COMPLEX)
@@ -577,6 +618,52 @@ class TestParser:
         monkeypatch.setattr(sys, "argv", argv)
         assert main() == 0
         assert json.loads(out.read_text(encoding="utf-8"))["kind"] == "complex-validation"
+
+
+def _dumps(obj) -> str:
+    parts = []
+    cli._encode(obj, "\n", parts.append)
+    return "".join(parts)
+
+
+# any code point; lone surrogates drawn as often as the rest
+_CHARACTERS = st.characters() | st.characters(categories=["Cs"])
+_JSON_SCALARS = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(min_value=2**64, max_value=2**200).flatmap(lambda n: st.sampled_from([n, -n]))
+    | st.floats()
+    | st.sampled_from([-0.0, float("nan"), float("inf"), float("-inf")])
+    | st.text(_CHARACTERS)
+)
+_JSON_DOCUMENTS = st.recursive(
+    _JSON_SCALARS,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.lists(inner, max_size=4).map(tuple)
+    | st.dictionaries(st.text(_CHARACTERS, max_size=3), inner, max_size=4),
+    max_leaves=20,
+)
+
+
+class TestWriter:
+    @settings(max_examples=300, deadline=None)
+    @given(_JSON_DOCUMENTS)
+    def test_writes_what_json_dumps_writes(self, doc):
+        assert _dumps(doc) == json.dumps(doc, indent=2, sort_keys=True)
+
+    @pytest.mark.parametrize(
+        "doc",
+        [{}, [], (), [[], {}], {"a": [{}, ()]}, "\ud800é", -0.0,
+         collections.OrderedDict([("b", [1]), ("a", ())]), [enum.IntEnum("E", "x").x, True]],
+    )
+    def test_edge_documents(self, doc):
+        assert _dumps(doc) == json.dumps(doc, indent=2, sort_keys=True)
+
+    @pytest.mark.parametrize("doc", [{1: "a"}, {"a": {None: 1}}, [{("k",): 0}]])
+    def test_key_that_is_not_a_str_raises_typeerror(self, doc):
+        with pytest.raises(TypeError):
+            _dumps(doc)
 
 
 class TestComplexCommands:

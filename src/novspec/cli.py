@@ -18,8 +18,7 @@ Every command is described once, in ``_COMMANDS``, and parsed on one of
 two paths.  A command line that starts with a group and one of its
 commands (or with ``selftest``) is parsed by that command's parser
 alone, built under the ``prog`` argparse gives it as a subparser, so such
-a call builds one ``ArgumentParser``, not the full parser's 24, and a
-process builds each command's parser once, however many calls it parses.
+a call builds one ``ArgumentParser``, not the full parser's 24.
 Everything else (top-level and group-level ``--help``, an unknown name,
 an option before the group, and a command line that leaves arguments
 over) goes to the full parser built from the same table.  The full path
@@ -38,7 +37,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import functools
 import io
 import json
 import re
@@ -73,22 +71,42 @@ def _document(kind: str, payload: dict) -> dict:
 
 _quote = json.encoder.encode_basestring_ascii
 _NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
-# json's types, and the bases json writes a subclass as, in the order it tries them
-_EXACT = frozenset((str, int, float, list, tuple, dict, bool, type(None)))
-_BASES = (str, int, float, list, tuple, dict)
 
 
 def _encode(o, nl: str, put) -> None:
     """Pass ``put`` the pieces of ``json.dumps(o, indent=2, sort_keys=True)``,
-    where ``nl`` is a newline and the indent of ``o``'s line; a key that is
-    not a str raises TypeError.  Module-level: a recursive closure is a
-    reference cycle, and would keep each document's pieces until a GC pass."""
-    t = type(o)
-    if t not in _EXACT:
-        t = next((b for b in _BASES if isinstance(o, b)), t)
-    if t is str:
+    testing types in json's order, where ``nl`` is a newline and the indent
+    of ``o``'s line; a key that is not a str raises TypeError.  Module-level:
+    a recursive closure is a reference cycle, and would keep each document's
+    pieces until a GC pass."""
+    if isinstance(o, str):
         put(_quote(o))
-    elif t is dict and o:
+    elif o is None:
+        put("null")
+    elif o is True:
+        put("true")
+    elif o is False:
+        put("false")
+    elif isinstance(o, int):
+        put(int.__repr__(o))
+    elif isinstance(o, float):
+        text = float.__repr__(o)
+        put(_NON_FINITE.get(text, text))
+    elif isinstance(o, (list, tuple)):
+        if not o:
+            put("[]")
+            return
+        inner = nl + "  "
+        sep, rest = "[" + inner, "," + inner
+        for v in o:
+            put(sep)
+            _encode(v, inner, put)
+            sep = rest
+        put(nl + "]")
+    elif isinstance(o, dict):
+        if not o:
+            put("{}")
+            return
         inner = nl + "  "
         sep, rest = "{" + inner, "," + inner
         for k, v in sorted(o.items()):
@@ -98,21 +116,6 @@ def _encode(o, nl: str, put) -> None:
             _encode(v, inner, put)
             sep = rest
         put(nl + "}")
-    elif (t is list or t is tuple) and o:
-        inner = nl + "  "
-        sep, rest = "[" + inner, "," + inner
-        for v in o:
-            put(sep)
-            _encode(v, inner, put)
-            sep = rest
-        put(nl + "]")
-    elif t is dict or t is list or t is tuple:
-        put("{}" if t is dict else "[]")
-    elif o is None or t is bool:
-        put("null" if o is None else "true" if o else "false")
-    elif t is int or t is float:
-        text = t.__repr__(o)
-        put(_NON_FINITE.get(text, text))
     else:
         raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
 
@@ -653,29 +656,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-@functools.cache
-def _command_parser(i: int) -> argparse.ArgumentParser:
-    """The parser of ``_COMMANDS[i]`` alone, under the ``prog`` argparse
-    gives it as a subparser.  Built once per process: parsing leaves a
-    parser as it found it (every call gets a fresh namespace)."""
-    group, name, _, func, add_arguments = _COMMANDS[i]
-    parser = argparse.ArgumentParser(prog=" ".join(filter(None, ("novspec", group, name))))
-    return _fill(parser, func, add_arguments)
-
-
 def parse_args(argv: Sequence[str]) -> argparse.Namespace:
     """Parse ``argv`` as ``build_parser().parse_args`` does.
 
     An ``argv`` that starts with a group and one of its commands is parsed
-    by that command's parser alone (``_command_parser``); anything else,
-    and a command line that leaves arguments over, goes to the full parser,
-    whose usage and errors name the top level.
+    by that command's parser alone, built under the ``prog`` argparse gives
+    it as a subparser; anything else, and a command line that leaves
+    arguments over, goes to the full parser, whose usage and errors name
+    the top level.
     """
     argv = list(argv)
-    for i, (group, name, *_) in enumerate(_COMMANDS):
+    for group, name, _, func, add_arguments in _COMMANDS:
         head = [group] if name is None else [group, name]
         if argv[: len(head)] == head:
-            args, rest = _command_parser(i).parse_known_args(argv[len(head) :])
+            parser = argparse.ArgumentParser(prog=" ".join(["novspec", *head]))
+            args, rest = _fill(parser, func, add_arguments).parse_known_args(argv[len(head) :])
             if rest:
                 break
             args.group = group

@@ -12,7 +12,6 @@ import json
 import os
 import subprocess
 import sys
-from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -595,21 +594,9 @@ class TestParser:
             built.append(kwargs.get("prog"))
             init(self, *args, **kwargs)
 
-        cli._command_parser.cache_clear()
         monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
-        for _ in range(2):
-            assert main(["complex", "homology", path, "--out", os.devnull]) == 0
+        assert main(["complex", "homology", path, "--out", os.devnull]) == 0
         assert built == ["novspec complex homology"]
-
-    def test_cached_parser_keeps_no_state_between_calls(self):
-        certify = ["toric", "certify", "p.json", "--fiber", "1/2"]
-        assert parse_args([*certify, "--mode", "gaussian", "--order", "-2"]).mode == "gaussian"
-        args = parse_args(certify)
-        assert (args.mode, args.order) == ("complex", -10)
-        with pytest.raises(SystemExit) as exc:
-            parse_args([*certify, "--order", "1"])
-        assert exc.value.code == 2
-        assert parse_args([*certify, "--order", "-1/2"]).order == Fraction(-1, 2)
 
     def test_main_reads_sys_argv(self, tmp_path, monkeypatch):
         path = write(tmp_path, "cx.json", GOOD_COMPLEX)
@@ -627,7 +614,7 @@ def _dumps(obj) -> str:
 
 
 # any code point; lone surrogates drawn as often as the rest
-_CHARACTERS = st.characters() | st.characters(categories=["Cs"])
+_CHARACTERS = st.characters() | st.integers(0xD800, 0xDFFF).map(chr)
 _JSON_SCALARS = (
     st.none()
     | st.booleans()

@@ -36,7 +36,6 @@ encoder that ``indent`` selects in ``json``.  CSV output exists only for
 from __future__ import annotations
 
 import argparse
-import csv
 import io
 import json
 import re
@@ -54,13 +53,20 @@ class _OptionError(Exception):
     """A parsed option value that does not fit the input: exits 2, as argparse does."""
 
 
+class _InputError(Exception):
+    """An input file that is not UTF-8 JSON: exits 2, its message naming the file."""
+
+
 def _load_json(path: str):
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
+    """The JSON document in ``path``; an error decoding it names the file."""
     try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
         return json.loads(text)
     except RecursionError:
         raise json.JSONDecodeError(f"{path}: nested too deeply", text, 0) from None
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise _InputError(f"{path}: {exc}") from None
 
 
 def _document(kind: str, payload: dict) -> dict:
@@ -284,6 +290,8 @@ def cmd_toric_scan(args) -> int:
     p = _load_polytope(args.input)
     report = scan_fibers(p, args.grid, args.order, _toric_field(args))
     if args.format == "csv":
+        import csv
+
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerows(report.to_csv_rows())
@@ -692,7 +700,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except _OptionError as exc:
         print(f"novspec: {exc}", file=sys.stderr)
         return 2
-    except (OSError, json.JSONDecodeError, UnicodeDecodeError) as exc:
+    except (OSError, json.JSONDecodeError, _InputError) as exc:
         print(f"novspec: input error: {exc}", file=sys.stderr)
         return 2
     except ValueError as exc:

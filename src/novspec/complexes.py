@@ -14,7 +14,6 @@ valuation-plus-action over its support.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from math import lcm
 from typing import Any, Dict, Iterable, List, Mapping, Optional, Tuple
@@ -22,6 +21,9 @@ from typing import Any, Dict, Iterable, List, Mapping, Optional, Tuple
 from .fields import (
     NEG_INF,
     CoefficientField,
+    Frozen,
+    Record,
+    _set,
     floor_str,
     parse_floor,
     parse_fraction,
@@ -33,23 +35,17 @@ from .novikov import FloorValue, NovikovScalar
 Chain = Dict[str, NovikovScalar]
 
 
-@dataclass(frozen=True)
-class PeriodLattice:
+class PeriodLattice(Frozen):
     """Free abelian group of rank len(periods) with area homomorphism."""
 
-    periods: Tuple[Fraction, ...] = ()
+    __slots__ = ("periods",)
+
+    def __init__(self, periods: Tuple[Fraction, ...] = ()):
+        _set(self, "periods", periods)
 
     @property
     def rank(self) -> int:
         return len(self.periods)
-
-    def omega(self, vec: Iterable[int]) -> Fraction:
-        vec = tuple(vec)
-        if len(vec) != self.rank:
-            raise ValueError("lattice vector has wrong length")
-        return sum(
-            (Fraction(n) * p for n, p in zip(vec, self.periods)), Fraction(0)
-        )
 
     def group_generator(self) -> Fraction:
         """Positive generator of the image group omega(Gamma), 0 if trivial."""
@@ -114,11 +110,13 @@ def _xgcd(a: int, b: int) -> Tuple[int, int, int]:
     return g, y1 - (b // a) * x1, x1
 
 
-@dataclass(frozen=True)
-class OrbitGenerator:
-    id: str
-    action: Fraction
-    degree: int
+class OrbitGenerator(Frozen):
+    __slots__ = ("id", "action", "degree")
+
+    def __init__(self, id: str, action: Fraction, degree: int):
+        _set(self, "id", id)
+        _set(self, "action", action)
+        _set(self, "degree", degree)
 
     def to_json(self) -> dict:
         return {
@@ -266,21 +264,6 @@ def chain_scale(chain: Chain, scalar: NovikovScalar) -> Chain:
     return chain_cleanup({gid: c * scalar for gid, c in chain.items()})
 
 
-def level(chain: Chain, cx: FilteredComplex) -> FloorValue:
-    """max over the support of valuation(coefficient) + action."""
-    best = NEG_INF
-    for gid, coeff in chain.items():
-        if gid not in cx.index:
-            raise KeyError(f"unknown generator id {gid!r}")
-        v = coeff.valuation()
-        if v == NEG_INF:
-            continue
-        cand = v + cx.generator(gid).action
-        if cand > best:
-            best = cand
-    return best
-
-
 def chain_to_json(chain: Chain) -> list:
     return [
         {"id": gid, "coeff": coeff.terms_to_json()}
@@ -306,13 +289,13 @@ def chain_from_json(cx: FilteredComplex, obj: Any) -> Chain:
 # -- validation ----------------------------------------------------------
 
 
-@dataclass
-class ValidationReport:
-    valid: bool
-    violations: List[str] = dc_field(default_factory=list)
-    warnings: List[str] = dc_field(default_factory=list)
-    z_graded: bool = True
-    exponents_in_lattice: bool = True
+class ValidationReport(Record):
+    __slots__ = ("valid", "violations", "warnings", "z_graded", "exponents_in_lattice")
+
+    def __init__(self, valid: bool, violations: List[str], warnings: List[str],
+                 z_graded: bool, exponents_in_lattice: bool):
+        self.valid, self.violations, self.warnings = valid, violations, warnings
+        self.z_graded, self.exponents_in_lattice = z_graded, exponents_in_lattice
 
     def to_json(self) -> dict:
         return {

@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
@@ -39,8 +38,11 @@ from typing import List, Optional, Sequence, Tuple
 from .fields import (
     NEG_INF,
     CoefficientField,
+    Frozen,
     GaussianRational,
+    Record,
     SchemaError,
+    _set,
     floor_str,
     gauss_jordan,
     parse_floor,
@@ -73,10 +75,12 @@ _SNAP_TABLE = [
 ]
 
 
-@dataclass(frozen=True)
-class LeadingRoot:
-    values: Tuple[complex, ...]
-    exact: Optional[Tuple[GaussianRational, ...]]  # None unless every value snaps
+class LeadingRoot(Frozen):
+    __slots__ = ("values", "exact")
+
+    def __init__(self, values: Tuple[complex, ...], exact: Optional[Tuple[GaussianRational, ...]]):
+        _set(self, "values", values)
+        _set(self, "exact", exact)  # None unless every value snaps
 
     def constants_for(self, field: CoefficientField):
         if field.mode == "rational":
@@ -102,11 +106,12 @@ class LeadingRoot:
         }
 
 
-@dataclass
-class LeadingReport:
-    strata: Tuple[ComponentStratum, ...]
-    roots: List[LeadingRoot]
-    diagnosis: Optional[dict] = None
+class LeadingReport(Record):
+    __slots__ = ("strata", "roots", "diagnosis")
+
+    def __init__(self, strata: Tuple[ComponentStratum, ...], roots: List[LeadingRoot],
+                 diagnosis: Optional[dict] = None):
+        self.strata, self.roots, self.diagnosis = strata, roots, diagnosis
 
     def to_json(self) -> dict:
         return {
@@ -421,14 +426,16 @@ def _solve_linear(
     return [row[n] for row in reduced]
 
 
-@dataclass
-class BraneCertificate:
-    x: List[NovikovScalar]
-    order: object  # Fraction or NEG_INF
-    residual_valuation: object  # Fraction-like or NEG_INF
-    residual_norm: float
-    central_charge: NovikovScalar
-    iterations: int
+class BraneCertificate(Record):
+    __slots__ = ("x", "order", "residual_valuation", "residual_norm", "central_charge",
+                 "iterations")
+
+    def __init__(self, x: List[NovikovScalar], order, residual_valuation, residual_norm: float,
+                 central_charge: NovikovScalar, iterations: int):
+        # order is a Fraction or NEG_INF, residual_valuation Fraction-like or NEG_INF
+        self.x, self.order, self.residual_valuation = x, order, residual_valuation
+        self.residual_norm, self.central_charge = residual_norm, central_charge
+        self.iterations = iterations
 
     def to_json(self) -> dict:
         return {
@@ -543,17 +550,17 @@ def lift_critical(
 # Certificates
 
 
-@dataclass
-class FiberReport:
+class FiberReport(Record):
     """What ``certify_heavy`` finds at one fiber: a heaviness certificate
     when the fiber carries lifted critical branes, otherwise the diagnosis
     of why none were found."""
 
-    w: PotentialFunction
-    order: object
-    field: CoefficientField
-    diagnosis: Optional[dict]
-    branes: List[BraneCertificate]
+    __slots__ = ("w", "order", "field", "diagnosis", "branes")
+
+    def __init__(self, w: PotentialFunction, order, field: CoefficientField,
+                 diagnosis: Optional[dict], branes: List[BraneCertificate]):
+        self.w, self.order, self.field = w, order, field
+        self.diagnosis, self.branes = diagnosis, branes
 
     @property
     def found(self) -> bool:
@@ -739,11 +746,11 @@ def revalidate_certificate(doc: dict, where: str = "certificate") -> dict:
 # Scanning
 
 
-@dataclass
-class ScanReport:
-    resolution: Fraction
-    order: object
-    rows: List[FiberReport]
+class ScanReport(Record):
+    __slots__ = ("resolution", "order", "rows")
+
+    def __init__(self, resolution: Fraction, order, rows: List[FiberReport]):
+        self.resolution, self.order, self.rows = resolution, order, rows
 
     def to_json(self) -> dict:
         return {

@@ -15,7 +15,6 @@ so every operation goes through a CoefficientField instance.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Rational
 from typing import Any, Callable, List, Optional, Sequence, Tuple, Union
@@ -196,21 +195,57 @@ def _gaussian(re: Fraction, im: Fraction) -> GaussianRational:
 Coefficient = Union[Fraction, GaussianRational, complex]
 
 
-@dataclass(frozen=True)
-class CoefficientField:
+_set = object.__setattr__
+
+
+class Record:
+    """A record whose fields are its ``__slots__``, in order: equal to a
+    record of its own class with equal fields, unhashable, and printed as
+    ``Name(field=value, ...)``."""
+
+    __slots__ = ()
+    __hash__ = None
+
+    def _fields(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__slots__])
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __repr__(self) -> str:
+        body = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({body})"
+
+
+class Frozen(Record):
+    """A hashable record, its fields set once, by ``_set`` in ``__init__``."""
+
+    __slots__ = ()
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+
+class CoefficientField(Frozen):
     """Arithmetic context shared by all scalars of one computation."""
 
-    mode: str = RATIONAL
-    eps: float = 0.0
+    __slots__ = ("mode", "eps")
 
-    def __post_init__(self):
-        if self.mode not in MODES:
-            raise ValueError(f"unknown coefficient mode {self.mode!r}")
-        if self.mode == COMPLEX:
-            if not self.eps > 0:
+    def __init__(self, mode: str = RATIONAL, eps: float = 0.0):
+        if mode not in MODES:
+            raise ValueError(f"unknown coefficient mode {mode!r}")
+        if mode == COMPLEX:
+            if not eps > 0:
                 raise ValueError("floating mode requires eps > 0")
-        elif self.eps != 0:
+        elif eps != 0:
             raise ValueError("exact modes admit no tolerance")
+        _set(self, "mode", mode)
+        _set(self, "eps", eps)
 
     @property
     def exact(self) -> bool:

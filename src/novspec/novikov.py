@@ -46,6 +46,7 @@ from .fields import (
     NEG_INF,
     Coefficient,
     CoefficientField,
+    _set,
     floor_str,
     parse_floor,
     parse_ratio,
@@ -53,7 +54,6 @@ from .fields import (
 )
 
 FloorValue = Union[Fraction, float]
-_set = object.__setattr__
 
 
 def _floor(value) -> FloorValue:

@@ -23,11 +23,10 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterator, List, Optional, Sequence, Tuple
 
-from .fields import parse_fraction
+from .fields import Frozen, Record, _set, parse_fraction
 
 Vector = Tuple[int, ...]
 Point = Tuple[Fraction, ...]
@@ -97,14 +96,6 @@ def rational_inverse(a: Sequence[Sequence[int]]):
     return det, [[Fraction(x, row[i]) for x in row[n:]] for i, row in enumerate(reduced)]
 
 
-def unimodular_inverse_transpose(a: Sequence[Sequence[int]]) -> Tuple[Vector, ...]:
-    """Exact A^{-T} for an integer matrix with det = +-1: adj(A)/det is integral."""
-    det, inv = rational_inverse(a)
-    if det not in (1, -1):
-        raise ValueError(f"matrix is not unimodular (det = {det})")
-    return tuple(tuple(int(x) for x in col) for col in zip(*inv))
-
-
 def coset_representatives(a: Sequence[Sequence[int]]) -> List[Vector]:
     """One vector from each coset of Z^n / A Z^n, |det A| of them, for a
     nonsingular integer matrix A.
@@ -137,14 +128,12 @@ def coset_representatives(a: Sequence[Sequence[int]]) -> List[Vector]:
     return list(itertools.product(*(range(cols[i][i]) for i in range(n))))
 
 
-def apply_matrix(a: Sequence[Sequence[int]], vec: Sequence) -> tuple:
-    return tuple(sum(a[r][c] * vec[c] for c in range(len(vec))) for r in range(len(a)))
+class Facet(Frozen):
+    __slots__ = ("normal", "offset")
 
-
-@dataclass(frozen=True)
-class Facet:
-    normal: Vector
-    offset: Fraction
+    def __init__(self, normal: Vector, offset: Fraction):
+        _set(self, "normal", normal)
+        _set(self, "offset", offset)
 
     def _ratio(self, nums: Sequence[int], den: int) -> Tuple[int, int]:
         """``(num, d)``, ``d > 0``, with ``num / d`` the value at the point
@@ -171,17 +160,17 @@ class Facet:
         return Facet(tuple(aligned), parse_fraction(obj["offset"]))
 
 
-@dataclass(frozen=True)
-class MomentPolytope:
-    dim: int
-    facets: Tuple[Facet, ...]
+class MomentPolytope(Frozen):
+    __slots__ = ("dim", "facets")
 
-    def __post_init__(self):
-        if self.dim < 1:
+    def __init__(self, dim: int, facets: Tuple[Facet, ...]):
+        if dim < 1:
             raise ValueError("polytope dimension must be >= 1")
-        for f in self.facets:
-            if len(f.normal) != self.dim:
+        for f in facets:
+            if len(f.normal) != dim:
                 raise ValueError("facet normal length does not match dimension")
+        _set(self, "dim", dim)
+        _set(self, "facets", facets)
 
     def _point(self, point) -> Point:
         pt = parse_fiber(point)
@@ -240,52 +229,22 @@ def simplex(dim: int) -> MomentPolytope:
     return MomentPolytope(dim, tuple(facets))
 
 
-def product(p0: MomentPolytope, p1: MomentPolytope) -> MomentPolytope:
-    """Cartesian product; facet lists concatenate with zero-padded normals."""
-    facets = []
-    for f in p0.facets:
-        facets.append(Facet(f.normal + (0,) * p1.dim, f.offset))
-    for f in p1.facets:
-        facets.append(Facet((0,) * p0.dim + f.normal, f.offset))
-    return MomentPolytope(p0.dim + p1.dim, tuple(facets))
-
-
-def transform(p: MomentPolytope, a: Sequence[Sequence[int]]) -> MomentPolytope:
-    """Apply a GL(n, Z) change of torus coordinates: normals map by A.
-
-    Moment coordinates map by A^{-T} (facet values are preserved:
-    <A^{-T} lam, A v> = <lam, v>), and brane coordinates by x -> x^{A^{-T}}.
-    """
-    if len(a) != p.dim or any(len(row) != p.dim for row in a):
-        raise ValueError("transform matrix shape does not match polytope dimension")
-    if int_det(a) not in (1, -1):
-        raise ValueError("transform matrix must be unimodular")
-    facets = tuple(Facet(apply_matrix(a, f.normal), f.offset) for f in p.facets)
-    return MomentPolytope(p.dim, facets)
-
-
-def transform_point(a: Sequence[Sequence[int]], point) -> Point:
-    """Image of a moment point under the coordinate change of transform(): A^{-T} lam."""
-    return apply_matrix(unimodular_inverse_transpose(a), parse_fiber(point))
-
-
 # ---------------------------------------------------------------------------
 # Validation
 
 
-@dataclass
-class PolytopeReport:
-    ok: bool
-    dim: int
-    facet_count: int
-    bounded: bool
-    interior_nonempty: bool
-    interior_point: Optional[Point]
-    redundant_facets: List[int]
-    vertices: List[Point]
-    simple: bool
-    delzant: bool
-    violations: List[str] = field(default_factory=list)
+class PolytopeReport(Record):
+    __slots__ = ("ok", "dim", "facet_count", "bounded", "interior_nonempty", "interior_point",
+                 "redundant_facets", "vertices", "simple", "delzant", "violations")
+
+    def __init__(self, ok: bool, dim: int, facet_count: int, bounded: bool,
+                 interior_nonempty: bool, interior_point: Optional[Point],
+                 redundant_facets: List[int], vertices: List[Point], simple: bool,
+                 delzant: bool, violations: List[str]):
+        self.ok, self.dim, self.facet_count, self.bounded = ok, dim, facet_count, bounded
+        self.interior_nonempty, self.interior_point = interior_nonempty, interior_point
+        self.redundant_facets, self.vertices = redundant_facets, vertices
+        self.simple, self.delzant, self.violations = simple, delzant, violations
 
     def to_json(self) -> dict:
         return {

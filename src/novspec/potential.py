@@ -19,21 +19,22 @@ can exist at the fiber at all.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import List, Optional, Sequence, Tuple
 
-from .fields import NEG_INF, CoefficientField
+from .fields import NEG_INF, CoefficientField, Frozen, _set
 from .novikov import NovikovScalar
 from .polytope import MomentPolytope, Point, Vector, parse_fiber, point_str
 
 
-@dataclass(frozen=True)
-class PotentialTerm:
-    facet: int
-    exponent: Vector
-    weight: Fraction
+class PotentialTerm(Frozen):
+    __slots__ = ("facet", "exponent", "weight")
+
+    def __init__(self, facet: int, exponent: Vector, weight: Fraction):
+        _set(self, "facet", facet)
+        _set(self, "exponent", exponent)
+        _set(self, "weight", weight)
 
     def to_json(self) -> dict:
         return {
@@ -43,11 +44,13 @@ class PotentialTerm:
         }
 
 
-@dataclass(frozen=True)
-class ComponentStratum:
-    component: int
-    weight: Fraction
-    facets: Tuple[int, ...]
+class ComponentStratum(Frozen):
+    __slots__ = ("component", "weight", "facets")
+
+    def __init__(self, component: int, weight: Fraction, facets: Tuple[int, ...]):
+        _set(self, "component", component)
+        _set(self, "weight", weight)
+        _set(self, "facets", facets)
 
     @property
     def dominating(self) -> Optional[int]:

@@ -26,11 +26,10 @@ user-declared flags and are marked conditional in the report.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple, Union
 
-from .fields import parse_fraction, to_float
+from .fields import Record, parse_fraction, to_float
 
 Value = Union[Fraction, float]
 
@@ -93,24 +92,23 @@ def _objects(doc, key: str) -> list:
     return items
 
 
-@dataclass
-class SpectralOracle:
+class SpectralOracle(Record):
     """Finite table of spectral numbers c(e, n*F) indexed by positive scale n."""
 
-    samples: List[Tuple[int, Value]]
-    tag: str = "synthetic"
+    __slots__ = ("samples", "tag")
 
-    def __post_init__(self):
+    def __init__(self, samples: List[Tuple[int, Value]], tag: str = "synthetic"):
         seen = set()
-        for n, _ in self.samples:
+        for n, _ in samples:
             if isinstance(n, bool) or not isinstance(n, int) or n < 1:
                 raise ValueError("oracle scales must be positive integers")
             if n in seen:
                 raise ValueError(f"duplicate oracle scale {n}")
             seen.add(n)
-        if self.tag not in ("synthetic", "derived-from-complex"):
-            raise ValueError(f"unknown oracle tag {self.tag!r}")
-        _tolerance([c for _, c in self.samples])  # a fit in floats needs float range
+        if tag not in ("synthetic", "derived-from-complex"):
+            raise ValueError(f"unknown oracle tag {tag!r}")
+        _tolerance([c for _, c in samples])  # a fit in floats needs float range
+        self.samples, self.tag = samples, tag
 
     @staticmethod
     def from_json(obj: dict) -> "SpectralOracle":
@@ -122,12 +120,13 @@ class SpectralOracle:
         return SpectralOracle(samples, obj.get("tag", "synthetic"))
 
 
-@dataclass
-class QuasiStateEstimate:
-    value: Value
-    interval: Tuple[Value, Value]
-    scales_used: List[int]
-    slope: Value
+class QuasiStateEstimate(Record):
+    __slots__ = ("value", "interval", "scales_used", "slope")
+
+    def __init__(self, value: Value, interval: Tuple[Value, Value], scales_used: List[int],
+                 slope: Value):
+        self.value, self.interval = value, interval
+        self.scales_used, self.slope = scales_used, slope
 
     def to_json(self) -> dict:
         return {
@@ -327,11 +326,11 @@ def check_prequasimorphism(family: dict) -> dict:
 # Heaviness
 
 
-@dataclass
-class HeavinessReport:
-    subset: str
-    checked: List[str]
-    violations: List[dict]
+class HeavinessReport(Record):
+    __slots__ = ("subset", "checked", "violations")
+
+    def __init__(self, subset: str, checked: List[str], violations: List[dict]):
+        self.subset, self.checked, self.violations = subset, checked, violations
 
     @property
     def heavy_consistent(self) -> bool:

@@ -26,13 +26,12 @@ reduction need not terminate on them.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Dict, List, Optional, Tuple
 
 from .complexes import Chain, FilteredComplex, chain_to_json
-from .fields import NEG_INF, CoefficientField, floor_str
+from .fields import NEG_INF, CoefficientField, Frozen, Record, _set, floor_str
 from .novikov import FloorValue, NovikovScalar, _by_term, _nonzero, _regrid, _scalar
 
 Vec = Dict[int, NovikovScalar]
@@ -109,13 +108,15 @@ def _vec_normalize(v: Vec, field: CoefficientField) -> Vec:
 # -- structural echelon ----------------------------------------------------
 
 
-@dataclass
-class Echelon:
+class Echelon(Record):
     """Column echelon data: pivot coordinate -> vector."""
 
-    field: CoefficientField
-    pivots: Dict[int, Vec] = dc_field(default_factory=dict)
-    audit: List[dict] = dc_field(default_factory=list)
+    __slots__ = ("field", "pivots", "audit")
+
+    def __init__(self, field: CoefficientField):
+        self.field = field
+        self.pivots: Dict[int, Vec] = {}
+        self.audit: List[dict] = []
 
     @property
     def rank(self) -> int:
@@ -213,12 +214,14 @@ def homology_rank(cx: FilteredComplex) -> dict:
 # -- spectrum ----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Spectrum:
+class Spectrum(Frozen):
     """Action spectrum: base action values plus the period group."""
 
-    base_actions: Tuple[Fraction, ...]
-    generator: Fraction  # positive generator of omega(Gamma), 0 if trivial
+    __slots__ = ("base_actions", "generator")
+
+    def __init__(self, base_actions: Tuple[Fraction, ...], generator: Fraction):
+        _set(self, "base_actions", base_actions)
+        _set(self, "generator", generator)  # positive generator of omega(Gamma), 0 if trivial
 
     def contains(self, value) -> bool:
         if value == NEG_INF:
@@ -249,8 +252,7 @@ def spectrum(cx: FilteredComplex) -> Spectrum:
 # -- spectral numbers ---------------------------------------------------------
 
 
-@dataclass
-class SpectralResult:
+class SpectralResult(Record):
     """Outcome of a spectral number computation.
 
     value is the minimal level over representatives of the class, or
@@ -259,9 +261,11 @@ class SpectralResult:
     and lattice vector with action(generator) - omega(vector) == value.
     """
 
-    value: FloorValue
-    witness_cycle: Optional[Chain]
-    spectrality: Optional[Tuple[str, Tuple[int, ...]]]
+    __slots__ = ("value", "witness_cycle", "spectrality")
+
+    def __init__(self, value: FloorValue, witness_cycle: Optional[Chain],
+                 spectrality: Optional[Tuple[str, Tuple[int, ...]]]):
+        self.value, self.witness_cycle, self.spectrality = value, witness_cycle, spectrality
 
     @property
     def is_boundary(self) -> bool:

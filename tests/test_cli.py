@@ -227,7 +227,20 @@ class TestExitCodes:
         path.write_bytes(b'{"a": "\xff\xfe"}')
         assert main([*command, str(path)]) == 2
         out, err = capsys.readouterr()
-        assert out == "" and err.startswith("novspec: input error: 'utf-8' codec")
+        assert out == "" and err.startswith(f"novspec: input error: {path}: 'utf-8' codec")
+
+    @pytest.mark.parametrize("broken_first", [True, False])
+    def test_malformed_input_names_its_file(self, tmp_path, capsys, broken_first):
+        # With two inputs, the message says which one failed to parse.
+        good = write(tmp_path, "a.json", GOOD_COMPLEX)
+        broken = tmp_path / "broken.json"
+        broken.write_text("{not json", encoding="utf-8")
+        inputs = [str(broken), good] if broken_first else [good, str(broken)]
+        assert main(["complex", "tensor", *inputs]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err == (
+            f"novspec: input error: {broken}: Expecting property name "
+            "enclosed in double quotes: line 1 column 2 (char 1)\n")
 
     @pytest.mark.parametrize(
         "command", [["complex", "homology"], ["toric", "certify", "--fiber", "1/2"]]
@@ -771,14 +784,14 @@ class TestToricCommands:
                 entry["name"], entry["command"], entry["options"])
 
     @staticmethod
-    def heavy_imports(argv):
+    def heavy_imports(argv, modules=("mpmath", "sympy")):
         """Exit code of one CLI run in a fresh interpreter, and which of
-        mpmath and sympy it imported."""
+        ``modules`` it imported."""
         script = (
             "import sys\n"
             "from novspec.cli import main\n"
             f"code = main({[*argv, '--out', os.devnull]!r})\n"
-            "print(code, *[m for m in ('mpmath', 'sympy') if m in sys.modules])\n"
+            f"print(code, *[m for m in {modules!r} if m in sys.modules])\n"
         )
         src = str(Path(novspec.__file__).resolve().parent.parent)
         paths = [src, os.environ.get("PYTHONPATH")]
@@ -794,6 +807,18 @@ class TestToricCommands:
         # leading-system solver imports sympy, which imports mpmath.
         path = write(tmp_path, "cp1.json", CP1)
         assert self.heavy_imports(["toric", "validate", path]) == (0, [])
+
+    def test_cold_start_loads_only_what_the_command_runs(self, tmp_path):
+        # Records are plain classes, so no command loads dataclasses (and
+        # inspect with it); the package root imports novspec.novikov only
+        # when a command builds a scalar, which polytope validation does not.
+        cold = ("dataclasses", "inspect", "novspec.novikov")
+        cp1 = write(tmp_path, "cp1.json", CP1)
+        cx = write(tmp_path, "cx.json", GOOD_COMPLEX)
+        assert self.heavy_imports(["toric", "validate", cp1], cold) == (0, [])
+        for argv in (["complex", "validate", cx],
+                     ["toric", "scan", cp1, "--grid", "1/4", "--order", "-2"]):
+            assert self.heavy_imports(argv, cold) == (0, ["novspec.novikov"]), argv
 
     def test_binomial_leading_systems_do_not_import_sympy(self, tmp_path):
         # Two facets per leading stratum and a nonsingular exponent matrix:

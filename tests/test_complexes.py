@@ -12,11 +12,12 @@ from novspec.complexes import (
     PeriodLattice,
     chain_from_json,
     chain_to_json,
-    level,
     validate_complex,
 )
 from novspec.fields import NEG_INF, field_for_mode
 from novspec.randomcx import random_complex
+
+from reference import level, omega
 
 QQ = CoefficientField("rational")
 
@@ -38,7 +39,7 @@ def make(gens, diff, periods=(), floor=NEG_INF):
 class TestLattice:
     def test_omega_and_generator(self):
         lat = PeriodLattice((Fraction(1, 2), Fraction(3, 4)))
-        assert lat.omega((2, -1)) == Fraction(1, 4)
+        assert omega(lat, (2, -1)) == Fraction(1, 4)
         assert lat.group_generator() == Fraction(1, 4)
 
     def test_contains(self):
@@ -55,10 +56,10 @@ class TestLattice:
         rng = random.Random(2)
         for _ in range(40):
             n = (rng.randint(-6, 6), rng.randint(-6, 6))
-            t = lat.omega(n)
+            t = omega(lat, n)
             sol = lat.solve(t)
             assert sol is not None
-            assert lat.omega(sol) == t
+            assert omega(lat, sol) == t
         assert lat.solve(Fraction(1, 3)) is None
 
     def test_solve_zero_periods(self):

@@ -38,14 +38,13 @@ from novspec.polytope import (
     coset_representatives,
     int_det,
     polytope_validate,
-    product,
     rational_inverse,
     segment,
     simplex,
-    transform,
-    transform_point,
 )
 from novspec.potential import PotentialFunction, brane_from_constants
+
+from reference import product, transform, transform_point
 
 QQ = field_for_mode("rational")
 QI = field_for_mode("gaussian")

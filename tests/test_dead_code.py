@@ -22,6 +22,10 @@ method in ``src/novspec`` (``__init__`` aside) is set by some call in
 past ``self`` or ``cls`` for a method) or by keyword, a call with ``*`` or
 ``**`` setting every parameter; one that no such call sets is listed in
 ``KEPT_PARAMETERS`` with its reason.
+
+Two import guards keep a cold start to what its command runs: no module
+imports ``dataclasses`` (which loads ``inspect``, ``ast``, ``dis`` and
+``tokenize``), and the package root imports no submodule when it loads.
 """
 
 import ast
@@ -32,13 +36,7 @@ SOURCES = sorted((ROOT / "src" / "novspec").glob("*.py"))
 CALLERS = SOURCES + sorted((ROOT / "bench").glob("*.py"))
 
 # (module, name) -> why it stays although only tests reach it
-KEPT = {
-    ("complexes", "level"): "the tests' reference for the level a spectral witness attains",
-    ("complexes", "PeriodLattice.omega"): "the tests' reference for spectrality witnesses",
-    ("polytope", "product"): "acceptance criterion 6 certifies CP1 x CP1 built with it",
-    ("polytope", "transform"): "the shear tests check that certificates follow GL(n,Z) changes",
-    ("polytope", "transform_point"): "moves the fiber along with transform() in the shear tests",
-}
+KEPT = {}
 
 # (module, function, parameter) -> why it stays although no call sets it
 KEPT_PARAMETERS = {
@@ -69,11 +67,13 @@ def _uses(path: Path):
 
 def _definitions():
     """(path, qualified name, node) for every module-level function and
-    class, and for every method whose name no other class defines."""
+    class, and for every method whose name no other class defines; a
+    dunder, which the interpreter calls (a module's ``__getattr__``, a
+    class's ``__init__``), is not checked."""
     methods = {}
     for path in SOURCES:
         for node in ast.parse(path.read_text(encoding="utf-8")).body:
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("__"):
                 yield path, node.name, node
             if isinstance(node, ast.ClassDef):
                 for item in node.body:
@@ -177,3 +177,35 @@ def _unset_parameters():
 
 def test_every_defaulted_parameter_is_set_outside_tests():
     assert _unset_parameters() == set(KEPT_PARAMETERS)
+
+
+def _imports(nodes):
+    """(line, module) for every import under the AST nodes; a relative
+    import names its module with its leading dots, ``from . import x``
+    as ``.x``."""
+    for top in nodes:
+        for node in ast.walk(top):
+            if isinstance(node, ast.Import):
+                yield from ((node.lineno, alias.name) for alias in node.names)
+            elif isinstance(node, ast.ImportFrom):
+                dots = "." * node.level
+                if node.module:
+                    yield node.lineno, dots + node.module
+                else:
+                    yield from ((node.lineno, dots + alias.name) for alias in node.names)
+
+
+def test_no_module_imports_dataclasses():
+    found = [f"{path.name}:{line}" for path in SOURCES
+             for line, module in _imports([ast.parse(path.read_text(encoding="utf-8"))])
+             if module.split(".")[0] == "dataclasses"]
+    assert found == [], f"dataclasses imported at {found}"
+
+
+def test_package_root_imports_no_submodule_when_it_loads():
+    path = ROOT / "src" / "novspec" / "__init__.py"
+    body = ast.parse(path.read_text(encoding="utf-8")).body
+    load_time = [node for node in body if not isinstance(node, ast.FunctionDef)]
+    found = [f"{path.name}:{line} imports {module}" for line, module in _imports(load_time)
+             if module.startswith((".", "novspec"))]
+    assert found == []

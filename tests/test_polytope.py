@@ -19,16 +19,14 @@ from novspec.polytope import (
     parse_fiber,
     point_str,
     polytope_validate,
-    product,
     rational_inverse,
     segment,
     simplex,
-    transform,
-    transform_point,
-    unimodular_inverse_transpose,
 )
 from novspec.polytope import _facet_redundant, _lp, _pivot, _reduce, _simplex
 from novspec.potential import PotentialFunction
+
+from reference import product, transform, transform_point, unimodular_inverse_transpose
 
 CP1 = segment(Fraction(0), Fraction(1))
 CP2 = simplex(2)

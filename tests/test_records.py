@@ -1,0 +1,141 @@
+"""Records: equality, hashing, repr and immutability, and every report's
+fields through its constructor and its JSON.
+
+Records are plain ``__slots__`` classes (``novspec.fields.Record`` and
+``Frozen``).  They compare, hash and print as the standard library's
+generated records do: equal only to a record of the same class with
+equal fields, hashable only when frozen, printed ``Name(field=value, ...)``.
+"""
+
+import json
+import re
+from fractions import Fraction
+
+import pytest
+
+from novspec.complexes import OrbitGenerator, PeriodLattice, validate_complex
+from novspec.critical import LeadingRoot, certify_heavy, critical_points_leading, scan_fibers
+from novspec.fields import CoefficientField, GaussianRational
+from novspec.novikov import NovikovScalar
+from novspec.polytope import Facet, MomentPolytope, polytope_validate, segment
+from novspec.potential import PotentialFunction
+from novspec.quasistate import SpectralOracle, heaviness_check, homogenize
+from novspec.spectral import spectral_number, spectrum
+
+from test_spectral import hand_case
+
+QQ = CoefficientField("rational")
+CC = CoefficientField("complex", 1e-12)
+CP1 = segment(0, 1)
+
+# A record of each hashed (frozen) class that something compares, hashes
+# or prints, one that differs from it in a field, and its repr.
+FROZEN = [
+    (CC, QQ, "CoefficientField(mode='complex', eps=1e-12)"),
+    (PeriodLattice((Fraction(1, 2),)), PeriodLattice(),
+     "PeriodLattice(periods=(Fraction(1, 2),))"),
+    (OrbitGenerator("a", Fraction(1, 2), 1), OrbitGenerator("a", Fraction(1, 2), 0),
+     "OrbitGenerator(id='a', action=Fraction(1, 2), degree=1)"),
+    (Facet((1, 0), Fraction(-1)), Facet((0, 1), Fraction(-1)),
+     "Facet(normal=(1, 0), offset=Fraction(-1, 1))"),
+    (LeadingRoot((-1 + 0j,), (GaussianRational(-1),)), LeadingRoot((-1 + 0j,), None),
+     "LeadingRoot(values=((-1+0j),), exact=(-1,))"),
+]
+
+
+def _rebuilt(record):
+    """A record of the same class from the record's fields, by keyword."""
+    return type(record)(**{name: getattr(record, name) for name in record.__slots__})
+
+
+@pytest.mark.parametrize("record, other, text", FROZEN,
+                         ids=[type(r).__name__ for r, _, _ in FROZEN])
+class TestFrozen:
+    def test_equal_records_hash_alike(self, record, other, text):
+        twin = _rebuilt(record)
+        assert twin == record and not twin != record and twin is not record
+        assert hash(twin) == hash(record) == hash(record._fields())
+        assert len({record, twin}) == 1
+
+    def test_other_fields_and_classes_differ(self, record, other, text):
+        assert other != record and len({record, other}) == 2
+        # a tuple of the same fields is not the record
+        assert record != record._fields() and record != object()
+
+    def test_repr(self, record, other, text):
+        assert repr(record) == text
+
+    def test_immutable(self, record, other, text):
+        for name in record.__slots__:
+            with pytest.raises(AttributeError):
+                setattr(record, name, None)
+        with pytest.raises(AttributeError):
+            record.extra = None
+
+
+def test_incompatible_fields_message_prints_both_fields():
+    message = ("incompatible coefficient fields: CoefficientField(mode='rational', eps=0.0) "
+               "vs CoefficientField(mode='complex', eps=1e-12)")
+    with pytest.raises(ValueError, match=re.escape(message)):
+        NovikovScalar.one(QQ) + NovikovScalar.one(CC)
+
+
+def test_field_checks_keep_their_messages():
+    with pytest.raises(ValueError, match="unknown coefficient mode 'real'"):
+        CoefficientField("real")
+    with pytest.raises(ValueError, match="floating mode requires eps > 0"):
+        CoefficientField("complex")
+    with pytest.raises(ValueError, match="exact modes admit no tolerance"):
+        CoefficientField("gaussian", 1e-9)
+    with pytest.raises(ValueError, match="facet normal length does not match dimension"):
+        MomentPolytope(2, (Facet((1,), Fraction(0)),))
+
+
+@pytest.mark.parametrize("record", [r for r, _, _ in FROZEN[:4]] + [CP1],
+                         ids=lambda r: type(r).__name__)
+def test_json_round_trip(record):
+    doc = json.loads(json.dumps(record.to_json()))
+    assert type(record).from_json(doc) == record
+
+
+def _reports():
+    cx = hand_case()
+    w = PotentialFunction(CP1, "1/2")
+    fiber = certify_heavy(w, "-2", QQ)
+    samples = [(1, Fraction(-1, 2)), (2, Fraction(-1))]
+    family = {"subset": "Y", "functions": [{"name": "H", "zeta": "1/2", "sup": "1"}]}
+    return [
+        polytope_validate(CP1),
+        critical_points_leading(w),
+        fiber,
+        fiber.branes[0],
+        scan_fibers(CP1, "1/4", "-2", QQ),
+        validate_complex(cx),
+        spectrum(cx),
+        spectral_number(cx, {"a1": NovikovScalar.one(QQ)}),
+        homogenize(SpectralOracle(samples)),
+        heaviness_check(family),
+    ]
+
+
+REPORTS = _reports()
+
+
+@pytest.mark.parametrize("report", REPORTS, ids=[type(r).__name__ for r in REPORTS])
+def test_report_fields_round_trip(report):
+    # The constructor takes the fields by name, in __slots__ order, and the
+    # rebuilt report is equal and writes the same JSON.
+    twin = _rebuilt(report)
+    positional = type(report)(*report._fields())
+    assert twin == report == positional
+    assert json.dumps(twin.to_json(), sort_keys=True) == json.dumps(
+        report.to_json(), sort_keys=True)
+    assert repr(twin) == repr(report)
+    assert repr(report).startswith(f"{type(report).__name__}({report.__slots__[0]}=")
+
+
+@pytest.mark.parametrize("report", [r for r in REPORTS if type(r).__hash__ is None],
+                         ids=lambda r: type(r).__name__)
+def test_mutable_reports_are_unhashable(report):
+    with pytest.raises(TypeError):
+        hash(report)

@@ -4,12 +4,13 @@ import random
 from fractions import Fraction
 
 from novspec import CoefficientField, NovikovScalar
-from novspec.complexes import level, validate_complex
+from novspec.complexes import validate_complex
 from novspec.fields import NEG_INF
 from novspec.randomcx import random_complex, random_scalar
 from novspec.spectral import homology_rank, spectral_number, spectrum
 from novspec.tensor import kunneth_ranks, tensor_chain, tensor_product
 
+from reference import level
 from test_spectral import hand_case
 
 QQ = CoefficientField("rational")

@@ -43,10 +43,8 @@ import sys
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .fields import NEG_INF, SchemaError
+from .fields import NEG_INF, SCHEMA_VERSION, SchemaError
 from .fields import parse_or_schema_error as _parse
-
-SCHEMA_VERSION = "1"
 
 
 class _OptionError(Exception):

@@ -37,12 +37,12 @@ from typing import List, Optional, Sequence, Tuple
 
 from .fields import (
     NEG_INF,
+    SCHEMA_VERSION,
     CoefficientField,
     Frozen,
     GaussianRational,
     Record,
     SchemaError,
-    _set,
     floor_str,
     gauss_jordan,
     parse_floor,
@@ -59,7 +59,7 @@ from .polytope import (
     rational_inverse,
     validated,
 )
-from .potential import ComponentStratum, PotentialFunction, brane_from_constants
+from .potential import PotentialFunction, brane_from_constants
 
 SNAP_TOL = 1e-9
 NEWTON_CAP = 60
@@ -76,11 +76,8 @@ _SNAP_TABLE = [
 
 
 class LeadingRoot(Frozen):
+    # values: complex; exact: GaussianRationals, None unless every value snaps
     __slots__ = ("values", "exact")
-
-    def __init__(self, values: Tuple[complex, ...], exact: Optional[Tuple[GaussianRational, ...]]):
-        _set(self, "values", values)
-        _set(self, "exact", exact)  # None unless every value snaps
 
     def constants_for(self, field: CoefficientField):
         if field.mode == "rational":
@@ -107,11 +104,7 @@ class LeadingRoot(Frozen):
 
 
 class LeadingReport(Record):
-    __slots__ = ("strata", "roots", "diagnosis")
-
-    def __init__(self, strata: Tuple[ComponentStratum, ...], roots: List[LeadingRoot],
-                 diagnosis: Optional[dict] = None):
-        self.strata, self.roots, self.diagnosis = strata, roots, diagnosis
+    __slots__ = ("strata", "roots", "diagnosis")  # diagnosis is None when roots were found
 
     def to_json(self) -> dict:
         return {
@@ -170,7 +163,7 @@ def critical_points_leading(w: PotentialFunction) -> LeadingReport:
                 "note": "the leading-stratum system has no solutions with all coordinates nonzero",
             },
         )
-    return LeadingReport(strata=strata, roots=roots)
+    return LeadingReport(strata=strata, roots=roots, diagnosis=None)
 
 
 def _leading_roots(values: Sequence[Tuple[complex, ...]]) -> List[LeadingRoot]:
@@ -427,15 +420,9 @@ def _solve_linear(
 
 
 class BraneCertificate(Record):
+    # order is a Fraction or NEG_INF, residual_valuation Fraction-like or NEG_INF
     __slots__ = ("x", "order", "residual_valuation", "residual_norm", "central_charge",
                  "iterations")
-
-    def __init__(self, x: List[NovikovScalar], order, residual_valuation, residual_norm: float,
-                 central_charge: NovikovScalar, iterations: int):
-        # order is a Fraction or NEG_INF, residual_valuation Fraction-like or NEG_INF
-        self.x, self.order, self.residual_valuation = x, order, residual_valuation
-        self.residual_norm, self.central_charge = residual_norm, central_charge
-        self.iterations = iterations
 
     def to_json(self) -> dict:
         return {
@@ -557,11 +544,6 @@ class FiberReport(Record):
 
     __slots__ = ("w", "order", "field", "diagnosis", "branes")
 
-    def __init__(self, w: PotentialFunction, order, field: CoefficientField,
-                 diagnosis: Optional[dict], branes: List[BraneCertificate]):
-        self.w, self.order, self.field = w, order, field
-        self.diagnosis, self.branes = diagnosis, branes
-
     @property
     def found(self) -> bool:
         return bool(self.branes)
@@ -576,7 +558,7 @@ class FiberReport(Record):
 
     def to_json(self) -> dict:
         doc = {
-            "schema_version": "1",
+            "schema_version": SCHEMA_VERSION,
             "field": self.field.to_json(),
             "polytope": self.w.polytope.to_json(),
             "fiber": point_str(self.w.fiber),
@@ -749,12 +731,9 @@ def revalidate_certificate(doc: dict, where: str = "certificate") -> dict:
 class ScanReport(Record):
     __slots__ = ("resolution", "order", "rows")
 
-    def __init__(self, resolution: Fraction, order, rows: List[FiberReport]):
-        self.resolution, self.order, self.rows = resolution, order, rows
-
     def to_json(self) -> dict:
         return {
-            "schema_version": "1",
+            "schema_version": SCHEMA_VERSION,
             "kind": "fiber-scan",
             "resolution": str(self.resolution),
             "order": floor_str(self.order),

@@ -20,6 +20,7 @@ from numbers import Rational
 from typing import Any, Callable, List, Optional, Sequence, Tuple, Union
 
 NEG_INF = float("-inf")
+SCHEMA_VERSION = "1"  # of every JSON document novspec writes
 
 RATIONAL = "rational"
 GAUSSIAN = "gaussian"
@@ -199,12 +200,28 @@ _set = object.__setattr__
 
 
 class Record:
-    """A record whose fields are its ``__slots__``, in order: equal to a
-    record of its own class with equal fields, unhashable, and printed as
-    ``Name(field=value, ...)``."""
+    """A record whose fields are its ``__slots__``: built from them in slot
+    order, by position or by name, by this one initializer (a missing,
+    unexpected, repeated or extra field is a TypeError); equal to a record
+    of its own class with equal fields; unhashable; printed as
+    ``Name(field=value, ...)``.  Six records keep their own initializer:
+    ``CoefficientField``, ``MomentPolytope``, ``SpectralOracle`` and
+    ``Echelon`` check or derive fields, ``PeriodLattice`` has a default and
+    ``OrbitGenerator`` is built in the homology loops."""
 
     __slots__ = ()
     __hash__ = None
+
+    def __init__(self, *args, **kwargs):
+        names = self.__slots__
+        rest = names[len(args):]
+        if len(args) + len(kwargs) != len(names) or not kwargs.keys() <= set(rest):
+            raise TypeError(f"{type(self).__name__}() takes the fields {names}, by position "
+                            f"or by name: got {len(args)} by position and {list(kwargs)} by name")
+        for name, value in zip(names, args):
+            _set(self, name, value)
+        for name in rest:
+            _set(self, name, kwargs[name])
 
     def _fields(self) -> tuple:
         return tuple([getattr(self, name) for name in self.__slots__])

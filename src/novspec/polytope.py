@@ -131,10 +131,6 @@ def coset_representatives(a: Sequence[Sequence[int]]) -> List[Vector]:
 class Facet(Frozen):
     __slots__ = ("normal", "offset")
 
-    def __init__(self, normal: Vector, offset: Fraction):
-        _set(self, "normal", normal)
-        _set(self, "offset", offset)
-
     def _ratio(self, nums: Sequence[int], den: int) -> Tuple[int, int]:
         """``(num, d)``, ``d > 0``, with ``num / d`` the value at the point
         ``nums / den`` (``_over_lcm`` form)."""
@@ -236,15 +232,6 @@ def simplex(dim: int) -> MomentPolytope:
 class PolytopeReport(Record):
     __slots__ = ("ok", "dim", "facet_count", "bounded", "interior_nonempty", "interior_point",
                  "redundant_facets", "vertices", "simple", "delzant", "violations")
-
-    def __init__(self, ok: bool, dim: int, facet_count: int, bounded: bool,
-                 interior_nonempty: bool, interior_point: Optional[Point],
-                 redundant_facets: List[int], vertices: List[Point], simple: bool,
-                 delzant: bool, violations: List[str]):
-        self.ok, self.dim, self.facet_count, self.bounded = ok, dim, facet_count, bounded
-        self.interior_nonempty, self.interior_point = interior_nonempty, interior_point
-        self.redundant_facets, self.vertices = redundant_facets, vertices
-        self.simple, self.delzant, self.violations = simple, delzant, violations
 
     def to_json(self) -> dict:
         return {

@@ -23,18 +23,13 @@ from fractions import Fraction
 from functools import cached_property
 from typing import List, Optional, Sequence, Tuple
 
-from .fields import NEG_INF, CoefficientField, Frozen, _set
+from .fields import NEG_INF, CoefficientField, Frozen
 from .novikov import NovikovScalar
 from .polytope import MomentPolytope, Point, Vector, parse_fiber, point_str
 
 
 class PotentialTerm(Frozen):
     __slots__ = ("facet", "exponent", "weight")
-
-    def __init__(self, facet: int, exponent: Vector, weight: Fraction):
-        _set(self, "facet", facet)
-        _set(self, "exponent", exponent)
-        _set(self, "weight", weight)
 
     def to_json(self) -> dict:
         return {
@@ -46,11 +41,6 @@ class PotentialTerm(Frozen):
 
 class ComponentStratum(Frozen):
     __slots__ = ("component", "weight", "facets")
-
-    def __init__(self, component: int, weight: Fraction, facets: Tuple[int, ...]):
-        _set(self, "component", component)
-        _set(self, "weight", weight)
-        _set(self, "facets", facets)
 
     @property
     def dominating(self) -> Optional[int]:

@@ -123,11 +123,6 @@ class SpectralOracle(Record):
 class QuasiStateEstimate(Record):
     __slots__ = ("value", "interval", "scales_used", "slope")
 
-    def __init__(self, value: Value, interval: Tuple[Value, Value], scales_used: List[int],
-                 slope: Value):
-        self.value, self.interval = value, interval
-        self.scales_used, self.slope = scales_used, slope
-
     def to_json(self) -> dict:
         return {
             "value": _value_str(self.value),
@@ -328,9 +323,6 @@ def check_prequasimorphism(family: dict) -> dict:
 
 class HeavinessReport(Record):
     __slots__ = ("subset", "checked", "violations")
-
-    def __init__(self, subset: str, checked: List[str], violations: List[dict]):
-        self.subset, self.checked, self.violations = subset, checked, violations
 
     @property
     def heavy_consistent(self) -> bool:

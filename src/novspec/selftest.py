@@ -18,14 +18,12 @@ from fractions import Fraction
 from typing import Callable, List
 
 from .complexes import FilteredComplex, OrbitGenerator, chain_scale, validate_complex
-from .fields import NEG_INF, field_for_mode
+from .fields import NEG_INF, SCHEMA_VERSION, field_for_mode
 from .novikov import NovikovScalar
 from .quasistate import SpectralOracle, homogenize
 from .randomcx import random_complex, random_scalar
 from .spectral import homology_rank, spectral_number, spectrum
 from .tensor import kunneth_ranks, tensor_chain, tensor_product
-
-SCHEMA_VERSION = "1"
 
 
 def _suite(name: str, trials: int, body: Callable[[List[str]], None]) -> dict:

@@ -31,8 +31,8 @@ from math import gcd, lcm
 from typing import Dict, List, Optional, Tuple
 
 from .complexes import Chain, FilteredComplex, chain_to_json
-from .fields import NEG_INF, CoefficientField, Frozen, Record, _set, floor_str
-from .novikov import FloorValue, NovikovScalar, _by_term, _nonzero, _regrid, _scalar
+from .fields import NEG_INF, CoefficientField, Frozen, Record, floor_str
+from .novikov import NovikovScalar, _by_term, _nonzero, _regrid, _scalar
 
 Vec = Dict[int, NovikovScalar]
 
@@ -217,11 +217,7 @@ def homology_rank(cx: FilteredComplex) -> dict:
 class Spectrum(Frozen):
     """Action spectrum: base action values plus the period group."""
 
-    __slots__ = ("base_actions", "generator")
-
-    def __init__(self, base_actions: Tuple[Fraction, ...], generator: Fraction):
-        _set(self, "base_actions", base_actions)
-        _set(self, "generator", generator)  # positive generator of omega(Gamma), 0 if trivial
+    __slots__ = ("base_actions", "generator")  # generator of omega(Gamma): positive, 0 if trivial
 
     def contains(self, value) -> bool:
         if value == NEG_INF:
@@ -262,10 +258,6 @@ class SpectralResult(Record):
     """
 
     __slots__ = ("value", "witness_cycle", "spectrality")
-
-    def __init__(self, value: FloorValue, witness_cycle: Optional[Chain],
-                 spectrality: Optional[Tuple[str, Tuple[int, ...]]]):
-        self.value, self.witness_cycle, self.spectrality = value, witness_cycle, spectrality
 
     @property
     def is_boundary(self) -> bool:

@@ -2,7 +2,7 @@
 
 No command runs these, so they live with the tests: products and
 unimodular coordinate changes of moment polytopes, the area homomorphism
-of a period lattice and the level of a chain.
+of a period lattice, the recursive extended gcd and the level of a chain.
 """
 
 from fractions import Fraction
@@ -71,6 +71,17 @@ def omega(lattice: PeriodLattice, vec: Iterable[int]) -> Fraction:
     return sum(
         (Fraction(n) * p for n, p in zip(vec, lattice.periods)), Fraction(0)
     )
+
+
+def xgcd(a: int, b: int) -> Tuple[int, int, int]:
+    """(g, x, y) with a*x + b*y == g == gcd(a, b), g >= 0, by Euclid's
+    recursion, one call per step: the values ``complexes._xgcd`` keeps."""
+    if a == 0:
+        if b == 0:
+            return 0, 0, 0
+        return (abs(b), 0, 1 if b > 0 else -1)
+    g, x1, y1 = xgcd(b % a, a)
+    return g, y1 - (b // a) * x1, x1
 
 
 def level(chain: Chain, cx: FilteredComplex) -> FloorValue:

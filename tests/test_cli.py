@@ -12,6 +12,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -21,6 +22,9 @@ from hypothesis import strategies as st
 import novspec
 from novspec import cli
 from novspec.cli import build_parser, main, parse_args
+from novspec.complexes import PeriodLattice
+
+from reference import omega
 
 # facet value at lam is <normal, lam> - offset, so [0, 1] is offsets 0 and -1
 CP1 = {
@@ -700,6 +704,27 @@ class TestComplexCommands:
         assert code == 0
         assert doc["value"] == "2" and not doc["is_boundary"]
         assert doc["in_spectrum"]
+
+    def test_spectral_number_over_consecutive_fibonacci_periods(self, tmp_path):
+        # Euclid takes about 3000 steps on F_3000 and F_3001 (627 digits
+        # each) when the lattice vector is solved for: no step may recurse.
+        f, g = 0, 1
+        for _ in range(3000):
+            f, g = g, f + g
+        assert len(str(f)) == len(str(g)) == 627
+        cx = write(tmp_path, "cx.json", {
+            "field": {"mode": "rational"},
+            "lattice": {"rank": 2, "periods": [str(f), str(g)]},
+            "generators": [{"id": "a", "action": "0", "degree": 0}],
+            "differential": [],
+        })
+        chain = write(
+            tmp_path, "chain.json", {"coeffs": [{"id": "a", "coeff": [{"exp": "0", "c": "1"}]}]}
+        )
+        code, doc = run_json(tmp_path, ["complex", "spectral", cx, "--chain", chain])
+        assert code == 0 and doc["value"] == "0"
+        n = doc["spectrality"]["lattice_vector"]
+        assert omega(PeriodLattice((Fraction(f), Fraction(g))), n) == Fraction(doc["value"])
 
     def test_spectral_number_sums_a_repeated_generator(self, tmp_path):
         # c as q^0 and again as -q^0 + q^-1 is the cycle q^-1 c: 2 - 1

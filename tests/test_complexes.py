@@ -4,12 +4,15 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from novspec import CoefficientField, NovikovScalar
 from novspec.complexes import (
     FilteredComplex,
     OrbitGenerator,
     PeriodLattice,
+    _xgcd,
     chain_from_json,
     chain_to_json,
     validate_complex,
@@ -17,7 +20,7 @@ from novspec.complexes import (
 from novspec.fields import NEG_INF, field_for_mode
 from novspec.randomcx import random_complex
 
-from reference import level, omega
+from reference import level, omega, xgcd
 
 QQ = CoefficientField("rational")
 
@@ -66,6 +69,15 @@ class TestLattice:
         lat = PeriodLattice((Fraction(0),))
         assert lat.solve(0) == (0,)
         assert lat.solve(1) is None
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(-10**40, 10**40), st.integers(-10**40, 10**40))
+    @example(0, 0)
+    @example(0, -7)
+    @example(-7, 0)
+    @example(-12, 18)
+    def test_xgcd_matches_the_recursive_reference(self, a, b):
+        assert _xgcd(a, b) == xgcd(a, b)
 
     def test_rank_mismatch_rejected(self):
         with pytest.raises(ValueError):

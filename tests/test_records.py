@@ -5,6 +5,7 @@ Records are plain ``__slots__`` classes (``novspec.fields.Record`` and
 ``Frozen``).  They compare, hash and print as the standard library's
 generated records do: equal only to a record of the same class with
 equal fields, hashable only when frozen, printed ``Name(field=value, ...)``.
+``Record.__init__`` refuses the calls a written signature would.
 """
 
 import json
@@ -14,11 +15,11 @@ from fractions import Fraction
 import pytest
 
 from novspec.complexes import OrbitGenerator, PeriodLattice, validate_complex
-from novspec.critical import LeadingRoot, certify_heavy, critical_points_leading, scan_fibers
+from novspec.critical import LeadingReport, LeadingRoot, certify_heavy, critical_points_leading, scan_fibers
 from novspec.fields import CoefficientField, GaussianRational
 from novspec.novikov import NovikovScalar
 from novspec.polytope import Facet, MomentPolytope, polytope_validate, segment
-from novspec.potential import PotentialFunction
+from novspec.potential import ComponentStratum, PotentialFunction, PotentialTerm
 from novspec.quasistate import SpectralOracle, heaviness_check, homogenize
 from novspec.spectral import spectral_number, spectrum
 
@@ -40,6 +41,10 @@ FROZEN = [
      "Facet(normal=(1, 0), offset=Fraction(-1, 1))"),
     (LeadingRoot((-1 + 0j,), (GaussianRational(-1),)), LeadingRoot((-1 + 0j,), None),
      "LeadingRoot(values=((-1+0j),), exact=(-1,))"),
+    (PotentialTerm(1, (-1, 0), Fraction(-1, 2)), PotentialTerm(0, (-1, 0), Fraction(-1, 2)),
+     "PotentialTerm(facet=1, exponent=(-1, 0), weight=Fraction(-1, 2))"),
+    (ComponentStratum(0, Fraction(-1, 2), (0, 1)), ComponentStratum(0, Fraction(-1, 2), (0,)),
+     "ComponentStratum(component=0, weight=Fraction(-1, 2), facets=(0, 1))"),
 ]
 
 
@@ -71,6 +76,26 @@ class TestFrozen:
                 setattr(record, name, None)
         with pytest.raises(AttributeError):
             record.extra = None
+
+
+def _wrong_calls(names):
+    """Calls a written signature over ``names`` refuses, each with as many
+    fields as it takes but for the missing and the extra one."""
+    n = len(names)
+    return {
+        "missing": ((None,) * (n - 1), {}),
+        "unexpected": ((None,) * (n - 1), {"colour": None}),
+        "repeated": ((None,), {name: None for name in names[:1] + names[2:]}),
+        "extra": ((None,) * (n + 1), {}),
+    }
+
+
+@pytest.mark.parametrize("cls", [LeadingReport, Facet], ids=lambda c: c.__name__)
+@pytest.mark.parametrize("call", ["missing", "unexpected", "repeated", "extra"])
+def test_initializer_refuses_a_wrong_field(cls, call):
+    args, kwargs = _wrong_calls(cls.__slots__)[call]
+    with pytest.raises(TypeError, match=re.escape(f"{cls.__name__}() takes the fields")):
+        cls(*args, **kwargs)
 
 
 def test_incompatible_fields_message_prints_both_fields():

@@ -77,6 +77,18 @@ _quote = json.encoder.encode_basestring_ascii
 _NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
+def _long_int_str(n: int) -> str:
+    """The decimal digits of ``n`` in pieces under 640 digits, the least limit
+    on int-to-str conversion the interpreter allows; halving keeps it shallow."""
+    if n < 0:
+        return "-" + _long_int_str(-n)
+    if n < 10**500:
+        return int.__repr__(n)
+    k = n.bit_length() * 3 // 20  # about half its digits, at log10(2) = 0.301 a bit
+    high, low = divmod(n, 10**k)
+    return _long_int_str(high) + _long_int_str(low).zfill(k)
+
+
 def _encode(o, nl: str, put) -> None:
     """Pass ``put`` the pieces of ``json.dumps(o, indent=2, sort_keys=True)``,
     testing types in json's order, where ``nl`` is a newline and the indent
@@ -92,7 +104,10 @@ def _encode(o, nl: str, put) -> None:
     elif o is False:
         put("false")
     elif isinstance(o, int):
-        put(int.__repr__(o))
+        try:
+            put(int.__repr__(o))
+        except ValueError:  # past sys.get_int_max_str_digits()
+            put(_long_int_str(o))
     elif isinstance(o, float):
         text = float.__repr__(o)
         put(_NON_FINITE.get(text, text))
@@ -320,9 +335,10 @@ def _per_brane(args, kind: str, row) -> int:
     certificate's order, scaled by ``--scale`` when given.  The branes are
     not checked as ``toric revalidate`` checks them: these commands rank
     any brane, and ``--scale`` moves branes off the critical locus on
-    purpose.  But a brane's coordinates must determine its gradient down
-    to the floor, or the row would state coefficients nothing fixes."""
-    from .critical import read_certificate
+    purpose.  But every coordinate must lie on a facet, and a brane's
+    coordinates must determine its gradient down to the floor, or the row
+    would state coefficients nothing fixes."""
+    from .critical import known_failure, read_certificate
     from .fields import floor_str
     from .polytope import point_str
     from .potential import PotentialFunction
@@ -336,6 +352,7 @@ def _per_brane(args, kind: str, row) -> int:
     field, p, fiber, order, parsed = read_certificate(doc, f"certificate {args.input}")
     branes = list(enumerate(x for x, _, _ in parsed))
     w = PotentialFunction(p, fiber)
+    w.strata  # a coordinate on no facet fails here, as in revalidation
     floor = order if args.floor is None else args.floor
     if args.brane is not None:
         if not 0 <= args.brane < len(branes):
@@ -350,12 +367,8 @@ def _per_brane(args, kind: str, row) -> int:
     rows = []
     for idx, x in branes:
         # row() meets the monomials of this gradient in the potential's memo
-        known = max(y.floor for y in w.gradient(x, floor))
-        if known > floor:
-            raise ValueError(
-                f"brane {idx}: gradient is known only above {floor_str(known)}, "
-                f"not down to the floor {floor_str(floor)}"
-            )
+        if failure := known_failure(w.gradient(x, floor), floor, "floor"):
+            raise ValueError(f"brane {idx}: {failure}")
         rows.append({**row(w, x, floor), "index": idx})
     payload = {"fiber": point_str(fiber), "floor": floor_str(floor), "branes": rows}
     _emit(args, _document(kind, payload))

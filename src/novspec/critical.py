@@ -361,6 +361,19 @@ def _leading_failure(w: PotentialFunction, grad: Sequence[NovikovScalar]) -> Opt
     return None
 
 
+def known_failure(grad: Sequence[NovikovScalar], level, noun: str) -> Optional[str]:
+    """Why the gradient ``grad`` is not known down to ``level`` (the
+    ``noun`` of the check), or None: below its floor a component states
+    coefficients nothing fixes."""
+    known = max(y.floor for y in grad)
+    if known > level:
+        return (
+            f"gradient is known only above {floor_str(known)}, "
+            f"not down to the {noun} {floor_str(level)}"
+        )
+    return None
+
+
 def _brane_failure(w: PotentialFunction, x, residual, order) -> Optional[str]:
     """The first condition under which brane ``x`` fails to certify a
     critical point of ``w`` above ``residual``, or None.  The lift checks
@@ -386,12 +399,8 @@ def _brane_failure(w: PotentialFunction, x, residual, order) -> Optional[str]:
             return (
                 f"residual valuation {floor_str(residual)} lies above the order {floor_str(order)}"
             )
-        known = max(y.floor for y in grad)
-        if known > residual:
-            return (
-                f"gradient is known only above {floor_str(known)}, "
-                f"not down to the residual {floor_str(residual)}"
-            )
+        if failure := known_failure(grad, residual, "residual"):
+            return failure
         w_min = min(s.weight for s in w.strata)
         if residual >= w_min:  # read the leading system below every weight
             grad = w.gradient(x, 2 * w_min)

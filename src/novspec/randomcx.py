@@ -11,6 +11,7 @@ generator).
 from __future__ import annotations
 
 import random
+from collections import Counter
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
@@ -22,7 +23,7 @@ from .complexes import (
     chain_add,
     chain_scale,
 )
-from .fields import CoefficientField, GaussianRational
+from .fields import CoefficientField, GaussianRational, Record
 from .novikov import NovikovScalar
 
 
@@ -81,21 +82,16 @@ def _apply(columns: Dict[str, Chain], chain: Chain) -> Chain:
     return out
 
 
-class RandomComplexData:
-    """A generated complex plus the bookkeeping needed by the suites."""
+class RandomComplexData(Record):
+    """A generated complex plus the bookkeeping the suites read: the ids of
+    its free generators (one homology class each), the (source, target)
+    arrows of its elementary pairs, and the unipotent automorphism that
+    conjugated the direct sum into it (the image of each generator)."""
 
-    def __init__(self, cx, free_ids, matched, automorphism):
-        self.complex: FilteredComplex = cx
-        self.free_ids: List[str] = free_ids
-        self.matched: List[Tuple[str, str]] = matched
-        self.automorphism: Dict[str, Chain] = automorphism
+    __slots__ = ("complex", "free_ids", "matched", "automorphism")
 
     def expected_ranks(self) -> Dict[int, int]:
-        out: Dict[int, int] = {}
-        for gid in self.free_ids:
-            deg = self.complex.generator(gid).degree
-            out[deg] = out.get(deg, 0) + 1
-        return {k: v for k, v in out.items() if v}
+        return dict(Counter(self.complex.generator(gid).degree for gid in self.free_ids))
 
     def random_cycle(
         self, rng: random.Random, boundary: bool = False
@@ -143,15 +139,12 @@ def random_complex(
     group_gen = lattice.group_generator()
 
     n = rng.randint(2, max_generators)
-    generators = []
-    for i in range(n):
-        generators.append(
-            OrbitGenerator(
-                f"x{i}",
-                Fraction(rng.randint(-8, 8), rng.choice([1, 2, 4])),
-                rng.randint(0, 2),
-            )
+    generators = [
+        OrbitGenerator(
+            f"x{i}", Fraction(rng.randint(-8, 8), rng.choice([1, 2, 4])), rng.randint(0, 2)
         )
+        for i in range(n)
+    ]
 
     # Elementary pairing: each generator belongs to at most one arrow.
     order = list(range(n))
@@ -199,9 +192,6 @@ def random_complex(
         tri = list(range(n))
         rng.shuffle(tri)
         position = {generators[i].id: pos for pos, i in enumerate(tri)}
-        t_map: Dict[str, Chain] = {
-            g.id: {g.id: NovikovScalar.one(field)} for g in generators
-        }
         for i in range(n):
             for j in range(n):
                 if i == j:
@@ -215,39 +205,31 @@ def random_complex(
                     )
                     if exp is None or exp + y.action > x.action:
                         continue
-                    t_map[x.id][y.id] = NovikovScalar.monomial(
+                    automorphism[x.id][y.id] = NovikovScalar.monomial(
                         field, random_coefficient(rng, field), exp
                     )
-        cx = _conjugate(cx, t_map)
-        automorphism = t_map
+        cx = _conjugate(cx, automorphism)
     return RandomComplexData(cx, free_ids, matched, automorphism)
 
 
 def _invert_unipotent(
     cx: FilteredComplex, t_map: Dict[str, Chain]
 ) -> Dict[str, Chain]:
-    field = cx.field
-    # T = 1 + N with N nilpotent: invert by the finite Neumann series.
-    n_map: Dict[str, Chain] = {}
-    for gid, col in t_map.items():
-        n_map[gid] = {k: v for k, v in col.items() if k != gid}
-
+    # T = 1 + N with N nilpotent: invert by the finite Neumann series,
+    # the sum of the powers of N with the odd ones negated.
+    minus_one = cx.field.coerce(-1)
+    n_map = {gid: {k: v for k, v in col.items() if k != gid} for gid, col in t_map.items()}
     inverse: Dict[str, Chain] = {}
     for g in cx.generators:
-        total: Chain = {g.id: NovikovScalar.one(field)}
-        power: Chain = {g.id: NovikovScalar.one(field)}
-        sign = 1
-        for _ in range(len(cx.generators)):
-            power = _apply(n_map, power)
+        total = power = {g.id: NovikovScalar.one(cx.field)}
+        for k in range(len(cx.generators)):
+            power = _apply(n_map, power)  # N^(k+1) g
             if not power:
                 break
-            sign = -sign
-            scaled = (
-                power
-                if sign > 0
-                else {k: v.scale(field.coerce(-1)) for k, v in power.items()}
-            )
-            total = chain_add(total, scaled)
+            if k % 2 == 0:
+                total = chain_add(total, {h: v.scale(minus_one) for h, v in power.items()})
+            else:
+                total = chain_add(total, power)
         inverse[g.id] = total
     return inverse
 

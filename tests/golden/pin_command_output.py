@@ -14,7 +14,8 @@ their coordinates determine; runs ``qmap rank|unit``, on the branes and
 scaled off them, on the CP^1 x CP^1 certificate and on a rational
 certificate of the cube [0,1]^3 at 1/2,1/2,1/2; runs ``qmap
 rank|unit|charge`` on both trapezoid certificates at the floor -3, below
-the -5/2 their branes determine, which each refuses; runs ``qstate
+the -5/2 their branes determine, which each refuses, and on the tampered
+copy whose polytope, a strip, leaves a coordinate on no facet; runs ``qstate
 homogenize|check|heavy|product`` on rational and float documents that
 exercise every relation type, passing and failing; and runs
 ``selftest`` at seeds 0 to 3 and once with ``--mutate``.  Each run goes
@@ -247,6 +248,11 @@ TAMPERED = {
     "segment_two_term_exact_x.json": ("cert_segment.json", [
         (["branes", 0, "x", 0], ONE_PLUS_INVERSE_Q),
     ]),
+    # no facet of the strip 0 <= x <= 1 involves y; 1/2,0 is interior to it
+    "tampered_strip.json": ("cert_gaussian.json", [
+        (["polytope"], {"dim": 2, "facets": [SQUARE["facets"][0], SQUARE["facets"][2]]}),
+        (["fiber"], "1/2,0"),
+    ]),
 }
 
 # name -> (certificate, residual): every brane moved to the constant 7 and
@@ -308,6 +314,7 @@ ARGVS = (
     + [["toric", "revalidate", name] for name in DEEP_CLAIMS]
     + [["qmap", cmd, cert, "--floor", "-3"] for cert in ("cert_gaussian.json", "cert_complex.json")
        for cmd in ("rank", "unit", "charge")]
+    + [["qmap", cmd, "tampered_strip.json"] for cmd in ("rank", "unit", "charge")]
 )
 
 

@@ -2,9 +2,11 @@
 
 No command runs these, so they live with the tests: products and
 unimodular coordinate changes of moment polytopes, the area homomorphism
-of a period lattice, the recursive extended gcd and the level of a chain.
+of a period lattice, the recursive extended gcd, the level of a chain and
+the Kushnirenko count of a toric potential's critical points.
 """
 
+import math
 from fractions import Fraction
 from typing import Iterable, Sequence, Tuple
 
@@ -16,6 +18,8 @@ from novspec.polytope import (
     MomentPolytope,
     Point,
     Vector,
+    active_facets,
+    enumerate_vertices,
     int_det,
     parse_fiber,
     rational_inverse,
@@ -97,3 +101,37 @@ def level(chain: Chain, cx: FilteredComplex) -> FloorValue:
         if cand > best:
             best = cand
     return best
+
+
+def kushnirenko_bound(p: MomentPolytope) -> int:
+    """n!·Vol(conv{v_j}) over the facet normals v_j of ``p``: the most
+    isolated critical points its potential can have in the torus
+    (Kushnirenko), so a search that certifies this many branes is complete.
+
+    Each vertex of the polar {u : <u, v_j> >= -1} is a facet of conv{v_j},
+    and ``active_facets`` names the normals on it.  A face's faces one
+    dimension down are the inclusion-maximal proper intersections with
+    facets.  Coned from the origin, the barycentric subdivision of the
+    boundary triangulates conv{v_j}: one simplex per flag facet ⊃ … ⊃
+    vertex, spanned by the faces' centroids, of volume |det| / n!.
+    """
+    normals = [f.normal for f in p.facets]
+    polar = MomentPolytope(p.dim, tuple(Facet(v, Fraction(-1)) for v in normals))
+    facets = [frozenset(active_facets(polar, w)) for w in enumerate_vertices(polar)]
+
+    def flags(face):
+        below = {face & g for g in facets} - {face, frozenset()}
+        tops = [g for g in below if not any(g < h for h in below)]
+        if not tops:
+            return [[face]]
+        return [[face, *rest] for g in tops for rest in flags(g)]
+
+    total = Fraction(0)
+    for facet in facets:
+        for flag in flags(facet):
+            # each centroid times its face's size, so that the rows are integers
+            rows = [[sum(normals[j][i] for j in face) for i in range(p.dim)] for face in flag]
+            total += Fraction(abs(int_det(rows)), math.prod(len(face) for face in flag))
+    if total.denominator != 1:
+        raise ValueError(f"normalized volume {total} is not an integer")
+    return int(total)

@@ -726,6 +726,38 @@ class TestComplexCommands:
         n = doc["spectrality"]["lattice_vector"]
         assert omega(PeriodLattice((Fraction(f), Fraction(g))), n) == Fraction(doc["value"])
 
+    def test_spectral_number_writes_a_lattice_vector_past_the_digit_limit(self, tmp_path, capsys):
+        # the vector reaching 10^4000 - 1 through F_10000 and F_10001 (2,090
+        # digits each) has 6,090-digit entries, past the interpreter's 4,300
+        f, g = 0, 1
+        for _ in range(10000):
+            f, g = g, f + g
+        top = 10**4000 - 1
+        cx = write(tmp_path, "cx.json", {
+            "field": {"mode": "rational"},
+            "lattice": {"rank": 2, "periods": [str(f), str(g)]},
+            "generators": [{"id": "a", "action": str(top), "degree": 0},
+                           {"id": "b", "action": "0", "degree": 0}],
+            "differential": [],
+        })
+        chain = write(
+            tmp_path, "chain.json", {"coeffs": [{"id": "b", "coeff": [{"exp": "0", "c": "1"}]}]}
+        )
+        out = tmp_path / "out.json"
+        code = main(["complex", "spectral", cx, "--chain", chain, "--out", str(out)])
+        assert code == 0 and capsys.readouterr().err == ""
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            doc = json.loads(out.read_text(encoding="utf-8"))
+            n = doc["spectrality"]["lattice_vector"]
+            assert [len(str(abs(k))) for k in n] == [6090, 6090]
+            assert doc["spectrality"]["generator"] == "a"
+        finally:
+            sys.set_int_max_str_digits(limit)
+        lattice = PeriodLattice((Fraction(f), Fraction(g)))
+        assert omega(lattice, n) == top - Fraction(doc["value"])
+
     def test_spectral_number_sums_a_repeated_generator(self, tmp_path):
         # c as q^0 and again as -q^0 + q^-1 is the cycle q^-1 c: 2 - 1
         cx = write(tmp_path, "cx.json", GOOD_COMPLEX)
@@ -949,6 +981,21 @@ class TestToricCommands:
             "polytope fails validation: needs at least 3 facets, found 2",
             "no facet involves coordinate 1; polytope is degenerate",
         ]
+
+    @pytest.mark.parametrize("cmd", ["rank", "unit", "charge"])
+    def test_qmap_on_a_coordinate_on_no_facet_exits_1(self, tmp_path, capsys, cmd):
+        trap = write(tmp_path, "trap.json", TRAP)
+        cert = tmp_path / "cert.json"
+        argv = ["toric", "certify", trap, "--fiber", "3/4,1/2", "--order=-2", "--mode", "gaussian"]
+        assert main(argv + ["--out", str(cert)]) == 0
+        doc = json.loads(cert.read_text(encoding="utf-8"))
+        doc["polytope"] = {"dim": 2, "facets": STRIP["facets"][:2]}
+        doc["fiber"] = "1/2,0"
+        capsys.readouterr()
+        assert main(["qmap", cmd, write(tmp_path, "strip.json", doc)]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "novspec: no facet involves coordinate 1; polytope is degenerate\n"
 
     def test_complex_lift_that_stalls_exits_1(self, tmp_path, capsys):
         # in floats the trapezoid's Newton residual stops shrinking at -19/2

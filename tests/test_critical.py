@@ -44,7 +44,7 @@ from novspec.polytope import (
 )
 from novspec.potential import PotentialFunction, brane_from_constants
 
-from reference import product, transform, transform_point
+from reference import kushnirenko_bound, product, transform, transform_point
 
 QQ = field_for_mode("rational")
 QI = field_for_mode("gaussian")
@@ -816,6 +816,33 @@ def test_certificates_revalidate_at_any_order(polytope, fiber, mode, order):
     assert report.branes
     result = revalidate_certificate(json.loads(json.dumps(report.to_json())))
     assert result["ok"], result["failures"]
+
+
+# name -> polytope, fiber, mode, n!·Vol of the convex hull of its normals
+KUSHNIRENKO = {
+    "cp2": (CP2, "1/3,1/3", "complex", 3),
+    "trapezoid": (TRAP, "3/4,1/2", "gaussian", 4),
+    "cp1xcp1": (product(CP1, CP1), "1/2,1/2", "rational", 4),
+    # the normal (0, -1) lies inside the edge from (1, 0) to (-1, -2)
+    "f2": (F2, "1,1/2", "rational", 4),
+    "hexagon": (
+        MomentPolytope(2, [Facet(v, Fraction(-1))
+                           for v in [(1, 0), (1, 1), (0, 1), (-1, 0), (-1, -1), (0, -1)]]),
+        "0,0", "complex", 6,
+    ),
+    "cube": (product(product(CP1, CP1), CP1), "1/2,1/2,1/2", "rational", 8),
+}
+
+
+@pytest.mark.parametrize(
+    "polytope, fiber, mode, bound", KUSHNIRENKO.values(), ids=list(KUSHNIRENKO)
+)
+def test_one_fiber_certifies_the_kushnirenko_count(polytope, fiber, mode, bound):
+    # no potential has more isolated critical points in the torus, so these
+    # searches are complete
+    assert kushnirenko_bound(polytope) == bound
+    report = certify_heavy(PotentialFunction(polytope, fiber), Fraction(-2), field_for_mode(mode))
+    assert len(report.branes) == bound
 
 
 class TestScan:

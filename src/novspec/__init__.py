@@ -14,7 +14,7 @@ from importlib import import_module
 __version__ = "0.1.0"
 
 _EXPORTS = {
-    "NEG_INF": "fields",
+    "NEG_INF": "records",
     "CoefficientField": "fields",
     "GaussianRational": "fields",
     "NovikovScalar": "novikov",

@@ -18,19 +18,10 @@ from fractions import Fraction
 from math import lcm
 from typing import Any, Dict, Iterable, List, Mapping, Optional, Tuple
 
-from .fields import (
-    NEG_INF,
-    CoefficientField,
-    Frozen,
-    Record,
-    _set,
-    floor_str,
-    parse_floor,
-    parse_fraction,
-    parse_ratio,
-    rational_gcd,
-)
+from .fields import CoefficientField, rational_gcd
 from .novikov import FloorValue, NovikovScalar
+from .records import (NEG_INF, Frozen, Record, _set, floor_str, fraction_str, parse_floor,
+                      parse_fraction, parse_ratio)
 
 Chain = Dict[str, NovikovScalar]
 
@@ -125,7 +116,7 @@ class OrbitGenerator(Frozen):
     def to_json(self) -> dict:
         return {
             "id": self.id,
-            "action": str(self.action),
+            "action": fraction_str(self.action),
             "degree": self.degree,
         }
 

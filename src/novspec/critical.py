@@ -33,22 +33,9 @@ import itertools
 import math
 from decimal import Decimal, localcontext
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple
+from typing import Any, Callable, List, Optional, Sequence, Tuple
 
-from .fields import (
-    NEG_INF,
-    SCHEMA_VERSION,
-    CoefficientField,
-    Frozen,
-    GaussianRational,
-    Record,
-    SchemaError,
-    floor_str,
-    gauss_jordan,
-    parse_floor,
-    parse_fraction,
-    parse_or_schema_error as _parse,
-)
+from .fields import CoefficientField, GaussianRational
 from .novikov import NovikovScalar
 from .polytope import (
     MomentPolytope,
@@ -60,6 +47,9 @@ from .polytope import (
     validated,
 )
 from .potential import PotentialFunction, brane_from_constants
+from .records import (NEG_INF, SCHEMA_VERSION, Frozen, Record, SchemaError, floor_str,
+                      parse_floor, parse_fraction)
+from .records import parse_or_schema_error as _parse
 
 SNAP_TOL = 1e-9
 NEWTON_CAP = 60
@@ -325,6 +315,64 @@ def _sympy_values(system: System, n: int):
 
 # ---------------------------------------------------------------------------
 # Lifting
+
+
+def gauss_jordan(
+    rows: Sequence[Sequence[Any]],
+    width: int,
+    key: Callable[[Any], Optional[Any]],
+    invert: Callable[[Any], Any],
+) -> Tuple[List[list], List[Tuple[int, Any]], int]:
+    """Gauss-Jordan elimination over inexact entries with ``*`` and ``-``:
+    Novikov scalars and complex floats.  Exact integer matrices go through
+    the fraction-free ``polytope._reduce`` instead.
+
+    Reduces a copy of ``rows`` over their first ``width`` columns; later
+    columns (right-hand sides, identity blocks) are carried along.  In each
+    column the pivot is the first remaining row whose entry has the largest
+    ``key``; ``key`` is None for an entry that counts as zero, and such an
+    entry is never eliminated.  Right of the pivot column, the pivot row is
+    scaled to ``inv * x`` with ``inv = invert(pivot)``, and every other row
+    becomes ``a - f * c``, where ``f`` is its entry in the pivot column and
+    ``c`` the scaled pivot row.  A column without a pivot is skipped.
+    Each column's update reads only that column and the pivot column, so
+    the first ``width`` columns are left unreduced, while the pivots and
+    the carried columns come out as a full reduction gives them, to the
+    bit.
+
+    Returns ``(rows, pivots, sign)``: the rows, the ``(column, pivot)``
+    pairs in order (pivots as found, before scaling), and the sign of the
+    row permutation, so a square matrix has determinant ``sign`` times the
+    product of the pivots when every column has one, else 0.
+    """
+    rows = [list(row) for row in rows]
+    pivots: List[Tuple[int, Any]] = []
+    sign = 1
+    top = 0
+    for col in range(width):
+        if top == len(rows):
+            break
+        keys = [key(row[col]) for row in rows]
+        best = None
+        for r in range(top, len(rows)):
+            if keys[r] is not None and (best is None or keys[r] > keys[best]):
+                best = r
+        if best is None:
+            continue
+        if best != top:
+            rows[top], rows[best] = rows[best], rows[top]
+            keys[top], keys[best] = keys[best], keys[top]
+            sign = -sign
+        pivot = rows[top][col]
+        inv = invert(pivot)
+        tail = rows[top][col + 1:] = [inv * x for x in rows[top][col + 1:]]
+        for r, row in enumerate(rows):
+            if r != top and keys[r] is not None:
+                f = row[col]
+                row[col + 1:] = [a - f * c for a, c in zip(row[col + 1:], tail)]
+        pivots.append((col, pivot))
+        top += 1
+    return rows, pivots, sign
 
 
 def _degeneracy_failure(w: PotentialFunction, values: Sequence[complex]) -> Optional[str]:

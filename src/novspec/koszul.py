@@ -24,9 +24,10 @@ from fractions import Fraction
 from typing import Sequence
 
 from .complexes import FilteredComplex, OrbitGenerator, PeriodLattice
-from .fields import NEG_INF, CoefficientField, floor_str
+from .fields import CoefficientField
 from .novikov import NovikovScalar
 from .potential import PotentialFunction
+from .records import NEG_INF, floor_str
 from .spectral import echelon_from_columns, homology_rank
 
 

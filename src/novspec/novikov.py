@@ -42,16 +42,8 @@ from math import gcd, lcm
 from operator import or_
 from typing import Any, Iterable, Optional, Tuple, Union
 
-from .fields import (
-    NEG_INF,
-    Coefficient,
-    CoefficientField,
-    _set,
-    floor_str,
-    parse_floor,
-    parse_ratio,
-    ratio_str,
-)
+from .fields import Coefficient, CoefficientField
+from .records import NEG_INF, _set, floor_str, parse_floor, parse_ratio, ratio_str
 
 FloorValue = Union[Fraction, float]
 

@@ -26,7 +26,7 @@ import math
 from fractions import Fraction
 from typing import Iterator, List, Optional, Sequence, Tuple
 
-from .fields import Frozen, Record, _set, parse_fraction
+from .records import Frozen, Record, _set, parse_fraction
 
 Vector = Tuple[int, ...]
 Point = Tuple[Fraction, ...]

@@ -23,9 +23,10 @@ from fractions import Fraction
 from functools import cached_property
 from typing import List, Optional, Sequence, Tuple
 
-from .fields import NEG_INF, CoefficientField, Frozen
+from .fields import CoefficientField
 from .novikov import NovikovScalar
 from .polytope import MomentPolytope, Point, Vector, parse_fiber, point_str
+from .records import NEG_INF, Frozen
 
 
 class PotentialTerm(Frozen):

@@ -29,7 +29,7 @@ import math
 from fractions import Fraction
 from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple, Union
 
-from .fields import Record, parse_fraction, to_float
+from .records import Record, parse_fraction, to_float
 
 Value = Union[Fraction, float]
 

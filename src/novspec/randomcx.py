@@ -23,8 +23,9 @@ from .complexes import (
     chain_add,
     chain_scale,
 )
-from .fields import CoefficientField, GaussianRational, Record
+from .fields import CoefficientField, GaussianRational
 from .novikov import NovikovScalar
+from .records import Record
 
 
 def random_coefficient(rng: random.Random, field: CoefficientField):

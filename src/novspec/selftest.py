@@ -25,13 +25,14 @@ from .complexes import (
     validate_complex,
 )
 from .critical import certify_heavy, revalidate_certificate
-from .fields import NEG_INF, SCHEMA_VERSION, field_for_mode
+from .fields import field_for_mode
 from .koszul import build_cqf, hqf_report, unit_in_homology
 from .novikov import NovikovScalar
 from .polytope import segment, simplex
 from .potential import PotentialFunction
 from .quasistate import SpectralOracle, homogenize
 from .randomcx import random_complex, random_scalar
+from .records import NEG_INF, SCHEMA_VERSION
 from .spectral import homology_rank, spectral_number, spectrum
 from .tensor import kunneth_ranks, tensor_chain, tensor_product
 

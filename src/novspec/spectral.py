@@ -31,8 +31,9 @@ from math import gcd, lcm
 from typing import Dict, List, Optional, Tuple
 
 from .complexes import Chain, FilteredComplex, chain_to_json
-from .fields import NEG_INF, CoefficientField, Frozen, Record, floor_str
+from .fields import CoefficientField
 from .novikov import NovikovScalar, _by_term, _nonzero, _regrid, _scalar
+from .records import NEG_INF, Frozen, Record, floor_str
 
 Vec = Dict[int, NovikovScalar]
 

@@ -344,9 +344,9 @@ def _forge(cert: dict, residual: str, move: bool = True) -> dict:
     """Every brane claiming ``residual``, with its central charge recomputed
     there; moved first to the constant 7 when ``move``."""
     from novspec.critical import read_certificate
-    from novspec.fields import parse_floor
     from novspec.novikov import NovikovScalar
     from novspec.potential import PotentialFunction
+    from novspec.records import parse_floor
 
     field, p, fiber, _, parsed = read_certificate(cert)
     w = PotentialFunction(p, fiber)

@@ -5,7 +5,7 @@
 Draws one seeded complex per coefficient mode (with a second complex for
 ``tensor``, a cycle and a boundary for ``spectral``), adds one hand-written
 document whose rationals are spelled ``"0.5"``, ``" 3/2 "`` and ``"-0"``
-(the first two are forms ``fields.parse_fraction`` leaves to the generic
+(the first two are forms ``records.parse_fraction`` leaves to the generic
 ``Fraction`` parser) and, in each mode, one hand-written complex graded
 only mod 2 whose spectral number needs a pivot of two terms, runs ``complex
 validate|homology|spectrum|spectral|tensor`` on each through

@@ -11,7 +11,6 @@ from fractions import Fraction
 from typing import Iterable, Sequence, Tuple
 
 from novspec.complexes import Chain, FilteredComplex, PeriodLattice
-from novspec.fields import NEG_INF
 from novspec.novikov import FloorValue
 from novspec.polytope import (
     Facet,
@@ -24,6 +23,7 @@ from novspec.polytope import (
     parse_fiber,
     rational_inverse,
 )
+from novspec.records import NEG_INF
 
 
 def unimodular_inverse_transpose(a: Sequence[Sequence[int]]) -> Tuple[Vector, ...]:

@@ -14,12 +14,13 @@ from functools import lru_cache
 
 from novspec.complexes import chain_scale
 from novspec.critical import certify_heavy, revalidate_certificate, scan_fibers
-from novspec.fields import NEG_INF, CoefficientField
+from novspec.fields import CoefficientField
 from novspec.koszul import build_cqf, hqf_report
 from novspec.polytope import segment, simplex
 from novspec.potential import PotentialFunction
 from novspec.quasistate import SpectralOracle, homogenize
 from novspec.randomcx import random_complex, random_scalar
+from novspec.records import NEG_INF
 from novspec.selftest import run_selftest
 from novspec.spectral import homology_rank, spectral_number, spectrum
 from novspec.tensor import kunneth_ranks, tensor_chain, tensor_product

@@ -233,6 +233,27 @@ class TestExitCodes:
         out, err = capsys.readouterr()
         assert out == "" and err.startswith(f"novspec: input error: {path}: 'utf-8' codec")
 
+    @pytest.mark.parametrize(
+        "argv, err",
+        [(["toric", "certify", "trap.json", "--fiber", "1/2"],
+          "novspec: argument --fiber: point has dimension 1, polytope has 2\n"),
+         (["toric", "validate", "bad.json"],
+          "novspec: input error: bad.json: 'utf-8' codec can't decode byte 0xff in position 0: "
+          "invalid start byte\n")],
+    )
+    def test_run_as_a_module_keeps_its_exit_codes(self, tmp_path, argv, err):
+        # Under ``python -m novspec.cli`` the file runs as __main__, beside the
+        # novspec.cli whose error classes the group modules raise.
+        write(tmp_path, "trap.json", TRAP)
+        (tmp_path / "bad.json").write_bytes(b"\xff")
+        src = str(Path(novspec.__file__).resolve().parent.parent)
+        paths = [src, os.environ.get("PYTHONPATH")]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+        proc = subprocess.run([sys.executable, "-m", "novspec.cli", *argv], cwd=tmp_path,
+                              capture_output=True, text=True, env=env)
+        assert "Traceback" not in proc.stderr
+        assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", err)
+
     @pytest.mark.parametrize("broken_first", [True, False])
     def test_malformed_input_names_its_file(self, tmp_path, capsys, broken_first):
         # With two inputs, the message says which one failed to parse.
@@ -785,6 +806,29 @@ class TestComplexCommands:
         code, rep = run_json(tmp_path, ["complex", "validate", prod])
         assert code == 0 and rep["valid"]
 
+    def test_tensor_writes_an_action_past_the_digit_limit(self, tmp_path, capsys):
+        # the product generator's action, the sum of these two, has about
+        # 6,000 digits above and below the bar, past the interpreter's 4,300
+        left, right = Fraction(10**3000 - 1, 10**2999 + 7), Fraction(1, 10**3000 + 3)
+        paths = [
+            write(tmp_path, f"{name}.json", {
+                "field": {"mode": "rational"},
+                "generators": [{"id": name, "action": str(action), "degree": 0}],
+                "differential": [],
+            })
+            for name, action in (("x", left), ("y", right))
+        ]
+        out = tmp_path / "out.json"
+        code = main(["complex", "tensor", *paths, "--out", str(out)])
+        assert code == 0 and capsys.readouterr().err == ""
+        [generator] = json.loads(out.read_text(encoding="utf-8"))["generators"]
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            assert Fraction(generator["action"]) == left + right
+        finally:
+            sys.set_int_max_str_digits(limit)
+
     def test_output_corpus_replays_byte_identical(self, tmp_path, capsys):
         # Seeded complexes in every mode, one document of decimal, padded and
         # signed-zero rationals, and a complex graded only mod 2 in every
@@ -876,6 +920,14 @@ class TestToricCommands:
         for argv in (["complex", "validate", cx],
                      ["toric", "scan", cp1, "--grid", "1/4", "--order", "-2"]):
             assert self.heavy_imports(argv, cold) == (0, ["novspec.novikov"]), argv
+        # A command compiles its own group's module of the CLI and no other,
+        # and toric validate reads and writes records without novspec.fields.
+        groups = tuple(f"novspec.cli_{g}" for g in ("complex", "toric", "qmap", "qstate"))
+        argv = ["toric", "validate", cp1]
+        assert self.heavy_imports(argv, ("novspec.fields", *groups)) == (0, ["novspec.cli_toric"])
+        for argv, group in ((["complex", "validate", cx], "complex"),
+                            (["toric", "scan", cp1, "--grid", "1/4", "--order", "-2"], "toric")):
+            assert self.heavy_imports(argv, groups) == (0, [f"novspec.cli_{group}"]), argv
 
     def test_binomial_leading_systems_do_not_import_sympy(self, tmp_path):
         # Two facets per leading stratum and a nonsingular exponent matrix:

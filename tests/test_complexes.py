@@ -17,8 +17,9 @@ from novspec.complexes import (
     chain_to_json,
     validate_complex,
 )
-from novspec.fields import NEG_INF, field_for_mode
+from novspec.fields import field_for_mode
 from novspec.randomcx import random_complex
+from novspec.records import NEG_INF
 
 from reference import level, omega, xgcd
 

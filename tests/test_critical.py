@@ -14,7 +14,8 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from novspec.fields import NEG_INF, GaussianRational, field_for_mode, parse_floor
+from novspec.fields import GaussianRational, field_for_mode
+from novspec.records import NEG_INF, parse_floor
 from novspec.cli import main, parse_args
 from novspec.novikov import NovikovScalar
 from novspec.critical import (

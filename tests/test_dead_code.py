@@ -27,9 +27,9 @@ Two import guards keep a cold start to what its command runs: no module
 imports ``dataclasses`` (which loads ``inspect``, ``ast``, ``dis`` and
 ``tokenize``), and the package root imports no submodule when it loads.
 
-A record (a class deriving from ``fields.Record`` or ``Frozen``) states
-its fields once, in ``__slots__``: an ``__init__`` of its own that only
-stores its parameters, none defaulted, is what ``Record.__init__``
+A record (a class deriving from ``records.Record`` or ``records.Frozen``)
+states its fields once, in ``__slots__``: an ``__init__`` of its own that
+only stores its parameters, none defaulted, is what ``Record.__init__``
 already does, and fails unless ``KEPT_INITIALIZERS`` gives its reason.
 """
 

@@ -10,7 +10,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from novspec import NEG_INF, CoefficientField, GaussianRational, NovikovScalar
-from novspec.fields import field_for_mode, parse_fraction, rational_gcd
+from novspec.fields import field_for_mode, rational_gcd
+from novspec.records import parse_fraction
 
 QQ = CoefficientField("rational")
 QI = CoefficientField("gaussian")

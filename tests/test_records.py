@@ -1,8 +1,8 @@
 """Records: equality, hashing, repr and immutability, and every report's
 fields through its constructor and its JSON.
 
-Records are plain ``__slots__`` classes (``novspec.fields.Record`` and
-``Frozen``).  They compare, hash and print as the standard library's
+Records are plain ``__slots__`` classes (``novspec.records.Record`` and
+``records.Frozen``).  They compare, hash and print as the standard library's
 generated records do: equal only to a record of the same class with
 equal fields, hashable only when frozen, printed ``Name(field=value, ...)``.
 ``Record.__init__`` refuses the calls a written signature would.

@@ -14,8 +14,9 @@ from novspec.complexes import (
     OrbitGenerator,
     PeriodLattice,
 )
-from novspec.fields import NEG_INF, field_for_mode, rational_gcd
+from novspec.fields import field_for_mode, rational_gcd
 from novspec.randomcx import random_complex, random_scalar
+from novspec.records import NEG_INF
 from novspec.spectral import (
     _lead,
     _vec_normalize,

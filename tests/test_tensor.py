@@ -5,7 +5,7 @@ from fractions import Fraction
 
 from novspec import CoefficientField, NovikovScalar
 from novspec.complexes import validate_complex
-from novspec.fields import NEG_INF
+from novspec.records import NEG_INF
 from novspec.randomcx import random_complex, random_scalar
 from novspec.spectral import homology_rank, spectral_number, spectrum
 from novspec.tensor import kunneth_ranks, tensor_chain, tensor_product

@@ -15,10 +15,10 @@ valuation-plus-action over its support.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from typing import Any, Dict, Iterable, List, Mapping, Optional, Tuple
 
-from .fields import CoefficientField, rational_gcd
+from .fields import CoefficientField
 from .novikov import FloorValue, NovikovScalar
 from .records import (NEG_INF, Frozen, Record, _set, floor_str, fraction_str, parse_floor,
                       parse_fraction, parse_ratio)
@@ -40,10 +40,8 @@ class PeriodLattice(Frozen):
 
     def group_generator(self) -> Fraction:
         """Positive generator of the image group omega(Gamma), 0 if trivial."""
-        g = Fraction(0)
-        for p in self.periods:
-            g = rational_gcd(g, p)
-        return g
+        den = lcm(*[p.denominator for p in self.periods])
+        return Fraction(gcd(*[p.numerator * (den // p.denominator) for p in self.periods]), den)
 
     def solve(self, value) -> Optional[Tuple[int, ...]]:
         """Integer vector n with omega(n) == value, or None."""

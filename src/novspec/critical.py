@@ -454,14 +454,14 @@ def _brane_failure(w: PotentialFunction, x, residual, order) -> Optional[str]:
             grad = w.gradient(x, 2 * w_min)
         if failure := _leading_failure(w, grad):
             return failure
-    return _degeneracy_failure(w, [complex(xj.leading_coefficient()) for xj in x])
+    return _degeneracy_failure(w, [xj.lead() for xj in x])
 
 
 def _pivot_key(s: NovikovScalar):
     # Largest valuation first, then largest leading magnitude.
     if s.is_zero():
         return None
-    return (s.valuation(), s.field.magnitude(s.leading_coefficient()))
+    return (s.valuation(), abs(s.lead()))
 
 
 def _solve_linear(
@@ -478,16 +478,16 @@ def _solve_linear(
 
 class BraneCertificate(Record):
     # order is a Fraction or NEG_INF, residual_valuation Fraction-like or NEG_INF
-    __slots__ = ("x", "order", "residual_valuation", "residual_norm", "central_charge",
-                 "iterations")
+    __slots__ = ("x", "order", "residual_valuation", "central_charge", "iterations")
 
     def to_json(self) -> dict:
         return {
             "x": [xj.to_json() for xj in self.x],
             "order": floor_str(self.order),
             "residual_valuation": floor_str(self.residual_valuation),
-            "leading_residual": None,  # schema field, always null
-            "residual_norm": self.residual_norm,
+            # constant schema fields, kept so that every certificate has the same keys
+            "leading_residual": None,
+            "residual_norm": 0.0,
             "central_charge": self.central_charge.to_json(),
             "iterations": self.iterations,
         }
@@ -530,7 +530,6 @@ def lift_critical(
             x=x,
             order=order,
             residual_valuation=NEG_INF,
-            residual_norm=0.0,
             central_charge=w.evaluate(x, NEG_INF),
             iterations=0,
         )
@@ -584,7 +583,6 @@ def lift_critical(
         x=x_final,
         order=order,
         residual_valuation=order,
-        residual_norm=0.0,
         central_charge=w.evaluate(x_final, order),
         iterations=iterations,
     )

@@ -8,8 +8,12 @@ Three modes are supported:
   ``eps``; magnitudes below eps are treated as zero.
 
 Exact modes admit no tolerance (eps must be 0); the floating mode
-requires eps > 0.  Mixing scalars from incompatible fields is an error,
-so every operation goes through a CoefficientField instance.
+requires eps > 0.  Mixing scalars from incompatible fields is an error.
+
+A ``CoefficientField`` converts coefficients between their value form
+(Fraction, GaussianRational or complex), the row parts ``(re, im, den)``
+that ``NovikovScalar`` computes on, and JSON; the arithmetic itself runs
+on the row parts, in ``novspec.novikov``.
 """
 
 from __future__ import annotations
@@ -25,19 +29,6 @@ RATIONAL = "rational"
 GAUSSIAN = "gaussian"
 COMPLEX = "complex"
 MODES = (RATIONAL, GAUSSIAN, COMPLEX)
-
-
-def rational_gcd(a: Fraction, b: Fraction) -> Fraction:
-    """Positive generator of the group Z*a + Z*b inside Q."""
-    from math import gcd
-
-    a, b = abs(Fraction(a)), abs(Fraction(b))
-    if a == 0:
-        return b
-    if b == 0:
-        return a
-    num = gcd(a.numerator * b.denominator, b.numerator * a.denominator)
-    return Fraction(num, a.denominator * b.denominator)
 
 
 class GaussianRational:
@@ -63,12 +54,6 @@ class GaussianRational:
 
     def __neg__(self) -> "GaussianRational":
         return _gaussian(-self.re, -self.im)
-
-    def inverse(self) -> "GaussianRational":
-        n = self.re * self.re + self.im * self.im
-        if n == 0:
-            raise ZeroDivisionError("inverse of zero Gaussian rational")
-        return _gaussian(self.re / n, -self.im / n)
 
     def __eq__(self, other) -> bool:
         return (
@@ -162,27 +147,10 @@ class CoefficientField(Frozen):
     def mul(self, a: Coefficient, b: Coefficient) -> Coefficient:
         return a * b
 
-    def invert(self, a: Coefficient) -> Coefficient:
-        if self.is_zero(a):
-            raise ZeroDivisionError("inverse of zero coefficient")
-        if self.mode == RATIONAL:
-            return Fraction(1) / a
-        if self.mode == GAUSSIAN:
-            return a.inverse()
-        return 1.0 / a
-
     def is_zero(self, a: Coefficient) -> bool:
         if self.mode == COMPLEX:
             return abs(a) < self.eps
         return not a
-
-    def magnitude(self, a: Coefficient) -> float:
-        """Float magnitude, used for pivot audits and numeric export."""
-        if self.mode == RATIONAL:
-            return abs(float(a))
-        if self.mode == GAUSSIAN:
-            return abs(a.to_complex())
-        return abs(a)
 
     def to_parts(self, a: Coefficient) -> tuple:
         """``(re, im, den)`` with ``a == (re + i*im) / den``: integer

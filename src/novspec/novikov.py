@@ -23,7 +23,7 @@ parts and den is 1.  The form is canonical: gcd(grid, every e) = 1, in
 the exact modes also gcd(den, every re, every im) = 1, and zero has
 grid = den = 1.  So an element has one stored form, which ``__eq__`` and
 ``__hash__`` compare; ``terms`` builds (Fraction exponent, coefficient)
-pairs from it on access, for JSON and tests.
+pairs from it on access, for ``repr`` and tests.
 
 Every operation runs on the rows: sums merge the two decreasing row lists
 in one pass over the lcms of the grids and denominators, and products and
@@ -32,7 +32,9 @@ inverses run one row kernel accumulating ``re += a1*a2 - b1*b2`` and
 complex ``*`` and ``+`` perform, in the same order up to commuted operands
 (a factor of one row takes one pass), and a float coefficient is zero when
 ``abs(complex(re, im)) < eps``, as in the field; so complex results keep
-their last bits, signed zeros included.
+their last bits, signed zeros included.  So do the reads: ``lead()``,
+``magnitudes()``, ``isclose`` and the inverse's lead, which is
+den*(a0 - i*b0)/(a0^2 + b0^2) over one gcd in the exact modes.
 """
 
 from __future__ import annotations
@@ -42,7 +44,7 @@ from math import gcd, lcm
 from operator import or_
 from typing import Any, Iterable, Optional, Tuple, Union
 
-from .fields import Coefficient, CoefficientField
+from .fields import CoefficientField
 from .records import NEG_INF, _set, floor_str, parse_floor, parse_ratio, ratio_str
 
 FloorValue = Union[Fraction, float]
@@ -304,14 +306,13 @@ class NovikovScalar:
         the valuation, or the floor when nothing is known above it."""
         return self.valuation() if self.rows else self.floor
 
-    def leading_coefficient(self) -> Coefficient:
-        if not self.rows:
-            raise ValueError("zero scalar has no leading coefficient")
+    def lead(self) -> complex:
+        """The leading coefficient as a complex float, read from the first row."""
         _, re, im = self.rows[0]
-        return self.field.from_parts(re, im, self.den)
+        return complex(re / self.den, im / self.den)
 
     def magnitudes(self) -> list:
-        """Float magnitude of each coefficient, as ``field.magnitude``."""
+        """Float magnitude of each coefficient."""
         den = self.den
         return [abs(complex(re / den, im / den)) for _, re, im in self.rows]
 
@@ -433,7 +434,13 @@ class NovikovScalar:
         # relative order f - w0 and the inverse is scaled by q^{-w0}.
         implied = NEG_INF if self.floor is NEG_INF else self.floor - 2 * Fraction(e0, grid)
         out_floor = max(implied, _floor(floor))
-        re, im, inv_den = field.to_parts(field.invert(field.from_parts(a0, b0, self.den)))
+        if field.exact:  # den / (a0 + i*b0), its content divided out
+            re, im, inv_den = a0 * self.den, -b0 * self.den, a0 * a0 + b0 * b0
+            g = gcd(re, im, inv_den)
+            re, im, inv_den = re // g, im // g, inv_den // g
+        else:
+            inv = 1.0 / complex(a0, b0)
+            re, im, inv_den = inv.real, inv.imag, 1
         if not _nonzero(field)(re, im):
             raise ValueError(f"inverse lead below eps {field.eps}")
         inv, cut = (-e0, re, im), _cut(out_floor, grid)
@@ -462,10 +469,11 @@ class NovikovScalar:
         """Termwise closeness within 1e-9; exact modes compare exactly."""
         if self.field.exact:
             return self == other
-        if self.floor != other.floor or len(self.rows) != len(other.rows):
+        if (self.floor, self.grid, len(self.rows)) != (other.floor, other.grid, len(other.rows)):
             return False
-        pairs = zip(self.terms, other.terms)
-        return all(e1 == e2 and not abs(c1 - c2) > 1e-9 for (e1, c1), (e2, c2) in pairs)
+        pairs = zip(self.rows, other.rows)
+        return all(e1 == e2 and not abs(complex(a1 - a2, b1 - b2)) > 1e-9
+                   for (e1, a1, b1), (e2, a2, b2) in pairs)
 
     def __repr__(self) -> str:
         if not self.rows:

@@ -136,7 +136,7 @@ class PotentialFunction:
         for term, mono in zip(self.terms, self._monomials(x, floor)):
             for j, vij in enumerate(term.exponent):
                 if vij:
-                    out[j].append(mono.scale(field.coerce(vij)))
+                    out[j].append(mono.scale(vij))
         return [_sum(field, terms, floor) for terms in out]
 
     def hessian(self, x: Sequence[NovikovScalar], floor=NEG_INF) -> List[List[NovikovScalar]]:
@@ -150,7 +150,7 @@ class PotentialFunction:
                     continue
                 for k, vik in enumerate(term.exponent):
                     if vik:
-                        mat[j][k].append(mono.scale(field.coerce(vij * vik)))
+                        mat[j][k].append(mono.scale(vij * vik))
         return [[_sum(field, terms, floor) for terms in row] for row in mat]
 
     def _check_x(self, x: Sequence[NovikovScalar]) -> None:

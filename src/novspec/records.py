@@ -120,9 +120,7 @@ def parse_floor(value: Any) -> Union[Fraction, float]:
 
 
 def floor_str(value: Union[Fraction, float]) -> str:
-    if value == NEG_INF:
-        return "-inf"
-    return str(value)
+    return "-inf" if value == NEG_INF else fraction_str(value)
 
 
 _set = object.__setattr__

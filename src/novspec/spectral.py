@@ -33,7 +33,7 @@ from typing import Dict, List, Optional, Tuple
 from .complexes import Chain, FilteredComplex, chain_to_json
 from .fields import CoefficientField
 from .novikov import NovikovScalar, _by_term, _nonzero, _regrid, _scalar
-from .records import NEG_INF, Frozen, Record, floor_str
+from .records import NEG_INF, Frozen, Record, floor_str, fraction_str
 
 Vec = Dict[int, NovikovScalar]
 
@@ -140,7 +140,7 @@ class Echelon(Record):
             return False
         p = min(v)
         if self.field.mode == "complex":
-            mag = self.field.magnitude(v[p].leading_coefficient())
+            mag = abs(v[p].lead())
             scale = max(m for s in v.values() for m in s.magnitudes())
             if mag < 10 * self.field.eps * scale:
                 self.audit.append(
@@ -236,7 +236,7 @@ class Spectrum(Frozen):
     def to_json(self) -> dict:
         return {
             "base_actions": [str(a) for a in self.base_actions],
-            "period_group_generator": str(self.generator),
+            "period_group_generator": fraction_str(self.generator),
         }
 
 

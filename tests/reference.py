@@ -2,8 +2,9 @@
 
 No command runs these, so they live with the tests: products and
 unimodular coordinate changes of moment polytopes, the area homomorphism
-of a period lattice, the recursive extended gcd, the level of a chain and
-the Kushnirenko count of a toric potential's critical points.
+of a period lattice, the gcd of two rationals, the recursive extended gcd,
+the level of a chain and the Kushnirenko count of a toric potential's
+critical points.
 """
 
 import math
@@ -75,6 +76,17 @@ def omega(lattice: PeriodLattice, vec: Iterable[int]) -> Fraction:
     return sum(
         (Fraction(n) * p for n, p in zip(vec, lattice.periods)), Fraction(0)
     )
+
+
+def rational_gcd(a: Fraction, b: Fraction) -> Fraction:
+    """Positive generator of the group Z*a + Z*b inside Q."""
+    a, b = abs(Fraction(a)), abs(Fraction(b))
+    if a == 0:
+        return b
+    if b == 0:
+        return a
+    num = math.gcd(a.numerator * b.denominator, b.numerator * a.denominator)
+    return Fraction(num, a.denominator * b.denominator)
 
 
 def xgcd(a: int, b: int) -> Tuple[int, int, int]:

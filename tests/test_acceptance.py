@@ -76,7 +76,7 @@ def test_criterion_1_cp1_heaviness_scan():
     assert points == [((Fraction(0), Fraction(-1)),), ((Fraction(0), Fraction(1)),)]
     for brane in cert.branes:
         assert brane.residual_valuation is NEG_INF  # exactly zero
-        assert brane.residual_norm == 0.0
+        assert brane.to_json()["residual_norm"] == 0.0
     assert elapsed < 1.0, f"scan took {elapsed:.3f}s"
     _pass(1, "cp1 heaviness scan")
 
@@ -86,7 +86,7 @@ def test_criterion_2_cp2_barycenter():
     assert len(cert.branes) == 3
     roots = []
     for brane in cert.branes:
-        assert brane.residual_norm < 1e-10
+        assert brane.to_json()["residual_norm"] < 1e-10
         z0 = brane.x[0].terms[0][1]
         z1 = brane.x[1].terms[0][1]
         assert abs(z0 - z1) < 1e-10  # symmetric critical point

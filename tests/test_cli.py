@@ -829,6 +829,51 @@ class TestComplexCommands:
         finally:
             sys.set_int_max_str_digits(limit)
 
+    def test_spectral_number_writes_a_value_past_the_digit_limit(self, tmp_path, capsys):
+        # x's action plus the period has about 6,000 digits above and below
+        # the bar, past the interpreter's 4,300
+        action, period = Fraction(10**3000 - 1, 10**2999 + 7), Fraction(1, 10**3000 + 3)
+        cx = write(tmp_path, "cx.json", {
+            "field": {"mode": "rational"},
+            "lattice": {"rank": 1, "periods": [str(period)]},
+            "generators": [{"id": "x", "action": str(action), "degree": 0}],
+            "differential": [],
+        })
+        term = {"exp": str(period), "c": "1"}
+        chain = write(tmp_path, "chain.json", {"coeffs": [{"id": "x", "coeff": [term]}]})
+        out = tmp_path / "out.json"
+        code = main(["complex", "spectral", cx, "--chain", chain, "--out", str(out)])
+        assert code == 0 and capsys.readouterr().err == ""
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            value = Fraction(json.loads(out.read_text(encoding="utf-8"))["value"])
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert value == action + period
+
+    def test_spectrum_writes_a_generator_past_the_digit_limit(self, tmp_path, capsys):
+        # the periods' generator 1/((10^2200 + 3)(10^2200 + 9)) has a
+        # 4,401-digit denominator, past the interpreter's 4,300
+        p, r = 10**2200 + 3, 10**2200 + 9
+        cx = write(tmp_path, "cx.json", {
+            "field": {"mode": "rational"},
+            "lattice": {"rank": 2, "periods": [f"1/{p}", f"1/{r}"]},
+            "generators": [{"id": "x", "action": "0", "degree": 0}],
+            "differential": [],
+        })
+        out = tmp_path / "out.json"
+        code = main(["complex", "spectrum", cx, "--out", str(out)])
+        assert code == 0 and capsys.readouterr().err == ""
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            doc = json.loads(out.read_text(encoding="utf-8"))
+            generator = Fraction(doc["period_group_generator"])
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert generator == Fraction(1, p * r) and doc["base_actions"] == ["0"]
+
     def test_output_corpus_replays_byte_identical(self, tmp_path, capsys):
         # Seeded complexes in every mode, one document of decimal, padded and
         # signed-zero rationals, and a complex graded only mod 2 in every

@@ -483,7 +483,7 @@ class TestLift:
         assert len(cert.branes) == 3
         thirds = []
         for brane in cert.branes:
-            assert brane.residual_norm < 1e-10
+            assert brane.to_json()["residual_norm"] < 1e-10
             charge = brane.central_charge
             # critical values are 3*zeta over the cube roots of unity zeta
             assert charge.terms[0][0] == Fraction(-1, 3)

@@ -2,6 +2,7 @@
 
 import json
 import random
+import struct
 from fractions import Fraction
 from math import gcd
 
@@ -10,7 +11,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from novspec import NEG_INF, CoefficientField, GaussianRational, NovikovScalar
-from novspec.fields import field_for_mode, rational_gcd
+from novspec.complexes import PeriodLattice
+from novspec.fields import field_for_mode
 from novspec.records import parse_fraction
 
 QQ = CoefficientField("rational")
@@ -281,9 +283,12 @@ class TestFieldPlumbing:
         assert field_for_mode("complex").eps == 1e-12
 
     def test_rational_gcd(self):
-        assert rational_gcd(Fraction(1, 2), Fraction(1, 3)) == Fraction(1, 6)
-        assert rational_gcd(Fraction(3, 2), Fraction(0)) == Fraction(3, 2)
-        assert rational_gcd(Fraction(4), Fraction(6)) == 2
+        def gcd_of(a, b):
+            return PeriodLattice((Fraction(a), Fraction(b))).group_generator()
+
+        assert gcd_of(Fraction(1, 2), Fraction(1, 3)) == Fraction(1, 6)
+        assert gcd_of(Fraction(3, 2), 0) == Fraction(3, 2)
+        assert gcd_of(4, 6) == 2
 
 
 def reference_parse_fraction(value):
@@ -407,13 +412,21 @@ def reference_product(x, y):
     return NovikovScalar(x.field, acc.items(), floor)
 
 
+def coefficient_inverse(a):
+    """1 / a, or conj(a) / |a|^2 for a GaussianRational."""
+    if isinstance(a, GaussianRational):
+        norm = a.re * a.re + a.im * a.im
+        return GaussianRational(a.re / norm, -a.im / norm)
+    return 1 / a
+
+
 def reference_inverse(x, floor):
     """Geometric series a0^{-1} q^{-w0} sum (-u)^k with u = (x - lead) / lead,
     one truncated power at a time, every product by ``reference_product``."""
     field = x.field
     w0, a0 = x.terms[0]
     out_floor = max(_add_floors(x.floor, -2 * w0), floor)
-    inv_lead = NovikovScalar.monomial(field, field.invert(a0), -w0)
+    inv_lead = NovikovScalar.monomial(field, coefficient_inverse(a0), -w0)
     if len(x.terms) == 1:
         return NovikovScalar(field, inv_lead.terms, out_floor)
     rest = NovikovScalar(field, x.terms[1:], x.floor)
@@ -963,3 +976,83 @@ class TestIdentityLaws:
             return
         product = x * x.invert(_series_floor(data, x))
         assert product == NovikovScalar.one(field).truncate(product.floor)
+
+
+def reference_magnitude(field, c):
+    """Float magnitude of a coefficient, computed from its value form."""
+    if field.mode == "rational":
+        return abs(float(c))
+    if field.mode == "gaussian":
+        return abs(c.to_complex())
+    return abs(c)
+
+
+def reference_isclose(x, y):
+    """Complex-mode closeness on (Fraction exponent, coefficient) terms."""
+    if x.floor != y.floor or len(x.terms) != len(y.terms):
+        return False
+    pairs = zip(x.terms, y.terms)
+    return all(e1 == e2 and not abs(c1 - c2) > 1e-9 for (e1, c1), (e2, c2) in pairs)
+
+
+def _complex_bits(c):
+    return struct.pack("<dd", c.real, c.imag)
+
+
+@st.composite
+def lead_scalars(draw):
+    """Scalars of every mode: small dyadic parts, generic floats with signed
+    zeros, and exact parts up to 2^64 over large denominators."""
+    kind = draw(st.sampled_from(["rational", "gaussian", "complex", "float", "big"]))
+    if kind == "float":
+        return draw(float_scalars())
+    if kind == "big":
+        return draw(exact_scalars(draw(st.sampled_from([QQ, QI]))))
+    return draw(scalars(MODES[kind]))
+
+
+# Tiny parts next to the 1e-9 closeness bound, and exact zeros of both signs.
+tiny_parts = st.one_of(
+    st.floats(-2e-9, 2e-9),
+    st.sampled_from([0.0, -0.0, 1e-9, -1e-9]),
+)
+
+
+@st.composite
+def nearby_pairs(draw):
+    """A complex scalar and one near it: nudged by tiny terms, some of them at
+    new exponents (another length, another grid), possibly truncated to
+    another floor, or drawn afresh."""
+    x = draw(float_scalars())
+    if draw(st.booleans()):
+        return x, draw(float_scalars())
+    nudge = draw(st.lists(st.tuples(exponents, st.builds(complex, tiny_parts, tiny_parts)),
+                          max_size=3))
+    y = x + NovikovScalar(CC, nudge)
+    if draw(st.booleans()):
+        y = y.truncate(draw(finite_floors))
+    return x, y
+
+
+class TestRowReads:
+    @PROPERTY
+    @given(lead_scalars())
+    # rounding the numerator to a float before dividing rounds this one twice
+    @example(NovikovScalar(QI, [(0, GaussianRational(Fraction(16570066509925215462, 13), -1))]))
+    def test_lead_is_the_leading_coefficient_to_the_bit(self, x):
+        if x.is_zero():
+            return
+        c = x.terms[0][1]
+        assert _complex_bits(x.lead()) == _complex_bits(complex(c))
+        assert abs(x.lead()) == reference_magnitude(x.field, c)
+
+    @PROPERTY
+    @given(nearby_pairs())
+    @example((NovikovScalar(CC, [(Fraction(1, 2), 1.0)]),
+              NovikovScalar(CC, [(Fraction(1, 3), 1.0)])))  # one row each, on other grids
+    @example((NovikovScalar(CC, [(0, 1.0)]), NovikovScalar(CC, [(0, 1.0 + 2e-9)])))
+    @example((NovikovScalar(CC, [(0, 1.0)], Fraction(-2)), NovikovScalar(CC, [(0, 1.0)])))
+    def test_complex_isclose_matches_terms(self, pair):
+        x, y = pair
+        assert x.isclose(y) == reference_isclose(x, y)
+        assert y.isclose(x) == reference_isclose(y, x)

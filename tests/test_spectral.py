@@ -14,7 +14,7 @@ from novspec.complexes import (
     OrbitGenerator,
     PeriodLattice,
 )
-from novspec.fields import field_for_mode, rational_gcd
+from novspec.fields import field_for_mode
 from novspec.randomcx import random_complex, random_scalar
 from novspec.records import NEG_INF
 from novspec.spectral import (
@@ -26,7 +26,7 @@ from novspec.spectral import (
     spectrum,
 )
 
-from reference import level, omega
+from reference import level, omega, rational_gcd
 
 QQ = CoefficientField("rational")
 CC = CoefficientField("complex", 1e-12)

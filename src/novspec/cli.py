@@ -58,14 +58,16 @@ class _InputError(Exception):
 
 
 def _load_json(path: str):
-    """The JSON document in ``path``; an error decoding it names the file."""
+    """The JSON document in ``path``; an error decoding it names the file.
+    That includes an integer literal past the interpreter's limit on
+    str-to-int conversion, which ``json.loads`` raises as a ValueError."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
         return json.loads(text)
     except RecursionError:
         raise json.JSONDecodeError(f"{path}: nested too deeply", text, 0) from None
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+    except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError among them
         raise _InputError(f"{path}: {exc}") from None
 
 

@@ -21,7 +21,7 @@ from typing import Any, Dict, Iterable, List, Mapping, Optional, Tuple
 from .fields import CoefficientField
 from .novikov import FloorValue, NovikovScalar
 from .records import (NEG_INF, Frozen, Record, _set, floor_str, fraction_str, parse_floor,
-                      parse_fraction, parse_ratio)
+                      parse_fraction, parse_ratio, ratio_str)
 
 Chain = Dict[str, NovikovScalar]
 
@@ -68,7 +68,7 @@ class PeriodLattice(Frozen):
     def to_json(self) -> dict:
         return {
             "rank": self.rank,
-            "periods": [str(p) for p in self.periods],
+            "periods": [fraction_str(p) for p in self.periods],
         }
 
     @staticmethod
@@ -316,7 +316,8 @@ def validate_complex(cx: FilteredComplex) -> ValidationReport:
         if not coeff.rows[0][0] * cx.action_den < drop_grid:
             violations.append(
                 f"no strict action drop on {src}->{dst}: "
-                f"{coeff.valuation()} + {gdst.action} >= {gsrc.action}"
+                f"{floor_str(coeff.valuation())} + {fraction_str(gdst.action)} >= "
+                f"{fraction_str(gsrc.action)}"
             )
 
     in_lattice = True
@@ -328,7 +329,7 @@ def validate_complex(cx: FilteredComplex) -> ValidationReport:
         if outside:
             in_lattice = False
             warnings.append(
-                f"exponent {Fraction(outside[0], coeff.grid)} on {src}->{dst} "
+                f"exponent {ratio_str(outside[0], coeff.grid)} on {src}->{dst} "
                 "lies outside the period group"
             )
             break

@@ -48,7 +48,7 @@ from .polytope import (
 )
 from .potential import PotentialFunction, brane_from_constants
 from .records import (NEG_INF, SCHEMA_VERSION, Frozen, Record, SchemaError, floor_str,
-                      parse_floor, parse_fraction)
+                      fraction_str, parse_floor, parse_fraction)
 from .records import parse_or_schema_error as _parse
 
 SNAP_TOL = 1e-9
@@ -129,10 +129,10 @@ def critical_points_leading(w: PotentialFunction) -> LeadingReport:
                     "reason": "dominating-facet",
                     "component": s.component,
                     "facet": dom,
-                    "weight": str(s.weight),
+                    "weight": fraction_str(s.weight),
                     "note": (
                         f"facet {dom} alone attains the leading weight "
-                        f"{s.weight} in coordinate {s.component}; its monomial "
+                        f"{fraction_str(s.weight)} in coordinate {s.component}; its monomial "
                         "has no unit zero, so no critical brane exists here"
                     ),
                 },
@@ -404,7 +404,8 @@ def _leading_failure(w: PotentialFunction, grad: Sequence[NovikovScalar]) -> Opt
         if not yj.is_zero() and yj.valuation() >= s.weight:
             return (
                 f"does not solve the leading system in component {s.component}: "
-                f"residual valuation {yj.valuation()} is not below the stratum weight {s.weight}"
+                f"residual valuation {floor_str(yj.valuation())} is not below the stratum weight "
+                f"{fraction_str(s.weight)}"
             )
     return None
 
@@ -556,7 +557,7 @@ def lift_critical(
             break
         if last_res is not None and res_val >= last_res:
             raise ValueError(
-                f"lift failed to contract: residual valuation stalled at {res_val}"
+                f"lift failed to contract: residual valuation stalled at {floor_str(res_val)}"
             )
         last_res = res_val
         if iterations >= NEWTON_CAP:
@@ -623,7 +624,7 @@ class FiberReport(Record):
             doc.update(
                 kind="heaviness-certificate",
                 theorem=THEOREM_TAG,
-                leading_weights=[str(w) for w in self.leading_weights],
+                leading_weights=[fraction_str(w) for w in self.leading_weights],
                 branes=[b.to_json() for b in self.branes],
             )
         else:
@@ -644,7 +645,7 @@ class FiberReport(Record):
             "fiber": point_str(self.w.fiber),
             "status": self.status,
             "branes": len(self.branes),
-            "leading_weights": [str(w) for w in self.leading_weights],
+            "leading_weights": [fraction_str(w) for w in self.leading_weights],
             "diagnosis": self.diagnosis,
             "certificate": self.to_json() if self.branes else None,
         }
@@ -790,7 +791,7 @@ class ScanReport(Record):
         return {
             "schema_version": SCHEMA_VERSION,
             "kind": "fiber-scan",
-            "resolution": str(self.resolution),
+            "resolution": fraction_str(self.resolution),
             "order": floor_str(self.order),
             "rows": [r.row_json() for r in self.rows],
         }
@@ -799,7 +800,7 @@ class ScanReport(Record):
         out = [["fiber", "status", "branes", "leading_weights", "diagnosis"]]
         for r in self.rows:
             diag = "" if not r.diagnosis else r.diagnosis.get("reason", "")
-            weights = ";".join(str(w) for w in r.leading_weights)
+            weights = ";".join(map(fraction_str, r.leading_weights))
             out.append([point_str(r.w.fiber), r.status, str(len(r.branes)), weights, diag])
         return out
 

@@ -23,7 +23,7 @@ from fractions import Fraction
 from numbers import Rational
 from typing import Any, Union
 
-from .records import Frozen, _set, parse_ratio, ratio_str, to_float
+from .records import Frozen, _set, fraction_str, parse_ratio, ratio_str, to_float
 
 RATIONAL = "rational"
 GAUSSIAN = "gaussian"
@@ -70,8 +70,8 @@ class GaussianRational:
 
     def __repr__(self) -> str:
         if self.im == 0:
-            return f"{self.re}"
-        return f"({self.re}+{self.im}i)"
+            return fraction_str(self.re)
+        return f"({fraction_str(self.re)}+{fraction_str(self.im)}i)"
 
     def to_complex(self) -> complex:
         return complex(float(self.re), float(self.im))

@@ -45,7 +45,8 @@ from operator import or_
 from typing import Any, Iterable, Optional, Tuple, Union
 
 from .fields import CoefficientField
-from .records import NEG_INF, _set, floor_str, parse_floor, parse_ratio, ratio_str
+from .records import (NEG_INF, _set, floor_str, fraction_str, parse_floor, parse_ratio,
+                      ratio_str)
 
 FloorValue = Union[Fraction, float]
 
@@ -476,19 +477,12 @@ class NovikovScalar:
                    for (e1, a1, b1), (e2, a2, b2) in pairs)
 
     def __repr__(self) -> str:
-        if not self.rows:
-            body = "0"
-        else:
-            parts = []
-            for e, c in self.terms:
-                if e == 0:
-                    parts.append(f"{c!r}" if self.field.mode == "complex" else f"{c}")
-                else:
-                    parts.append(f"{c}*q^({e})")
-            body = " + ".join(parts)
-        if self.floor == NEG_INF:
-            return body
-        return f"{body} [floor {self.floor}]"
+        parts = []
+        for e, c in self.terms:
+            c = fraction_str(c) if isinstance(c, Fraction) else repr(c)
+            parts.append(c if e == 0 else f"{c}*q^({fraction_str(e)})")
+        body = " + ".join(parts) or "0"
+        return body if self.floor == NEG_INF else f"{body} [floor {floor_str(self.floor)}]"
 
     def terms_to_json(self) -> list:
         to_json, grid, den = self.field.parts_to_json, self.grid, self.den

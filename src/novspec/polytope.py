@@ -26,7 +26,7 @@ import math
 from fractions import Fraction
 from typing import Iterator, List, Optional, Sequence, Tuple
 
-from .records import Frozen, Record, _set, parse_fraction
+from .records import Frozen, Record, _set, fraction_str, parse_fraction, ratio_str
 
 Vector = Tuple[int, ...]
 Point = Tuple[Fraction, ...]
@@ -41,7 +41,7 @@ def parse_fiber(text_or_seq) -> Point:
 
 
 def point_str(point: Sequence[Fraction]) -> str:
-    return ",".join(str(c) for c in point)
+    return ",".join(map(fraction_str, point))
 
 
 def _over_lcm(point: Sequence[Fraction]) -> Tuple[List[int], int]:
@@ -139,7 +139,7 @@ class Facet(Frozen):
         return dot * c.denominator - c.numerator * den, den * c.denominator
 
     def to_json(self) -> dict:
-        return {"normal": list(self.normal), "offset": str(self.offset)}
+        return {"normal": list(self.normal), "offset": fraction_str(self.offset)}
 
     @staticmethod
     def from_json(obj: dict) -> "Facet":
@@ -495,9 +495,8 @@ def polytope_validate(p: MomentPolytope) -> PolytopeReport:
             det = int_det([p.facets[i].normal for i in active])
             if abs(det) != 1:
                 delzant = False
-                violations.append(
-                    f"vertex {point_str(v)} has non-unimodular facet normals (det {det})"
-                )
+                violations.append(f"vertex {point_str(v)} has non-unimodular facet normals "
+                                  f"(det {ratio_str(det, 1)})")
 
     ok = not violations
     return PolytopeReport(

@@ -26,7 +26,7 @@ from typing import List, Optional, Sequence, Tuple
 from .fields import CoefficientField
 from .novikov import NovikovScalar
 from .polytope import MomentPolytope, Point, Vector, parse_fiber, point_str
-from .records import NEG_INF, Frozen
+from .records import NEG_INF, Frozen, floor_str, fraction_str
 
 
 class PotentialTerm(Frozen):
@@ -36,7 +36,7 @@ class PotentialTerm(Frozen):
         return {
             "facet": self.facet,
             "exponent": list(self.exponent),
-            "weight": str(self.weight),
+            "weight": fraction_str(self.weight),
         }
 
 
@@ -52,7 +52,7 @@ class ComponentStratum(Frozen):
     def to_json(self) -> dict:
         return {
             "component": self.component,
-            "weight": str(self.weight),
+            "weight": fraction_str(self.weight),
             "facets": list(self.facets),
         }
 
@@ -159,7 +159,7 @@ class PotentialFunction:
         for j, xj in enumerate(x):
             if xj.valuation() != 0:
                 raise ValueError(
-                    f"brane coordinate {j} is not a unit (valuation {xj.valuation()})"
+                    f"brane coordinate {j} is not a unit (valuation {floor_str(xj.valuation())})"
                 )
 
     # -- leading data ----------------------------------------------------

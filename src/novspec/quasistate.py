@@ -29,7 +29,7 @@ import math
 from fractions import Fraction
 from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple, Union
 
-from .records import Record, parse_fraction, to_float
+from .records import Record, fraction_str, parse_fraction, to_float
 
 Value = Union[Fraction, float]
 
@@ -47,7 +47,7 @@ def _value_str(v: Value):
     Float arithmetic on in-range inputs can still overflow; a non-finite
     result has no JSON form and is refused."""
     if not isinstance(v, float):
-        return str(v)
+        return fraction_str(v)
     if not math.isfinite(v):
         raise ValueError(f"float arithmetic overflows to {v}")
     return v

@@ -98,19 +98,21 @@ def _long_int_str(n: int) -> str:
 
 
 def ratio_str(num: int, den: int) -> str:
-    """``str(Fraction(num, den))`` for ints, ``den`` positive."""
+    """``str(Fraction(num, den))`` for ints, ``den`` positive, or past the
+    interpreter's limit on int-to-str conversion the same text with its
+    integers written by ``_long_int_str``: every rational novspec writes
+    leaves through here."""
     g = math.gcd(num, den)
-    return f"{num // g}" if g == den else f"{num // g}/{den // g}"
+    try:
+        return f"{num // g}" if g == den else f"{num // g}/{den // g}"
+    except ValueError:  # past sys.get_int_max_str_digits()
+        text = _long_int_str(num // g)
+        return text if g == den else f"{text}/{_long_int_str(den // g)}"
 
 
 def fraction_str(q: Fraction) -> str:
-    """``str(q)``, or past the interpreter's limit on int-to-str conversion
-    the same text with its integers written by ``_long_int_str``."""
-    try:
-        return str(q)
-    except ValueError:  # past sys.get_int_max_str_digits()
-        num = _long_int_str(q.numerator)
-        return num if q.denominator == 1 else f"{num}/{_long_int_str(q.denominator)}"
+    """``str(q)``, written by ``ratio_str``."""
+    return ratio_str(q.numerator, q.denominator)
 
 
 def parse_floor(value: Any) -> Union[Fraction, float]:

@@ -235,7 +235,7 @@ class Spectrum(Frozen):
 
     def to_json(self) -> dict:
         return {
-            "base_actions": [str(a) for a in self.base_actions],
+            "base_actions": [fraction_str(a) for a in self.base_actions],
             "period_group_generator": fraction_str(self.generator),
         }
 

@@ -1493,6 +1493,64 @@ class TestSelftest:
             assert [code, digest] == [entry["code"], entry["stdout_sha256"]], entry["argv"]
 
 
+# -- rationals past the digit limit ---------------------------------------
+
+
+def test_rationals_past_the_digit_limit_are_written_as_with_the_limit_lifted(tmp_path, capsys):
+    # Vertices, weights, fibers, witness coefficients, quasi-state values and
+    # a vertex determinant whose integers pass the interpreter's 4,300-digit
+    # limit on int-to-str conversion: each run writes, under the limit, the
+    # bytes it writes with the limit lifted, and nothing on stderr.
+    a, b, p, q = (Fraction(1, 10**2200 + k) for k in (1, 3, 7, 9))
+    n = 10**2200 + 1
+    c, e = Fraction(10**3000 + 1, 10**2999 + 3), Fraction(10**3000 + 7, 10**2999 + 9)
+    docs = {
+        "triangle.json": {"dim": 2, "facets": [
+            {"normal": [1, 0], "offset": str(q)}, {"normal": [0, 1], "offset": "0"},
+            {"normal": [-1, -1], "offset": str(-p)}]},
+        "box.json": {"dim": 2, "facets": [
+            {"normal": [1, 0], "offset": "0"}, {"normal": [0, 1], "offset": "0"},
+            {"normal": [-1, 0], "offset": str(-a)}, {"normal": [0, -1], "offset": str(-b)}]},
+        # the first two normals meet with determinant n^2 + (n + 1)^2
+        "wide.json": {"dim": 2, "facets": [
+            {"normal": [n, n + 1], "offset": "-1"}, {"normal": [-n - 1, n], "offset": "-1"},
+            {"normal": [1, -2 * n - 1], "offset": "-1"}]},
+        "cx.json": {
+            "field": {"mode": "rational"}, "lattice": {"rank": 1, "periods": ["1"]},
+            "generators": [{"id": "a", "action": "1", "degree": 1},
+                           {"id": "b", "action": "0", "degree": 0},
+                           {"id": "z", "action": "0", "degree": 0}],
+            "differential": [{"from": "a", "to": "b", "coeff": [{"exp": "0", "c": str(c)}]},
+                             {"from": "a", "to": "z", "coeff": [{"exp": "-1", "c": str(e)}]}]},
+        "chain.json": {"coeffs": [{"id": "b", "coeff": [{"exp": "0", "c": str(e)}]},
+                                  {"id": "z", "coeff": [{"exp": "0", "c": str(c)}]}]},
+        "heavy.json": {"functions": [{"name": "H", "zeta": str(p), "sup": str(q)}]},
+        "oracle.json": {"samples": [{"n": 1, "c": str(p)}, {"n": 2, "c": str(q)}]},
+        "product.json": {"pairs": [{"zeta0": str(p), "zeta1": str(q), "zeta_product": "0"}]},
+    }
+    paths = {name: write(tmp_path, name, doc) for name, doc in docs.items()}
+    fiber = f"{p},{q}"
+    for argv, expected in [
+        (["toric", "validate", "triangle.json"], 0),
+        (["toric", "potential", "box.json", "--fiber", fiber], 0),
+        (["toric", "critical", "box.json", "--fiber", fiber], 0),
+        (["toric", "validate", "wide.json"], 1),
+        (["complex", "spectral", "cx.json", "--chain", "chain.json"], 0),
+        (["qstate", "heavy", "heavy.json"], 1),
+        (["qstate", "homogenize", "oracle.json"], 0),
+        (["qstate", "product", "product.json"], 1),
+    ]:
+        argv = [paths.get(t, t) for t in argv]
+        code, (out, err) = main(argv), capsys.readouterr()
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            lifted = main(argv), capsys.readouterr().out
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert (code, err) == (expected, "") and (code, out) == lifted, argv
+
+
 # -- reader fuzz ----------------------------------------------------------
 
 CHAIN = {"coeffs": [{"id": "c", "coeff": [{"exp": "0", "c": "1"}]}], "floor": "-inf"}
@@ -1566,13 +1624,18 @@ def _paths(doc, prefix=()):
         yield from _paths(value, (*prefix, key))
 
 
+def _at(doc, path):
+    """The value at ``path`` in a JSON document."""
+    return functools.reduce(lambda d, k: d[k], path, doc)
+
+
 def _replaced(doc, path, value):
     """A copy of ``doc`` with the value at ``path`` replaced, or deleted."""
     if not path:
         return value
     doc = json.loads(json.dumps(doc))
     *head, last = path
-    parent = functools.reduce(lambda d, k: d[k], head, doc)
+    parent = _at(doc, head)
     if value is DELETE:
         del parent[last]
     else:
@@ -1606,3 +1669,33 @@ class TestReaderFuzz:
             except SystemExit as exc:
                 code = exc.code
         assert code in (0, 1, 2)
+
+    def test_an_integer_past_the_digit_limit_in_a_corpus_document_exits_2(self, tmp_path, capsys):
+        # Each corpus document that holds a JSON integer, its first integer
+        # leaf replaced by a 5,000-digit literal: json.loads refuses that
+        # literal under the interpreter's 4,300-digit limit on str-to-int
+        # conversion, and the first corpus run that reads the document exits
+        # 2 with one input-error line naming the file.
+        cases = 0
+        for corpus_name in ("command_output.json", "complex_output.json"):
+            corpus = json.loads((GOLDEN / corpus_name).read_text(encoding="utf-8"))
+            docs, tmp = corpus["documents"], tmp_path / corpus_name
+            tmp.mkdir()
+            for name, doc in docs.items():
+                write(tmp, name, doc)
+            for name, doc in docs.items():
+                leaf = next((path for path in _paths(doc) if type(_at(doc, path)) is int), None)
+                if leaf is None:
+                    continue
+                text = json.dumps(_replaced(doc, leaf, "LONG"))
+                long_doc = tmp / f"long_{name}"
+                long_doc.write_text(text.replace('"LONG"', "9" * 5000, 1), encoding="utf-8")
+                argv = next(e["argv"] for e in corpus["runs"] if name in e["argv"])
+                argv = [str(long_doc) if t == name else str(tmp / t) if t in docs else t
+                        for t in argv]
+                code, (out, err) = main(argv), capsys.readouterr()
+                assert (code, out) == (2, ""), argv
+                assert err.startswith(f"novspec: input error: {long_doc}: ") and err.count("\n") == 1
+                assert "Traceback" not in err
+                cases += 1
+        assert cases >= 41

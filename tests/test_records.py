@@ -1,5 +1,5 @@
-"""Records: equality, hashing, repr and immutability, and every report's
-fields through its constructor and its JSON.
+"""Records: equality, hashing, repr and immutability, every report's
+fields through its constructor and its JSON, and the writer of rationals.
 
 Records are plain ``__slots__`` classes (``novspec.records.Record`` and
 ``records.Frozen``).  They compare, hash and print as the standard library's
@@ -10,9 +10,12 @@ equal fields, hashable only when frozen, printed ``Name(field=value, ...)``.
 
 import json
 import re
+import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from novspec.complexes import OrbitGenerator, PeriodLattice, validate_complex
 from novspec.critical import LeadingReport, LeadingRoot, certify_heavy, critical_points_leading, scan_fibers
@@ -21,6 +24,7 @@ from novspec.novikov import NovikovScalar
 from novspec.polytope import Facet, MomentPolytope, polytope_validate, segment
 from novspec.potential import ComponentStratum, PotentialFunction, PotentialTerm
 from novspec.quasistate import SpectralOracle, heaviness_check, homogenize
+from novspec.records import fraction_str, ratio_str
 from novspec.spectral import spectral_number, spectrum
 
 from test_spectral import hand_case
@@ -164,3 +168,46 @@ def test_report_fields_round_trip(report):
 def test_mutable_reports_are_unhashable(report):
     with pytest.raises(TypeError):
         hash(report)
+
+
+# -- the writer of rationals ---------------------------------------------
+
+_SMALL = st.integers(-(10**30), 10**30)
+# a numerator and a positive denominator, not reduced: both times a common factor
+_RATIOS = st.builds(lambda n, d, k: (n * k, d * k), _SMALL, st.integers(1, 10**30),
+                    st.integers(1, 10**6))
+# integers of 4,400 to 6,000 digits, past the default limit of 4,300 even
+# once a common factor up to 10**6 is divided out
+_LONG = st.builds(lambda digits, low: 10 ** (digits - 1) + low, st.integers(4400, 6000),
+                  st.integers(0, 10**9))
+_LONG_RATIOS = st.one_of(
+    st.tuples(_LONG, st.integers(1, 10**6)),
+    st.tuples(st.integers(1, 10**6), _LONG),
+    _LONG.map(lambda n: (n, n + 1)),
+).flatmap(lambda nd: st.builds(lambda sign, k: (sign * nd[0] * k, nd[1] * k),
+                               st.sampled_from([1, -1]), st.integers(1, 10**6)))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(_RATIOS)
+def test_writer_below_the_digit_limit_is_str(ratio):
+    num, den = ratio
+    assert ratio_str(num, den) == fraction_str(Fraction(num, den)) == str(Fraction(num, den))
+    assert ratio_str(0, den) == fraction_str(Fraction(0, den)) == "0"
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(_LONG_RATIOS)
+def test_writer_past_the_digit_limit_is_str_with_the_limit_lifted(ratio):
+    num, den = ratio
+    q = Fraction(num, den)
+    with pytest.raises(ValueError, match="limit"):
+        str(q)
+    got = ratio_str(num, den), fraction_str(q)
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        want = str(q)
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert got == (want, want)

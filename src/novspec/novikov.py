@@ -205,46 +205,40 @@ def _row_product(left: list, right: list, cut: int, nonzero) -> list:
     return [(e, re, im) for e, (re, im) in sorted(acc.items(), reverse=True) if nonzero(re, im)]
 
 
-def _series_inverse(field, rows: tuple, den: int, inv: tuple, inv_den: int, cut: int) -> tuple:
-    """Rows and denominator of the inverse above the grid exponent ``cut``
-    of the scalar with these rows (at least two) over ``den``, as
-    a0^{-1} q^{-w0} sum_k (-u)^k with u = (x - lead) / lead; ``inv`` is the
-    row of a0^{-1} q^{-w0}, over ``inv_den``.
-
-    -u and each of its powers keep their content divided out, and the
-    running series stays over the lcm of the powers' denominators.  A
-    series entry that sums to zero is dropped, so a later power starts it
-    afresh.
-    """
-    nonzero = _nonzero(field)
-    u_cut = cut + rows[0][0]
-    neg_u = [(e, -re, -im) for e, re, im in _row_product(rows[1:], [inv], u_cut, nonzero)]
-    neg_u, u_den = _content(neg_u, den * inv_den)
-    power, power_den = [(0, 1, 0)], 1
-    series, series_den = {0: [1, 0]}, 1
-    while True:
-        power = _row_product(power, neg_u, u_cut, nonzero)
-        if not power:
-            break
-        power, power_den = _content(power, power_den * u_den)
-        if power_den != series_den:
-            grow = lcm(series_den, power_den) // series_den
-            for s in series.values():
-                s[0] *= grow
-                s[1] *= grow
-            series_den *= grow
-        m = series_den // power_den
+def _series_inverse(neg_u: list, u_cut: int, nonzero) -> list:
+    """Rows of (1 + u)^{-1} = sum_k (-u)^k above the grid exponent ``u_cut``,
+    for complex rows over denominator 1.  A series entry that sums to zero
+    is dropped, so a later power starts it afresh."""
+    power, series = [(0, 1, 0)], {0: [1, 0]}
+    while power := _row_product(power, neg_u, u_cut, nonzero):
         for e, re, im in power:
             if e in series:
                 s = series[e]
-                s[0] += re * m
-                s[1] += im * m
+                s[0] += re
+                s[1] += im
                 if not nonzero(s[0], s[1]):
                     del series[e]
             else:
-                series[e] = [re * m, im * m]
-    rows = [(e, re, im) for e, (re, im) in sorted(series.items(), reverse=True)]
-    return _row_product(rows, [inv], cut, nonzero), series_den * inv_den
+                series[e] = [re, im]
+    return [(e, re, im) for e, (re, im) in sorted(series.items(), reverse=True)]
+
+
+def _newton_inverse(t: list, t_den: int, u_cut: int) -> tuple:
+    """Rows and denominator of (1 - t)^{-1} above the grid exponent ``u_cut``,
+    for exact rows ``t`` below q^0 over ``t_den``, by Newton doubling
+    s <- s + s*(1 - (1 - t)*s), each step cut where it doubles to
+    (Brent & Kung, J. ACM 1978).  s is right above ``known``; the residual
+    1 - (1 - t)*s then lies at or below it, so the two parts of s + s*r
+    do not overlap."""
+    one_minus_t = [(0, t_den, 0), *_regrid(t, 1, -1)]
+    s, s_den = [(0, 1, 0)], 1
+    known = t[0][0] if t else u_cut
+    while known > u_cut:
+        known = max(u_cut, 2 * known)
+        d = t_den * s_den  # the q^0 row of (1 - t)*s, which r cancels
+        r = _regrid(_row_product(one_minus_t, s, known, or_)[1:], 1, -1)
+        s, s_den = _content(_regrid(s, 1, d) + _row_product(s, r, known, or_), s_den * d)
+    return s, s_den
 
 
 class NovikovScalar:
@@ -426,6 +420,13 @@ class NovikovScalar:
         inverts exactly.  With the scalar's own floor f finite, nothing
         below f - 2*w0 can be known about the inverse.  In complex mode an
         inverse lead below eps raises rather than vanish.
+
+        The method is split by mode on purpose.  The exact modes take
+        Newton doubling, O(log K) truncated products for K rows where the
+        series takes K: the inverse of a finite row list is unique above
+        the cut, so any exact method stores the same canonical rows.
+        Complex mode sums the series, power by power, because Newton steps
+        round differently and would change the last bits of its results.
         """
         if self.is_zero():
             raise ZeroDivisionError("inverse of a scalar that is zero to its floor")
@@ -452,8 +453,16 @@ class NovikovScalar:
                 "inverse of a multi-term exact scalar has infinite support; "
                 "pass an explicit floor"
             )
-        rows, den = _series_inverse(field, self.rows, self.den, inv, inv_den, cut)
-        return _scalar(field, out_floor, grid, den, rows)
+        # x = a0 q^{w0} (1 + u), with -u over its own content
+        nonzero, u_cut = _nonzero(field), cut + e0
+        neg_u = _regrid(_row_product(self.rows[1:], [inv], u_cut, nonzero), 1, -1)
+        neg_u, u_den = _content(neg_u, self.den * inv_den)
+        if field.exact:
+            rows, den = _newton_inverse(neg_u, u_den, u_cut)
+        else:
+            rows, den = _series_inverse(neg_u, u_cut, nonzero), 1
+        rows = _row_product(rows, [inv], cut, nonzero)
+        return _scalar(field, out_floor, grid, den * inv_den, rows)
 
     # -- comparisons and serialization ----------------------------------
 

@@ -21,10 +21,11 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property
+from math import lcm
 from typing import List, Optional, Sequence, Tuple
 
 from .fields import CoefficientField
-from .novikov import NovikovScalar
+from .novikov import NovikovScalar, _above, _cut, _floor, _nonzero, _scalar
 from .polytope import MomentPolytope, Point, Vector, parse_fiber, point_str
 from .records import NEG_INF, Frozen, floor_str, fraction_str
 
@@ -62,6 +63,54 @@ def _sum(field: CoefficientField, terms: Sequence[NovikovScalar], floor) -> Novi
     return sum(terms[1:], terms[0].truncate(floor)) if terms else NovikovScalar.zero(field, floor)
 
 
+def _shifted(m: NovikovScalar, exp: Fraction, floor) -> NovikovScalar:
+    """``m.shift(exp).truncate(floor)``, shifted and cut in one pass."""
+    grid = lcm(m.grid, exp.denominator)
+    step, s = grid // m.grid, exp.numerator * (grid // exp.denominator)
+    floor = max(m.floor if m.floor is NEG_INF else m.floor + exp, _floor(floor))
+    rows = [(e * step + s, re, im) for e, re, im in m.rows]
+    return _scalar(m.field, floor, grid, m.den, _above(rows, _cut(floor, grid)))
+
+
+def _weighted_sum(field: CoefficientField, pairs: list, floor) -> NovikovScalar:
+    """The sum of ``c * m`` over the (nonzero int c, scalar m) ``pairs``, in
+    one pass on the rows, stored as ``_sum`` of the scalars ``m.scale(c)``.
+
+    Each row (a, b) scales to (a*c - b*0.0, a*0.0 + b*c) under the field's
+    nonzero test, parts add in pair order, a sum that falls to zero drops
+    its exponent so that a later term restarts it, and the floor is the
+    largest of the terms' floors and ``floor``; so complex results keep
+    every bit, signed zeros included.  The exact modes sum over the lcm of
+    the denominators, and ``_scalar`` divides the content out.
+    """
+    if not pairs:
+        return NovikovScalar.zero(field, floor)
+    floor = max(_floor(floor), *(m.floor for _, m in pairs))
+    grid = lcm(*(m.grid for _, m in pairs))
+    den = lcm(*(m.den for _, m in pairs))
+    exact, nonzero, acc = field.exact, _nonzero(field), {}
+    for c, m in pairs:
+        step = grid // m.grid
+        if exact:
+            c *= den // m.den
+            rows = [(e * step, a * c, b * c) for e, a, b in m.rows]
+        else:
+            c = float(c)
+            rows = [(e * step, re, im) for e, a, b in m.rows
+                    if nonzero(re := a * c - b * 0.0, im := a * 0.0 + b * c)]
+        for e, re, im in rows:
+            if e in acc:
+                s = acc[e]
+                s[0] += re
+                s[1] += im
+                if not nonzero(s[0], s[1]):
+                    del acc[e]
+            else:
+                acc[e] = [re, im]
+    rows = [(e, re, im) for e, (re, im) in sorted(acc.items(), reverse=True)]
+    return _scalar(field, floor, grid, den, _above(rows, _cut(floor, grid)))
+
+
 class PotentialFunction:
     """The potential at one fiber, with exact weights and integer exponents."""
 
@@ -96,7 +145,8 @@ class PotentialFunction:
                 a is b for a, b in zip(last_x, x)
             ):
                 return monos
-        one = x[0].field.one()
+        field = x[0].field
+        exact, one = field.exact, field.one()
         powers = {}  # (j, k) -> x_j^k truncated at the floor
         for j, xj in enumerate(x):
             needed = {t.exponent[j] for t in self.terms if t.exponent[j]}
@@ -105,20 +155,24 @@ class PotentialFunction:
                 if top <= 0:
                     continue
                 base = xj if sign > 0 else xj.invert(floor)
-                out = base.scale(one)  # 1 * base as a product stores it, signed zeros included
+                # 1 * base as a product stores it, signed zeros included; a copy when exact
+                out = base if exact else base.scale(one)
                 for k in range(1, top + 1):
                     if k > 1:
                         out = out * base
                     if sign * k in needed:
-                        powers[j, sign * k] = out if floor == NEG_INF else out.truncate(floor)
+                        powers[j, sign * k] = out.truncate(floor)
         monos = []
         for term in self.terms:
-            factors = [powers[j, k] for j, k in enumerate(term.exponent) if k]
-            out = factors[0].scale(one) if factors else NovikovScalar.one(x[0].field)
-            for factor in factors[1:]:
+            factors = [(k, powers[j, k]) for j, k in enumerate(term.exponent) if k]
+            if not factors:
+                out = NovikovScalar.one(field)
+            else:  # x_j^{+-1} is already 1 * x_j^{+-1}, and scaling by one is idempotent
+                k, out = factors[0]
+                out = out if exact or abs(k) == 1 else out.scale(one)
+            for _, factor in factors[1:]:
                 out = out * factor
-            out = out.shift(term.weight)
-            monos.append(out if floor == NEG_INF else out.truncate(floor))
+            monos.append(_shifted(out, term.weight, floor))
         monos = tuple(monos)
         self._memo = (key, monos)
         return monos
@@ -131,33 +185,27 @@ class PotentialFunction:
     def gradient(self, x: Sequence[NovikovScalar], floor=NEG_INF) -> List[NovikovScalar]:
         """Logarithmic gradient y_j = sum_i v_ij x^{v_i} q^{w_i}."""
         self._check_x(x)
-        field = x[0].field
-        out = [[] for _ in range(self.dim)]
-        for term, mono in zip(self.terms, self._monomials(x, floor)):
-            for j, vij in enumerate(term.exponent):
-                if vij:
-                    out[j].append(mono.scale(vij))
-        return [_sum(field, terms, floor) for terms in out]
+        monos = list(zip(self.terms, self._monomials(x, floor)))
+        return [_weighted_sum(x[0].field, [(t.exponent[j], m) for t, m in monos if t.exponent[j]],
+                              floor) for j in range(self.dim)]
 
     def hessian(self, x: Sequence[NovikovScalar], floor=NEG_INF) -> List[List[NovikovScalar]]:
         """Logarithmic Hessian M_jk = sum_i v_ij v_ik x^{v_i} q^{w_i}."""
         self._check_x(x)
-        field = x[0].field
-        mat = [[[] for _ in range(self.dim)] for _ in range(self.dim)]
-        for term, mono in zip(self.terms, self._monomials(x, floor)):
-            for j, vij in enumerate(term.exponent):
-                if not vij:
-                    continue
-                for k, vik in enumerate(term.exponent):
-                    if vik:
-                        mat[j][k].append(mono.scale(vij * vik))
-        return [[_sum(field, terms, floor) for terms in row] for row in mat]
+        monos = list(zip(self.terms, self._monomials(x, floor)))
+        mat = [[None] * self.dim for _ in range(self.dim)]
+        for j in range(self.dim):
+            for k in range(j, self.dim):  # M_kj is M_jk, as one object
+                pairs = [(t.exponent[j] * t.exponent[k], m) for t, m in monos
+                         if t.exponent[j] and t.exponent[k]]
+                mat[j][k] = mat[k][j] = _weighted_sum(x[0].field, pairs, floor)
+        return mat
 
     def _check_x(self, x: Sequence[NovikovScalar]) -> None:
         if len(x) != self.dim:
             raise ValueError(f"expected {self.dim} brane coordinates, got {len(x)}")
         for j, xj in enumerate(x):
-            if xj.valuation() != 0:
+            if not (xj.rows and xj.rows[0][0] == 0):  # a unit leads at q^0
                 raise ValueError(
                     f"brane coordinate {j} is not a unit (valuation {floor_str(xj.valuation())})"
                 )

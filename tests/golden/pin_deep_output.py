@@ -6,7 +6,7 @@ Runs ``toric certify`` on each polytope below through ``novspec.cli.main``
 in process, and appends the polytope, the options, the exit code and the
 sha256 of stdout of each run not yet in ``deep_output.json``.  ``tests/test_cli.py``
 replays the file.  The benchmark's pinned digests lift only to order -1,
-where every series is a few terms long; these runs go to orders -6 to -10,
+where every series is a few terms long; these runs go to orders -6 to -16,
 where series inversion and long products decide every coefficient, in all
 three coefficient modes; the Hirzebruch F2 runs lift off-centre, so the
 rational mode takes Newton steps too.  A stored run whose exit code or
@@ -54,6 +54,9 @@ RUNS = [
     ("hirzebruch_f2", "1,1/2", "gaussian", "-6"),
     ("hirzebruch_f2", "1,1/2", "complex", "-6"),
     ("trapezoid", "3/4,1/2", "gaussian", "-8"),
+    ("trapezoid", "3/4,1/2", "gaussian", "-10"),
+    ("trapezoid", "3/4,1/2", "gaussian", "-12"),
+    ("trapezoid", "3/4,1/2", "gaussian", "-16"),
 ]
 
 

@@ -3,8 +3,9 @@
 No command runs these, so they live with the tests: products and
 unimodular coordinate changes of moment polytopes, the area homomorphism
 of a period lattice, the gcd of two rationals, the recursive extended gcd,
-the level of a chain and the Kushnirenko count of a toric potential's
-critical points.
+the level of a chain, the Kushnirenko count of a toric potential's
+critical points, and the potential's monomials, gradient and Hessian built
+one scaled scalar per term and summed by a left fold of scalar sums.
 """
 
 import math
@@ -12,7 +13,7 @@ from fractions import Fraction
 from typing import Iterable, Sequence, Tuple
 
 from novspec.complexes import Chain, FilteredComplex, PeriodLattice
-from novspec.novikov import FloorValue
+from novspec.novikov import FloorValue, NovikovScalar
 from novspec.polytope import (
     Facet,
     MomentPolytope,
@@ -147,3 +148,59 @@ def kushnirenko_bound(p: MomentPolytope) -> int:
     if total.denominator != 1:
         raise ValueError(f"normalized volume {total} is not an integer")
     return int(total)
+
+
+def potential_monomials(w, x, floor) -> tuple:
+    """x^{v_i} q^{w_i} for every facet term of the potential ``w``, cut at
+    ``floor``: each power chain and each monomial starts from ``scale(one)``
+    of its first factor, and each monomial is shifted, then truncated."""
+    one = x[0].field.one()
+    powers = {}
+    for j, xj in enumerate(x):
+        needed = {t.exponent[j] for t in w.terms if t.exponent[j]}
+        for sign in (1, -1):
+            top = max((sign * k for k in needed), default=0)
+            if top <= 0:
+                continue
+            base = xj if sign > 0 else xj.invert(floor)
+            out = base.scale(one)
+            for k in range(1, top + 1):
+                if k > 1:
+                    out = out * base
+                if sign * k in needed:
+                    powers[j, sign * k] = out if floor == NEG_INF else out.truncate(floor)
+    monos = []
+    for term in w.terms:
+        factors = [powers[j, k] for j, k in enumerate(term.exponent) if k]
+        out = factors[0].scale(one) if factors else NovikovScalar.one(x[0].field)
+        for factor in factors[1:]:
+            out = out * factor
+        out = out.shift(term.weight)
+        monos.append(out if floor == NEG_INF else out.truncate(floor))
+    return tuple(monos)
+
+
+def fold_sum(field, terms, floor) -> NovikovScalar:
+    """``zero(field, floor)`` plus the terms in order, one scalar sum at a time."""
+    return sum(terms[1:], terms[0].truncate(floor)) if terms else NovikovScalar.zero(field, floor)
+
+
+def potential_gradient(w, x, floor=NEG_INF) -> list:
+    """y_j = sum_i v_ij x^{v_i} q^{w_i}: ``mono.scale(v_ij)`` per term, folded."""
+    out = [[] for _ in range(w.dim)]
+    for term, mono in zip(w.terms, potential_monomials(w, x, floor)):
+        for j, vij in enumerate(term.exponent):
+            if vij:
+                out[j].append(mono.scale(vij))
+    return [fold_sum(x[0].field, terms, floor) for terms in out]
+
+
+def potential_hessian(w, x, floor=NEG_INF) -> list:
+    """M_jk = sum_i v_ij v_ik x^{v_i} q^{w_i}, every entry scaled and folded."""
+    mat = [[[] for _ in range(w.dim)] for _ in range(w.dim)]
+    for term, mono in zip(w.terms, potential_monomials(w, x, floor)):
+        for j, vij in enumerate(term.exponent):
+            for k, vik in enumerate(term.exponent):
+                if vij and vik:
+                    mat[j][k].append(mono.scale(vij * vik))
+    return [[fold_sum(x[0].field, terms, floor) for terms in row] for row in mat]

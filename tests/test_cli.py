@@ -904,7 +904,7 @@ class TestToricCommands:
         assert code == 1 and not doc["ok"]
 
     def test_deep_output_corpus_replays_byte_identical(self, tmp_path, capsys):
-        # Certificates at orders -6 to -10, recorded by
+        # Certificates at orders -6 to -16, recorded by
         # tests/golden/pin_deep_output.py: long series in every mode.
         corpus = json.loads((GOLDEN / "deep_output.json").read_text(encoding="utf-8"))
         modes = {e["options"][e["options"].index("--mode") + 1] for e in corpus}

@@ -45,7 +45,17 @@ from novspec.polytope import (
 )
 from novspec.potential import PotentialFunction, brane_from_constants
 
-from reference import kushnirenko_bound, product, transform, transform_point
+from reference import (
+    fold_sum,
+    kushnirenko_bound,
+    potential_gradient,
+    potential_hessian,
+    potential_monomials,
+    product,
+    transform,
+    transform_point,
+)
+from test_novikov import _bits, exact_scalars, float_parts, float_scalars, floors
 
 QQ = field_for_mode("rational")
 QI = field_for_mode("gaussian")
@@ -213,6 +223,90 @@ class TestPotential:
         (s,) = w.strata
         assert s.weight == Fraction(-1, 4)
         assert s.dominating == 0
+
+
+# {x >= 0, y >= 0, 2x + y <= 2}: the last monomial's first factor is x_0^{-2}
+WEDGE = MomentPolytope(
+    2, [Facet((1, 0), Fraction(0)), Facet((0, 1), Fraction(0)), Facet((-2, -1), Fraction(-2))]
+)
+POTENTIAL_CASES = [(CP2, "1/4,1/3"), (TRAP, "3/4,1/2"), (F2, "1,1/2"), (WEDGE, "1/4,1/2"),
+                   (product(CP1, CP2), "1/2,1/4,1/3")]
+
+
+@st.composite
+def potential_points(draw):
+    """A potential, a unit point of it in some mode and a working floor.
+    Complex parts include signed zeros and magnitudes next to eps, so that
+    scaled rows and partial sums fall below it."""
+    polytope, fiber = draw(st.sampled_from(POTENTIAL_CASES))
+    field = draw(st.sampled_from([QQ, QI, CC]))
+    ratios = st.builds(Fraction, st.integers(-9, 9), st.sampled_from([1, 2, 3, 7]))
+    units = st.builds(Fraction, st.integers(-9, 9).filter(bool), st.sampled_from([1, 2, 3, 7]))
+    zeros = st.sampled_from([0.0, -0.0])  # real and imaginary axes, signed zeros kept
+    big = st.one_of(st.floats(0.25, 4), st.floats(-4, -0.25))
+    coeffs, leads = {
+        QQ: (ratios, units),
+        QI: (st.builds(GaussianRational, ratios, ratios), st.builds(GaussianRational, units, ratios)),
+        CC: (st.one_of(st.builds(complex, float_parts, float_parts),
+                       st.builds(complex, float_parts, zeros), st.builds(complex, zeros, float_parts)),
+             st.one_of(st.builds(complex, big, float_parts), st.builds(complex, float_parts, big))),
+    }[field]
+    exps = st.builds(Fraction, st.integers(-6, -1), st.integers(1, 3))
+    x = []
+    for _ in range(polytope.dim):
+        lead = draw(leads)
+        tail = draw(st.lists(st.tuples(exps, coeffs), max_size=3))
+        floor = draw(st.sampled_from([NEG_INF, Fraction(-3), Fraction(-9, 2)]))
+        x.append(NovikovScalar(field, [(0, lead), *tail], floor))
+    floors = [Fraction(-1), Fraction(-3, 2), Fraction(-5, 2), Fraction(-7, 2)]
+    if all(xj.is_monomial() for xj in x):
+        floors.append(NEG_INF)
+    return PotentialFunction(polytope, fiber), x, draw(st.sampled_from(floors))
+
+
+class TestPotentialSums:
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(potential_points())
+    def test_one_pass_sums_match_scale_and_fold(self, case):
+        # Monomials, gradient, Hessian and potential, row for row against one
+        # scaled scalar per term and a left fold of scalar sums; _bits tells
+        # -0.0 from 0.0.
+        w, x, floor = case
+        monos = potential_monomials(w, x, floor)
+        assert [_bits(m) for m in w._monomials(x, floor)] == [_bits(m) for m in monos]
+        assert _bits(w.evaluate(x, floor)) == _bits(fold_sum(x[0].field, monos, floor))
+        grad, ref = w.gradient(x, floor), potential_gradient(w, x, floor)
+        assert [_bits(y) for y in grad] == [_bits(y) for y in ref]
+        assert grad == ref
+        mat, ref = w.hessian(x, floor), potential_hessian(w, x, floor)
+        assert [[_bits(m) for m in row] for row in mat] == [[_bits(m) for m in row] for row in ref]
+        assert mat == ref
+        assert all(mat[j][k] is mat[k][j] for j in range(w.dim) for k in range(w.dim))
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(st.data())
+    def test_weighted_sum_restarts_after_a_cancelled_exponent(self, data):
+        # c*m + (-c)*(m + nudge) falls below eps (or to exact zero) at each
+        # exponent of m; a third term there restarts the sum, as the fold does.
+        from novspec.potential import _weighted_sum
+
+        field = data.draw(st.sampled_from([QQ, QI, CC]))
+        draw = float_scalars() if field is CC else exact_scalars(field)
+        m = data.draw(draw)
+        tiny = st.builds(complex, st.floats(-1e-13, 1e-13), st.floats(-1e-13, 1e-13))
+        if field is CC:
+            near = NovikovScalar(field, [(e, a + data.draw(tiny)) for e, a in m.terms], m.floor)
+        else:
+            near = m
+        third = NovikovScalar(field, [(e, data.draw(st.integers(1, 5))) for e, _ in m.terms])
+        weights = st.integers(-3, 3).filter(bool)
+        c, c3 = data.draw(weights), data.draw(weights)
+        pairs = [(c, m), (-c, near), (c3, third)]
+        pairs += [(data.draw(weights), data.draw(draw)) for _ in range(data.draw(st.integers(0, 2)))]
+        floor = data.draw(floors)
+        got = _weighted_sum(field, pairs, floor)
+        ref = fold_sum(field, [t.scale(k) for k, t in pairs], floor)
+        assert _bits(got) == _bits(ref) and got == ref
 
 
 class TestLeadingRoots:

@@ -504,6 +504,32 @@ def exact_pairs(draw):
     return x, y
 
 
+@st.composite
+def newton_inverse_cases(draw):
+    """An exact scalar and an output floor for its inverse, k powers of u
+    deep as in ``_series_floor``: a monomial, two rows, or 3 to 10 rows with
+    parts up to 2^64; an exact input floor or a finite one whose implied
+    floor f - 2*w0 lies next to that depth; the floor asked for just above,
+    on or below the implied one."""
+    field = draw(st.sampled_from([QQ, QI]))
+    low, high = draw(st.sampled_from([(1, 1), (2, 2), (3, 10)]))
+    coeff = (big_coefficients if high > 2 else coefficients)(field).filter(bool)
+    terms = draw(st.lists(st.tuples(exponents, coeff), min_size=low, max_size=high,
+                          unique_by=lambda t: t[0]))
+    x = NovikovScalar(field, terms)
+    w0 = x.terms[0][0]
+    gap = w0 - x.terms[1][0] if len(x.terms) > 1 else Fraction(1)
+    depth = -w0 - draw(st.integers(1, 5)) * gap
+    floor = depth + 2 * w0 + draw(st.sampled_from([Fraction(-1, 7), Fraction(0), Fraction(1, 7)]))
+    if floor < w0 and draw(st.booleans()):
+        x = NovikovScalar(field, terms, floor)
+        depth = floor - 2 * w0  # the implied floor
+    asked = [depth + draw(st.sampled_from([Fraction(1, 5), Fraction(-1, 5), Fraction(0)]))]
+    if x.is_monomial():
+        asked.append(NEG_INF)
+    return x, draw(st.sampled_from(asked))
+
+
 class TestArithmeticProperties:
     @PROPERTY
     @given(scalar_pairs())
@@ -547,6 +573,16 @@ class TestArithmeticProperties:
         floor = _series_floor(data, x)
         assert x.invert(floor) == reference_inverse(x, floor)
         assert_canonical(x.invert(floor))
+
+    @PROPERTY
+    @given(newton_inverse_cases())
+    def test_newton_inverse_matches_the_series(self, case):
+        # The exact modes invert by Newton doubling; the truncated inverse is
+        # unique above the cut, so the stored form is the series' one.
+        x, floor = case
+        got, ref = x.invert(floor), reference_inverse(x, floor)
+        assert (got.rows, got.den, got.grid, got.floor) == (ref.rows, ref.den, ref.grid, ref.floor)
+        assert_canonical(got)
 
     @PROPERTY
     @given(st.data())

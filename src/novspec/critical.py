@@ -551,6 +551,7 @@ def lift_critical(
 
     iterations = 0
     last_res = None
+    one = NovikovScalar.one(field)
     while True:
         res_val = max((y.valuation() for y in grad))
         if all(y.truncate(strict).is_zero() for y in grad):
@@ -570,7 +571,6 @@ def lift_critical(
             rows.append([m.shift(-s.weight) for m in hess[s.component]])
             rhs.append(-grad[s.component].shift(-s.weight))
         delta = _solve_linear(rows, rhs)
-        one = NovikovScalar.one(field)
         x = [(xj * (one + dj)).with_floor(floor_work) for xj, dj in zip(x, delta)]
         grad = w.gradient(x, floor_work)
         iterations += 1

@@ -58,6 +58,13 @@ def _floor(value) -> FloorValue:
     return NEG_INF if value == NEG_INF else Fraction(value)
 
 
+def _top(a: FloorValue, b: FloorValue) -> FloorValue:
+    """max(a, b) of two stored floors on integers, a on a tie as ``max`` keeps it."""
+    if b is NEG_INF or a is b:
+        return a
+    return b if a is NEG_INF or a.numerator * b.denominator < b.numerator * a.denominator else a
+
+
 def _cut(floor: FloorValue, grid: int) -> Optional[int]:
     """The largest grid exponent at or below ``floor``, None for -inf: a
     row lies above the floor iff its exponent exceeds the cut."""
@@ -87,8 +94,8 @@ def _nonzero(field: CoefficientField):
     """The field's nonzero test on the parts of a row."""
     if field.exact:
         return or_  # re | im is nonzero iff re or im is
-    eps = field.eps
-    return lambda re, im: not abs(complex(re, im)) < eps
+    eps = field.eps  # |re + i*im| >= max(|re|, |im|), so a part at eps decides
+    return lambda re, im: abs(re) >= eps or abs(im) >= eps or not abs(complex(re, im)) < eps
 
 
 def _content(rows: list, den: int) -> tuple:
@@ -296,11 +303,6 @@ class NovikovScalar:
             return NEG_INF
         return Fraction(self.rows[0][0], self.grid)
 
-    def _bound(self) -> FloorValue:
-        """Exponent that every term of the true element lies at or below:
-        the valuation, or the floor when nothing is known above it."""
-        return self.valuation() if self.rows else self.floor
-
     def lead(self) -> complex:
         """The leading coefficient as a complex float, read from the first row."""
         _, re, im = self.rows[0]
@@ -329,7 +331,7 @@ class NovikovScalar:
         field = self.field
         if other.field is not field:
             field.check_compatible(other.field)
-        floor = max(self.floor, other.floor)
+        floor = _top(self.floor, other.floor)
         grid, den = lcm(self.grid, other.grid), lcm(self.den, other.den)
         left = _regrid(self.rows, grid // self.grid, den // self.den)
         right = _regrid(other.rows, grid // other.grid, (-1 if negate else 1) * (den // other.den))
@@ -360,8 +362,14 @@ class NovikovScalar:
         # that is zero down to its floor may still carry anything below it.
         floor = NEG_INF
         for x, y in ((self, other), (other, self)):
-            if x.floor is not NEG_INF and (bound := y._bound()) is not NEG_INF:
-                floor = max(floor, x.floor + bound)
+            f = x.floor
+            if f is NEG_INF or (not y.rows and y.floor is NEG_INF):
+                continue
+            if not y.rows:
+                f += y.floor
+            elif e := y.rows[0][0]:  # f + val(y) on integers; a unit's val 0 adds nothing
+                f = Fraction(f.numerator * y.grid + e * f.denominator, f.denominator * y.grid)
+            floor = _top(floor, f)
         if not self.rows or not other.rows:
             return _scalar(field, floor, 1, 1, ())
         # Both row lists strictly decrease, so a row of the product ends at
@@ -396,7 +404,7 @@ class NovikovScalar:
 
     def truncate(self, floor: FloorValue) -> "NovikovScalar":
         """Forget everything at or below the given floor."""
-        floor = max(self.floor, _floor(floor))
+        floor = _top(self.floor, _floor(floor))
         return self if floor is self.floor else self.with_floor(floor)
 
     def with_floor(self, floor: FloorValue) -> "NovikovScalar":
@@ -434,8 +442,9 @@ class NovikovScalar:
         e0, a0, b0 = self.rows[0]
         # Nothing below f - 2*w0 is knowable: the tail enters at
         # relative order f - w0 and the inverse is scaled by q^{-w0}.
-        implied = NEG_INF if self.floor is NEG_INF else self.floor - 2 * Fraction(e0, grid)
-        out_floor = max(implied, _floor(floor))
+        implied = (self.floor if self.floor is NEG_INF or not e0
+                   else self.floor - Fraction(2 * e0, grid))
+        out_floor = _top(implied, _floor(floor))
         if field.exact:  # den / (a0 + i*b0), its content divided out
             re, im, inv_den = a0 * self.den, -b0 * self.den, a0 * a0 + b0 * b0
             g = gcd(re, im, inv_den)

@@ -25,7 +25,7 @@ from math import lcm
 from typing import List, Optional, Sequence, Tuple
 
 from .fields import CoefficientField
-from .novikov import NovikovScalar, _above, _cut, _floor, _nonzero, _scalar
+from .novikov import NovikovScalar, _above, _cut, _floor, _nonzero, _scalar, _top
 from .polytope import MomentPolytope, Point, Vector, parse_fiber, point_str
 from .records import NEG_INF, Frozen, floor_str, fraction_str
 
@@ -67,7 +67,7 @@ def _shifted(m: NovikovScalar, exp: Fraction, floor) -> NovikovScalar:
     """``m.shift(exp).truncate(floor)``, shifted and cut in one pass."""
     grid = lcm(m.grid, exp.denominator)
     step, s = grid // m.grid, exp.numerator * (grid // exp.denominator)
-    floor = max(m.floor if m.floor is NEG_INF else m.floor + exp, _floor(floor))
+    floor = _top(m.floor if m.floor is NEG_INF else m.floor + exp, _floor(floor))
     rows = [(e * step + s, re, im) for e, re, im in m.rows]
     return _scalar(m.field, floor, grid, m.den, _above(rows, _cut(floor, grid)))
 
@@ -85,7 +85,9 @@ def _weighted_sum(field: CoefficientField, pairs: list, floor) -> NovikovScalar:
     """
     if not pairs:
         return NovikovScalar.zero(field, floor)
-    floor = max(_floor(floor), *(m.floor for _, m in pairs))
+    floor = _floor(floor)
+    for _, m in pairs:
+        floor = _top(floor, m.floor)
     grid = lcm(*(m.grid for _, m in pairs))
     den = lcm(*(m.den for _, m in pairs))
     exact, nonzero, acc = field.exact, _nonzero(field), {}

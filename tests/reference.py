@@ -4,8 +4,9 @@ No command runs these, so they live with the tests: products and
 unimodular coordinate changes of moment polytopes, the area homomorphism
 of a period lattice, the gcd of two rationals, the recursive extended gcd,
 the level of a chain, the Kushnirenko count of a toric potential's
-critical points, and the potential's monomials, gradient and Hessian built
-one scaled scalar per term and summed by a left fold of scalar sums.
+critical points, the potential's monomials, gradient and Hessian built
+one scaled scalar per term and summed by a left fold of scalar sums, and
+the floor rules of scalar operations stated with ``max`` on Fractions.
 """
 
 import math
@@ -204,3 +205,45 @@ def potential_hessian(w, x, floor=NEG_INF) -> list:
                 if vij and vik:
                     mat[j][k].append(mono.scale(vij * vik))
     return [[fold_sum(x[0].field, terms, floor) for terms in row] for row in mat]
+
+
+# -- floor rules: ``max`` of Fraction floors, first argument kept on a tie ----
+
+
+def floor_bound(x: NovikovScalar) -> FloorValue:
+    """Exponent every term of the true element lies at or below: the
+    valuation, or the floor when nothing is known above it."""
+    return x.valuation() if x.rows else x.floor
+
+
+def product_floor(x: NovikovScalar, y: NovikovScalar) -> FloorValue:
+    """max(floor_x + bound_y, floor_y + bound_x) over the finite sums."""
+    floor = NEG_INF
+    for a, b in ((x, y), (y, x)):
+        if a.floor is not NEG_INF and (bound := floor_bound(b)) is not NEG_INF:
+            floor = max(floor, a.floor + bound)
+    return floor
+
+
+def sum_floor(x: NovikovScalar, y: NovikovScalar) -> FloorValue:
+    return max(x.floor, y.floor)
+
+
+def truncate_floor(x: NovikovScalar, floor: FloorValue) -> FloorValue:
+    return max(x.floor, floor)
+
+
+def inverse_floor(x: NovikovScalar, floor: FloorValue) -> FloorValue:
+    """max(f - 2*w0, floor) for a scalar of floor f and valuation w0."""
+    implied = NEG_INF if x.floor is NEG_INF else x.floor - 2 * x.valuation()
+    return max(implied, floor)
+
+
+def shifted_floor(m: NovikovScalar, exp: Fraction, floor: FloorValue) -> FloorValue:
+    """The floor of ``m.shift(exp).truncate(floor)``."""
+    return max(m.floor if m.floor is NEG_INF else m.floor + exp, floor)
+
+
+def weighted_sum_floor(pairs: list, floor: FloorValue) -> FloorValue:
+    """The largest of ``floor`` and the floors of the (c, scalar) ``pairs``."""
+    return max([floor, *(m.floor for _, m in pairs)])

@@ -1,6 +1,7 @@
 """Novikov scalar arithmetic: frozen oracles and ring-axiom sweeps."""
 
 import json
+import math
 import random
 import struct
 from fractions import Fraction
@@ -13,7 +14,11 @@ from hypothesis import strategies as st
 from novspec import NEG_INF, CoefficientField, GaussianRational, NovikovScalar
 from novspec.complexes import PeriodLattice
 from novspec.fields import field_for_mode
+from novspec.novikov import _nonzero, _row_product
+from novspec.potential import _shifted, _weighted_sum
 from novspec.records import parse_fraction
+from reference import (inverse_floor, product_floor, shifted_floor, sum_floor, truncate_floor,
+                       weighted_sum_floor)
 
 QQ = CoefficientField("rational")
 QI = CoefficientField("gaussian")
@@ -392,17 +397,11 @@ def _add_floors(a, b):
     return NEG_INF if NEG_INF in (a, b) else a + b
 
 
-def _bound(x):
-    """Largest exponent x may carry: its valuation, or its floor when it
-    is zero down to the floor."""
-    return x.terms[0][0] if x.terms else x.floor
-
-
 def reference_product(x, y):
     """Plain double loop over Fraction exponents, truncated at the sharp
     floor max(floor_x + v(y), floor_y + v(x)), a factor that is zero down
     to its floor counting its floor as v."""
-    floor = max(_add_floors(x.floor, _bound(y)), _add_floors(y.floor, _bound(x)))
+    floor = product_floor(x, y)
     acc = {}
     for e1, c1 in x.terms:
         for e2, c2 in y.terms:
@@ -984,8 +983,6 @@ class TestIdentityLaws:
     @PROPERTY
     @given(st.data())
     def test_one_row_product_matches_general_kernel(self, data):
-        from novspec.novikov import _nonzero, _row_product
-
         x = data.draw(mode_scalars(st.just(NEG_INF)))
         if x.field is CC and data.draw(st.booleans()):
             coeff = complex(data.draw(float_parts), data.draw(float_parts))
@@ -1092,3 +1089,117 @@ class TestRowReads:
         x, y = pair
         assert x.isclose(y) == reference_isclose(x, y)
         assert y.isclose(x) == reference_isclose(y, x)
+
+
+# -- floors compared on integers ----------------------------------------------
+#
+# Scalar operations combine floors by cross-multiplying numerators and
+# denominators, and skip the addition of a unit's valuation 0.  Each stored
+# floor must be the one ``max`` over Fractions gives, by value and by type,
+# and ``truncate`` must hand back the scalar itself exactly when ``max``
+# keeps its floor object.
+
+
+def _twin(floor):
+    """NEG_INF itself, or an equal Fraction that is another object."""
+    return floor if floor is NEG_INF else Fraction(floor.numerator, floor.denominator)
+
+
+coarse_exponents = st.builds(Fraction, st.integers(-6, 6), st.sampled_from([1, 2, 3]))
+
+
+@st.composite
+def floor_scalars(draw, field, shared):
+    """A scalar on the floor ``shared``, on an equal but distinct floor or on
+    a floor of its own: zero down to its floor, a unit (valuation 0) or any
+    sum of up to three terms, most of nonzero valuation."""
+    floor = draw(st.sampled_from([shared, _twin(shared), draw(floors)]))
+    kind = draw(st.sampled_from(["zero", "unit", "sum"]))
+    if kind == "zero":
+        return NovikovScalar.zero(field, floor)
+    coeffs = coefficients(field).filter(lambda c: c != 0)
+    terms = draw(st.lists(st.tuples(coarse_exponents, coeffs), min_size=1, max_size=3))
+    if kind == "unit":
+        terms = [(Fraction(0), draw(coeffs))] + [(e, c) for e, c in terms if e < 0]
+    return NovikovScalar(field, terms, floor)
+
+
+class TestFloorRules:
+    @PROPERTY
+    @given(st.data())
+    def test_floors_match_the_max_rules(self, data):
+        field = MODES[data.draw(st.sampled_from(sorted(MODES)))]
+        shared = data.draw(floors)
+        x, y, z = (data.draw(floor_scalars(field, shared)) for _ in "xyz")
+        f = data.draw(st.sampled_from([_twin(x.floor), _twin(y.floor), data.draw(floors)]))
+        s = data.draw(st.sampled_from([Fraction(0), data.draw(exponents)]))
+        pairs = [(c, m) for c, m in zip(data.draw(st.lists(
+            st.integers(-3, 3).filter(bool), max_size=3)), (x, y, z))]
+        cases = [
+            (x * y, product_floor(x, y)),
+            (x + y, sum_floor(x, y)),
+            (x - y, sum_floor(x, y)),
+            (x.truncate(f), truncate_floor(x, f)),
+            (_shifted(x, s, f), shifted_floor(x, s, f)),
+            (_weighted_sum(field, pairs, f), weighted_sum_floor(pairs, f)),
+        ]
+        if x.rows:
+            # a unit's implied floor is its own, so an equal twin ties with it
+            g = data.draw(st.sampled_from([_twin(x.floor), _series_floor(data, x)]))
+            if g is not NEG_INF or len(x.rows) == 1:
+                cases.append((x.invert(g), inverse_floor(x, g)))
+        for got, ref in cases:
+            assert got.floor == ref and type(got.floor) is type(ref)
+            assert (got.floor is NEG_INF) == (ref is NEG_INF)
+        assert (x.truncate(f) is x) == (truncate_floor(x, f) is x.floor)
+
+
+# -- the complex zero test ---------------------------------------------------
+#
+# A part of size eps or more decides at once, since |re + i*im| is at least
+# max(|re|, |im|); the hypot is taken only when both parts lie below eps.
+
+
+def _neighbours(v, n):
+    """v and its n nearest floats on either side."""
+    out = [v]
+    for direction in (0.0, math.inf):
+        w = v
+        for _ in range(n):
+            w = math.nextafter(w, direction)
+            out.append(w)
+    return out
+
+
+def _near_eps_pairs(eps):
+    """Parts within a few ulps of eps/sqrt(2), and eps's lower neighbour with
+    a small second part, whose hypot rounds to either side of eps."""
+    side = _neighbours(eps / math.sqrt(2), 4)
+    below = math.nextafter(eps, 0.0)
+    return ([(a, b) for a in side for b in side]
+            + [(below, eps * 2.0 ** -k) for k in range(20, 32)])
+
+
+def _special_parts(eps):
+    below, above = math.nextafter(eps, 0.0), math.nextafter(eps, math.inf)
+    values = [eps, below, above, 0.0, 5e-324, 2.2250738585072014e-308, 1e-310,
+              math.inf, math.nan, 1.0, eps / 2]
+    return values + [-v for v in values]
+
+
+@pytest.mark.parametrize("eps", [1e-12, 0.75])
+def test_complex_zero_test_matches_the_hypot(eps):
+    nonzero = _nonzero(CoefficientField("complex", eps))
+    rng = random.Random(0)
+    specials = _special_parts(eps)
+    pairs = [(a, b) for a in specials for b in specials] + _near_eps_pairs(eps)
+    for _ in range(2000):
+        scale = eps * 2.0 ** rng.randint(-4, 4)
+        pairs.append((rng.uniform(-scale, scale), rng.uniform(-scale, scale)))
+    pairs += [(rng.uniform(-4, 4), rng.uniform(-4, 4)) for _ in range(200)]
+    for re, im in pairs:
+        assert nonzero(re, im) == (not abs(complex(re, im)) < eps), (re, im)
+    # the pairs near eps/sqrt(2) fall on both sides of eps, with both parts below it
+    near = [not abs(complex(re, im)) < eps for re, im in _near_eps_pairs(eps)]
+    assert any(near) and not all(near)
+    assert any(abs(complex(re, im)) == eps for re, im in _near_eps_pairs(eps))

@@ -6,7 +6,7 @@ import argparse
 
 from .cli import (_NEGATIVE_NUMBER, _OptionError, _checked_rational, _document, _emit,
                   _load_json, _rational)
-from .records import NEG_INF, SchemaError, floor_str
+from .records import NEG_INF, SchemaError, floor_str, fraction_str
 
 
 def _per_brane(args, kind: str, row) -> int:
@@ -19,6 +19,7 @@ def _per_brane(args, kind: str, row) -> int:
     coordinates must determine its gradient down to the floor, or the row
     would state coefficients nothing fixes."""
     from .critical import known_failure, read_certificate
+    from .novikov import NovikovScalar
     from .polytope import point_str
     from .potential import PotentialFunction
 
@@ -40,8 +41,12 @@ def _per_brane(args, kind: str, row) -> int:
                 f"(certificate has {len(branes)} branes)"
             )
         branes = [branes[args.brane]]
-    if getattr(args, "scale", None) is not None:
-        c = field.coerce(args.scale)
+    if (c := getattr(args, "scale", None)) is not None:
+        try:  # the rational must be a nonzero value of the certificate's field
+            if NovikovScalar.monomial(field, c, 0).is_zero():
+                raise ValueError(f"{fraction_str(c)} is zero to eps {field.eps}")
+        except ValueError as exc:
+            raise _OptionError(f"argument --scale: {exc}") from None
         branes = [(idx, [xj.scale(c) for xj in x]) for idx, x in branes]
     rows = []
     for idx, x in branes:

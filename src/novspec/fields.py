@@ -10,10 +10,13 @@ Three modes are supported:
 Exact modes admit no tolerance (eps must be 0); the floating mode
 requires eps > 0.  Mixing scalars from incompatible fields is an error.
 
-A ``CoefficientField`` converts coefficients between their value form
-(Fraction, GaussianRational or complex), the row parts ``(re, im, den)``
-that ``NovikovScalar`` computes on, and JSON; the arithmetic itself runs
-on the row parts, in ``novspec.novikov``.
+A ``CoefficientField`` converts coefficients; the arithmetic itself runs
+on the row parts ``(re, im, den)`` of ``novspec.novikov``.  A value (int,
+Fraction, GaussianRational, float or complex) enters through ``parts``,
+the one map to row parts; ``from_parts`` gives the value form back, for
+``NovikovScalar.terms`` and ``repr``; ``parts_to_json`` and
+``parts_from_json`` write and read the JSON form.  ``mul`` is called by no
+command and stays only for the benchmark's counter, which wraps it.
 """
 
 from __future__ import annotations
@@ -73,10 +76,8 @@ class GaussianRational:
             return fraction_str(self.re)
         return f"({fraction_str(self.re)}+{fraction_str(self.im)}i)"
 
-    def to_complex(self) -> complex:
+    def __complex__(self) -> complex:
         return complex(float(self.re), float(self.im))
-
-    __complex__ = to_complex
 
 
 def _gaussian(re: Fraction, im: Fraction) -> GaussianRational:
@@ -117,56 +118,40 @@ class CoefficientField(Frozen):
                 f"incompatible coefficient fields: {self} vs {other}"
             )
 
-    def one(self) -> Coefficient:
-        if self.mode == RATIONAL:
-            return Fraction(1)
-        if self.mode == GAUSSIAN:
-            return GaussianRational(1, 0)
-        return 1 + 0j
-
-    def coerce(self, value: Any) -> Coefficient:
-        """Bring an int/Fraction/GaussianRational/complex into this field."""
-        if self.mode == RATIONAL:
-            if isinstance(value, (int, Rational)):
-                return Fraction(value)
-            raise ValueError(f"{value!r} is not rational")
-        if self.mode == GAUSSIAN:
-            if isinstance(value, GaussianRational):
-                return value
-            if isinstance(value, (int, Rational)):
-                return GaussianRational(value, 0)
-            raise ValueError(f"{value!r} is not Gaussian rational")
+    def parts(self, value: Any) -> tuple:
+        """``(re, im, den)`` of an int, Fraction, GaussianRational, float or
+        complex, with ``value == (re + i*im) / den``: integer numerators over
+        their least positive denominator in the exact modes (im is 0 in
+        rational mode), the float parts over 1 in complex mode, where a
+        rational past float range is a ValueError naming it."""
+        mode = self.mode
         if isinstance(value, GaussianRational):
-            return value.to_complex()
-        if isinstance(value, (int, float, Rational)):
-            return complex(float(value), 0.0)
-        if isinstance(value, complex):
-            return value
-        raise ValueError(f"{value!r} is not a complex coefficient")
+            re, im = value.re, value.im
+            if mode == GAUSSIAN:
+                den = math.lcm(re.denominator, im.denominator)
+                return (re.numerator * (den // re.denominator),
+                        im.numerator * (den // im.denominator), den)
+            if mode == COMPLEX:
+                return to_float(re), to_float(im), 1
+        elif isinstance(value, int):
+            value = int(value)  # a bool as 0 or 1
+            return (to_float(value), 0.0, 1) if mode == COMPLEX else (value, 0, 1)
+        elif isinstance(value, Rational):
+            if mode == COMPLEX:
+                return to_float(value), 0.0, 1
+            value = Fraction(value)
+            return value.numerator, 0, value.denominator
+        elif mode == COMPLEX and isinstance(value, (float, complex)):
+            return value.real, value.imag, 1
+        kind = {RATIONAL: "rational", GAUSSIAN: "Gaussian rational",
+                COMPLEX: "a complex coefficient"}[mode]
+        raise ValueError(f"{value!r} is not {kind}")
 
     def mul(self, a: Coefficient, b: Coefficient) -> Coefficient:
         return a * b
 
-    def is_zero(self, a: Coefficient) -> bool:
-        if self.mode == COMPLEX:
-            return abs(a) < self.eps
-        return not a
-
-    def to_parts(self, a: Coefficient) -> tuple:
-        """``(re, im, den)`` with ``a == (re + i*im) / den``: integer
-        numerators over their least positive denominator in the exact modes
-        (im is 0 in rational mode), the float parts over 1 in complex mode."""
-        if self.mode == RATIONAL:
-            return a.numerator, 0, a.denominator
-        if self.mode == GAUSSIAN:
-            re, im = a.re, a.im
-            den = math.lcm(re.denominator, im.denominator)
-            return (re.numerator * (den // re.denominator),
-                    im.numerator * (den // im.denominator), den)
-        return a.real, a.imag, 1
-
     def from_parts(self, re, im, den: int) -> Coefficient:
-        """The coefficient ``(re + i*im) / den`` of ``to_parts`` form."""
+        """The coefficient ``(re + i*im) / den`` of ``parts`` form."""
         if self.mode == RATIONAL:
             return Fraction(re, den)
         if self.mode == GAUSSIAN:
@@ -184,7 +169,7 @@ class CoefficientField(Frozen):
         return {"re": re, "im": im}
 
     def parts_from_json(self, obj: Any) -> tuple:
-        """``(re, im, den)`` of a coefficient in JSON form, as ``to_parts``
+        """``(re, im, den)`` of a coefficient in JSON form, as ``parts``
         gives them except that ``den`` need not be least."""
         if self.mode == COMPLEX:
             if isinstance(obj, dict):

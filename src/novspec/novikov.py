@@ -261,7 +261,7 @@ class NovikovScalar:
 
     def __init__(self, field: CoefficientField, terms: Iterable[Tuple[Any, Any]] = (),
                  floor: FloorValue = NEG_INF):
-        pairs = [(Fraction(exp), field.to_parts(field.coerce(coeff))) for exp, coeff in terms]
+        pairs = [(Fraction(exp), field.parts(coeff)) for exp, coeff in terms]
         parts = [(exp.numerator, exp.denominator, *c) for exp, c in pairs]
         _scalar(field, *_merged(field, parts, floor), out=self)
 
@@ -272,11 +272,11 @@ class NovikovScalar:
 
     @classmethod
     def zero(cls, field: CoefficientField, floor: FloorValue = NEG_INF):
-        return cls(field, (), floor)
+        return _scalar(field, _floor(floor), 1, 1, ())
 
     @classmethod
     def one(cls, field: CoefficientField):
-        return cls(field, [(0, field.one())])
+        return _scalar(field, NEG_INF, 1, 1, [(0, 1, 0) if field.exact else (0, 1.0, 0.0)])
 
     @classmethod
     def monomial(cls, field: CoefficientField, coeff, exp) -> "NovikovScalar":
@@ -386,21 +386,21 @@ class NovikovScalar:
     def scale(self, coeff) -> "NovikovScalar":
         """Multiply by a bare coefficient of the field."""
         field = self.field
-        coeff = field.coerce(coeff)
-        if field.is_zero(coeff):
-            return NovikovScalar.zero(field, NEG_INF if self.is_exact_zero() else self.floor)
-        c, d, cden = field.to_parts(coeff)
-        rows = _by_term(self.rows, (0, c, d), None, _nonzero(field))
+        (c, d, cden), nonzero = field.parts(coeff), _nonzero(field)
+        if not nonzero(c, d):
+            return _scalar(field, NEG_INF if self.is_exact_zero() else self.floor, 1, 1, ())
+        rows = _by_term(self.rows, (0, c, d), None, nonzero)
         return _scalar(field, self.floor, self.grid, self.den * cden, rows)
 
-    def shift(self, exp) -> "NovikovScalar":
-        """Multiply by the monomial q^exp (exact in every mode)."""
+    def shift(self, exp, floor: FloorValue = NEG_INF) -> "NovikovScalar":
+        """Multiply by the monomial q^exp (exact in every mode), then forget
+        what lies at or below ``floor``, as ``truncate`` does, in one pass."""
         exp = Fraction(exp)
-        floor = self.floor if self.floor is NEG_INF else self.floor + exp
+        floor = _top(self.floor if self.floor is NEG_INF else self.floor + exp, _floor(floor))
         grid = lcm(self.grid, exp.denominator)
-        s = exp.numerator * (grid // exp.denominator)
-        rows = [(e + s, re, im) for e, re, im in _regrid(self.rows, grid // self.grid)]
-        return _scalar(self.field, floor, grid, self.den, rows)
+        step, s = grid // self.grid, exp.numerator * (grid // exp.denominator)
+        rows = [(e * step + s, re, im) for e, re, im in self.rows]
+        return _scalar(self.field, floor, grid, self.den, _above(rows, _cut(floor, grid)))
 
     def truncate(self, floor: FloorValue) -> "NovikovScalar":
         """Forget everything at or below the given floor."""

@@ -19,7 +19,6 @@ can exist at the fiber at all.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import cached_property
 from math import lcm
 from typing import List, Optional, Sequence, Tuple
@@ -61,15 +60,6 @@ class ComponentStratum(Frozen):
 def _sum(field: CoefficientField, terms: Sequence[NovikovScalar], floor) -> NovikovScalar:
     """``zero(field, floor)`` plus the terms in order, as stored, without the zero."""
     return sum(terms[1:], terms[0].truncate(floor)) if terms else NovikovScalar.zero(field, floor)
-
-
-def _shifted(m: NovikovScalar, exp: Fraction, floor) -> NovikovScalar:
-    """``m.shift(exp).truncate(floor)``, shifted and cut in one pass."""
-    grid = lcm(m.grid, exp.denominator)
-    step, s = grid // m.grid, exp.numerator * (grid // exp.denominator)
-    floor = _top(m.floor if m.floor is NEG_INF else m.floor + exp, _floor(floor))
-    rows = [(e * step + s, re, im) for e, re, im in m.rows]
-    return _scalar(m.field, floor, grid, m.den, _above(rows, _cut(floor, grid)))
 
 
 def _weighted_sum(field: CoefficientField, pairs: list, floor) -> NovikovScalar:
@@ -148,7 +138,7 @@ class PotentialFunction:
             ):
                 return monos
         field = x[0].field
-        exact, one = field.exact, field.one()
+        exact = field.exact
         powers = {}  # (j, k) -> x_j^k truncated at the floor
         for j, xj in enumerate(x):
             needed = {t.exponent[j] for t in self.terms if t.exponent[j]}
@@ -158,7 +148,7 @@ class PotentialFunction:
                     continue
                 base = xj if sign > 0 else xj.invert(floor)
                 # 1 * base as a product stores it, signed zeros included; a copy when exact
-                out = base if exact else base.scale(one)
+                out = base if exact else base.scale(1)
                 for k in range(1, top + 1):
                     if k > 1:
                         out = out * base
@@ -171,10 +161,10 @@ class PotentialFunction:
                 out = NovikovScalar.one(field)
             else:  # x_j^{+-1} is already 1 * x_j^{+-1}, and scaling by one is idempotent
                 k, out = factors[0]
-                out = out if exact or abs(k) == 1 else out.scale(one)
+                out = out if exact or abs(k) == 1 else out.scale(1)
             for _, factor in factors[1:]:
                 out = out * factor
-            monos.append(_shifted(out, term.weight, floor))
+            monos.append(out.shift(term.weight, floor))
         monos = tuple(monos)
         self._memo = (key, monos)
         return monos
@@ -249,10 +239,7 @@ class PotentialFunction:
 
 def brane_from_constants(field: CoefficientField, values: Sequence) -> List[NovikovScalar]:
     """Constant (q-independent) unit brane coordinates from raw coefficients."""
-    out = []
-    for v in values:
-        coeff = field.coerce(v)
-        if field.is_zero(coeff):
-            raise ValueError("brane coordinates must be nonzero")
-        out.append(NovikovScalar.monomial(field, coeff, Fraction(0)))
+    out = [NovikovScalar.monomial(field, v, 0) for v in values]
+    if any(x.is_zero() for x in out):
+        raise ValueError("brane coordinates must be nonzero")
     return out

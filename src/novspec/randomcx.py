@@ -218,7 +218,6 @@ def _invert_unipotent(
 ) -> Dict[str, Chain]:
     # T = 1 + N with N nilpotent: invert by the finite Neumann series,
     # the sum of the powers of N with the odd ones negated.
-    minus_one = cx.field.coerce(-1)
     n_map = {gid: {k: v for k, v in col.items() if k != gid} for gid, col in t_map.items()}
     inverse: Dict[str, Chain] = {}
     for g in cx.generators:
@@ -228,7 +227,7 @@ def _invert_unipotent(
             if not power:
                 break
             if k % 2 == 0:
-                total = chain_add(total, {h: v.scale(minus_one) for h, v in power.items()})
+                total = chain_add(total, {h: v.scale(-1) for h, v in power.items()})
             else:
                 total = chain_add(total, power)
         inverse[g.id] = total

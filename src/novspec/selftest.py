@@ -130,13 +130,12 @@ def _toric(seed: int, trials: int, failures: List[str]) -> None:
         reval = revalidate_certificate(cert.to_json())
         if not reval["ok"]:
             failures.append(f"interval certificate failed revalidation: {reval['failures']}")
-        two = rat.coerce(Fraction(2))
         for idx, brane in enumerate(cert.branes):
             c = build_cqf(w, brane.x, cert.order)
             rank = hqf_report(c)["rank"]
             if rank != 2:
                 failures.append(f"interval brane {idx}: quasimap rank {rank} != 2")
-            doubled = [xj.scale(two) for xj in brane.x]
+            doubled = [xj.scale(2) for xj in brane.x]
             rank0 = hqf_report(build_cqf(w, doubled, cert.order))["rank"]
             if rank0 != 0:
                 failures.append(f"interval brane {idx} doubled: rank {rank0} != 0")

@@ -369,7 +369,8 @@ def spectral_number(cx: FilteredComplex, chain: Chain) -> SpectralResult:
 
     # The multiplier is still one when every pivot was a monomial.
     inv = None if multiplier.is_monomial() else multiplier.invert(-mult_val - WITNESS_DEPTH)
-    scaled = {i: c.scale(field.one()) if inv is None else c * inv for i, c in v.items()}
+    # c.scale(1), not c: complex signed zeros come out as a product's, as on the other branch
+    scaled = {i: c.scale(1) if inv is None else c * inv for i, c in v.items()}
     witness = _to_chain(cx, scaled)
 
     spectrality = None

@@ -31,14 +31,13 @@ def tensor_product(c0: FilteredComplex, c1: FilteredComplex) -> FilteredComplex:
                     g0.degree + g1.degree,
                 )
             )
-    minus_one = field.coerce(-1)
     differential: Dict[Tuple[str, str], NovikovScalar] = {}
     for (src, dst), coeff in c0.entries.items():
         for g1 in c1.generators:
             differential[(pair_id(src, g1.id), pair_id(dst, g1.id))] = coeff
     for (src, dst), coeff in c1.entries.items():
         for g0 in c0.generators:
-            signed = coeff if g0.degree % 2 == 0 else coeff.scale(minus_one)
+            signed = coeff if g0.degree % 2 == 0 else coeff.scale(-1)
             differential[(pair_id(g0.id, src), pair_id(g0.id, dst))] = signed
     floor = max(c0.floor, c1.floor)
     return FilteredComplex(field, lattice, generators, differential, floor)

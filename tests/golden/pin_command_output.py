@@ -353,7 +353,7 @@ def _forge(cert: dict, residual: str, move: bool = True) -> dict:
     branes = []
     for b, (x, _, _) in zip(cert["branes"], parsed):
         if move:
-            x = [NovikovScalar.monomial(field, field.coerce(7), 0)] * p.dim
+            x = [NovikovScalar.monomial(field, 7, 0)] * p.dim
         branes.append({
             **b,
             "x": [xj.to_json() for xj in x],

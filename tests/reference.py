@@ -5,15 +5,19 @@ unimodular coordinate changes of moment polytopes, the area homomorphism
 of a period lattice, the gcd of two rationals, the recursive extended gcd,
 the level of a chain, the Kushnirenko count of a toric potential's
 critical points, the potential's monomials, gradient and Hessian built
-one scaled scalar per term and summed by a left fold of scalar sums, and
-the floor rules of scalar operations stated with ``max`` on Fractions.
+one scaled scalar per term and summed by a left fold of scalar sums, the
+floor rules of scalar operations stated with ``max`` on Fractions, and the
+coefficient maps that ``CoefficientField.parts`` replaced: ``coerce`` into
+a value of the field, then ``to_parts``, with ``is_zero`` on the value.
 """
 
 import math
 from fractions import Fraction
+from numbers import Rational
 from typing import Iterable, Sequence, Tuple
 
 from novspec.complexes import Chain, FilteredComplex, PeriodLattice
+from novspec.fields import COMPLEX, GAUSSIAN, RATIONAL, GaussianRational
 from novspec.novikov import FloorValue, NovikovScalar
 from novspec.polytope import (
     Facet,
@@ -153,9 +157,8 @@ def kushnirenko_bound(p: MomentPolytope) -> int:
 
 def potential_monomials(w, x, floor) -> tuple:
     """x^{v_i} q^{w_i} for every facet term of the potential ``w``, cut at
-    ``floor``: each power chain and each monomial starts from ``scale(one)``
+    ``floor``: each power chain and each monomial starts from ``scale(1)``
     of its first factor, and each monomial is shifted, then truncated."""
-    one = x[0].field.one()
     powers = {}
     for j, xj in enumerate(x):
         needed = {t.exponent[j] for t in w.terms if t.exponent[j]}
@@ -164,7 +167,7 @@ def potential_monomials(w, x, floor) -> tuple:
             if top <= 0:
                 continue
             base = xj if sign > 0 else xj.invert(floor)
-            out = base.scale(one)
+            out = base.scale(1)
             for k in range(1, top + 1):
                 if k > 1:
                     out = out * base
@@ -173,7 +176,7 @@ def potential_monomials(w, x, floor) -> tuple:
     monos = []
     for term in w.terms:
         factors = [powers[j, k] for j, k in enumerate(term.exponent) if k]
-        out = factors[0].scale(one) if factors else NovikovScalar.one(x[0].field)
+        out = factors[0].scale(1) if factors else NovikovScalar.one(x[0].field)
         for factor in factors[1:]:
             out = out * factor
         out = out.shift(term.weight)
@@ -247,3 +250,45 @@ def shifted_floor(m: NovikovScalar, exp: Fraction, floor: FloorValue) -> FloorVa
 def weighted_sum_floor(pairs: list, floor: FloorValue) -> FloorValue:
     """The largest of ``floor`` and the floors of the (c, scalar) ``pairs``."""
     return max([floor, *(m.floor for _, m in pairs)])
+
+
+# -- coefficient values, as ``coerce``, ``to_parts`` and ``is_zero`` took them --
+
+
+def coerce(field, value):
+    """Bring an int/Fraction/GaussianRational/complex into ``field``."""
+    if field.mode == RATIONAL:
+        if isinstance(value, (int, Rational)):
+            return Fraction(value)
+        raise ValueError(f"{value!r} is not rational")
+    if field.mode == GAUSSIAN:
+        if isinstance(value, GaussianRational):
+            return value
+        if isinstance(value, (int, Rational)):
+            return GaussianRational(value, 0)
+        raise ValueError(f"{value!r} is not Gaussian rational")
+    if isinstance(value, GaussianRational):
+        return complex(value)
+    if isinstance(value, (int, float, Rational)):
+        return complex(float(value), 0.0)
+    if isinstance(value, complex):
+        return value
+    raise ValueError(f"{value!r} is not a complex coefficient")
+
+
+def is_zero(field, a) -> bool:
+    if field.mode == COMPLEX:
+        return abs(a) < field.eps
+    return not a
+
+
+def to_parts(field, a) -> tuple:
+    """``(re, im, den)`` with ``a == (re + i*im) / den``."""
+    if field.mode == RATIONAL:
+        return a.numerator, 0, a.denominator
+    if field.mode == GAUSSIAN:
+        re, im = a.re, a.im
+        den = math.lcm(re.denominator, im.denominator)
+        return (re.numerator * (den // re.denominator),
+                im.numerator * (den // im.denominator), den)
+    return a.real, a.imag, 1

@@ -114,11 +114,10 @@ def test_criterion_3_quasimap_dichotomy():
     for poly, fiber, cert in cases:
         w = PotentialFunction(poly, fiber)
         full = 2**poly.dim
-        two = cert.field.coerce(2)
         for brane in cert.branes:
             total += 1
             rank = hqf_report(build_cqf(w, brane.x, cert.order))["rank"]
-            perturbed = [xj.scale(two) for xj in brane.x]
+            perturbed = [xj.scale(2) for xj in brane.x]
             off_rank = hqf_report(build_cqf(w, perturbed, cert.order))["rank"]
             if rank == full and off_rank == 0:
                 agreements += 1

@@ -1187,6 +1187,20 @@ class TestQmapCommands:
         err = capsys.readouterr().err
         assert "inverse lead below eps" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("command", ["rank", "unit"])
+    @pytest.mark.parametrize("scale", [str(10**400), "1e-20"])
+    def test_complex_scale_outside_the_field_exits_2(self, tmp_path, capsys, command, scale):
+        # 10**400 lies past float range and 1e-20 below eps = 1e-12: neither
+        # is a nonzero value of a complex certificate's field
+        poly = write(tmp_path, "cp1.json", CP1)
+        cert = str(tmp_path / "cert.json")
+        argv = ["toric", "certify", poly, "--fiber", "1/2", "--mode", "complex", "--order=-2"]
+        assert main(argv + ["--out", cert]) == 0
+        capsys.readouterr()
+        assert main(["qmap", command, cert, "--scale", scale]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "argument --scale: " in err and "Traceback" not in err
+
     @pytest.mark.parametrize("mode", ["gaussian", "complex"])
     def test_floor_below_what_the_branes_determine_exits_1(self, tmp_path, capsys, mode):
         # at order -2 the trapezoid branes fix their gradient down to -5/2 only

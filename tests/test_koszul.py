@@ -29,7 +29,7 @@ CP2 = simplex(2)
 
 
 def mono(c, e, field=QQ):
-    return NovikovScalar.monomial(field, field.coerce(c), Fraction(e))
+    return NovikovScalar.monomial(field, c, Fraction(e))
 
 
 class TestBasis:
@@ -110,12 +110,11 @@ class TestDichotomy:
     def test_certified_brane_full_rank_doubled_brane_zero(self):
         w = PotentialFunction(CP1, "1/2")
         cert = certify_heavy(w, "-8", QQ)
-        two = QQ.coerce(Fraction(2))
         for brane in cert.branes:
             c = build_cqf(w, brane.x, cert.order)
             assert hqf_report(c)["rank"] == 2
             assert unit_in_homology(c)
-            doubled = [xj.scale(two) for xj in brane.x]
+            doubled = [xj.scale(2) for xj in brane.x]
             c0 = build_cqf(w, doubled, cert.order)
             assert hqf_report(c0)["rank"] == 0
             assert not unit_in_homology(c0)

@@ -15,10 +15,10 @@ from novspec import NEG_INF, CoefficientField, GaussianRational, NovikovScalar
 from novspec.complexes import PeriodLattice
 from novspec.fields import field_for_mode
 from novspec.novikov import _nonzero, _row_product
-from novspec.potential import _shifted, _weighted_sum
+from novspec.potential import _weighted_sum
 from novspec.records import parse_fraction
-from reference import (inverse_floor, product_floor, shifted_floor, sum_floor, truncate_floor,
-                       weighted_sum_floor)
+from reference import (coerce, inverse_floor, is_zero, product_floor, shifted_floor, sum_floor,
+                       to_parts, truncate_floor, weighted_sum_floor)
 
 QQ = CoefficientField("rational")
 QI = CoefficientField("gaussian")
@@ -669,13 +669,13 @@ def ref_normal(field, terms, floor):
     merged = {}
     for e, c in terms:
         merged[e] = merged[e] + c if e in merged else c
-    kept = [(e, c) for e, c in merged.items() if e > floor and not field.is_zero(c)]
+    kept = [(e, c) for e, c in merged.items() if e > floor and nonzero_value(field, c)]
     return sorted(kept, key=lambda t: t[0], reverse=True), floor
 
 
 def ref_json(field, terms, floor):
     return {
-        "terms": [{"c": field.parts_to_json(*field.to_parts(c)), "exp": str(e)} for e, c in terms],
+        "terms": [{"c": field.parts_to_json(*field.parts(c)), "exp": str(e)} for e, c in terms],
         "floor": "-inf" if floor == NEG_INF else str(floor),
     }
 
@@ -693,7 +693,7 @@ def assert_canonical(x):
         assert gcd(x.den, *[p for _, re, im in x.rows for p in (re, im)]) == 1 and x.den > 0
     else:
         assert x.den == 1
-        assert all(not x.field.is_zero(complex(re, im)) for _, re, im in x.rows)
+        assert all(not abs(complex(re, im)) < x.field.eps for _, re, im in x.rows)
 
 
 def assert_matches(field, got, ref):
@@ -756,6 +756,58 @@ def with_examples(cases):
     return add
 
 
+# -- coefficient values enter through ``parts`` ------------------------------
+#
+# ``CoefficientField.parts`` replaced ``to_parts(coerce(v))``, and the zero
+# test on its parts replaced ``is_zero(coerce(v))``; reference.py keeps the
+# replaced methods.  Where they overflowed, ``parts`` raises a ValueError.
+
+
+def nonzero_value(field, c):
+    """The field's nonzero test on a coefficient value, through its parts."""
+    re, im, _ = field.parts(c)
+    return _nonzero(field)(re, im)
+
+
+special_floats = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-310,
+                                  1e-12, math.inf, -math.inf, math.nan, 1e308])
+value_ints = st.one_of(st.integers(), st.booleans(), st.sampled_from([10**400, -(10**400)]))
+value_fractions = st.one_of(st.fractions(), st.builds(Fraction, st.sampled_from(
+    [10**400, -(10**400), 1]), st.sampled_from([1, 3, 10**400])))
+coefficient_values = st.one_of(
+    value_ints,
+    value_fractions,
+    st.builds(GaussianRational, value_fractions),
+    st.builds(GaussianRational, value_fractions, value_fractions),
+    st.floats(),
+    special_floats,
+    st.complex_numbers(),
+    st.builds(complex, special_floats, special_floats),
+    st.sampled_from(["1", None, [1], (1, 0), b"1"]),
+)
+
+
+class TestParts:
+    @PROPERTY
+    @given(st.sampled_from(sorted(MODES)), coefficient_values)
+    @with_examples([(mode, v) for mode in MODES for v in (
+        True, 10**400, Fraction(-(10**400), 3), 5e-324, -0.0, math.nan, complex(-0.0, -0.0), "1")])
+    def test_parts_match_coerce_then_to_parts(self, mode, value):
+        field = MODES[mode]
+        try:
+            ref = coerce(field, value)
+        except (ValueError, OverflowError) as exc:
+            with pytest.raises(ValueError) as got:
+                field.parts(value)
+            if not isinstance(exc, OverflowError):
+                assert str(got.value) == str(exc)
+            return
+        re, im, den = field.parts(value)
+        # repr tells -0.0 from 0.0, 1 from 1.0 and True from 1, and nan equals itself
+        assert repr((re, im, den)) == repr(to_parts(field, ref))
+        assert (not _nonzero(field)(re, im)) == is_zero(field, ref)
+
+
 class TestRowOperationProperties:
     @PROPERTY
     @given(st.data())
@@ -775,14 +827,15 @@ class TestRowOperationProperties:
     def test_scale_matches_reference(self, data):
         x = data.draw(field_scalars())
         field = x.field
-        c = data.draw(st.one_of(field_coefficients(field), st.sampled_from([0, 1, -1])))
-        coeff = field.coerce(c)
-        if field.is_zero(coeff):
+        # 9e-13 is a float below eps: zero in the field, yet 9e-13 * 2 is not
+        small = [9e-13] if field is CC else []
+        c = data.draw(st.one_of(field_coefficients(field), st.sampled_from([0, 1, -1, *small])))
+        if not nonzero_value(field, c):
             ref = [], NEG_INF if x.is_exact_zero() else x.floor
         else:
             # the term's coefficient is the left operand, as in the product
-            products = [(e, t * coeff) for e, t in x.terms]
-            ref = [(e, p) for e, p in products if not field.is_zero(p)], x.floor
+            products = [(e, t * coerce(field, c)) for e, t in x.terms]
+            ref = [(e, p) for e, p in products if nonzero_value(field, p)], x.floor
         assert_matches(field, x.scale(c), ref)
 
     @PROPERTY
@@ -795,6 +848,7 @@ class TestRowOperationProperties:
         cut = max(x.floor, f)
         assert_matches(x.field, x.truncate(f), ([(e, c) for e, c in x.terms if e > cut], cut))
         assert x.shift(s).shift(-s) == x
+        assert _stored(x.shift(s, f)) == _stored(x.shift(s).truncate(f))
 
     @PROPERTY
     @given(field_scalars(), term_documents())
@@ -972,7 +1026,8 @@ class TestIdentityLaws:
     @given(mode_scalars())
     def test_products_by_one_and_scaling_by_one_agree(self, x):
         one = NovikovScalar.one(x.field)
-        bits = _stored(x.scale(x.field.one()))
+        assert _stored(one) == _stored(NovikovScalar(x.field, [(0, 1)]))
+        bits = _stored(x.scale(1))
         assert _stored(one * x) == bits and _stored(x * one) == bits
 
     @PROPERTY
@@ -1016,7 +1071,7 @@ def reference_magnitude(field, c):
     if field.mode == "rational":
         return abs(float(c))
     if field.mode == "gaussian":
-        return abs(c.to_complex())
+        return abs(complex(c))
     return abs(c)
 
 
@@ -1140,7 +1195,7 @@ class TestFloorRules:
             (x + y, sum_floor(x, y)),
             (x - y, sum_floor(x, y)),
             (x.truncate(f), truncate_floor(x, f)),
-            (_shifted(x, s, f), shifted_floor(x, s, f)),
+            (x.shift(s, f), shifted_floor(x, s, f)),
             (_weighted_sum(field, pairs, f), weighted_sum_floor(pairs, f)),
         ]
         if x.rows:

@@ -15,15 +15,16 @@ def _load_complex(path: str):
     return _parse(lambda: FilteredComplex.from_json(doc), f"complex {path}")
 
 
-def _require_valid(cx, path: str):
+def _valid_complexes(*paths: str) -> list:
+    """The complexes at ``paths``, every one read before any is validated."""
     from .complexes import validate_complex
 
-    rep = validate_complex(cx)
-    if not rep.valid:
-        raise ValueError(
-            f"complex {path} fails validation: " + "; ".join(rep.violations)
-        )
-    return rep
+    complexes = [_load_complex(path) for path in paths]
+    for cx, path in zip(complexes, paths):
+        rep = validate_complex(cx)
+        if not rep.valid:
+            raise ValueError(f"complex {path} fails validation: " + "; ".join(rep.violations))
+    return complexes
 
 
 def cmd_complex_validate(args) -> int:
@@ -38,8 +39,7 @@ def cmd_complex_validate(args) -> int:
 def cmd_complex_homology(args) -> int:
     from .spectral import homology_report
 
-    cx = _load_complex(args.input)
-    _require_valid(cx, args.input)
+    [cx] = _valid_complexes(args.input)
     rep = homology_report(cx)
     _emit(args, _document("homology-report", rep))
     return 0
@@ -49,16 +49,13 @@ def cmd_complex_spectral(args) -> int:
     from .complexes import chain_from_json
     from .spectral import spectral_number, spectrum
 
-    cx = _load_complex(args.input)
-    _require_valid(cx, args.input)
+    [cx] = _valid_complexes(args.input)
     chain_doc = _load_json(args.chain)
     chain = _parse(lambda: chain_from_json(cx, chain_doc), f"chain {args.chain}")
     result = spectral_number(cx, chain)
     payload = result.to_json()
     payload["is_boundary"] = result.is_boundary
-    payload["in_spectrum"] = (
-        False if result.is_boundary else spectrum(cx).contains(result.value)
-    )
+    payload["in_spectrum"] = spectrum(cx).contains(result.value)
     _emit(args, _document("spectral-number", payload))
     return 0
 
@@ -66,8 +63,7 @@ def cmd_complex_spectral(args) -> int:
 def cmd_complex_spectrum(args) -> int:
     from .spectral import spectrum
 
-    cx = _load_complex(args.input)
-    _require_valid(cx, args.input)
+    [cx] = _valid_complexes(args.input)
     _emit(args, _document("action-spectrum", spectrum(cx).to_json()))
     return 0
 
@@ -75,11 +71,7 @@ def cmd_complex_spectrum(args) -> int:
 def cmd_complex_tensor(args) -> int:
     from .tensor import tensor_product
 
-    c0 = _load_complex(args.left)
-    c1 = _load_complex(args.right)
-    _require_valid(c0, args.left)
-    _require_valid(c1, args.right)
-    prod = tensor_product(c0, c1)
+    prod = tensor_product(*_valid_complexes(args.left, args.right))
     _emit(args, _document("filtered-complex", prod.to_json()))
     return 0
 

@@ -8,14 +8,14 @@ import sys
 
 from .cli import (_NEGATIVE_NUMBER, _OptionError, _checked_rational, _document, _emit, _input,
                   _load_json, _positive_rational, _rational, _write_text)
-from .records import SchemaError
+from .records import DEFAULT_EPS, SchemaError
 from .records import parse_or_schema_error as _parse
 
 
 def _toric_field(args):
     from .fields import field_for_mode
 
-    return field_for_mode(args.mode, float(getattr(args, "eps", 1e-12)))
+    return field_for_mode(args.mode, float(args.eps))
 
 
 def _load_polytope(path: str):
@@ -126,7 +126,7 @@ def _add_mode(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--eps",
         type=_eps,
-        default=1e-12,
+        default=DEFAULT_EPS,
         help="tolerance for complex mode (ignored by exact modes)",
     )
 

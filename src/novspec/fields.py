@@ -26,7 +26,7 @@ from fractions import Fraction
 from numbers import Rational
 from typing import Any, Union
 
-from .records import Frozen, _set, fraction_str, parse_ratio, ratio_str, to_float
+from .records import DEFAULT_EPS, Frozen, _set, fraction_str, parse_ratio, ratio_str, to_float
 
 RATIONAL = "rational"
 GAUSSIAN = "gaussian"
@@ -194,17 +194,17 @@ class CoefficientField(Frozen):
             return CoefficientField()
         if isinstance(obj, str):
             if obj == COMPLEX:
-                return CoefficientField(COMPLEX, 1e-12)
+                return CoefficientField(COMPLEX, DEFAULT_EPS)
             return CoefficientField(obj)
         if not isinstance(obj, dict):
             raise ValueError("field must be a mode name or an object")
         mode = obj.get("mode", RATIONAL)
         if mode == COMPLEX:
-            return CoefficientField(COMPLEX, to_float(obj.get("eps", 1e-12)))
+            return CoefficientField(COMPLEX, to_float(obj.get("eps", DEFAULT_EPS)))
         return CoefficientField(mode)
 
 
-def field_for_mode(mode: str, eps: float = 1e-12) -> CoefficientField:
+def field_for_mode(mode: str, eps: float = DEFAULT_EPS) -> CoefficientField:
     if mode == COMPLEX:
         return CoefficientField(COMPLEX, eps)
     return CoefficientField(mode)

@@ -28,7 +28,7 @@ from .fields import CoefficientField
 from .novikov import NovikovScalar
 from .potential import PotentialFunction
 from .records import NEG_INF, floor_str
-from .spectral import echelon_from_columns, homology_rank
+from .spectral import echelon_from_columns, homology_report
 
 
 def _subset_name(mask: int) -> str:
@@ -85,8 +85,8 @@ def hqf_report(cx: FilteredComplex) -> dict:
     n = len(cx.generators).bit_length() - 1
     zero = NovikovScalar.zero(cx.field)
     y = [cx.column(_subset_name(1 << j)).get("e", zero) for j in range(n)]
-    ranks = homology_rank(cx)
-    total = sum(ranks.values())
+    report = homology_report(cx)
+    total = report["total"]
     expected = (1 << n) if all(yj.is_zero() for yj in y) else 0
     if total != expected:
         raise AssertionError(
@@ -101,7 +101,7 @@ def hqf_report(cx: FilteredComplex) -> dict:
         ideal.append({"component": j, "valuation": floor_str(yj.valuation()), "leading": leading})
     return {
         "rank": total,
-        "ranks_by_degree": {str(k): v for k, v in sorted(ranks.items())},
+        "ranks_by_degree": report["ranks"],
         "ideal": ideal,
         "floor": floor_str(cx.floor),
     }

@@ -11,6 +11,7 @@ from numbers import Rational
 from typing import Any, Callable, Tuple, Union
 
 NEG_INF = float("-inf")
+DEFAULT_EPS = 1e-12  # the complex mode's zero tolerance unless a document or --eps sets one
 SCHEMA_VERSION = "1"  # of every JSON document novspec writes
 
 

@@ -33,7 +33,7 @@ from .potential import PotentialFunction
 from .quasistate import SpectralOracle, homogenize
 from .randomcx import random_complex, random_scalar
 from .records import NEG_INF, SCHEMA_VERSION
-from .spectral import homology_rank, spectral_number, spectrum
+from .spectral import homology_report, spectral_number, spectrum
 from .tensor import kunneth_ranks, tensor_chain, tensor_product
 
 
@@ -103,8 +103,8 @@ def _tensor(seed: int, trials: int, failures: List[str]) -> None:
         d1 = random_complex(rng, max_generators=5, field=d0.complex.field)
         prod = tensor_product(d0.complex, d1.complex)
         expected = kunneth_ranks(d0.expected_ranks(), d1.expected_ranks())
-        got = {k: v for k, v in homology_rank(prod).items() if v}
-        if got != expected:
+        got = {k: v for k, v in homology_report(prod)["ranks"].items() if v}
+        if got != {str(k): v for k, v in expected.items()}:
             failures.append(
                 f"trial {t}: tensor ranks {got} differ from factor product {expected}"
             )

@@ -1,7 +1,7 @@
 """Exact homological algebra over the Novikov field.
 
 Everything here is elimination on sparse columns whose entries are
-finite Novikov sums.  Two reduction notions coexist:
+finite Novikov sums.  One loop, ``_reduced``, runs two pivot rules:
 
 * structural reduction (smallest nonzero coordinate first), used for
   ranks and membership in the image of the differential, and
@@ -28,7 +28,7 @@ from __future__ import annotations
 from collections import Counter
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from .complexes import Chain, FilteredComplex, chain_to_json
 from .fields import CoefficientField
@@ -106,6 +106,17 @@ def _vec_normalize(v: Vec, field: CoefficientField) -> Vec:
     return out
 
 
+def _reduced(v: Vec, basis: Dict[int, Vec], pick: Callable, field: CoefficientField) -> Vec:
+    """A new ``v`` cross-reduced at the coordinate ``pick(v)`` until ``basis``
+    has no vector there or ``v`` is empty."""
+    v = dict(v)
+    for _ in range(STEP_BUDGET + 1):
+        if not v or (p := pick(v)) not in basis:
+            return v
+        v = _vec_normalize(_vec_cross(v, basis[p], p), field)
+    raise RuntimeError("reduction exceeded step budget")
+
+
 # -- structural echelon ----------------------------------------------------
 
 
@@ -125,13 +136,7 @@ class Echelon(Record):
 
     def reduce(self, v: Vec) -> Vec:
         """Structural reduction; result empty iff v lies in the span."""
-        v = dict(v)
-        while v:
-            p = min(v)
-            if p not in self.pivots:
-                return v
-            v = _vec_normalize(_vec_cross(v, self.pivots[p], p), self.field)
-        return v
+        return _reduced(v, self.pivots, min, self.field)
 
     def insert(self, v: Vec, label: Optional[str] = None) -> bool:
         """Add a column; returns True if it enlarged the span."""
@@ -202,14 +207,6 @@ def homology_report(cx: FilteredComplex) -> dict:
         "total": sum(ranks.values()),
         "pivot_audit": audit,
     }
-
-
-def homology_rank(cx: FilteredComplex) -> dict:
-    """Degree -> rank mapping (keys are ints or 'even'/'odd')."""
-    report = homology_report(cx)
-    if report["graded"] == "integer":
-        return {int(k): v for k, v in report["ranks"].items()}
-    return dict(report["ranks"])
 
 
 # -- spectrum ----------------------------------------------------------------
@@ -301,18 +298,9 @@ def _lead_basis(ech: Echelon, cx: FilteredComplex) -> Dict[int, Vec]:
     """Rebase the image so that lead coordinates are pairwise distinct."""
     basis: Dict[int, Vec] = {}
     for p in sorted(ech.pivots):
-        v = ech.pivots[p]
-        steps = 0
-        while v:
-            coord, _ = _lead(v, cx)
-            if coord not in basis:
-                basis[coord] = v
-                break
-            v = _vec_normalize(_vec_cross(v, basis[coord], coord), cx.field)
-            steps += 1
-            if steps > STEP_BUDGET:
-                raise RuntimeError("lead disambiguation exceeded step budget")
-        # v empty cannot happen: echelon vectors stay independent
+        v = _reduced(ech.pivots[p], basis, lambda w: _lead(w, cx)[0], cx.field)
+        # v is never empty: echelon vectors stay independent
+        basis[_lead(v, cx)[0]] = v
     return basis
 
 

@@ -9,10 +9,13 @@ document whose rationals are spelled ``"0.5"``, ``" 3/2 "`` and ``"-0"``
 ``Fraction`` parser) and, in each mode, one hand-written complex graded
 only mod 2 whose spectral number needs a pivot of two terms, runs ``complex
 validate|homology|spectrum|spectral|tensor`` on each through
-``novspec.cli.main`` in process, and writes the documents, the argv, the
-exit code and the sha256 of stdout to ``complex_output.json``.  ``tests/test_cli.py`` replays the file from the
-stored documents, so it does not depend on the random generator.  Re-pin
-only when an output change is intended, and name the change in CHANGES.md.
+``novspec.cli.main`` in process, runs ``complex validate|homology`` on two
+hand-written complexes whose d² is nonzero, so that the violation prints a
+gaussian and a complex coefficient with its floor, and writes the documents,
+the argv, the exit code and the sha256 of stdout to ``complex_output.json``.
+``tests/test_cli.py`` replays the file from the stored documents, so it
+does not depend on the random generator.  Re-pin only when an output
+change is intended, and name the change in CHANGES.md.
 """
 
 from __future__ import annotations
@@ -78,6 +81,35 @@ def mod2_complex(mode: str) -> dict:
 MOD2_CHAIN = {"coeffs": [{"id": "c", "coeff": [{"exp": "0", "c": "1"}]}]}
 
 
+def nonzero_square(mode: str, first, second, **extra) -> dict:
+    """a -> b -> c with coefficients ``first`` and ``second`` q^-1, so d²
+    sends a to first*second q^-1 and validation prints that coefficient."""
+    return {
+        "field": {"mode": mode},
+        "lattice": {"rank": 1, "periods": ["1"]},
+        "generators": [
+            {"id": "a", "action": "2", "degree": 2},
+            {"id": "b", "action": "1", "degree": 1},
+            {"id": "c", "action": "0", "degree": 0},
+        ],
+        "differential": [
+            {"from": "a", "to": "b", "coeff": [{"exp": "0", "c": first}]},
+            {"from": "b", "to": "c", "coeff": [{"exp": "-1", "c": second}]},
+        ],
+        **extra,
+    }
+
+
+SQUARES = {
+    # (1+2i)(1-3i) = 7-i, printed "(7+-1i)*q^(-1)"
+    "square_gaussian.json": nonzero_square(
+        "gaussian", {"re": "1", "im": "2"}, {"re": "1", "im": "-3"}),
+    # (0+1j)(-1+0j) has the real part -0.0: "(-0-1j)*q^(-1) [floor -11/2]"
+    "square_complex.json": nonzero_square(
+        "complex", {"re": 0.0, "im": 1.0}, {"re": -1.0, "im": 0.0}, floor="-11/2"),
+}
+
+
 def _complex_doc(cx) -> dict:
     doc = {"schema_version": "1", "kind": "filtered-complex"}
     doc.update(cx.to_json())
@@ -109,6 +141,7 @@ def documents() -> dict:
     for mode in MODES:
         docs[f"mod2_{mode}.json"] = docs[f"mod2_{mode}_right.json"] = mod2_complex(mode)
         docs[f"mod2_{mode}_cycle.json"] = MOD2_CHAIN
+    docs.update(SQUARES)
     return docs
 
 
@@ -125,6 +158,8 @@ def argvs() -> list:
         ]
         if base in MODES:
             out.append(["complex", "spectral", cx, "--chain", f"{base}_boundary.json"])
+    for cx in SQUARES:
+        out += [["complex", "validate", cx], ["complex", "homology", cx]]
     return out
 
 

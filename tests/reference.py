@@ -6,9 +6,11 @@ of a period lattice, the gcd of two rationals, the recursive extended gcd,
 the level of a chain, the Kushnirenko count of a toric potential's
 critical points, the potential's monomials, gradient and Hessian built
 one scaled scalar per term and summed by a left fold of scalar sums, the
-floor rules of scalar operations stated with ``max`` on Fractions, and the
+floor rules of scalar operations stated with ``max`` on Fractions, the
 coefficient maps that ``CoefficientField.parts`` replaced: ``coerce`` into
-a value of the field, then ``to_parts``, with ``is_zero`` on the value.
+a value of the field, then ``to_parts``, with ``is_zero`` on the value, and
+the two loops that ``spectral._reduced`` replaced: structural reduction of
+an echelon column and the rebasing of the image by lead coordinates.
 """
 
 import math
@@ -31,6 +33,7 @@ from novspec.polytope import (
     rational_inverse,
 )
 from novspec.records import NEG_INF
+from novspec.spectral import STEP_BUDGET, _lead, _to_vec, _vec_cross, _vec_normalize
 
 
 def unimodular_inverse_transpose(a: Sequence[Sequence[int]]) -> Tuple[Vector, ...]:
@@ -292,3 +295,47 @@ def to_parts(field, a) -> tuple:
         return (re.numerator * (den // re.denominator),
                 im.numerator * (den // im.denominator), den)
     return a.real, a.imag, 1
+
+
+# -- the reduction loops, as ``Echelon.reduce`` and ``_lead_basis`` ran them --
+
+
+def echelon_reduce(pivots: dict, v: dict, field) -> dict:
+    """Cross-reduce ``v`` at its smallest coordinate while a pivot sits there."""
+    v = dict(v)
+    while v:
+        p = min(v)
+        if p not in pivots:
+            return v
+        v = _vec_normalize(_vec_cross(v, pivots[p], p), field)
+    return v
+
+
+def echelon_pivots(cx: FilteredComplex, sources: Sequence[str]) -> dict:
+    """Pivot coordinate -> vector of the image of the columns of ``sources``."""
+    pivots = {}
+    for gid in sources:
+        col = cx.column(gid)
+        if col:
+            v = echelon_reduce(pivots, _to_vec(cx, col), cx.field)
+            if v:
+                pivots[min(v)] = v
+    return pivots
+
+
+def lead_basis(pivots: dict, cx: FilteredComplex) -> dict:
+    """Rebase the image so that lead coordinates are pairwise distinct."""
+    basis = {}
+    for p in sorted(pivots):
+        v = pivots[p]
+        steps = 0
+        while v:
+            coord, _ = _lead(v, cx)
+            if coord not in basis:
+                basis[coord] = v
+                break
+            v = _vec_normalize(_vec_cross(v, basis[coord], coord), cx.field)
+            steps += 1
+            if steps > STEP_BUDGET:
+                raise RuntimeError("lead disambiguation exceeded step budget")
+    return basis

@@ -256,16 +256,19 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("broken_first", [True, False])
     def test_malformed_input_names_its_file(self, tmp_path, capsys, broken_first):
-        # With two inputs, the message says which one failed to parse.
-        good = write(tmp_path, "a.json", GOOD_COMPLEX)
+        # With two inputs, the message says which one failed to parse; every
+        # input is read before any is validated, so a partner that fails
+        # validation does not decide the exit code either.
         broken = tmp_path / "broken.json"
         broken.write_text("{not json", encoding="utf-8")
-        inputs = [str(broken), good] if broken_first else [good, str(broken)]
-        assert main(["complex", "tensor", *inputs]) == 2
-        out, err = capsys.readouterr()
-        assert out == "" and err == (
-            f"novspec: input error: {broken}: Expecting property name "
-            "enclosed in double quotes: line 1 column 2 (char 1)\n")
+        for partner in (GOOD_COMPLEX, BAD_COMPLEX):
+            other = write(tmp_path, "a.json", partner)
+            inputs = [str(broken), other] if broken_first else [other, str(broken)]
+            assert main(["complex", "tensor", *inputs]) == 2
+            out, err = capsys.readouterr()
+            assert out == "" and err == (
+                f"novspec: input error: {broken}: Expecting property name "
+                "enclosed in double quotes: line 1 column 2 (char 1)\n")
 
     @pytest.mark.parametrize(
         "command", [["complex", "homology"], ["toric", "certify", "--fiber", "1/2"]]
